@@ -7,7 +7,9 @@ factorises as ``exp(i s_0 A) * exp(i ds A)**c``, trading one sincos per
 complex multiply per channel step — a ~C-fold cut in transcendental work.
 On sincos-*limited* architectures (HASWELL, FIJI — the Fig 11 dashed
 bounds) the model says this recovers most of the gap to the FMA peak; this
-bench measures the real NumPy speedup and pins the accuracy.
+bench times the two production gridder kernels — ``gridder_bucket_fast``
+(recurrence) against ``gridder_bucket`` (direct sum) — on the same gathered
+bucket of work items, and pins the accuracy.
 """
 
 import time
@@ -15,7 +17,18 @@ import time
 import numpy as np
 from _util import print_series
 
-from repro.core.gridder import grid_work_group
+from repro.constants import ACCUM_DTYPE
+from repro.core.gridder import gridder_bucket, gridder_bucket_fast
+from repro.core.scratch import ScratchArena
+from repro.parallel.bucketing import (
+    bucket_work_items,
+    gather_offsets,
+    gather_rel_uvw,
+    gather_scale0,
+    gather_uvw,
+    gather_visibilities,
+    uniform_channel_step,
+)
 from repro.perfmodel.architectures import FIJI, HASWELL
 from repro.perfmodel.opcount import FMAS_PER_PIXEL_VIS
 from repro.perfmodel.sincos import mixed_throughput_ops
@@ -24,17 +37,36 @@ from repro.perfmodel.sincos import mixed_throughput_ops
 def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis,
                                      bench_idg):
     stop = min(16, bench_plan.n_subgrids)
-    n_vis = sum(bench_plan.work_item(i).n_visibilities for i in range(stop))
+    bucket = max(bucket_work_items(bench_plan, 0, stop), key=lambda b: b.n_items)
+    indices = bucket.indices
+    n_vis = bucket.n_visibilities
+    arena = ScratchArena()
+    vis = gather_visibilities(
+        bench_plan, indices, bench_vis, arena, dtype=ACCUM_DTYPE
+    ).copy()
+    uvw = gather_uvw(bench_plan, indices, bench_obs.uvw_m, arena).copy()
+    rel_uvw = gather_rel_uvw(bench_plan, indices, bench_obs.uvw_m, arena).copy()
+    offsets = gather_offsets(bench_plan, indices, arena).copy()
+    scale0 = gather_scale0(bench_plan, indices)
+    ds = uniform_channel_step(bench_plan.frequencies_hz)
+    kernels = {
+        "direct": lambda: gridder_bucket(
+            vis.reshape(len(indices), -1, 4), rel_uvw,
+            bench_idg.lmn, bench_idg.taper, arena=arena,
+        ),
+        "recurrence": lambda: gridder_bucket_fast(
+            vis, uvw, scale0, ds, offsets, bench_idg.lmn, bench_idg.taper,
+            arena=arena,
+        ),
+    }
 
     def measure():
         results = {}
         grids = {}
-        for name, fast in (("direct", False), ("recurrence", True)):
+        for name, kernel in kernels.items():
+            kernel()  # warm the arena so the timed call allocates nothing
             t0 = time.perf_counter()
-            grids[name] = grid_work_group(
-                bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
-                lmn=bench_idg.lmn, channel_recurrence=fast,
-            )
+            grids[name] = kernel().copy()  # the result is an arena view
             results[name] = time.perf_counter() - t0
         scale = float(np.abs(grids["direct"]).max())
         results["max_diff"] = float(

@@ -9,7 +9,6 @@ honest Python-substrate number a user of this library actually gets.
 import numpy as np
 from _util import print_series
 
-from repro.core.gridder import grid_work_group
 from repro.perfmodel.architectures import ALL_ARCHITECTURES
 from repro.perfmodel.opcount import degridder_counts, gridder_counts
 from repro.perfmodel.runtime import throughput_mvis
@@ -37,7 +36,7 @@ def test_fig10_measured_python_gridding(benchmark, bench_plan, bench_obs, bench_
     stop = min(24, bench_plan.n_subgrids)
 
     def run():
-        return grid_work_group(
+        return bench_idg.backend.grid_work_group(
             bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
             lmn=bench_idg.lmn,
         )

@@ -19,7 +19,6 @@ import time
 from _util import print_series
 
 from repro.baselines.wprojection import WProjectionGridder
-from repro.core.gridder import grid_work_group
 from repro.perfmodel.architectures import PASCAL
 from repro.perfmodel.opcount import (
     gridder_counts,
@@ -85,7 +84,7 @@ def test_fig16_measured_python_sweep(benchmark, bench_plan, bench_obs, bench_vis
     n_vis_idg = sum(bench_plan.work_item(i).n_visibilities for i in range(stop))
 
     def idg_run():
-        grid_work_group(
+        bench_idg.backend.grid_work_group(
             bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
             lmn=bench_idg.lmn,
         )

@@ -8,8 +8,6 @@ are caught and users know what to expect on a host CPU.
 import numpy as np
 
 from repro.core.adder import add_subgrids, split_subgrids
-from repro.core.degridder import degrid_work_group
-from repro.core.gridder import grid_work_group
 from repro.core.plan import Plan
 from repro.core.subgrid_fft import subgrids_to_fourier, subgrids_to_image
 from repro.parallel.executor import ParallelIDG
@@ -31,7 +29,7 @@ def test_bench_gridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
                                   bench_idg):
     stop = min(GROUP, bench_plan.n_subgrids)
     out = benchmark(
-        grid_work_group,
+        bench_idg.backend.grid_work_group,
         bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
         bench_idg.lmn,
     )
@@ -41,7 +39,7 @@ def test_bench_gridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
 def test_bench_degridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
                                     bench_idg):
     stop = min(GROUP, bench_plan.n_subgrids)
-    subgrids = grid_work_group(
+    subgrids = bench_idg.backend.grid_work_group(
         bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
         lmn=bench_idg.lmn,
     )
@@ -49,7 +47,7 @@ def test_bench_degridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
     out = np.zeros_like(bench_vis)
 
     def run():
-        degrid_work_group(
+        bench_idg.backend.degrid_work_group(
             bench_plan, 0, stop, images, bench_obs.uvw_m, out, bench_idg.taper,
             lmn=bench_idg.lmn,
         )

@@ -20,7 +20,12 @@ import time
 import numpy as np
 
 import repro
-from repro.core.wstack import WStackedIDG
+from repro.imaging.pipeline import (
+    ImagingContext,
+    TwoDimFTProcessor,
+    WStackFTProcessor,
+    plan_coverage,
+)
 from repro.kernels.wkernel import required_w_planes, w_kernel_support
 
 
@@ -55,16 +60,15 @@ def main() -> None:
         idg = repro.IDG(gridspec, repro.IDGConfig(
             subgrid_size=subgrid, kernel_support=max(2, subgrid // 4), time_max=8,
         ))
-        stack = WStackedIDG(idg, n_planes=planes)
-        layers = stack.make_layers(obs.uvw_m, obs.frequencies_hz, baselines)
+        ctx = ImagingContext(idg, obs.uvw_m, obs.frequencies_hz, baselines)
+        processor = (
+            TwoDimFTProcessor(ctx) if planes == 1
+            else WStackFTProcessor(ctx, n_w_planes=planes)
+        )
         t0 = time.perf_counter()
-        predicted = stack.predict(model, layers, obs.uvw_m)
+        predicted = processor.predict(model)
         elapsed = time.perf_counter() - t0
-        covered = np.zeros(vis.shape[:3], dtype=bool)
-        for layer in layers:
-            for item in layer.plan:
-                covered[item.baseline, item.time_start:item.time_end,
-                        item.channel_start:item.channel_end] = True
+        covered = plan_coverage(processor.plan)
         sel = covered[..., None, None] & np.ones_like(vis, bool)
         scale = np.sqrt((np.abs(vis[sel]) ** 2).mean())
         rms = np.sqrt((np.abs(predicted[sel] - vis[sel]) ** 2).mean()) / scale

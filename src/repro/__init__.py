@@ -31,7 +31,6 @@ paper-versus-measured record of every table and figure.
 
 from repro.gridspec import GridSpec
 from repro.core.pipeline import IDG, IDGConfig
-from repro.core.wstack import WStackedIDG
 from repro.core.plan import Plan, PlanStatistics, WorkItem
 from repro.telescope.observation import (
     Observation,
@@ -57,6 +56,7 @@ from repro.imaging.image import dirty_image_from_grid, model_image_to_grid, stok
 from repro.imaging.clean import hogbom_clean
 from repro.imaging.cycle import ImagingCycle
 from repro.imaging.restore import restore_image
+from repro.imaging.pipeline import WStackFTProcessor
 from repro.imaging.spectral import SpectralImager, make_subbands
 from repro.data.rfi import flag_rfi
 from repro.calibration import stefcal
@@ -67,7 +67,7 @@ __all__ = [
     "GridSpec",
     "IDG",
     "IDGConfig",
-    "WStackedIDG",
+    "WStackFTProcessor",
     "Plan",
     "PlanStatistics",
     "WorkItem",

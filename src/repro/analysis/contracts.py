@@ -6,13 +6,13 @@ validates every array argument and the return value against it, with symbol
 bindings shared across the whole call::
 
     @shape_checked(
-        visibilities="(M, 2, 2) | (M, 4)",
-        uvw_rel_wl="(M, 3)",
+        visibilities="(G, M, 4)",
+        uvw_rel_wl="(G, M, 3)",
         lmn="(N**2, 3)",
         taper="(N, N)",
-        returns="(N, N, 2, 2)",
+        returns="(G, N, N, 2, 2)",
     )
-    def gridder_subgrid(visibilities, uvw_rel_wl, lmn, taper, ...): ...
+    def gridder_bucket(visibilities, uvw_rel_wl, lmn, taper, ...): ...
 
 Checking is off by default and the decorator is then a *zero-cost no-op*: it
 only records the spec on ``fn.__shape_spec__`` (for tooling) and returns the

@@ -2,23 +2,21 @@
 
 One IDG algorithm, several interchangeable kernel implementations — the
 software analogue of the paper running the same pipeline on HASWELL, FIJI
-and PASCAL.  Three backends register at import time:
+and PASCAL.  Two backends register at import time:
 
-* ``reference``  — the loop-level Algorithm 1/2 oracle (slow, authoritative);
-* ``vectorized`` — the BLAS fast path (default);
-* ``jit``        — the numba-compiled Listing-1 FMA loop with the
-  phase-offset/phase-index split and channel-phasor recurrence; falls back
-  to ``vectorized`` with a logged warning when numba is missing.
+* ``vectorized`` — the production path (default): shape-bucketed batches of
+  subgrids, with the channel-phasor recurrence when channels are evenly
+  spaced and the direct sum otherwise;
+* ``reference``  — the loop-level Algorithm 1/2 oracle (slow, authoritative).
 
-Select a backend with ``IDGConfig(backend="jit")``, the CLI ``--backend``
-flag, or the ``IDG_BACKEND`` environment variable.  All registered backends
-are held to pairwise ``rtol = 1e-5`` agreement and per-backend
-gridder/degridder adjointness by the differential harness in
+Select a backend with ``IDGConfig(backend="reference")``, the CLI
+``--backend`` flag, or the ``IDG_BACKEND`` environment variable.  All
+registered backends are held to pairwise ``rtol = 1e-5`` agreement and
+per-backend gridder/degridder adjointness by the differential harness in
 ``tests/backends/``.
 """
 
 from repro.backends.base import KernelBackend
-from repro.backends.jit import HAVE_NUMBA, JitBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.registry import (
     DEFAULT_BACKEND,
@@ -32,14 +30,11 @@ from repro.backends.vectorized import VectorizedBackend
 
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())
-register_backend(JitBackend())
 
 __all__ = [
     "KernelBackend",
     "ReferenceBackend",
     "VectorizedBackend",
-    "JitBackend",
-    "HAVE_NUMBA",
     "DEFAULT_BACKEND",
     "IDG_BACKEND_ENV",
     "available_backends",

@@ -33,9 +33,6 @@ from repro.core.plan import Plan
 from repro.core.subgrid_fft import subgrids_to_fourier as _subgrids_to_fourier
 from repro.core.subgrid_fft import subgrids_to_image as _subgrids_to_image
 
-#: Default number of visibilities per kernel batch (mirrors the core kernels).
-DEFAULT_VIS_BATCH = 1024
-
 
 class KernelBackend:
     """Base class of all kernel backends.
@@ -63,22 +60,12 @@ class KernelBackend:
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> np.ndarray:
-        """Grid work items ``start .. stop-1`` (Algorithm 1, batched).
+        """Grid work items ``start .. stop-1`` (Algorithm 1).
 
         Same signature and semantics as
-        :func:`repro.core.gridder.grid_work_group`; returns the
-        ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
-        ``channel_recurrence`` is advisory — a backend whose inner loop is
-        already organised around the channel-phasor recurrence (``jit``) may
-        ignore it, and the ``reference`` oracle always evaluates the direct
-        sum.  ``batched`` is likewise advisory: it asks for the
-        shape-bucketed batch-of-subgrids execution
-        (:mod:`repro.parallel.bucketing`), which only ``vectorized``
-        implements; other backends keep their per-item loop.
+        :func:`repro.parallel.bucketing.grid_work_group_batched`; returns
+        the ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
         """
         raise NotImplementedError
 
@@ -95,16 +82,12 @@ class KernelBackend:
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> None:
-        """Degrid work items ``start .. stop-1`` (Algorithm 2, batched).
+        """Degrid work items ``start .. stop-1`` (Algorithm 2).
 
         Same signature and semantics as
-        :func:`repro.core.degridder.degrid_work_group`: predictions are
-        written into ``visibilities_out`` in place.  ``batched`` is advisory
-        as in :meth:`grid_work_group`.
+        :func:`repro.parallel.bucketing.degrid_work_group_batched`:
+        predictions are written into ``visibilities_out`` in place.
         """
         raise NotImplementedError
 

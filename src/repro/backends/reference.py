@@ -6,18 +6,21 @@ participates in the differential harness as a peer backend rather than a
 special case inside individual tests.  It always evaluates the direct sum —
 one sine/cosine per (pixel, visibility), no channel recurrence, no batching —
 which is exactly what makes it authoritative and orders of magnitude slower
-than the others; the test corpus keeps its work items tiny.
+than ``vectorized``; the test corpus keeps its work items tiny.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import DEFAULT_VIS_BATCH, KernelBackend
+from repro.backends.base import KernelBackend
 from repro.constants import COMPLEX_DTYPE
-from repro.core.gridder import relative_uvw_wavelengths
 from repro.core.plan import Plan
-from repro.core.reference import reference_degridder, reference_gridder
+from repro.core.reference import (
+    reference_degridder,
+    reference_gridder,
+    relative_uvw_wavelengths,
+)
 
 
 class ReferenceBackend(KernelBackend):
@@ -35,9 +38,6 @@ class ReferenceBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> np.ndarray:
         n = plan.subgrid_size
         image_size = plan.gridspec.image_size
@@ -72,9 +72,6 @@ class ReferenceBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> None:
         image_size = plan.gridspec.image_size
         for k, index in enumerate(range(start, stop)):

@@ -44,18 +44,9 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="kernel backend (reference, vectorized, jit, or any registered "
+        help="kernel backend (vectorized, reference, or any registered "
         "name); default: the IDG_BACKEND environment variable, then "
         "'vectorized'",
-    )
-    parser.add_argument(
-        "--batched", dest="batched", action="store_true", default=True,
-        help="shape-bucketed batched kernel execution (default; vectorized "
-        "backend only — others keep their per-item loop)",
-    )
-    parser.add_argument(
-        "--no-batched", dest="batched", action="store_false",
-        help="per-work-item kernel execution",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -447,7 +438,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _make_idg(dataset, grid_size, subgrid_size, backend=None, batched=True,
+def _make_idg(dataset, grid_size, subgrid_size, backend=None,
               max_retries=0, retry_backoff=0.05):
     from repro.constants import SPEED_OF_LIGHT
     from repro.core.pipeline import IDG, IDGConfig
@@ -461,8 +452,7 @@ def _make_idg(dataset, grid_size, subgrid_size, backend=None, batched=True,
         idg = IDG(
             gridspec,
             IDGConfig(subgrid_size=subgrid_size, backend=backend,
-                      batched=batched, max_retries=max_retries,
-                      retry_backoff_s=retry_backoff),
+                      max_retries=max_retries, retry_backoff_s=retry_backoff),
         )
     except KeyError as exc:  # unknown --backend / IDG_BACKEND name
         raise SystemExit(f"error: {exc.args[0]}") from exc
@@ -525,8 +515,7 @@ def _cmd_image(args) -> int:
     ds, store = _open_input(args.dataset)
     idg, gridspec = _make_idg(
         ds, args.grid_size, args.subgrid_size, backend=args.backend,
-        batched=args.batched, max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
+        max_retries=args.max_retries, retry_backoff=args.retry_backoff,
     )
     plan = idg.make_plan(ds.uvw_m, ds.frequencies_hz, ds.baselines)
 
@@ -597,7 +586,7 @@ def _cmd_predict(args) -> int:
         model = archive["model"]
     g = model.shape[-1]
     idg, gridspec = _make_idg(
-        ds, g, args.subgrid_size, backend=args.backend, batched=args.batched,
+        ds, g, args.subgrid_size, backend=args.backend,
         max_retries=args.max_retries, retry_backoff=args.retry_backoff,
     )
     model4 = np.zeros((4, g, g), dtype=np.complex128)

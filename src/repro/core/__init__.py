@@ -16,8 +16,6 @@ facade.
 """
 
 from repro.core.plan import Plan, PlanStatistics, WorkItem
-from repro.core.gridder import grid_work_group, gridder_subgrid
-from repro.core.degridder import degrid_work_group, degridder_subgrid
 from repro.core.subgrid_fft import subgrids_to_fourier, subgrids_to_image
 from repro.core.adder import (
     add_grid,
@@ -34,16 +32,12 @@ from repro.core.scratch import (
     thread_arena,
     total_arena_nbytes,
 )
-from repro.core.wstack import WLayer, WStackedIDG, split_plan_by_w
+from repro.core.wstack import WLayer, split_plan_by_w
 
 __all__ = [
     "Plan",
     "PlanStatistics",
     "WorkItem",
-    "grid_work_group",
-    "gridder_subgrid",
-    "degrid_work_group",
-    "degridder_subgrid",
     "subgrids_to_fourier",
     "subgrids_to_image",
     "add_grid",
@@ -59,6 +53,5 @@ __all__ = [
     "clear_thread_arena",
     "total_arena_nbytes",
     "WLayer",
-    "WStackedIDG",
     "split_plan_by_w",
 ]

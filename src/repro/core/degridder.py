@@ -1,4 +1,4 @@
-"""The degridder kernel (paper Algorithm 2), vectorised.
+"""The degridder kernel (paper Algorithm 2), vectorised over buckets of subgrids.
 
 The degridder is the forward direction: given an image-domain subgrid (split
 from the model grid and inverse-FFT'd), it first applies the taper and the
@@ -10,8 +10,12 @@ every visibility of the work item as
 
 — the exact conjugate of the gridder's phase, making gridding/degridding an
 adjoint pair (a property the test suite checks as an inner-product identity).
-As in the gridder, the hot loop is one ``phasor(M, N**2) @ S(N**2, 4)``
-complex matrix product plus the ``exp`` (sine/cosine) evaluation.
+As in the gridder, a whole bucket of identically shaped work items is
+evaluated at once, and the hot loop is one stacked
+``phasor(G, M, N**2) @ S(G, N**2, 4)`` complex matrix product plus the
+sine/cosine evaluation.  :func:`degridder_bucket_fast` uses the
+channel-phasor recurrence (evenly spaced channels);
+:func:`degridder_bucket` is the direct sum.
 """
 
 from __future__ import annotations
@@ -19,148 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.contracts import shape_checked
-from repro.aterms.jones import apply_sandwich, identity_jones_field
-from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, SPEED_OF_LIGHT
+from repro.aterms.jones import apply_sandwich
+from repro.constants import ACCUM_DTYPE
 from repro.core.gridder import (
-    DEFAULT_VIS_BATCH,
     PHASOR_RENORM_INTERVAL,
     _offset_phase_matrix,
     _phase_tensor,
     _sincos_into,
-    relative_uvw_wavelengths,
-    subgrid_lmn,
 )
-from repro.core.plan import Plan
 from repro.core.scratch import ScratchArena, thread_arena
-
-
-@shape_checked(
-    subgrid_image="(N, N, 2, 2)",
-    uvw_rel_wl="(M, 3)",
-    lmn="(N**2, 3)",
-    taper="(N, N)",
-    aterm_p="(N, N, 2, 2)",
-    aterm_q="(N, N, 2, 2)",
-    returns="(M, 2, 2)",
-)
-def degridder_subgrid(
-    subgrid_image: np.ndarray,
-    uvw_rel_wl: np.ndarray,
-    lmn: np.ndarray,
-    taper: np.ndarray,
-    aterm_p: np.ndarray | None = None,
-    aterm_q: np.ndarray | None = None,
-    vis_batch: int = DEFAULT_VIS_BATCH,
-) -> np.ndarray:
-    """Algorithm 2 for a single work item.
-
-    Parameters
-    ----------
-    subgrid_image:
-        ``(N, N, 2, 2)`` image-domain subgrid (after the inverse subgrid FFT).
-    uvw_rel_wl:
-        ``(M, 3)`` relative uvw in wavelengths.
-    lmn:
-        ``(N**2, 3)`` pixel directions (:func:`repro.core.gridder.subgrid_lmn`).
-    taper:
-        ``(N, N)`` taper.
-    aterm_p, aterm_q:
-        Optional ``(N, N, 2, 2)`` Jones fields; ``None`` means identity.
-
-    Returns
-    -------
-    ``(M, 2, 2)`` complex64 predicted visibilities.
-    """
-    n = subgrid_image.shape[0]
-    if subgrid_image.shape != (n, n, 2, 2):
-        raise ValueError(f"subgrid must be (N, N, 2, 2), got {subgrid_image.shape}")
-    if lmn.shape != (n * n, 3):
-        raise ValueError(f"lmn shape {lmn.shape} does not match subgrid size {n}")
-
-    corrected = subgrid_image.astype(ACCUM_DTYPE)
-    if aterm_p is not None or aterm_q is not None:
-        a_p = aterm_p if aterm_p is not None else identity_jones_field(n)
-        a_q = aterm_q if aterm_q is not None else identity_jones_field(n)
-        corrected = apply_sandwich(a_p, corrected, a_q)
-    corrected = corrected * taper[:, :, np.newaxis, np.newaxis]
-    pixels_flat = corrected.reshape(n * n, 4)
-
-    m_total = uvw_rel_wl.shape[0]
-    out = np.empty((m_total, 4), dtype=ACCUM_DTYPE)
-    for start in range(0, m_total, vis_batch):
-        stop = min(start + vis_batch, m_total)
-        phase = (-2.0 * np.pi) * (uvw_rel_wl[start:stop] @ lmn.T)  # (batch, N^2)
-        phasor = np.exp(1j * phase)
-        out[start:stop] = phasor @ pixels_flat
-    return out.reshape(m_total, 2, 2).astype(COMPLEX_DTYPE)
-
-
-@shape_checked(
-    subgrid_image="(N, N, 2, 2)",
-    uvw_m="(T, 3)",
-    scales="(C,)",
-    offset="(3,)",
-    lmn="(N**2, 3)",
-    taper="(N, N)",
-    aterm_p="(N, N, 2, 2)",
-    aterm_q="(N, N, 2, 2)",
-    returns="(T, C, 2, 2)",
-)
-def degridder_subgrid_fast(
-    subgrid_image: np.ndarray,
-    uvw_m: np.ndarray,
-    scales: np.ndarray,
-    offset: np.ndarray,
-    lmn: np.ndarray,
-    taper: np.ndarray,
-    aterm_p: np.ndarray | None = None,
-    aterm_q: np.ndarray | None = None,
-) -> np.ndarray:
-    """Algorithm 2 with the channel phasor recurrence.
-
-    The degridding phasor is the conjugate of the gridder's, so the same
-    separation ``phi(x, t, c) = s_c * A[x, t] - B[x]`` applies: one
-    exponential pair per (pixel, timestep) plus a complex multiply per
-    channel step (see :func:`repro.core.gridder.gridder_subgrid_fast`).
-
-    Returns ``(T, C, 2, 2)`` predicted visibilities.
-    """
-    n = subgrid_image.shape[0]
-    t_total = uvw_m.shape[0]
-    c_total = int(np.asarray(scales).size)
-    if c_total > 1:
-        steps = np.diff(scales)
-        if not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ValueError("channel scales must be evenly spaced for the fast path")
-        ds = float(steps[0])
-    else:
-        ds = 0.0
-
-    corrected = subgrid_image.astype(ACCUM_DTYPE)
-    if aterm_p is not None or aterm_q is not None:
-        a_p = aterm_p if aterm_p is not None else identity_jones_field(n)
-        a_q = aterm_q if aterm_q is not None else identity_jones_field(n)
-        corrected = apply_sandwich(a_p, corrected, a_q)
-    corrected = corrected * taper[:, :, np.newaxis, np.newaxis]
-    pixels_flat = corrected.reshape(n * n, 4)
-
-    base = (2.0 * np.pi) * (lmn @ uvw_m.T)  # (N^2, T)
-    offset_phase = (2.0 * np.pi) * (lmn @ np.asarray(offset, dtype=np.float64))
-    # conjugate of the gridding phasor
-    phasor = np.exp(-1j * (float(scales[0]) * base - offset_phase[:, np.newaxis]))
-    step = np.exp(-1j * (ds * base)) if c_total > 1 else None
-
-    out = np.empty((t_total, c_total, 4), dtype=ACCUM_DTYPE)
-    magnitude = np.empty(phasor.shape) if c_total > PHASOR_RENORM_INTERVAL else None
-    for c in range(c_total):
-        if c > 0:
-            phasor *= step
-            if c % PHASOR_RENORM_INTERVAL == 0:
-                # same magnitude-drift guard as the gridder fast path
-                np.abs(phasor, out=magnitude)
-                phasor /= magnitude
-        out[:, c] = phasor.T @ pixels_flat
-    return out.reshape(t_total, c_total, 2, 2).astype(COMPLEX_DTYPE)
 
 
 def _corrected_pixels_bucket(
@@ -207,8 +78,9 @@ def degridder_bucket_fast(
 ) -> np.ndarray:
     """Algorithm 2 with the channel phasor recurrence, over a whole bucket.
 
-    The batched form of :func:`degridder_subgrid_fast` — the exact phase
-    conjugate of :func:`repro.core.gridder.gridder_bucket_fast`, with one
+    The exact phase conjugate of
+    :func:`repro.core.gridder.gridder_bucket_fast` (same phase separation
+    and recurrence), with one
     stacked ``(G, T, N**2) @ (G, N**2, 4)`` matrix product per channel step
     and the recurrence applied in place on arena buffers.
 
@@ -293,9 +165,9 @@ def degridder_bucket(
 ) -> np.ndarray:
     """Algorithm 2 as a direct sum, over a whole bucket.
 
-    The batched form of :func:`degridder_subgrid`: one broadcast matmul for
-    the stacked ``(G, M, N**2)`` phase, one batched sine/cosine evaluation,
-    one stacked ``(G, M, N**2) @ (G, N**2, 4)`` matrix product.
+    One broadcast matmul for the stacked ``(G, M, N**2)`` phase, one
+    batched sine/cosine evaluation, one stacked
+    ``(G, M, N**2) @ (G, N**2, 4)`` matrix product.
 
     Parameters
     ----------
@@ -327,56 +199,3 @@ def degridder_bucket(
     out = arena.take("degridder.out", (g_total, m_total, 4), ACCUM_DTYPE)
     np.matmul(phasor, pixels, out=out)
     return out
-
-
-def degrid_work_group(
-    plan: Plan,
-    start: int,
-    stop: int,
-    subgrid_images: np.ndarray,
-    uvw_m: np.ndarray,
-    visibilities_out: np.ndarray,
-    taper: np.ndarray,
-    lmn: np.ndarray | None = None,
-    aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-    vis_batch: int = DEFAULT_VIS_BATCH,
-    channel_recurrence: bool = False,
-) -> None:
-    """Run the degridder over work items ``start .. stop-1``, writing into
-    ``visibilities_out`` (shape ``(n_baselines, n_times, n_channels, 2, 2)``).
-
-    ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
-    subgrids produced by the splitter + inverse subgrid FFT.
-    ``channel_recurrence`` selects :func:`degridder_subgrid_fast`.
-    """
-    n = plan.subgrid_size
-    if lmn is None:
-        lmn = subgrid_lmn(n, plan.gridspec.image_size)
-    for k, index in enumerate(range(start, stop)):
-        item = plan.work_item(index)
-        u_mid, v_mid = plan.subgrid_centre_uv(index)
-        freqs = plan.frequencies_hz[item.channel_start : item.channel_end]
-        uvw_block = uvw_m[item.baseline, item.time_start : item.time_end]
-        a_p = a_q = None
-        if aterm_fields is not None:
-            a_p = aterm_fields.get((item.station_p, item.aterm_interval))
-            a_q = aterm_fields.get((item.station_q, item.aterm_interval))
-        if channel_recurrence:
-            vis = degridder_subgrid_fast(
-                subgrid_images[k], uvw_block, freqs / SPEED_OF_LIGHT,
-                np.array([u_mid, v_mid, plan.w_offset]), lmn, taper,
-                aterm_p=a_p, aterm_q=a_q,
-            )
-        else:
-            rel = relative_uvw_wavelengths(
-                uvw_block, freqs, u_mid, v_mid, plan.w_offset
-            )
-            vis = degridder_subgrid(
-                subgrid_images[k], rel, lmn, taper, aterm_p=a_p, aterm_q=a_q,
-                vis_batch=vis_batch,
-            ).reshape(item.n_times, item.n_channels, 2, 2)
-        visibilities_out[
-            item.baseline,
-            item.time_start : item.time_end,
-            item.channel_start : item.channel_end,
-        ] = vis

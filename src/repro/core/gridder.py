@@ -1,4 +1,4 @@
-"""The gridder kernel (paper Algorithm 1), vectorised.
+"""The gridder kernel (paper Algorithm 1), vectorised over buckets of subgrids.
 
 For one work item the kernel computes every subgrid pixel as a direct sum of
 phase-shifted visibilities:
@@ -8,14 +8,16 @@ phase-shifted visibilities:
 
 (the conjugate of the measurement-equation phase — gridding is the adjoint of
 prediction), then applies the A-term adjoint sandwich ``A_p^H S A_q`` and the
-anti-aliasing taper.  The whole inner loop is expressed as one complex
-matrix product ``phasor(N^2, M) @ V(M, 4)`` so NumPy dispatches it to BLAS
-``*gemm`` — the Python analogue of the paper's FMA-dominated SIMD reduction
-(Listing 1) — while the ``exp`` evaluation is the analogue of the SVML/SFU
-sine/cosine cost the paper's roofline analysis centres on.
+anti-aliasing taper.  The kernels evaluate a whole *bucket* of identically
+shaped work items at once (:mod:`repro.parallel.bucketing` forms the
+buckets), and the inner loop is one stacked complex matrix product
+``phasor(G, N^2, M) @ V(G, M, 4)`` so NumPy dispatches it to BLAS ``*gemm``
+— the Python analogue of the paper's FMA-dominated SIMD reduction
+(Listing 1) — while the sine/cosine evaluation is the analogue of the
+SVML/SFU cost the paper's roofline analysis centres on.
 
-Visibilities are processed in batches of ``vis_batch`` at a time, mirroring
-the paper's T_B x C_B batching that bounds the working set.
+:func:`gridder_bucket_fast` uses the channel-phasor recurrence (evenly
+spaced channels); :func:`gridder_bucket` is the direct sum.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.contracts import shape_checked
-from repro.aterms.jones import apply_adjoint_sandwich, identity_jones_field
+from repro.aterms.jones import apply_adjoint_sandwich
 from repro.cache import ArtifactCache
-from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, SPEED_OF_LIGHT
-from repro.core.plan import Plan
+from repro.constants import ACCUM_DTYPE
 from repro.core.scratch import ScratchArena, thread_arena
 from repro.hashing import content_hash
 from repro.kernels.fft import image_coordinates
 from repro.kernels.wkernel import n_term
-
-#: Default number of visibilities (timesteps x channels) per batch.
-DEFAULT_VIS_BATCH = 1024
 
 #: Channel interval at which the fast path renormalises its recurrent phasor.
 #: Each recurrence step multiplies by a unit-magnitude complex number whose
@@ -78,208 +76,11 @@ def subgrid_lmn(subgrid_size: int, image_size: float) -> np.ndarray:
     )
 
 
-@shape_checked(
-    uvw_m="(n_times, 3)",
-    frequencies_hz="(n_channels,)",
-    returns="(n_times * n_channels, 3)",
-)
-def relative_uvw_wavelengths(
-    uvw_m: np.ndarray,
-    frequencies_hz: np.ndarray,
-    u_mid: float,
-    v_mid: float,
-    w_offset: float = 0.0,
-) -> np.ndarray:
-    """uvw of a visibility block relative to the subgrid centre, in wavelengths.
-
-    Parameters
-    ----------
-    uvw_m:
-        ``(n_times, 3)`` uvw in metres for the work item's timesteps.
-    frequencies_hz:
-        ``(n_channels,)`` frequencies for the work item's channels.
-
-    Returns
-    -------
-    ``(n_times * n_channels, 3)`` array, time-major (channel fastest), with
-    ``(u - u_mid, v - v_mid, w - w_offset)`` per visibility.
-    """
-    scale = np.asarray(frequencies_hz, dtype=np.float64) / SPEED_OF_LIGHT  # (C,)
-    uvw_wl = uvw_m[:, np.newaxis, :] * scale[np.newaxis, :, np.newaxis]  # (T, C, 3)
-    rel = uvw_wl.reshape(-1, 3).copy()
-    rel[:, 0] -= u_mid
-    rel[:, 1] -= v_mid
-    rel[:, 2] -= w_offset
-    return rel
-
-
-@shape_checked(
-    visibilities="(M, 2, 2) | (M, 4)",
-    uvw_rel_wl="(M, 3)",
-    lmn="(N**2, 3)",
-    taper="(N, N)",
-    aterm_p="(N, N, 2, 2)",
-    aterm_q="(N, N, 2, 2)",
-    returns="(N, N, 2, 2)",
-)
-def gridder_subgrid(
-    visibilities: np.ndarray,
-    uvw_rel_wl: np.ndarray,
-    lmn: np.ndarray,
-    taper: np.ndarray,
-    aterm_p: np.ndarray | None = None,
-    aterm_q: np.ndarray | None = None,
-    vis_batch: int = DEFAULT_VIS_BATCH,
-) -> np.ndarray:
-    """Algorithm 1 for a single work item.
-
-    Parameters
-    ----------
-    visibilities:
-        ``(M, 2, 2)`` or ``(M, 4)`` complex visibilities of the block.
-    uvw_rel_wl:
-        ``(M, 3)`` relative uvw in wavelengths
-        (see :func:`relative_uvw_wavelengths`).
-    lmn:
-        ``(N**2, 3)`` pixel directions (:func:`subgrid_lmn`).
-    taper:
-        ``(N, N)`` anti-aliasing taper.
-    aterm_p, aterm_q:
-        Optional ``(N, N, 2, 2)`` Jones fields of the two stations; ``None``
-        means identity (the adjoint sandwich is skipped).
-    vis_batch:
-        Visibilities per batch (bounds the ``(N**2, batch)`` phasor array).
-
-    Returns
-    -------
-    ``(N, N, 2, 2)`` complex64 image-domain subgrid (before the FFT).
-    """
-    n_pixels2 = lmn.shape[0]
-    n = int(np.sqrt(n_pixels2))
-    if n * n != n_pixels2:
-        raise ValueError("lmn row count must be a square")
-    vis = np.asarray(visibilities)
-    m_total = vis.shape[0]
-    vis_flat = vis.reshape(m_total, 4)
-    if uvw_rel_wl.shape != (m_total, 3):
-        raise ValueError(
-            f"uvw_rel_wl shape {uvw_rel_wl.shape} does not match {m_total} visibilities"
-        )
-
-    acc = np.zeros((n_pixels2, 4), dtype=ACCUM_DTYPE)
-    for start in range(0, m_total, vis_batch):
-        stop = min(start + vis_batch, m_total)
-        # (N^2, batch) phase; the exp() below is the sine/cosine workload the
-        # paper's modified roofline treats as a first-class operation.
-        phase = (2.0 * np.pi) * (lmn @ uvw_rel_wl[start:stop].T)
-        phasor = np.exp(1j * phase)
-        acc += phasor @ vis_flat[start:stop]
-
-    subgrid = acc.reshape(n, n, 2, 2)
-    if aterm_p is not None or aterm_q is not None:
-        a_p = aterm_p if aterm_p is not None else identity_jones_field(n)
-        a_q = aterm_q if aterm_q is not None else identity_jones_field(n)
-        subgrid = apply_adjoint_sandwich(a_p, subgrid, a_q)
-    subgrid *= taper[:, :, np.newaxis, np.newaxis]
-    return subgrid.astype(COMPLEX_DTYPE)
-
-
-@shape_checked(
-    visibilities="(T, C, 2, 2)",
-    uvw_m="(T, 3)",
-    scales="(C,)",
-    offset="(3,)",
-    lmn="(N**2, 3)",
-    taper="(N, N)",
-    aterm_p="(N, N, 2, 2)",
-    aterm_q="(N, N, 2, 2)",
-    returns="(N, N, 2, 2)",
-)
-def gridder_subgrid_fast(
-    visibilities: np.ndarray,
-    uvw_m: np.ndarray,
-    scales: np.ndarray,
-    offset: np.ndarray,
-    lmn: np.ndarray,
-    taper: np.ndarray,
-    aterm_p: np.ndarray | None = None,
-    aterm_q: np.ndarray | None = None,
-) -> np.ndarray:
-    """Algorithm 1 with the channel phasor recurrence.
-
-    The phase separates as ``phi(x, t, c) = s_c * A[x, t] - B[x]`` with
-    ``A = 2 pi lmn . uvw_m`` (metres) , ``B = 2 pi lmn . offset``
-    (wavelengths) and ``s_c = f_c / c_light``.  For evenly spaced channels
-    ``s_c = s_0 + c * ds``, so
-
-    ``exp(i s_c A) = exp(i s_0 A) * exp(i ds A)**c``
-
-    — one pair of exponentials per (pixel, timestep) plus one complex
-    multiply per channel step, instead of one exponential per (pixel,
-    timestep, channel).  This is the image-domain analogue of the paper's
-    batch sincos precomputation (Section V-B, optimisation 2): it reduces
-    the sine/cosine count by a factor ~n_channels at the cost of extra
-    FMAs, which both CPUs and GPUs have to spare (rho = 17 leaves the FMA
-    pipes underused on sincos-limited architectures).
-
-    Parameters
-    ----------
-    visibilities:
-        ``(T, C, 2, 2)`` block.
-    uvw_m:
-        ``(T, 3)`` uvw in metres.
-    scales:
-        ``(C,)`` = frequencies / speed-of-light; must be evenly spaced.
-    offset:
-        ``(3,)`` = (u_mid, v_mid, w_offset) in wavelengths.
-    lmn, taper, aterm_p, aterm_q:
-        As in :func:`gridder_subgrid`.
-    """
-    n_pixels2 = lmn.shape[0]
-    n = int(np.sqrt(n_pixels2))
-    t_total, c_total = visibilities.shape[:2]
-    if c_total > 1:
-        steps = np.diff(scales)
-        if not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ValueError("channel scales must be evenly spaced for the fast path")
-        ds = float(steps[0])
-    else:
-        ds = 0.0
-
-    # (N^2, T): the metre-domain phase; (N^2,): the subgrid-offset phase
-    base = (2.0 * np.pi) * (lmn @ uvw_m.T)
-    offset_phase = (2.0 * np.pi) * (lmn @ np.asarray(offset, dtype=np.float64))
-    phasor = np.exp(1j * (float(scales[0]) * base - offset_phase[:, np.newaxis]))
-    step = np.exp(1j * (ds * base)) if c_total > 1 else None
-
-    vis = np.asarray(visibilities).reshape(t_total, c_total, 4)
-    acc = np.zeros((n_pixels2, 4), dtype=ACCUM_DTYPE)
-    magnitude = np.empty(phasor.shape) if c_total > PHASOR_RENORM_INTERVAL else None
-    for c in range(c_total):
-        if c > 0:
-            phasor *= step
-            if c % PHASOR_RENORM_INTERVAL == 0:
-                # the recurrence drifts off the unit circle multiplicatively;
-                # pull it back before the error reaches single precision
-                np.abs(phasor, out=magnitude)
-                phasor /= magnitude
-        acc += phasor @ vis[:, c]
-
-    subgrid = acc.reshape(n, n, 2, 2)
-    if aterm_p is not None or aterm_q is not None:
-        a_p = aterm_p if aterm_p is not None else identity_jones_field(n)
-        a_q = aterm_q if aterm_q is not None else identity_jones_field(n)
-        subgrid = apply_adjoint_sandwich(a_p, subgrid, a_q)
-    subgrid *= taper[:, :, np.newaxis, np.newaxis]
-    return subgrid.astype(COMPLEX_DTYPE)
-
-
 def _phase_tensor(
     lmn: np.ndarray, uvw_m: np.ndarray, arena: ScratchArena, key: str
 ) -> np.ndarray:
-    """``(G, N**2, T)`` metre-domain phase ``2 pi lmn . uvw`` of a bucket —
-    the stacked analogue of the per-item ``base`` matrix, built with one
-    broadcast batched matmul into an arena buffer."""
+    """``(G, N**2, T)`` metre-domain phase ``2 pi lmn . uvw`` of a bucket,
+    built with one broadcast batched matmul into an arena buffer."""
     g_total, t_total = uvw_m.shape[0], uvw_m.shape[1]
     base = arena.take(key, (g_total, lmn.shape[0], t_total), np.float64)
     np.matmul(lmn, np.swapaxes(uvw_m, 1, 2), out=base)
@@ -331,14 +132,28 @@ def gridder_bucket_fast(
 ) -> np.ndarray:
     """Algorithm 1 with the channel phasor recurrence, over a whole bucket.
 
-    The batched form of :func:`gridder_subgrid_fast`: ``G`` identically
-    shaped work items are evaluated together — one broadcast matmul for the
-    stacked metre-domain phase, one batched sine/cosine pair per (item,
-    pixel, timestep), and one stacked ``(G, N**2, T) @ (G, T, 4)`` matrix
-    product per channel step, with the recurrence multiply and its
-    renormalisation applied in place.  All working memory comes from the
-    scratch arena, so a steady stream of equal-shape buckets allocates
-    nothing.
+    The phase separates as ``phi(x, t, c) = s_c * A[x, t] - B[x]`` with
+    ``A = 2 pi lmn . uvw_m`` (metres), ``B = 2 pi lmn . offset``
+    (wavelengths) and ``s_c = f_c / c_light``.  For evenly spaced channels
+    ``s_c = s_0 + c * ds``, so
+
+    ``exp(i s_c A) = exp(i s_0 A) * exp(i ds A)**c``
+
+    — one pair of exponentials per (pixel, timestep) plus one complex
+    multiply per channel step, instead of one exponential per (pixel,
+    timestep, channel).  This is the image-domain analogue of the paper's
+    batch sincos precomputation (Section V-B, optimisation 2): it reduces
+    the sine/cosine count by a factor ~n_channels at the cost of extra
+    FMAs, which both CPUs and GPUs have to spare (rho = 17 leaves the FMA
+    pipes underused on sincos-limited architectures).
+
+    ``G`` identically shaped work items are evaluated together — one
+    broadcast matmul for the stacked metre-domain phase, one batched
+    sine/cosine pair per (item, pixel, timestep), and one stacked
+    ``(G, N**2, T) @ (G, T, 4)`` matrix product per channel step, with the
+    recurrence multiply and its renormalisation applied in place.  All
+    working memory comes from the scratch arena, so a steady stream of
+    equal-shape buckets allocates nothing.
 
     Parameters
     ----------
@@ -354,9 +169,13 @@ def gridder_bucket_fast(
     offsets:
         ``(G, 3)`` per-item subgrid offsets ``u_mid, v_mid, w_offset`` in
         wavelengths.
-    lmn, taper, aterm_p, aterm_q:
-        As in :func:`gridder_subgrid_fast`, with the A-term fields stacked
-        per item.
+    lmn:
+        ``(N**2, 3)`` pixel directions (:func:`subgrid_lmn`).
+    taper:
+        ``(N, N)`` anti-aliasing taper.
+    aterm_p, aterm_q:
+        Optional ``(G, N, N, 2, 2)`` per-item Jones fields of the two
+        stations; ``None`` means identity (the adjoint sandwich is skipped).
     arena:
         Scratch arena (defaults to the calling thread's).
 
@@ -390,8 +209,9 @@ def gridder_bucket_fast(
     for c in range(1, c_total):
         np.multiply(phasor, step, out=phasor)
         if c % PHASOR_RENORM_INTERVAL == 0:
-            # same magnitude-drift guard as the per-item fast path; the
-            # phase buffer doubles as the magnitude scratch here
+            # the recurrence drifts off the unit circle multiplicatively;
+            # pull it back before the error reaches single precision (the
+            # phase buffer doubles as the magnitude scratch)
             np.abs(phasor, out=phase)
             phasor /= phase
         np.matmul(phasor, visibilities[:, :, c], out=prod)
@@ -424,10 +244,10 @@ def gridder_bucket(
 ) -> np.ndarray:
     """Algorithm 1 as a direct sum, over a whole bucket.
 
-    The batched form of :func:`gridder_subgrid`: one broadcast matmul for
-    the stacked ``(G, N**2, M)`` phase, one batched sine/cosine evaluation,
-    and one stacked ``(G, N**2, M) @ (G, M, 4)`` matrix product.  Used when
-    the channel recurrence is disabled or inapplicable (unevenly spaced
+    One broadcast matmul for the stacked ``(G, N**2, M)`` phase, one
+    batched sine/cosine evaluation, and one stacked
+    ``(G, N**2, M) @ (G, M, 4)`` matrix product.  The work-group drivers
+    use it when the channel recurrence is inapplicable (unevenly spaced
     channels).
 
     Parameters
@@ -466,80 +286,3 @@ def gridder_bucket(
         subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
     subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
     return subgrids
-
-
-def grid_work_group(
-    plan: Plan,
-    start: int,
-    stop: int,
-    uvw_m: np.ndarray,
-    visibilities: np.ndarray,
-    taper: np.ndarray,
-    lmn: np.ndarray | None = None,
-    aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-    vis_batch: int = DEFAULT_VIS_BATCH,
-    channel_recurrence: bool = False,
-) -> np.ndarray:
-    """Run the gridder kernel over work items ``start .. stop-1``.
-
-    Parameters
-    ----------
-    plan:
-        The execution plan.
-    uvw_m:
-        ``(n_baselines, n_times, 3)`` uvw in metres (full observation).
-    visibilities:
-        ``(n_baselines, n_times, n_channels, 2, 2)`` complex visibilities.
-    taper:
-        ``(N, N)`` taper.
-    lmn:
-        Optional precomputed :func:`subgrid_lmn` (computed if omitted).
-    aterm_fields:
-        Maps ``(station, interval)`` to an ``(N, N, 2, 2)`` Jones field;
-        ``None`` or missing keys mean identity.
-    channel_recurrence:
-        Use :func:`gridder_subgrid_fast` (valid for evenly spaced channel
-        frequencies, which every subband in this package has).
-
-    Returns
-    -------
-    ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
-    """
-    n = plan.subgrid_size
-    if lmn is None:
-        lmn = subgrid_lmn(n, plan.gridspec.image_size)
-    out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
-    for k, index in enumerate(range(start, stop)):
-        item = plan.work_item(index)
-        u_mid, v_mid = plan.subgrid_centre_uv(index)
-        freqs = plan.frequencies_hz[item.channel_start : item.channel_end]
-        uvw_block = uvw_m[item.baseline, item.time_start : item.time_end]
-        a_p = a_q = None
-        if aterm_fields is not None:
-            a_p = aterm_fields.get((item.station_p, item.aterm_interval))
-            a_q = aterm_fields.get((item.station_q, item.aterm_interval))
-        if channel_recurrence:
-            vis_block = visibilities[
-                item.baseline,
-                item.time_start : item.time_end,
-                item.channel_start : item.channel_end,
-            ]
-            out[k] = gridder_subgrid_fast(
-                vis_block, uvw_block, freqs / SPEED_OF_LIGHT,
-                np.array([u_mid, v_mid, plan.w_offset]), lmn, taper,
-                aterm_p=a_p, aterm_q=a_q,
-            )
-        else:
-            vis_flat = visibilities[
-                item.baseline,
-                item.time_start : item.time_end,
-                item.channel_start : item.channel_end,
-            ].reshape(-1, 2, 2)
-            rel = relative_uvw_wavelengths(
-                uvw_block, freqs, u_mid, v_mid, plan.w_offset
-            )
-            out[k] = gridder_subgrid(
-                vis_flat, rel, lmn, taper, aterm_p=a_p, aterm_q=a_q,
-                vis_batch=vis_batch,
-            )
-    return out

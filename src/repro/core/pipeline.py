@@ -93,29 +93,12 @@ class IDGConfig:
         ``"spheroidal"`` (paper) or ``"kaiser-bessel"``.
     taper_beta:
         Kaiser-Bessel shape parameter (ignored for the spheroidal).
-    vis_batch:
-        Visibilities per kernel batch (the paper's T_B x C_B batching).
     work_group_size:
         Work items per work group.
-    channel_recurrence:
-        Evaluate phasors with the channel recurrence (one sincos pair per
-        pixel-timestep plus complex multiplies per channel, valid for the
-        evenly spaced channels every subband here has) instead of one
-        sincos per pixel-visibility.  ~n_channels fewer transcendental
-        evaluations; bit-equivalent to well within single precision.
-    batched:
-        Execute each work group through the shape-bucketed batch-of-subgrids
-        drivers (:mod:`repro.parallel.bucketing`): work items of identical
-        block shape are gathered into stacked tensors and evaluated with a
-        handful of large batched array operations on reusable scratch-arena
-        buffers, instead of one small gemm and several allocations per item.
-        Advisory — only the ``vectorized`` backend implements it; others
-        keep their per-item loop.  Results agree with the per-item path
-        within the differential-corpus tolerance (rtol 1e-5).
     backend:
         Named kernel backend dispatching the gridder/degridder/subgrid-FFT/
-        adder entry points (``"reference"``, ``"vectorized"``, ``"jit"``,
-        or any name registered with
+        adder entry points (``"vectorized"``, the production path,
+        ``"reference"``, the oracle, or any name registered with
         :func:`repro.backends.register_backend`).  ``None`` (default)
         consults the ``IDG_BACKEND`` environment variable, then falls back
         to ``"vectorized"``.
@@ -134,10 +117,7 @@ class IDGConfig:
     time_max: int = 128
     taper: str = "spheroidal"
     taper_beta: float = 9.0
-    vis_batch: int = 1024
     work_group_size: int = 256
-    channel_recurrence: bool = True
-    batched: bool = True
     backend: str | None = None
     max_retries: int = 0
     retry_backoff_s: float = 0.05
@@ -147,8 +127,8 @@ class IDGConfig:
             raise ValueError("subgrid_size must be positive and even")
         if not (0 <= self.kernel_support < self.subgrid_size):
             raise ValueError("kernel_support must be in [0, subgrid_size)")
-        if self.time_max <= 0 or self.vis_batch <= 0 or self.work_group_size <= 0:
-            raise ValueError("time_max, vis_batch, work_group_size must be positive")
+        if self.time_max <= 0 or self.work_group_size <= 0:
+            raise ValueError("time_max, work_group_size must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.retry_backoff_s < 0:
@@ -311,9 +291,7 @@ class IDG:
             if runner is None:
                 subgrids = backend.grid_work_group(
                     plan, start, stop, uvw_m, visibilities, self.taper,
-                    lmn=self.lmn, aterm_fields=fields, vis_batch=self.config.vis_batch,
-                    channel_recurrence=self.config.channel_recurrence,
-                    batched=self.config.batched,
+                    lmn=self.lmn, aterm_fields=fields,
                 )
                 backend.add_subgrids(
                     grid, plan, backend.subgrids_to_fourier(subgrids), start=start
@@ -328,9 +306,7 @@ class IDG:
             def grid_body(start: int = start, stop: int = stop) -> np.ndarray:
                 return backend.grid_work_group(
                     plan, start, stop, uvw_m, visibilities, self.taper,
-                    lmn=self.lmn, aterm_fields=fields, vis_batch=self.config.vis_batch,
-                    channel_recurrence=self.config.channel_recurrence,
-                    batched=self.config.batched,
+                    lmn=self.lmn, aterm_fields=fields,
                 )
 
             subgrids = runner.run(
@@ -407,9 +383,6 @@ class IDG:
                     plan, start, stop, backend.subgrids_to_image(patches),
                     uvw_m, out, self.taper,
                     lmn=self.lmn, aterm_fields=fields,
-                    vis_batch=self.config.vis_batch,
-                    channel_recurrence=self.config.channel_recurrence,
-                    batched=self.config.batched,
                 )
 
             if runner is None:

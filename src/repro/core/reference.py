@@ -1,9 +1,10 @@
 """Literal, loop-level transcriptions of the paper's Algorithms 1 and 2.
 
 These run orders of magnitude slower than the vectorised kernels and exist
-purely as oracles: tests compare :mod:`repro.core.gridder` /
-:mod:`repro.core.degridder` against them on small work items, pinning the
-vectorised code to the published pseudocode line by line.
+purely as oracles: the ``reference`` kernel backend runs them, and tests
+compare :mod:`repro.core.gridder` / :mod:`repro.core.degridder` against them
+on small work items, pinning the vectorised code to the published pseudocode
+line by line.
 
 The loop structure mirrors the pseudocode exactly: the gridder iterates
 pixels (y, x) outermost then visibilities (t, c), evaluating one sine/cosine
@@ -17,9 +18,45 @@ import math
 
 import numpy as np
 
+from repro.analysis.contracts import shape_checked
 from repro.aterms.jones import apply_adjoint_sandwich, apply_sandwich, identity_jones_field
-from repro.constants import ACCUM_DTYPE
+from repro.constants import ACCUM_DTYPE, SPEED_OF_LIGHT
 from repro.kernels.fft import image_coordinates
+
+
+@shape_checked(
+    uvw_m="(n_times, 3)",
+    frequencies_hz="(n_channels,)",
+    returns="(n_times * n_channels, 3)",
+)
+def relative_uvw_wavelengths(
+    uvw_m: np.ndarray,
+    frequencies_hz: np.ndarray,
+    u_mid: float,
+    v_mid: float,
+    w_offset: float = 0.0,
+) -> np.ndarray:
+    """uvw of a visibility block relative to the subgrid centre, in wavelengths.
+
+    Parameters
+    ----------
+    uvw_m:
+        ``(n_times, 3)`` uvw in metres for the work item's timesteps.
+    frequencies_hz:
+        ``(n_channels,)`` frequencies for the work item's channels.
+
+    Returns
+    -------
+    ``(n_times * n_channels, 3)`` array, time-major (channel fastest), with
+    ``(u - u_mid, v - v_mid, w - w_offset)`` per visibility.
+    """
+    scale = np.asarray(frequencies_hz, dtype=np.float64) / SPEED_OF_LIGHT  # (C,)
+    uvw_wl = uvw_m[:, np.newaxis, :] * scale[np.newaxis, :, np.newaxis]  # (T, C, 3)
+    rel = uvw_wl.reshape(-1, 3).copy()
+    rel[:, 0] -= u_mid
+    rel[:, 1] -= v_mid
+    rel[:, 2] -= w_offset
+    return rel
 
 
 def reference_gridder(
@@ -33,9 +70,11 @@ def reference_gridder(
 ) -> np.ndarray:
     """Algorithm 1, executed with explicit Python loops.
 
-    Arguments match :func:`repro.core.gridder.gridder_subgrid` except that the
-    subgrid geometry is given by ``(subgrid_size, image_size)`` instead of a
-    precomputed lmn matrix.
+    ``visibilities`` is the ``(M, 2, 2)`` (or ``(M, 4)``) block of one work
+    item, ``uvw_rel_wl`` its ``(M, 3)`` relative uvw
+    (:func:`relative_uvw_wavelengths`), ``taper`` the ``(N, N)`` taper and
+    ``aterm_p``/``aterm_q`` optional ``(N, N, 2, 2)`` Jones fields
+    (``None`` = identity).  Returns the ``(N, N, 2, 2)`` subgrid.
     """
     coords = image_coordinates(subgrid_size, image_size)
     m_total = uvw_rel_wl.shape[0]

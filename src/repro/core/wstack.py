@@ -8,9 +8,11 @@ The paper's remedy: combine IDG with W-stacking — "larger subgrids (e.g. up
 to 64 x 64) can be used in connection with W-stacking to dramatically limit
 the number of required W-planes".
 
-The implementation here follows what ASTRON's production IDG later adopted:
-every *work item* gets a w-offset equal to its layer's central w.  Work
-items are grouped by their mean w into ``n_planes`` layers; each layer is
+The scheme follows what ASTRON's production IDG later adopted: every *work
+item* gets a w-offset equal to its layer's central w.  This module owns the
+layer split — work items are grouped by their mean w into ``n_planes``
+layers, each a sub-plan carrying its centre as ``w_offset``.
+:class:`repro.imaging.pipeline.WStackFTProcessor` runs the layers: each is
 gridded onto its own master grid (the gridder subtracting the layer's w),
 inverse-FFT'd, multiplied by the layer's exact image-domain screen
 ``exp(+2*pi*i*w_p*n)`` on the *fine* raster, and the corrected layer images
@@ -25,16 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.constants import ACCUM_DTYPE
-
-from repro.aterms.generators import ATermGenerator
-from repro.aterms.schedule import ATermSchedule
-from repro.constants import COMPLEX_DTYPE, SPEED_OF_LIGHT
-from repro.core.pipeline import IDG
+from repro.constants import SPEED_OF_LIGHT
 from repro.core.plan import Plan
-from repro.kernels.fft import centered_fft2, centered_ifft2
-from repro.kernels.spheroidal import grid_correction
-from repro.kernels.wkernel import n_term
 
 
 @dataclass(frozen=True)
@@ -101,121 +95,3 @@ def split_plan_by_w(plan: Plan, uvw_m: np.ndarray, n_planes: int) -> list[WLayer
         layers.append(WLayer(w_centre=float(w_p), plan=sub_plan))
     return layers
 
-
-class WStackedIDG:
-    """IDG with per-layer w offsets and image-domain layer recombination.
-
-    Parameters
-    ----------
-    idg:
-        The configured IDG pipeline (its subgrid size and taper are shared
-        by all layers).
-    n_planes:
-        Number of w layers.  1 reproduces plain IDG (modulo a constant
-        w shift, which the image correction exactly undoes).
-    """
-
-    def __init__(self, idg: IDG, n_planes: int = 4):
-        if n_planes <= 0:
-            raise ValueError("n_planes must be positive")
-        self.idg = idg
-        self.n_planes = n_planes
-
-    # ------------------------------------------------------------- planning
-
-    def make_layers(
-        self,
-        uvw_m: np.ndarray,
-        frequencies_hz: np.ndarray,
-        baselines: np.ndarray,
-        aterm_schedule: ATermSchedule | None = None,
-    ) -> list[WLayer]:
-        """Plan the observation, then split the work items into w layers."""
-        plan = self.idg.make_plan(
-            uvw_m, frequencies_hz, baselines, aterm_schedule=aterm_schedule
-        )
-        return split_plan_by_w(plan, uvw_m, self.n_planes)
-
-    def _w_screen(self, w: float, sign: float) -> np.ndarray:
-        gs = self.idg.gridspec
-        g = gs.grid_size
-        coords = (np.arange(g) - g // 2) * (gs.image_size / g)
-        n = n_term(coords[np.newaxis, :], coords[:, np.newaxis])
-        return np.exp(sign * 2.0j * np.pi * w * n)
-
-    # -------------------------------------------------------------- imaging
-
-    def image(
-        self,
-        layers: list[WLayer],
-        uvw_m: np.ndarray,
-        visibilities: np.ndarray,
-        aterms: ATermGenerator | None = None,
-        weight_sum: float | None = None,
-        correct_taper: bool = True,
-    ) -> np.ndarray:
-        """Dirty image ``(4, G, G)`` with per-layer w correction.
-
-        Equivalent to :func:`repro.imaging.image.dirty_image_from_grid`
-        applied per layer with the layer's exact w screen, then summed.
-        """
-        gs = self.idg.gridspec
-        g = gs.grid_size
-        accum = np.zeros((4, g, g), dtype=ACCUM_DTYPE)
-        total = 0.0
-        for layer in layers:
-            grid = self.idg.grid(layer.plan, uvw_m, visibilities, aterms=aterms)
-            image = centered_ifft2(grid, axes=(-2, -1)) * (g * g)
-            accum += image * self._w_screen(layer.w_centre, sign=+1.0)
-            total += sum(item.n_visibilities for item in layer.plan)
-        if weight_sum is None:
-            weight_sum = max(total, 1.0)
-        accum /= weight_sum
-        if correct_taper:
-            accum /= grid_correction(
-                g, taper=self.idg.config.taper, beta=self.idg.config.taper_beta
-            )
-        return accum
-
-    # ------------------------------------------------------------ predicting
-
-    def predict(
-        self,
-        model_image: np.ndarray,
-        layers: list[WLayer],
-        uvw_m: np.ndarray,
-        aterms: ATermGenerator | None = None,
-    ) -> np.ndarray:
-        """Predict visibilities of a ``(4, G, G)`` model image.
-
-        The model is taper-pre-corrected once; each layer applies its
-        conjugate w screen before the FFT and degrids its own work items —
-        layer outputs cover disjoint visibility blocks and are summed.
-        """
-        gs = self.idg.gridspec
-        g = gs.grid_size
-        if model_image.shape != (4, g, g):
-            raise ValueError(f"model image must be (4, {g}, {g}), got {model_image.shape}")
-        if not layers:
-            raise ValueError("no layers to predict from")
-        pre = model_image / grid_correction(
-            g, taper=self.idg.config.taper, beta=self.idg.config.taper_beta
-        )
-        n_bl, n_times, _ = uvw_m.shape
-        n_chan = layers[0].plan.n_channels
-        out = np.zeros((n_bl, n_times, n_chan, 2, 2), dtype=COMPLEX_DTYPE)
-        for layer in layers:
-            screened = pre * self._w_screen(layer.w_centre, sign=-1.0)
-            grid = centered_fft2(screened, axes=(-2, -1)).astype(COMPLEX_DTYPE)
-            predicted = self.idg.degrid(layer.plan, uvw_m, grid, aterms=aterms)
-            out += predicted  # disjoint blocks: plain add is exact
-        return out
-
-    # -------------------------------------------------------------- metrics
-
-    def memory_bytes(self) -> int:
-        """Peak layered-grid memory (one grid per concurrently-held layer;
-        this implementation holds one at a time, but a GPU pipeline holds
-        all — the cost the paper's Section IV trades subgrid size against)."""
-        g = self.idg.gridspec.grid_size
-        return self.n_planes * 4 * g * g * np.dtype(COMPLEX_DTYPE).itemsize

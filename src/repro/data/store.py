@@ -732,7 +732,7 @@ class ChunkedVisibilitySource:
         ``block`` is the masked ``(time_end - time_start,
         channel_end - channel_start, 2, 2)`` visibility block of work item
         ``index`` — exactly the bytes
-        :func:`repro.core.gridder.grid_work_group` reads for that item.
+        the gridder's work-group driver reads for that item.
         """
         rows = plan.items[start:stop]
         for k, row in enumerate(rows):

@@ -8,7 +8,7 @@ the GIL, so threads scale, and the row-partitioned adder gives each worker a
 disjoint horizontal band of the grid.
 """
 
-from repro.parallel.batching import chunk_ranges, interleaved_ranges
+from repro.parallel.batching import chunk_ranges
 from repro.parallel.bucketing import (
     Bucket,
     bucket_work_items,
@@ -28,7 +28,6 @@ from repro.parallel.process import ProcessConfig, ProcessShardedIDG, WorkerDeath
 
 __all__ = [
     "chunk_ranges",
-    "interleaved_ranges",
     "Bucket",
     "bucket_work_items",
     "grid_work_group_batched",

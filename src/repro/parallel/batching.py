@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 
 def chunk_ranges(total: int, n_chunks: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into up to ``n_chunks`` contiguous ranges whose
@@ -24,19 +22,3 @@ def chunk_ranges(total: int, n_chunks: int) -> list[tuple[int, int]]:
         start += size
     return out
 
-
-def interleaved_ranges(
-    total: int, group_size: int, worker: int, n_workers: int
-) -> Iterator[tuple[int, int]]:
-    """Yield the (start, stop) groups assigned to ``worker`` under round-robin
-    distribution of fixed-size groups — the work-group to thread mapping of
-    the paper's Fig 6."""
-    if group_size <= 0 or n_workers <= 0:
-        raise ValueError("group_size and n_workers must be positive")
-    if not (0 <= worker < n_workers):
-        raise ValueError("worker index out of range")
-    group = worker
-    while group * group_size < total:
-        start = group * group_size
-        yield (start, min(start + group_size, total))
-        group += n_workers

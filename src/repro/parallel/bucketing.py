@@ -182,8 +182,8 @@ def gather_rel_uvw(
     """Stack the items' relative uvw (wavelengths) into ``(G, T*C, 3)``.
 
     The batched analogue of
-    :func:`repro.core.gridder.relative_uvw_wavelengths`: time-major, channel
-    fastest, ``(u - u_mid, v - v_mid, w - w_offset)`` per visibility.
+    :func:`repro.core.reference.relative_uvw_wavelengths`: time-major,
+    channel fastest, ``(u - u_mid, v - v_mid, w - w_offset)`` per visibility.
     """
     rows = plan.items[indices]
     n_times = int(rows["time_end"][0] - rows["time_start"][0])
@@ -323,10 +323,10 @@ def scatter_visibilities(
 def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
     """The uniform ``ds`` of the full ``f/c`` ladder, or ``None``.
 
-    The batched recurrence shares one ``ds`` across a whole bucket whose
-    items may start at different channels, so it needs the *global* ladder to
-    be an arithmetic progression (every subband in this package is); ``None``
-    sends the drivers down the batched direct-sum path instead.
+    The recurrence shares one ``ds`` across a whole bucket whose items may
+    start at different channels, so it needs the *global* ladder to be an
+    arithmetic progression (every subband this package simulates is);
+    ``None`` sends the drivers down the direct-sum kernels instead.
     """
     scales = np.asarray(frequencies_hz, dtype=np.float64) / SPEED_OF_LIGHT
     if scales.size < 2:
@@ -346,17 +346,37 @@ def grid_work_group_batched(
     taper: np.ndarray,
     lmn: np.ndarray | None = None,
     aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-    channel_recurrence: bool = False,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
 ) -> np.ndarray:
-    """Shape-bucketed equivalent of :func:`repro.core.gridder.grid_work_group`.
+    """Run the gridder over work items ``start .. stop-1``.
 
     Buckets the work items by block shape, gathers each bucket into stacked
     tensors and grids it with one batched kernel call (chunked so the phasor
-    scratch stays under ``batch_bytes``).  Returns the same
-    ``(stop - start, N, N, 2, 2)`` complex64 subgrids as the per-item driver,
-    within the differential-corpus tolerance.
+    scratch stays under ``batch_bytes``): :func:`gridder_bucket_fast` when
+    :func:`uniform_channel_step` finds evenly spaced channels,
+    :func:`gridder_bucket` otherwise.
+
+    Parameters
+    ----------
+    plan:
+        The execution plan.
+    uvw_m:
+        ``(n_baselines, n_times, 3)`` uvw in metres (full observation).
+    visibilities:
+        ``(n_baselines, n_times, n_channels, 2, 2)`` complex visibilities.
+    taper:
+        ``(N, N)`` taper.
+    lmn:
+        Optional precomputed :func:`~repro.core.gridder.subgrid_lmn`
+        (computed if omitted).
+    aterm_fields:
+        Maps ``(station, interval)`` to an ``(N, N, 2, 2)`` Jones field;
+        ``None`` or missing keys mean identity.
+
+    Returns
+    -------
+    ``(stop - start, N, N, 2, 2)`` complex64 image-domain subgrids.
     """
     n = plan.subgrid_size
     if lmn is None:
@@ -364,7 +384,7 @@ def grid_work_group_batched(
     if arena is None:
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
-    ds = uniform_channel_step(plan.frequencies_hz) if channel_recurrence else None
+    ds = uniform_channel_step(plan.frequencies_hz)
     out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
@@ -403,21 +423,25 @@ def degrid_work_group_batched(
     taper: np.ndarray,
     lmn: np.ndarray | None = None,
     aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-    channel_recurrence: bool = False,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
 ) -> None:
-    """Shape-bucketed equivalent of
-    :func:`repro.core.degridder.degrid_work_group`: predictions are written
-    into ``visibilities_out`` in place, one batched kernel call per bucket
-    chunk."""
+    """Run the degridder over work items ``start .. stop-1``, writing into
+    ``visibilities_out`` (shape ``(n_baselines, n_times, n_channels, 2, 2)``)
+    in place, one batched kernel call per bucket chunk.
+
+    ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
+    subgrids produced by the splitter + inverse subgrid FFT; the other
+    arguments and the kernel choice are as in
+    :func:`grid_work_group_batched`.
+    """
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
     if arena is None:
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
-    ds = uniform_channel_step(plan.frequencies_hz) if channel_recurrence else None
+    ds = uniform_channel_step(plan.frequencies_hz)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)

@@ -163,9 +163,6 @@ class ParallelIDG:
                 return backend.grid_work_group(
                     plan, start, stop, uvw_m, visibilities, idg.taper,
                     lmn=idg.lmn, aterm_fields=fields,
-                    vis_batch=idg.config.vis_batch,
-                    channel_recurrence=idg.config.channel_recurrence,
-                    batched=idg.config.batched,
                 )
 
             if runner is None:
@@ -284,9 +281,6 @@ class ParallelIDG:
                     plan, start, stop, backend.subgrids_to_image(patches),
                     uvw_m, out,
                     idg.taper, lmn=idg.lmn, aterm_fields=fields,
-                    vis_batch=idg.config.vis_batch,
-                    channel_recurrence=idg.config.channel_recurrence,
-                    batched=idg.config.batched,
                 )
 
             if runner is None:

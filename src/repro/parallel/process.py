@@ -294,9 +294,6 @@ def _run_grid_shard(
             return backend.grid_work_group(
                 plan, start, stop, uvw, vis, idg.taper,
                 lmn=idg.lmn, aterm_fields=fields,
-                vis_batch=idg.config.vis_batch,
-                channel_recurrence=idg.config.channel_recurrence,
-                batched=idg.config.batched,
             )
 
         if runner is None:
@@ -380,9 +377,6 @@ def _run_degrid_shard(
                 plan, start, stop, backend.subgrids_to_image(patches),
                 uvw, out, idg.taper,
                 lmn=idg.lmn, aterm_fields=fields,
-                vis_batch=idg.config.vis_batch,
-                channel_recurrence=idg.config.channel_recurrence,
-                batched=idg.config.batched,
             )
 
         if runner is None:

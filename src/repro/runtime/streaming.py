@@ -11,10 +11,11 @@ simulating it (:mod:`repro.perfmodel.streams`):
 with every hop a bounded channel and a global credit gate holding at most
 ``n_buffers`` work groups in flight — ``n_buffers=1`` degenerates to the
 serial schedule, ``n_buffers=3`` is the paper's triple buffering (Fig 7).
-The stage bodies are the *same kernels* the serial pipeline uses
-(:func:`~repro.core.gridder.grid_work_group`,
-:func:`~repro.core.degridder.degrid_work_group`, the batched subgrid FFTs and
-the row-parallel adder), so results are bit-identical to ``IDG``: the adder
+The stage bodies are the *same kernels* the serial pipeline uses (the
+backend's ``grid_work_group``/``degrid_work_group`` — for the default
+backend the shape-bucketed drivers of :mod:`repro.parallel.bucketing` — the
+batched subgrid FFTs and the row-parallel adder), so results are
+bit-identical to ``IDG``: the adder
 stage applies batches in plan order (a reorder buffer absorbs out-of-order
 completion when ``gridder_workers > 1``), and degridding work items write
 disjoint visibility blocks.
@@ -301,9 +302,6 @@ class StreamingIDG:
                 return backend.grid_work_group(
                     plan, start, stop, uvw_m, vis_in, idg.taper,
                     lmn=idg.lmn, aterm_fields=fields,
-                    vis_batch=idg.config.vis_batch,
-                    channel_recurrence=idg.config.channel_recurrence,
-                    batched=idg.config.batched,
                 )
             if runner is None:
                 return body()
@@ -517,9 +515,6 @@ class StreamingIDG:
                 backend.degrid_work_group(
                     plan, start, stop, images, uvw_m, out, idg.taper,
                     lmn=idg.lmn, aterm_fields=fields,
-                    vis_batch=idg.config.vis_batch,
-                    channel_recurrence=idg.config.channel_recurrence,
-                    batched=idg.config.batched,
                 )
 
             result = run_stage("degridder", group, chunk, body)

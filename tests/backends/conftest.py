@@ -3,8 +3,9 @@
 Every registered kernel backend runs the same corpus of small but
 structurally varied plans — a plain observation, a w-offset plan, an A-term
 schedule, a wideband (C = 512) subband exercising the channel-phasor
-recurrence, and a degenerate single-visibility plan — and the tests in this
-directory hold all backends to pairwise agreement at ``rtol = 1e-5`` plus
+recurrence, a degenerate single-visibility plan, and a subband whose
+channels are not evenly spaced (which sends ``vectorized`` down its
+direct-sum kernels) — and the tests in this directory hold all backends to pairwise agreement at ``rtol = 1e-5`` plus
 per-backend gridder/degridder adjointness.
 
 Running a case through a backend is expensive (the ``reference`` oracle is a
@@ -14,7 +15,7 @@ for the whole session in :class:`Corpus`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ class Case:
     fill_factor: float = 0.9
     w_offset: float = 0.0
     aterm_interval: int | None = None
+    #: Moves every channel off the evenly spaced ladder by up to this
+    #: fraction of the channel width (0 keeps the ladder).
+    channel_jitter: float = 0.0
     seed: int = 0
 
 
@@ -72,6 +76,7 @@ CASES = (
         max_radius_m=250.0,
         seed=15,
     ),
+    Case("uneven-channels", n_channels=5, channel_jitter=0.3, fill_factor=1.4, seed=16),
 )
 
 #: Registered backends, captured at collection time.
@@ -96,6 +101,12 @@ class Corpus:
                 max_radius_m=case.max_radius_m,
                 seed=case.seed,
             )
+            if case.channel_jitter:
+                width = float(obs.frequencies_hz[1] - obs.frequencies_hz[0])
+                jitter = np.random.default_rng(case.seed).uniform(
+                    -case.channel_jitter, case.channel_jitter, case.n_channels
+                )
+                obs = replace(obs, frequencies_hz=obs.frequencies_hz + jitter * width)
             gridspec = obs.fitting_gridspec(
                 case.grid_size, fill_factor=case.fill_factor
             )

@@ -2,32 +2,22 @@
 
 Hypothesis draws random observation geometries and plan parameters; every
 registered backend grids and degrids the same draw and the outputs must
-agree pairwise.  The ``jit`` backend without numba is just ``vectorized``
-behind a warning, so its draws are only compared where numba is importable
-(the dedicated skip-marked test); the reference/vectorized comparison runs
-everywhere.
+agree pairwise.
 """
 
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
-from repro.backends.jit import HAVE_NUMBA
+from repro.backends import available_backends
 from repro.core.pipeline import IDG, IDGConfig
 from repro.telescope.observation import ska1_low_observation
 
 RTOL = 1e-5
 
-#: Backends worth comparing: jit-without-numba is vectorized by delegation.
-COMPARED = tuple(
-    name
-    for name in available_backends()
-    if HAVE_NUMBA or not get_backend(name).__class__.__name__ == "JitBackend"
-)
+COMPARED = available_backends()
 
 
 def _draw_outputs(backend_name, n_stations, n_times, n_channels, subgrid_size,
@@ -61,7 +51,7 @@ def _draw_outputs(backend_name, n_stations, n_times, n_channels, subgrid_size,
     stop = min(4, plan.n_subgrids)
     subgrids = idg.backend.grid_work_group(
         plan, 0, stop, obs.uvw_m, vis, idg.taper,
-        lmn=idg.lmn, channel_recurrence=idg.config.channel_recurrence,
+        lmn=idg.lmn,
     )
     grid = idg.grid(plan, obs.uvw_m, vis)
     degridded = idg.degrid(plan, obs.uvw_m, grid)
@@ -98,16 +88,3 @@ def test_backends_equivalent_on_random_plans(
                 err_msg=f"{what}: {a} vs {b} (seed={seed})",
             )
 
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=5, deadline=None)
-def test_jit_matches_vectorized_on_random_plans(seed):
-    """The compiled jit kernels agree with the BLAS fast path draw-for-draw."""
-    jit = _draw_outputs("jit", 4, 3, 4, 8, 0.0, seed)
-    vec = _draw_outputs("vectorized", 4, 3, 4, 8, 0.0, seed)
-    for what, x, y in zip(("subgrids", "grid", "degridded"), vec, jit):
-        scale = max(float(np.abs(x).max()), 1e-12)
-        np.testing.assert_allclose(
-            y, x, rtol=RTOL, atol=RTOL * scale, err_msg=f"{what} (seed={seed})"
-        )

@@ -1,14 +1,10 @@
-"""Backend registry: lookup, resolution order, fallback, Listing-1 loops."""
+"""Backend registry: lookup and resolution order."""
 
-import logging
-
-import numpy as np
 import pytest
 
 from repro.backends import (
     DEFAULT_BACKEND,
     IDG_BACKEND_ENV,
-    JitBackend,
     KernelBackend,
     VectorizedBackend,
     available_backends,
@@ -16,22 +12,12 @@ from repro.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.backends.jit import (
-    HAVE_NUMBA,
-    _channel_step,
-    _degridder_accumulate_py,
-    _gridder_accumulate_py,
-)
-from repro.core.degridder import degridder_subgrid_fast
-from repro.core.gridder import gridder_subgrid_fast, subgrid_lmn
 from repro.core.pipeline import IDG, IDGConfig
 from repro.gridspec import GridSpec
-from repro.kernels.spheroidal import spheroidal_taper
-from repro.telescope.observation import ska1_low_observation
 
 
 def test_builtin_backends_registered():
-    assert {"reference", "vectorized", "jit"} <= set(available_backends())
+    assert available_backends() == ("reference", "vectorized")
 
 
 def test_get_backend_unknown_name_lists_available():
@@ -77,8 +63,8 @@ def test_idg_config_consults_environment(monkeypatch):
     assert IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2)).backend.name == "reference"
     monkeypatch.delenv(IDG_BACKEND_ENV)
     assert IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2)).backend.name == DEFAULT_BACKEND
-    named = IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2, backend="jit"))
-    assert named.backend.name == "jit"
+    named = IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2, backend="reference"))
+    assert named.backend.name == "reference"
 
 
 def test_unknown_backend_raises_helpfully():
@@ -86,107 +72,3 @@ def test_unknown_backend_raises_helpfully():
     with pytest.raises(KeyError, match="available"):
         IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2, backend="cuda"))
 
-
-def test_jit_fallback_is_logged_on_first_use(caplog):
-    """Without numba the jit backend delegates with a warning — on first
-    *use*, not at import, so merely registering it stays silent."""
-    with caplog.at_level(logging.WARNING, logger="repro.backends.jit"):
-        backend = JitBackend()
-    assert backend.is_fallback == (not HAVE_NUMBA)
-    assert "falls back" not in caplog.text  # construction is silent
-    if HAVE_NUMBA:
-        return
-    obs = ska1_low_observation(
-        n_stations=3, n_times=2, n_channels=1, integration_time_s=30.0,
-        max_radius_m=200.0, seed=1,
-    )
-    idg = IDG(
-        obs.fitting_gridspec(64),
-        IDGConfig(subgrid_size=8, kernel_support=2, backend=backend),
-    )
-    plan = idg.make_plan(obs.uvw_m, obs.frequencies_hz, obs.array.baselines())
-    vis = np.zeros((obs.array.n_baselines, 2, 1, 2, 2), dtype=np.complex64)
-    with caplog.at_level(logging.WARNING, logger="repro.backends.jit"):
-        idg.grid(plan, obs.uvw_m, vis)
-        idg.grid(plan, obs.uvw_m, vis)
-    warnings = [r for r in caplog.records if "falls back" in r.message]
-    assert len(warnings) == 1  # warned exactly once, not per call
-
-
-def test_channel_step():
-    assert _channel_step(np.array([0.5])) == 0.0
-    assert _channel_step(np.array([0.5, 0.6, 0.7])) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        _channel_step(np.array([0.5, 0.6, 0.9]))
-
-
-@pytest.fixture(scope="module")
-def listing1_problem():
-    """A tiny subgrid problem shared by the pure-Python loop tests."""
-    rng = np.random.default_rng(7)
-    n, n_times, n_channels = 6, 3, 5
-    lmn = subgrid_lmn(n, 0.1)
-    uvw = rng.standard_normal((n_times, 3)) * 50.0
-    scales = (150e6 + 0.2e6 * np.arange(n_channels)) / 299792458.0
-    offset = np.array([3.0, -2.0, 1.5])
-    taper = spheroidal_taper(n)
-    vis = rng.standard_normal((n_times, n_channels, 4)) + 1j * rng.standard_normal(
-        (n_times, n_channels, 4)
-    )
-    return n, lmn, uvw, scales, offset, taper, vis
-
-
-def test_listing1_gridder_loop_matches_vectorized(listing1_problem):
-    """The pure-Python Listing-1 gridder agrees with the BLAS fast path,
-    so the numba-compiled version computes the same math when available."""
-    n, lmn, uvw, scales, offset, taper, vis = listing1_problem
-    n_times, n_channels = vis.shape[:2]
-    acc = np.zeros((n * n, 4), dtype=np.complex128)
-    _gridder_accumulate_py(
-        lmn, uvw, float(scales[0]), float(np.diff(scales)[0]), offset, vis, acc
-    )
-    mine = (acc.reshape(n, n, 2, 2) * taper[:, :, None, None]).astype(np.complex64)
-    fast = gridder_subgrid_fast(
-        vis.reshape(n_times, n_channels, 2, 2).astype(np.complex64),
-        uvw, scales, offset, lmn, taper,
-    )
-    np.testing.assert_allclose(mine, fast, rtol=1e-5, atol=1e-5 * np.abs(fast).max())
-
-
-def test_listing1_degridder_loop_matches_vectorized(listing1_problem):
-    n, lmn, uvw, scales, offset, taper, vis = listing1_problem
-    n_times, n_channels = vis.shape[:2]
-    rng = np.random.default_rng(8)
-    subgrid = (
-        rng.standard_normal((n, n, 2, 2)) + 1j * rng.standard_normal((n, n, 2, 2))
-    ).astype(np.complex64)
-    tapered = (subgrid * taper[:, :, None, None]).astype(np.complex128)
-    out = np.zeros((n_times, n_channels, 4), dtype=np.complex128)
-    _degridder_accumulate_py(
-        lmn, uvw, float(scales[0]), float(np.diff(scales)[0]), offset,
-        np.ascontiguousarray(tapered.reshape(n * n, 4)), out,
-    )
-    fast = degridder_subgrid_fast(subgrid, uvw, scales, offset, lmn, taper)
-    got = out.reshape(n_times, n_channels, 2, 2).astype(np.complex64)
-    np.testing.assert_allclose(got, fast, rtol=1e-5, atol=1e-5 * np.abs(fast).max())
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_compiled_kernels_match_pure_python(listing1_problem):
-    """With numba present, the compiled loops agree with their _py originals."""
-    from repro.backends.jit import _degridder_accumulate, _gridder_accumulate
-
-    n, lmn, uvw, scales, offset, taper, vis = listing1_problem
-    s0, ds = float(scales[0]), float(np.diff(scales)[0])
-    acc_py = np.zeros((n * n, 4), dtype=np.complex128)
-    acc_nb = np.zeros((n * n, 4), dtype=np.complex128)
-    _gridder_accumulate_py(lmn, uvw, s0, ds, offset, vis, acc_py)
-    _gridder_accumulate(lmn, uvw, s0, ds, offset, vis, acc_nb)
-    np.testing.assert_allclose(acc_nb, acc_py, rtol=1e-6, atol=1e-6 * np.abs(acc_py).max())
-
-    pixels = np.ascontiguousarray(acc_py)
-    out_py = np.zeros_like(vis)
-    out_nb = np.zeros_like(vis)
-    _degridder_accumulate_py(lmn, uvw, s0, ds, offset, pixels, out_py)
-    _degridder_accumulate(lmn, uvw, s0, ds, offset, pixels, out_nb)
-    np.testing.assert_allclose(out_nb, out_py, rtol=1e-6, atol=1e-6 * np.abs(out_py).max())

@@ -1,10 +1,15 @@
-"""Unit tests for the vectorised degridder kernel vs the literal Algorithm 2."""
+"""Unit tests for the vectorised degridder kernel vs the literal Algorithm 2.
+
+The kernels degrid a bucket of ``G`` identically shaped work items at once;
+each test runs a single item (``G = 1``) and, where it checks a per-item
+property, a stacked bucket (``G > 1``) as well.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.degridder import degridder_subgrid
-from repro.core.gridder import gridder_subgrid, subgrid_lmn
+from repro.core.degridder import degridder_bucket
+from repro.core.gridder import gridder_bucket, subgrid_lmn
 from repro.core.reference import reference_degridder
 from repro.kernels.spheroidal import spheroidal_taper
 
@@ -35,12 +40,27 @@ def _random_uvw(m, seed=1, uv_scale=20.0):
     return rng.standard_normal((m, 3)) * np.array([uv_scale, uv_scale, uv_scale / 4])
 
 
+def _degrid(sub, uvw, lmn, taper, aterm_p=None, aterm_q=None):
+    """Degrid one subgrid as a bucket of one item: ``(M, 2, 2)``."""
+    out = degridder_bucket(
+        sub[np.newaxis], uvw[np.newaxis], lmn, taper,
+        aterm_p=None if aterm_p is None else aterm_p[np.newaxis],
+        aterm_q=None if aterm_q is None else aterm_q[np.newaxis],
+    )
+    return out[0].reshape(-1, 2, 2).copy()
+
+
 def test_degridder_matches_reference_no_aterms(lmn, taper):
-    sub = _random_subgrid(0)
-    uvw = _random_uvw(10, seed=1)
-    fast = degridder_subgrid(sub, uvw, lmn, taper)
-    slow = reference_degridder(sub, uvw, IMAGE_SIZE, taper)
-    np.testing.assert_allclose(fast, slow.astype(np.complex64), rtol=2e-4, atol=2e-4)
+    subs = [_random_subgrid(s) for s in (0, 20, 30)]
+    uvws = [_random_uvw(10, seed=s) for s in (1, 21, 31)]
+    slow = [reference_degridder(s, u, IMAGE_SIZE, taper) for s, u in zip(subs, uvws)]
+    np.testing.assert_allclose(
+        _degrid(subs[0], uvws[0], lmn, taper), slow[0], rtol=2e-4, atol=2e-4
+    )
+    stacked = degridder_bucket(np.stack(subs), np.stack(uvws), lmn, taper)
+    np.testing.assert_allclose(
+        stacked.reshape(3, 10, 2, 2), np.stack(slow), rtol=2e-4, atol=2e-4
+    )
 
 
 def test_degridder_matches_reference_with_aterms(lmn, taper):
@@ -49,60 +69,60 @@ def test_degridder_matches_reference_with_aterms(lmn, taper):
     uvw = _random_uvw(5, seed=4)
     a_p = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
     a_q = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
-    fast = degridder_subgrid(sub, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    fast = _degrid(sub, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
     slow = reference_degridder(sub, uvw, IMAGE_SIZE, taper, aterm_p=a_p, aterm_q=a_q)
-    np.testing.assert_allclose(fast, slow.astype(np.complex64), rtol=1e-3, atol=1e-3)
+    np.testing.assert_allclose(fast, slow, rtol=1e-3, atol=1e-3)
 
 
 def test_degridder_batching_invariance(lmn, taper):
-    sub = _random_subgrid(5)
-    uvw = _random_uvw(29, seed=6)
-    a = degridder_subgrid(sub, uvw, lmn, taper, vis_batch=4)
-    b = degridder_subgrid(sub, uvw, lmn, taper, vis_batch=100)
-    np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+    """Degridding items stacked in one bucket equals degridding each alone."""
+    subs = [_random_subgrid(s) for s in (5, 15, 25)]
+    uvws = [_random_uvw(29, seed=s) for s in (6, 16, 26)]
+    alone = np.stack([_degrid(s, u, lmn, taper) for s, u in zip(subs, uvws)])
+    stacked = degridder_bucket(np.stack(subs), np.stack(uvws), lmn, taper)
+    np.testing.assert_allclose(
+        stacked.reshape(alone.shape), alone, rtol=1e-12, atol=1e-12
+    )
 
 
 def test_degridder_linearity_in_subgrid(lmn, taper):
     s1, s2 = _random_subgrid(7), _random_subgrid(8)
     uvw = _random_uvw(6, seed=9)
-    v1 = degridder_subgrid(s1, uvw, lmn, taper).astype(np.complex128)
-    v2 = degridder_subgrid(s2, uvw, lmn, taper).astype(np.complex128)
-    v12 = degridder_subgrid(s1 + s2, uvw, lmn, taper).astype(np.complex128)
+    v1 = _degrid(s1, uvw, lmn, taper)
+    v2 = _degrid(s2, uvw, lmn, taper)
+    v12 = _degrid(s1 + s2, uvw, lmn, taper)
     np.testing.assert_allclose(v12, v1 + v2, rtol=1e-3, atol=1e-4)
 
 
 def test_zero_uvw_sums_pixels(lmn, taper):
     sub = _random_subgrid(10)
     uvw = np.zeros((4, 3))
-    out = degridder_subgrid(sub, uvw, lmn, taper)
+    out = _degrid(sub, uvw, lmn, taper)
     expected = (sub * taper[:, :, np.newaxis, np.newaxis]).sum(axis=(0, 1))
     for k in range(4):
-        np.testing.assert_allclose(out[k], expected.astype(np.complex64), rtol=1e-4)
+        np.testing.assert_allclose(out[k], expected, rtol=1e-4)
 
 
 def test_gridder_degridder_adjoint_identity(lmn, taper):
-    """<gridder(V), S> == <V, degridder(S)> — kernel-level adjointness."""
+    """<gridder(V), S> == <V, degridder(S)> — kernel-level adjointness,
+    over a bucket of three items with per-item A-terms."""
     rng = np.random.default_rng(11)
-    m = 9
-    vis = rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))
-    sub = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
-    a_p = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
-    a_q = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
-    uvw = _random_uvw(m, seed=12)
-    gridded = gridder_subgrid(
-        vis.astype(np.complex64), uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q
-    )
-    degridded = degridder_subgrid(
-        sub.astype(np.complex64), uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q
-    )
-    lhs = np.vdot(gridded.astype(np.complex128), sub)
-    rhs = np.vdot(vis, degridded.astype(np.complex128))
-    assert lhs == pytest.approx(rhs, rel=1e-3)
+    g, m = 3, 9
+    vis = rng.standard_normal((g, m, 4)) + 1j * rng.standard_normal((g, m, 4))
+    sub = rng.standard_normal((g, N, N, 2, 2)) + 1j * rng.standard_normal((g, N, N, 2, 2))
+    a_p = rng.standard_normal((g, N, N, 2, 2)) + 1j * rng.standard_normal((g, N, N, 2, 2))
+    a_q = rng.standard_normal((g, N, N, 2, 2)) + 1j * rng.standard_normal((g, N, N, 2, 2))
+    uvw = np.stack([_random_uvw(m, seed=12 + k) for k in range(g)])
+    gridded = gridder_bucket(vis, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    lhs = np.vdot(gridded, sub)
+    degridded = degridder_bucket(sub, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    rhs = np.vdot(vis, degridded)
+    assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 def test_degridder_shape_validation(lmn, taper):
     sub = _random_subgrid(13)
     with pytest.raises(ValueError):
-        degridder_subgrid(sub[:4], _random_uvw(3), lmn, taper)
+        _degrid(sub[:4], _random_uvw(3), lmn, taper)
     with pytest.raises(ValueError):
-        degridder_subgrid(sub, _random_uvw(3), lmn[:10], taper)
+        _degrid(sub, _random_uvw(3), lmn[:10], taper)

@@ -1,17 +1,18 @@
-"""Unit tests for the vectorised gridder kernel vs the literal Algorithm 1."""
+"""Unit tests for the vectorised gridder kernel vs the literal Algorithm 1.
+
+The kernels grid a bucket of ``G`` identically shaped work items at once;
+each test runs a single item (``G = 1``) and, where it checks a per-item
+property, a stacked bucket (``G > 1``) as well.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.gridder import (
-    grid_work_group,
-    gridder_subgrid,
-    relative_uvw_wavelengths,
-    subgrid_lmn,
-)
-from repro.core.reference import reference_gridder
+from repro.core.gridder import gridder_bucket, subgrid_lmn
+from repro.core.reference import reference_gridder, relative_uvw_wavelengths
 from repro.kernels.spheroidal import spheroidal_taper
 from repro.kernels.wkernel import n_term
+from repro.parallel.bucketing import grid_work_group_batched
 
 
 N = 8
@@ -37,6 +38,16 @@ def _random_block(m, seed=0, uv_scale=20.0):
     return vis, uvw
 
 
+def _grid(vis, uvw, lmn, taper, aterm_p=None, aterm_q=None):
+    """Grid one ``(M, 2, 2)`` block as a bucket of one item."""
+    m = uvw.shape[0]
+    return gridder_bucket(
+        vis.reshape(1, m, 4).astype(np.complex128), uvw[np.newaxis], lmn, taper,
+        aterm_p=None if aterm_p is None else aterm_p[np.newaxis],
+        aterm_q=None if aterm_q is None else aterm_q[np.newaxis],
+    )[0].copy()
+
+
 def test_subgrid_lmn_structure(lmn):
     assert lmn.shape == (N * N, 3)
     centre = (N // 2) * N + N // 2
@@ -59,10 +70,16 @@ def test_relative_uvw_layout():
 
 
 def test_gridder_matches_reference_no_aterms(lmn, taper):
-    vis, uvw = _random_block(12, seed=1)
-    fast = gridder_subgrid(vis, uvw, lmn, taper)
-    slow = reference_gridder(vis, uvw, N, IMAGE_SIZE, taper)
-    np.testing.assert_allclose(fast, slow.astype(np.complex64), rtol=2e-4, atol=2e-4)
+    blocks = [_random_block(12, seed=s) for s in (1, 11, 21)]
+    slow = [reference_gridder(vis, uvw, N, IMAGE_SIZE, taper) for vis, uvw in blocks]
+    np.testing.assert_allclose(
+        _grid(*blocks[0], lmn, taper), slow[0], rtol=2e-4, atol=2e-4
+    )
+    stacked = gridder_bucket(
+        np.stack([vis.reshape(12, 4) for vis, _ in blocks]).astype(np.complex128),
+        np.stack([uvw for _, uvw in blocks]), lmn, taper,
+    )
+    np.testing.assert_allclose(stacked, np.stack(slow), rtol=2e-4, atol=2e-4)
 
 
 def test_gridder_matches_reference_with_aterms(lmn, taper):
@@ -70,24 +87,28 @@ def test_gridder_matches_reference_with_aterms(lmn, taper):
     vis, uvw = _random_block(6, seed=3)
     a_p = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
     a_q = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
-    fast = gridder_subgrid(vis, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    fast = _grid(vis, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
     slow = reference_gridder(vis, uvw, N, IMAGE_SIZE, taper, aterm_p=a_p, aterm_q=a_q)
-    np.testing.assert_allclose(fast, slow.astype(np.complex64), rtol=1e-3, atol=1e-3)
+    np.testing.assert_allclose(fast, slow, rtol=1e-3, atol=1e-3)
 
 
 def test_gridder_batching_invariance(lmn, taper):
-    vis, uvw = _random_block(33, seed=4)
-    a = gridder_subgrid(vis, uvw, lmn, taper, vis_batch=5)
-    b = gridder_subgrid(vis, uvw, lmn, taper, vis_batch=1000)
-    np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+    """Gridding items stacked in one bucket equals gridding each alone."""
+    blocks = [_random_block(33, seed=s) for s in (4, 14, 24, 34)]
+    alone = np.stack([_grid(vis, uvw, lmn, taper) for vis, uvw in blocks])
+    stacked = gridder_bucket(
+        np.stack([vis.reshape(33, 4) for vis, _ in blocks]).astype(np.complex128),
+        np.stack([uvw for _, uvw in blocks]), lmn, taper,
+    )
+    np.testing.assert_allclose(stacked, alone, rtol=1e-12, atol=1e-12)
 
 
 def test_gridder_linearity_in_visibilities(lmn, taper):
     vis1, uvw = _random_block(10, seed=5)
     vis2, _ = _random_block(10, seed=6)
-    s1 = gridder_subgrid(vis1, uvw, lmn, taper).astype(np.complex128)
-    s2 = gridder_subgrid(vis2, uvw, lmn, taper).astype(np.complex128)
-    s12 = gridder_subgrid(vis1 + vis2, uvw, lmn, taper).astype(np.complex128)
+    s1 = _grid(vis1, uvw, lmn, taper)
+    s2 = _grid(vis2, uvw, lmn, taper)
+    s12 = _grid(vis1 + vis2, uvw, lmn, taper)
     np.testing.assert_allclose(s12, s1 + s2, rtol=1e-3, atol=1e-4)
 
 
@@ -95,9 +116,9 @@ def test_zero_uvw_accumulates_plain_sum(lmn, taper):
     """With all uvw = 0 the phasor is 1: the subgrid is taper * sum(V)."""
     vis, _ = _random_block(7, seed=7)
     uvw = np.zeros((7, 3))
-    out = gridder_subgrid(vis, uvw, lmn, taper)
+    out = _grid(vis, uvw, lmn, taper)
     expected = taper[:, :, np.newaxis, np.newaxis] * vis.sum(axis=0)
-    np.testing.assert_allclose(out, expected.astype(np.complex64), rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
 
 
 def test_single_polarization_isolation(lmn, taper):
@@ -105,7 +126,7 @@ def test_single_polarization_isolation(lmn, taper):
     vis = np.zeros((3, 2, 2), dtype=np.complex64)
     vis[:, 0, 1] = 1.0 + 2.0j
     _, uvw = _random_block(3, seed=8)
-    out = gridder_subgrid(vis, uvw, lmn, taper)
+    out = _grid(vis, uvw, lmn, taper)
     assert np.abs(out[..., 0, 0]).max() == 0
     assert np.abs(out[..., 1, 0]).max() == 0
     assert np.abs(out[..., 1, 1]).max() == 0
@@ -115,14 +136,14 @@ def test_single_polarization_isolation(lmn, taper):
 def test_gridder_shape_validation(lmn, taper):
     vis, uvw = _random_block(4, seed=9)
     with pytest.raises(ValueError):
-        gridder_subgrid(vis, uvw[:3], lmn, taper)
+        _grid(vis, uvw[:3], lmn, taper)
     with pytest.raises(ValueError):
-        gridder_subgrid(vis, uvw, lmn[: N * N - 3], taper)
+        _grid(vis, uvw, lmn[: N * N - 3], taper)
 
 
 def test_grid_work_group_end_to_end(small_plan, small_obs, single_source_vis, small_idg):
     """The work-group driver must agree with calling the kernel manually."""
-    out = grid_work_group(
+    out = grid_work_group_batched(
         small_plan, 0, 3, small_obs.uvw_m, single_source_vis, small_idg.taper,
         lmn=small_idg.lmn,
     )
@@ -138,5 +159,5 @@ def test_grid_work_group_end_to_end(small_plan, small_obs, single_source_vis, sm
         item.baseline, item.time_start : item.time_end,
         item.channel_start : item.channel_end,
     ].reshape(-1, 2, 2)
-    manual = gridder_subgrid(vis_block, rel, small_idg.lmn, small_idg.taper)
+    manual = _grid(vis_block, rel, small_idg.lmn, small_idg.taper)
     np.testing.assert_allclose(out[1], manual, atol=1e-6)

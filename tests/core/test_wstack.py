@@ -1,11 +1,21 @@
-"""Unit/integration tests for W-stacked IDG (paper Section IV)."""
+"""Unit/integration tests for W-stacked IDG (paper Section IV).
+
+The layer split lives in :mod:`repro.core.wstack`; the imaging tests run it
+through :class:`repro.imaging.pipeline.WStackFTProcessor`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import IDG, IDGConfig
-from repro.core.wstack import WStackedIDG, item_mean_w, split_plan_by_w
-from repro.imaging.image import find_peak, stokes_i_image
+from repro.core.wstack import item_mean_w, split_plan_by_w
+from repro.imaging.image import find_peak
+from repro.imaging.pipeline import (
+    ImagingContext,
+    TwoDimFTProcessor,
+    WStackFTProcessor,
+    plan_coverage,
+)
 from repro.sky.model import SkyModel
 from repro.sky.simulate import predict_visibilities
 from repro.telescope.observation import ska1_low_observation
@@ -34,6 +44,10 @@ def wide_field():
     return obs, gs, idg, bl, vis, model, (l0, m0)
 
 
+def _context(idg, obs, baselines):
+    return ImagingContext(idg, obs.uvw_m, obs.frequencies_hz, baselines)
+
+
 def _coverage(layers, shape):
     covered = np.zeros(shape, dtype=int)
     for layer in layers:
@@ -45,19 +59,17 @@ def _coverage(layers, shape):
     return covered
 
 
-def _predict_rms(ws, layers, uvw, vis, model):
-    pred = ws.predict(model, layers, uvw)
-    covered = _coverage(layers, vis.shape[:3]) > 0
-    sel = covered[..., None, None] & np.ones_like(vis, bool)
+def _predict_rms(processor, vis, model):
+    pred = processor.predict(model)
+    sel = plan_coverage(processor.plan)[..., None, None] & np.ones_like(vis, bool)
     scale = np.sqrt((np.abs(vis[sel]) ** 2).mean())
     return np.sqrt((np.abs(pred[sel] - vis[sel]) ** 2).mean()) / scale
 
 
 def test_layers_partition_work_items(wide_field):
     obs, gs, idg, bl, vis, model, _ = wide_field
-    ws = WStackedIDG(idg, n_planes=6)
-    layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
     base_plan = idg.make_plan(obs.uvw_m, obs.frequencies_hz, bl)
+    layers = split_plan_by_w(base_plan, obs.uvw_m, n_planes=6)
     assert sum(layer.n_subgrids for layer in layers) == base_plan.n_subgrids
     # every covered visibility is covered exactly once across layers
     covered = _coverage(layers, vis.shape[:3])
@@ -82,11 +94,12 @@ def test_more_planes_improve_prediction(wide_field):
     """The Section IV trade: more w planes -> smaller residual w per subgrid
     -> higher accuracy at fixed (small) subgrid size."""
     obs, gs, idg, bl, vis, model, _ = wide_field
-    rms = {}
-    for planes in (1, 4, 16):
-        ws = WStackedIDG(idg, n_planes=planes)
-        layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-        rms[planes] = _predict_rms(ws, layers, obs.uvw_m, vis, model)
+    ctx = _context(idg, obs, bl)
+    rms = {1: _predict_rms(TwoDimFTProcessor(ctx), vis, model)}
+    for planes in (4, 16):
+        rms[planes] = _predict_rms(
+            WStackFTProcessor(ctx, n_w_planes=planes), vis, model
+        )
     assert rms[4] < rms[1] / 3
     assert rms[16] < rms[4] / 2
     assert rms[16] < 1e-3
@@ -96,68 +109,58 @@ def test_larger_subgrids_substitute_for_planes(wide_field):
     """The other side of the trade (the paper's headline for Section IV):
     a larger subgrid with few planes matches a small subgrid with many."""
     obs, gs, idg, bl, vis, model, _ = wide_field
-    small_many = WStackedIDG(idg, n_planes=16)
-    layers_sm = small_many.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-    rms_small_many = _predict_rms(small_many, layers_sm, obs.uvw_m, vis, model)
+    small_many = WStackFTProcessor(_context(idg, obs, bl), n_w_planes=16)
+    rms_small_many = _predict_rms(small_many, vis, model)
 
     big_idg = IDG(gs, IDGConfig(subgrid_size=48, kernel_support=12, time_max=8))
-    big_few = WStackedIDG(big_idg, n_planes=2)
-    layers_bf = big_few.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-    rms_big_few = _predict_rms(big_few, layers_bf, obs.uvw_m, vis, model)
+    big_few = WStackFTProcessor(_context(big_idg, obs, bl), n_w_planes=2)
+    rms_big_few = _predict_rms(big_few, vis, model)
     assert rms_big_few < 3 * rms_small_many
     assert rms_big_few < 2e-3
 
 
 def test_image_recovers_source(wide_field):
     obs, gs, idg, bl, vis, model, (l0, m0) = wide_field
-    ws = WStackedIDG(idg, n_planes=8)
-    layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-    image = stokes_i_image(ws.image(layers, obs.uvw_m, vis))
+    image = WStackFTProcessor(_context(idg, obs, bl), n_w_planes=8).invert(vis).stokes_i
     row, col, value = find_peak(image)
     g, dl = gs.grid_size, gs.pixel_scale
     assert (row, col) == (round(m0 / dl) + g // 2, round(l0 / dl) + g // 2)
     assert value == pytest.approx(1.0, rel=0.02)
 
 
+def test_single_layer_split_is_the_whole_plan(wide_field):
+    """One plane degenerates to the whole plan, shifted to the middle of
+    its per-item w range."""
+    obs, gs, idg, bl, *_ = wide_field
+    plan = idg.make_plan(obs.uvw_m, obs.frequencies_hz, bl)
+    (layer,) = split_plan_by_w(plan, obs.uvw_m, n_planes=1)
+    assert layer.n_subgrids == plan.n_subgrids
+    w_item = item_mean_w(plan, obs.uvw_m)
+    assert layer.w_centre == pytest.approx(0.5 * (w_item.min() + w_item.max()))
+    assert layer.plan.w_offset == layer.w_centre
+
+
 def test_single_plane_matches_plain_idg_when_w_small(small_idg, small_obs,
                                                      small_baselines,
                                                      single_source_vis):
-    """With one plane the stack degenerates to plain IDG up to the constant
-    w shift, which the layer correction exactly undoes."""
-    from repro.imaging.image import dirty_image_from_grid
-
-    ws = WStackedIDG(small_idg, n_planes=1)
-    layers = ws.make_layers(small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
-    stacked = stokes_i_image(ws.image(layers, small_obs.uvw_m, single_source_vis))
-
-    plan = small_idg.make_plan(small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
-    grid = small_idg.grid(plan, small_obs.uvw_m, single_source_vis)
-    plain = stokes_i_image(
-        dirty_image_from_grid(
-            grid, small_idg.gridspec,
-            weight_sum=plan.statistics.n_visibilities_gridded,
-        )
-    )
+    """Asking for one plane gives the minimal stack, two layers (the
+    one-layer split itself is checked above).  At small w it matches plain
+    2-D IDG: each layer's w shift is exactly undone by its image-domain
+    correction."""
+    ctx = _context(small_idg, small_obs, small_baselines)
+    stacked = WStackFTProcessor(ctx, n_w_planes=1).invert(single_source_vis).stokes_i
+    plain = TwoDimFTProcessor(ctx).invert(single_source_vis).stokes_i
     g = small_idg.gridspec.grid_size
     inner = slice(g // 8, -g // 8)
     np.testing.assert_allclose(stacked[inner, inner], plain[inner, inner], atol=5e-3)
 
 
-def test_validation(small_idg, wide_field):
+def test_validation(small_idg, small_obs, small_baselines, wide_field):
     obs, gs, idg, bl, vis, model, _ = wide_field
     with pytest.raises(ValueError):
-        WStackedIDG(small_idg, n_planes=0)
-    ws = WStackedIDG(idg, n_planes=2)
-    layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
+        WStackFTProcessor(_context(small_idg, small_obs, small_baselines), n_w_planes=0)
+    processor = WStackFTProcessor(_context(idg, obs, bl), n_w_planes=2)
     with pytest.raises(ValueError):
-        ws.predict(np.zeros((4, 16, 16)), layers, obs.uvw_m)
+        processor.predict(np.zeros((4, 16, 16)))
     with pytest.raises(ValueError):
-        ws.predict(model, [], obs.uvw_m)
-    with pytest.raises(ValueError):
-        split_plan_by_w(layers[0].plan, obs.uvw_m, 0)
-
-
-def test_memory_scales_with_planes(small_idg):
-    two = WStackedIDG(small_idg, n_planes=2)
-    eight = WStackedIDG(small_idg, n_planes=8)
-    assert eight.memory_bytes() == 4 * two.memory_bytes()
+        split_plan_by_w(processor.plan, obs.uvw_m, 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.batching import chunk_ranges, interleaved_ranges
+from repro.parallel.batching import chunk_ranges
 
 
 def test_chunk_ranges_partition():
@@ -27,23 +27,3 @@ def test_chunk_ranges_validation():
     with pytest.raises(ValueError):
         chunk_ranges(5, 0)
 
-
-def test_interleaved_ranges_cover_exactly_once():
-    total, group, workers = 23, 4, 3
-    seen = []
-    for w in range(workers):
-        for a, b in interleaved_ranges(total, group, w, workers):
-            seen.extend(range(a, b))
-    assert sorted(seen) == list(range(total))
-
-
-def test_interleaved_round_robin_order():
-    assert list(interleaved_ranges(20, 4, 0, 2)) == [(0, 4), (8, 12), (16, 20)]
-    assert list(interleaved_ranges(20, 4, 1, 2)) == [(4, 8), (12, 16)]
-
-
-def test_interleaved_validation():
-    with pytest.raises(ValueError):
-        list(interleaved_ranges(10, 0, 0, 1))
-    with pytest.raises(ValueError):
-        list(interleaved_ranges(10, 2, 3, 2))

@@ -138,7 +138,7 @@ def test_gather_visibilities_rejects_malformed_input(small_plan, single_source_v
 
 
 def test_gather_rel_uvw_matches_per_item(small_plan, small_obs):
-    from repro.core.gridder import relative_uvw_wavelengths
+    from repro.core.reference import relative_uvw_wavelengths
 
     arena = ScratchArena()
     bucket = bucket_work_items(small_plan, 0, small_plan.n_subgrids)[0]
@@ -154,26 +154,33 @@ def test_gather_rel_uvw_matches_per_item(small_plan, small_obs):
         np.testing.assert_allclose(stacked[g], expected, rtol=1e-12)
 
 
-# ------------------------------------------------------- batched == per-item
+# ------------------------------------------- batched == per-item reference
 
 
-@pytest.mark.parametrize("channel_recurrence", [False, True],
-                         ids=["direct", "recurrence"])
-def test_grid_batched_matches_per_item_driver(small_idg, small_plan, small_obs,
-                                              single_source_vis,
-                                              channel_recurrence):
-    from repro.core.gridder import grid_work_group
+@pytest.fixture(params=["direct", "recurrence"])
+def kernel_plan(request, small_idg, small_plan, small_obs, small_baselines):
+    """The small plan as is (evenly spaced channels: the recurrence kernels)
+    or rebuilt on a channel ladder nudged off its arithmetic progression
+    (the direct-sum kernels)."""
+    if request.param == "recurrence":
+        return small_plan
+    freqs = small_obs.frequencies_hz + np.array([0.0, 3e3, -2e3, 1e3])
+    assert uniform_channel_step(freqs) is None
+    return small_idg.make_plan(small_obs.uvw_m, freqs, small_baselines)
 
-    stop = min(24, small_plan.n_subgrids)
-    per_item = grid_work_group(
-        small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
+
+def test_grid_batched_matches_per_item_driver(small_idg, kernel_plan, small_obs,
+                                              single_source_vis):
+    from repro.backends import get_backend
+
+    stop = min(4, kernel_plan.n_subgrids)
+    per_item = get_backend("reference").grid_work_group(
+        kernel_plan, 0, stop, small_obs.uvw_m, single_source_vis,
         small_idg.taper, lmn=small_idg.lmn,
-        channel_recurrence=channel_recurrence,
     )
     batched = grid_work_group_batched(
-        small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
+        kernel_plan, 0, stop, small_obs.uvw_m, single_source_vis,
         small_idg.taper, lmn=small_idg.lmn,
-        channel_recurrence=channel_recurrence,
     )
     scale = float(np.abs(per_item).max())
     np.testing.assert_allclose(
@@ -183,9 +190,9 @@ def test_grid_batched_matches_per_item_driver(small_idg, small_plan, small_obs,
 
 def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
                                                 small_obs, single_source_vis):
-    from repro.core.degridder import degrid_work_group
+    from repro.backends import get_backend
 
-    stop = min(24, small_plan.n_subgrids)
+    stop = min(4, small_plan.n_subgrids)
     rng = np.random.default_rng(7)
     n = small_plan.subgrid_size
     shape = (stop, n, n, 2, 2)
@@ -194,14 +201,14 @@ def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
     ).astype(np.complex64)
 
     per_item = np.zeros_like(single_source_vis)
-    degrid_work_group(
+    get_backend("reference").degrid_work_group(
         small_plan, 0, stop, images, small_obs.uvw_m, per_item,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
+        small_idg.taper, lmn=small_idg.lmn,
     )
     batched = np.zeros_like(single_source_vis)
     degrid_work_group_batched(
         small_plan, 0, stop, images, small_obs.uvw_m, batched,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
+        small_idg.taper, lmn=small_idg.lmn,
     )
     scale = float(np.abs(per_item).max())
     np.testing.assert_allclose(
@@ -216,11 +223,10 @@ def test_tiny_batch_budget_still_matches(small_idg, small_plan, small_obs,
     stop = min(12, small_plan.n_subgrids)
     roomy = grid_work_group_batched(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
+        small_idg.taper, lmn=small_idg.lmn,
     )
     chunked = grid_work_group_batched(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
-        batch_bytes=1,
+        small_idg.taper, lmn=small_idg.lmn, batch_bytes=1,
     )
     np.testing.assert_allclose(chunked, roomy, rtol=1e-12)

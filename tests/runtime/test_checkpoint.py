@@ -66,9 +66,6 @@ def test_resume_from_partial_checkpoint_is_bit_exact(
         subgrids = backend.grid_work_group(
             small_plan, start, stop, small_obs.uvw_m, single_source_vis,
             idg.taper, lmn=idg.lmn, aterm_fields=None,
-            vis_batch=idg.config.vis_batch,
-            channel_recurrence=idg.config.channel_recurrence,
-            batched=idg.config.batched,
         )
         backend.add_subgrids(
             partial, small_plan, backend.subgrids_to_fourier(subgrids),

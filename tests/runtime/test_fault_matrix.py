@@ -67,9 +67,7 @@ def grid_excluding(idg, plan, uvw_m, vis, skip=()):
             continue
         subgrids = backend.grid_work_group(
             plan, start, stop, uvw_m, vis, idg.taper,
-            lmn=idg.lmn, aterm_fields=None, vis_batch=idg.config.vis_batch,
-            channel_recurrence=idg.config.channel_recurrence,
-            batched=idg.config.batched,
+            lmn=idg.lmn, aterm_fields=None,
         )
         backend.add_subgrids(
             grid, plan, backend.subgrids_to_fourier(subgrids), start=start
