@@ -4,15 +4,15 @@ Four configurations of :class:`repro.runtime.StreamingIDG` grid the same
 bench plan:
 
 ``disabled``
-    ``max_retries=0`` and no fault plan — the retry layer is never
-    constructed and the hot loop is the plain streaming path.  This is the
-    baseline the acceptance gate compares against.
+    ``max_retries=0`` and no fault plan — the program's
+    :class:`~repro.runtime.WorkGroupRunner` takes its fail-fast path, which
+    calls each stage directly.  This is the baseline the acceptance gate
+    compares against.
 ``armed``
     ``max_retries=2`` with no faults firing — every stage call goes through
-    the :class:`~repro.runtime.WorkGroupRunner`, so this is the *worst case*
-    for the disabled path's overhead (the runner does strictly more work
-    than the branch that skips it).  The gate asserts it stays within 2% of
-    the baseline makespan.
+    the runner's retry-and-quarantine path, which does strictly more work
+    than the fail-fast one.  The gate asserts it stays within 2% of the
+    baseline makespan.
 ``recovery``
     Two transient injected faults (``times=1``, zero backoff) — measures the
     cost of re-executing faulted work groups.
@@ -162,8 +162,8 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
     )
 
     # Acceptance gate: even with the retry layer *armed* (strictly more work
-    # than the disabled/PR-4 path, which never constructs it), the clean-run
-    # makespan stays within 2% of baseline.
+    # than the fail-fast path), the clean-run makespan stays within 2% of
+    # baseline.
     assert overhead["armed"] <= OVERHEAD_GATE, (
         f"armed retry layer costs {100 * (overhead['armed'] - 1):.2f}% "
         f"(gate: {100 * (OVERHEAD_GATE - 1):.0f}%)"

@@ -1,27 +1,27 @@
 """Thread-parallel IDG pipeline (paper Section V-B).
 
-``ParallelIDG`` wraps a :class:`repro.core.IDG` and distributes *work groups*
-over a thread pool: one future per work group computes that group's
-Fourier-domain subgrids (the BLAS matrix products and FFTs inside release the
-GIL), and the main thread merges results onto the master grid **in ascending
-work-group order** — an in-order retirement loop over the futures, so the
-pool acts as its own reorder buffer.  Because the adder therefore accumulates
-groups in exactly the serial executor's plan order (and the row-partitioned
-adder keeps each pixel's within-group addition order unchanged), the parallel
-result is bit-identical to :meth:`repro.core.IDG.grid` — the property the
+``ParallelIDG`` runs a call's :class:`~repro.runtime.program.WorkGroupProgram`
+on a thread pool: one future per work group computes that group's stages up
+to the adder (the BLAS matrix products and FFTs inside release the GIL), and
+the main thread retires the futures **in ascending work-group order** — so
+the pool acts as its own reorder buffer and the adder accumulates groups in
+exactly the serial executor's plan order (the row-partitioned adder keeps
+each pixel's within-group addition order unchanged).  The result is
+bit-identical to :meth:`repro.core.IDG.grid` — the property the
 cross-executor conformance suite pins.  Degridding needs no merging at all —
 work items write disjoint visibility blocks — mirroring the paper's
 observation that the splitter/degridder side is trivially parallel.
 
-Failure semantics: a worker exception is wrapped in :class:`WorkGroupError`
-naming the plan range that caused it, an abort flag stops not-yet-started
-groups from touching the backend (so a doomed run does not grind through
-every remaining batch first), and the causal error is re-raised.
-``KeyboardInterrupt`` during the merge loop cancels the pool the same way.
-With fault tolerance active (``IDGConfig.max_retries > 0`` or an injected
+Failure semantics are the program's (:mod:`repro.runtime.recovery`): by
+default the first failing stage raises
+:class:`~repro.runtime.recovery.WorkGroupError` naming the stage, the work
+group and its plan range; an abort flag then stops not-yet-started groups
+from touching the backend (so a doomed run does not grind through every
+remaining batch first), and the error is re-raised from the retirement loop.
+``KeyboardInterrupt`` during that loop cancels the pool the same way.  With
+fault tolerance active (``IDGConfig.max_retries > 0`` or an injected
 :class:`~repro.runtime.faults.FaultPlan`) failures are instead retried and,
-on budget exhaustion, quarantined per work group — see
-:mod:`repro.runtime.recovery` and DESIGN.md §11.
+on budget exhaustion, quarantined per work group — see DESIGN.md §11.
 
 .. note::
    This is the simple data-parallel executor kept for the Section V-B CPU
@@ -36,29 +36,18 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
-from repro.constants import COMPLEX_DTYPE
-from repro.core.pipeline import IDG, prepare_visibilities
-from repro.data.store import ChunkedVisibilitySource
+from repro.core.pipeline import IDG
 from repro.core.plan import Plan
 from repro.runtime.faults import FaultPlan
-from repro.runtime.recovery import (
-    FaultReport,
-    Quarantined,
-    RetryPolicy,
-    WorkGroupRunner,
-    group_visibility_count,
-)
+from repro.runtime.program import WorkGroupProgram
+from repro.runtime.recovery import FaultReport, WorkGroupError
 
-
-class WorkGroupError(RuntimeError):
-    """A worker failure annotated with the plan range that caused it.
-
-    The original exception is chained as ``__cause__``.
-    """
+__all__ = ["ParallelIDG", "WorkGroupError"]
 
 
 class ParallelIDG:
@@ -77,7 +66,7 @@ class ParallelIDG:
         Optional deterministic fault-injection plan (tests, benchmarks).
 
     The fault report of the most recent tolerant run is kept on
-    ``last_fault_report`` (``None`` when the layer was inactive).
+    ``last_fault_report`` (``None`` when fail-fast).
     """
 
     def __init__(
@@ -97,25 +86,42 @@ class ParallelIDG:
 
     # ------------------------------------------------------------- internal
 
-    def _runner(self) -> WorkGroupRunner | None:
-        policy = RetryPolicy(
-            max_retries=self.idg.config.max_retries,
-            backoff_s=self.idg.config.retry_backoff_s,
-        )
-        if not policy.enabled and self.faults is None:
-            return None
-        return WorkGroupRunner(policy, faults=self.faults)
+    def _run_in_order(
+        self,
+        n_groups: int,
+        compute: Callable[[int], Any],
+        retire: Callable[[int, Any], None] | None = None,
+    ) -> None:
+        """``compute(group)`` for every group on the pool, then
+        ``retire(group, result)`` on this thread in ascending group order.
 
-    def _n_groups(self, plan: Plan) -> int:
-        group_size = self.idg.config.work_group_size
-        return -(-plan.n_subgrids // group_size)
+        The first failure sets an abort flag (groups not started yet skip
+        their work), cancels the queued futures and is re-raised.
+        """
+        abort = threading.Event()
+        skipped = object()
 
-    @staticmethod
-    def _finish_report(runner: WorkGroupRunner, n_groups: int) -> None:
-        runner.report.n_groups = n_groups
-        runner.report.n_groups_completed = (
-            n_groups - len(runner.report.excluded_items())
-        )
+        def task(group: int) -> Any:
+            if abort.is_set():
+                return skipped  # the run is doomed; don't touch the backend
+            try:
+                return compute(group)
+            except BaseException:
+                abort.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
+            futures = [pool.submit(task, group) for group in range(n_groups)]
+            try:
+                for group, future in enumerate(futures):
+                    result = future.result()
+                    if retire is not None and result is not skipped:
+                        retire(group, result)
+            except BaseException:  # noqa: B036 — incl. KeyboardInterrupt
+                abort.set()
+                for future in futures:
+                    future.cancel()
+                raise
 
     # ------------------------------------------------------------- gridding
 
@@ -130,107 +136,30 @@ class ParallelIDG:
     ) -> np.ndarray:
         """Parallel equivalent of :meth:`repro.core.IDG.grid`.
 
-        One future per work group; the merge loop retires futures in
-        ascending group order, so the master grid accumulates contributions
-        in exactly the serial plan order (bit-identical result) while the
-        pool keeps gridding ahead.  ``flags`` and ``aterm_fields`` behave as
-        on the serial executor.
+        One future per work group runs the gridder and subgrid FFT; the
+        retirement loop adds groups in ascending order, so the master grid
+        accumulates contributions in exactly the serial plan order
+        (bit-identical result) while the pool keeps gridding ahead.
+        ``flags`` and ``aterm_fields`` behave as on the serial executor.
         """
-        idg = self.idg
-        backend = idg.backend
-        idg._check_shapes(plan, uvw_m, visibilities)
-        visibilities = prepare_visibilities(visibilities, flags)
-        source = (
-            visibilities
-            if isinstance(visibilities, ChunkedVisibilitySource) else None
+        program = WorkGroupProgram.for_grid(
+            self.idg, plan, uvw_m, visibilities, aterms=aterms, flags=flags,
+            aterm_fields=aterm_fields, faults=self.faults,
         )
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else idg.aterm_fields(plan, aterms)
+        self.last_fault_report = program.fault_report
+
+        def retire(group: int, fourier: Any) -> None:
+            # Retired groups' mmap pages are dead weight; evict them so
+            # resident memory tracks the groups in flight.
+            program.drop_caches()
+            program.adder(group, fourier, n_workers=self.n_workers)
+
+        self._run_in_order(
+            program.n_groups,
+            lambda group: program.subgrid_fft(group, program.gridder(group)),
+            retire,
         )
-        groups = list(plan.work_groups(idg.config.work_group_size))
-        runner = self._runner()
-        self.last_fault_report = runner.report if runner is not None else None
-        abort = threading.Event()
-
-        def compute(group: int, start: int, stop: int):
-            """Gridder + subgrid FFT for one work group (worker thread)."""
-            if abort.is_set():
-                return None  # run is doomed; don't grind through the rest
-
-            def grid_body() -> np.ndarray:
-                return backend.grid_work_group(
-                    plan, start, stop, uvw_m, visibilities, idg.taper,
-                    lmn=idg.lmn, aterm_fields=fields,
-                )
-
-            if runner is None:
-                try:
-                    return backend.subgrids_to_fourier(grid_body())
-                except Exception as exc:
-                    abort.set()
-                    raise WorkGroupError(
-                        f"gridding work group {group} (plan items "
-                        f"[{start}, {stop})) failed: {exc!r}"
-                    ) from exc
-            n_vis = group_visibility_count(plan, start, stop)
-            subgrids = runner.run(
-                "gridder", group, grid_body,
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-            if isinstance(subgrids, Quarantined):
-                return subgrids
-            return runner.run(
-                "subgrid_fft", group,
-                lambda: backend.subgrids_to_fourier(subgrids),
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-
-        grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [
-                pool.submit(compute, group, start, stop)
-                for group, (start, stop) in enumerate(groups)
-            ]
-            try:
-                # In-order retirement: wait for each group in plan order and
-                # add it while later groups keep computing in the pool.  The
-                # row-parallel adder preserves each pixel's within-group
-                # addition order, so the overall fold matches serial bitwise.
-                for group, (start, stop) in enumerate(groups):
-                    fourier = futures[group].result()
-                    if source is not None:
-                        # Retired groups' mmap pages are dead weight; evict
-                        # them so resident memory tracks groups in flight.
-                        source.drop_caches()
-                    if fourier is None or isinstance(fourier, Quarantined):
-                        continue
-                    if runner is None:
-                        backend.add_subgrids(
-                            grid, plan, fourier, start=start,
-                            n_workers=self.n_workers,
-                        )
-                        continue
-                    runner.run(
-                        "adder", group,
-                        lambda f=fourier, st=start: backend.add_subgrids(
-                            grid, plan, f, start=st, n_workers=self.n_workers,
-                        ),
-                        start=start, stop=stop,
-                        n_visibilities=group_visibility_count(plan, start, stop),
-                    )
-            except BaseException:  # noqa: B036 — incl. KeyboardInterrupt
-                # Cancel queued futures and flag in-flight workers to stop
-                # before touching the backend, then re-raise the causal
-                # error.
-                abort.set()
-                for future in futures:
-                    future.cancel()
-                raise
-        if runner is not None:
-            self._finish_report(runner, len(groups))
-        return grid
+        return program.finish()
 
     # ----------------------------------------------------------- degridding
 
@@ -253,64 +182,15 @@ class ParallelIDG:
         ``out`` (zero-initialised, e.g. a writable dataset-store map)
         receives the prediction in place as on the serial executor.
         """
-        idg = self.idg
-        backend = idg.backend
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else idg.aterm_fields(plan, aterms)
+        program = WorkGroupProgram.for_degrid(
+            self.idg, plan, uvw_m, grid, aterms=aterms,
+            aterm_fields=aterm_fields, out=out, faults=self.faults,
         )
-        groups = list(plan.work_groups(idg.config.work_group_size))
-        n_bl, n_times, _ = uvw_m.shape
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
-        if out is None:
-            out = np.zeros(expected, dtype=COMPLEX_DTYPE)
-        elif out.shape != expected:
-            raise ValueError(f"out shape {out.shape} != {expected}")
-        runner = self._runner()
-        self.last_fault_report = runner.report if runner is not None else None
-        abort = threading.Event()
-
-        def compute(group: int, start: int, stop: int) -> None:
-            if abort.is_set():
-                return
-
-            def degrid_body() -> None:
-                patches = backend.split_subgrids(grid, plan, start, stop)
-                backend.degrid_work_group(
-                    plan, start, stop, backend.subgrids_to_image(patches),
-                    uvw_m, out,
-                    idg.taper, lmn=idg.lmn, aterm_fields=fields,
-                )
-
-            if runner is None:
-                try:
-                    degrid_body()
-                except Exception as exc:
-                    abort.set()
-                    raise WorkGroupError(
-                        f"degridding work group {group} (plan items "
-                        f"[{start}, {stop})) failed: {exc!r}"
-                    ) from exc
-                return
-            runner.run(
-                "degridder", group, degrid_body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [
-                pool.submit(compute, group, start, stop)
-                for group, (start, stop) in enumerate(groups)
-            ]
-            try:
-                for future in futures:
-                    future.result()  # surface worker exceptions
-            except BaseException:  # noqa: B036 — incl. KeyboardInterrupt
-                abort.set()
-                for future in futures:
-                    future.cancel()
-                raise
-        if runner is not None:
-            self._finish_report(runner, len(groups))
-        return out
+        self.last_fault_report = program.fault_report
+        self._run_in_order(
+            program.n_groups,
+            lambda group: program.degridder(
+                group, program.subgrid_ifft(group, program.subgrid_split(group))
+            ),
+        )
+        return program.finish()

@@ -42,7 +42,13 @@ the parent respawns a replacement worker for the shard's remaining groups
 (re-seeding injected-crash counters so deterministic kill tests converge),
 on exhaustion the group is quarantined as a ``stage="worker"`` dead letter
 and the respawn continues without it.  In fail-fast mode (no retries, no
-fault plan) a death raises :class:`~repro.parallel.executor.WorkGroupError`.
+fault plan) a death raises :class:`~repro.runtime.recovery.WorkGroupError`.
+
+Both sides run the call's :class:`~repro.runtime.program.WorkGroupProgram`:
+each worker rebuilds the program over the arena views and runs its shard's
+groups through the same stage bodies and failure contract as every other
+executor, and the parent's program supplies the input checks, the exact-mode
+adder, and the fault report into which worker outcomes are folded.
 
 Not exactly-once: in ``tree`` mode a worker killed mid-add can leave a
 partial contribution in its shard grid which a re-run then duplicates — the
@@ -64,10 +70,9 @@ import numpy as np
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
 from repro.core.adder import add_grid, tree_reduce_grids
-from repro.core.pipeline import IDG, IDGConfig, prepare_visibilities
+from repro.core.pipeline import IDG, IDGConfig
 from repro.core.plan import Plan
-from repro.data.store import ChunkedVisibilitySource, open_store
-from repro.parallel.executor import WorkGroupError
+from repro.data.store import open_store
 from repro.parallel.partition import (
     ShardAssignment,
     partition_work_groups,
@@ -76,12 +81,12 @@ from repro.parallel.partition import (
 from repro.parallel.shm import ArenaSpec, SharedArena
 from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedCrash
+from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import (
     DeadLetter,
     FaultReport,
     Quarantined,
-    RetryPolicy,
-    WorkGroupRunner,
+    WorkGroupError,
     group_visibility_count,
 )
 from repro.runtime.telemetry import Telemetry, monotonic
@@ -208,11 +213,6 @@ def _read_text(row: np.ndarray) -> str:
     return bytes(row.tobytes()).rstrip(b"\x00").decode("utf-8", "replace")
 
 
-def _group_range(plan: Plan, group: int, group_size: int) -> tuple[int, int]:
-    start = group * group_size
-    return start, min(start + group_size, plan.n_subgrids)
-
-
 # --------------------------------------------------------------- worker side
 
 
@@ -225,188 +225,94 @@ def _worker_main(task: _ShardTask) -> None:
     """
     arena = SharedArena.attach(task.arena)
     try:
-        idg = IDG(task.plan.gridspec, task.idg_config)
         faults = None
         if task.fault_specs is not None:
             faults = FaultPlan(task.fault_specs)
-            if task.seeded_attempts:
-                faults.seed_attempts(
-                    {(stage, group): count
-                     for stage, group, count in task.seeded_attempts}
-                )
-        runner = None
-        if task.idg_config.max_retries > 0 or faults is not None:
-            runner = WorkGroupRunner(
-                RetryPolicy(
-                    max_retries=task.idg_config.max_retries,
-                    backoff_s=task.idg_config.retry_backoff_s,
-                ),
-                faults=faults,
+            faults.seed_attempts(
+                {(stage, group): count
+                 for stage, group, count in task.seeded_attempts}
             )
-        if task.kind == "grid":
-            _run_grid_shard(task, idg, arena, runner)
-        else:
-            _run_degrid_shard(task, idg, arena, runner)
+        _run_shard(task, _shard_program(task, arena, faults), arena)
     except InjectedCrash:
         os.kill(os.getpid(), signal.SIGKILL)
     finally:
         arena.close()
 
 
-def _publish_quarantine(
-    arena: SharedArena, group: int, letter: DeadLetter
-) -> None:
-    """Copy a worker-side dead letter into the arena accounting rows."""
-    _write_text(arena["errors"][group], letter.error)
-    _write_text(arena["stages"][group], letter.stage)
-    arena["attempts"][group] = letter.attempts
-    arena["status"][group] = _DEAD
-
-
-def _run_grid_shard(
-    task: _ShardTask, idg: IDG, arena: SharedArena, runner: WorkGroupRunner | None
-) -> None:
-    plan = task.plan
-    backend = idg.backend
-    uvw = arena["uvw"]
+def _shard_program(
+    task: _ShardTask, arena: SharedArena, faults: FaultPlan | None
+) -> WorkGroupProgram:
+    """The call's program rebuilt over this worker's arena views."""
+    idg = IDG(task.plan.gridspec, task.idg_config)
+    if task.kind == "degrid":
+        return WorkGroupProgram(
+            idg, task.plan, arena["uvw"], grid=arena["grid"],
+            out=arena["visout"], aterm_fields=task.aterm_fields, faults=faults,
+        )
     if task.store_path is not None:
         # Out-of-core shard: attach the chunked store read-only in this
         # process; the kernels stream masked blocks straight off the map.
         vis = open_store(task.store_path).source()
     else:
         vis = arena["vis"]
-    fourier = arena["fourier"]
-    status = arena["status"]
-    retries = arena["retries"]
-    durations = arena["durations"]
-    fields = task.aterm_fields
-    group_size = task.idg_config.work_group_size
     shard_grid = (
         arena["shardgrids"][task.shard] if task.reduction == "tree" else None
     )
-    for group in task.groups:
-        start, stop = _group_range(plan, group, group_size)
-        t0 = time.perf_counter()
-        if task.emulate_compute_s > 0:
-            time.sleep(task.emulate_compute_s)
+    return WorkGroupProgram(
+        idg, task.plan, arena["uvw"], visibilities=vis, grid=shard_grid,
+        aterm_fields=task.aterm_fields, faults=faults,
+    )
 
-        def gridder_body(start: int = start, stop: int = stop) -> np.ndarray:
-            return backend.grid_work_group(
-                plan, start, stop, uvw, vis, idg.taper,
-                lmn=idg.lmn, aterm_fields=fields,
-            )
 
-        if runner is None:
-            try:
-                block = backend.subgrids_to_fourier(gridder_body())
-            except Exception as exc:
-                _write_text(
-                    arena["errors"][group],
-                    f"gridding work group {group} (plan items "
-                    f"[{start}, {stop})) failed in shard {task.shard}: "
-                    f"{exc!r}",
-                )
-                _write_text(arena["stages"][group], "gridder")
-                status[group] = _FAILED
-                return
-            fourier[start:stop] = block
-            if shard_grid is not None:
-                backend.add_subgrids(shard_grid, plan, block, start=start)
-            durations[group] = time.perf_counter() - t0
-            status[group] = _DONE
-            if task.store_path is not None:
-                vis.drop_caches()  # retired group's file pages -> OS
-            continue
-
-        n_vis = group_visibility_count(plan, start, stop)
-        retries_before = runner.report.n_retries
-        outcome = runner.run(
-            "gridder", group, gridder_body,
-            start=start, stop=stop, n_visibilities=n_vis,
+def _run_group(
+    task: _ShardTask, program: WorkGroupProgram, arena: SharedArena, group: int
+) -> object:
+    """One work group's worker-side stages; its last stage's outcome."""
+    if task.kind == "degrid":
+        return program.degridder(
+            group, program.subgrid_ifft(group, program.subgrid_split(group))
         )
-        if not isinstance(outcome, Quarantined):
-            subgrids = outcome
-            outcome = runner.run(
-                "subgrid_fft", group,
-                lambda s=subgrids: backend.subgrids_to_fourier(s),
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-        if not isinstance(outcome, Quarantined):
-            fourier[start:stop] = outcome
-            if shard_grid is not None:
-                block = outcome
-                outcome = runner.run(
-                    "adder", group,
-                    lambda b=block, st=start: backend.add_subgrids(
-                        shard_grid, plan, b, start=st
-                    ),
-                    start=start, stop=stop, n_visibilities=n_vis,
-                )
-        retries[group] = runner.report.n_retries - retries_before
-        durations[group] = time.perf_counter() - t0
-        if isinstance(outcome, Quarantined):
-            _publish_quarantine(arena, group, runner.report.dead_letters[-1])
-        else:
-            status[group] = _DONE
-        if task.store_path is not None:
-            vis.drop_caches()  # retired group's file pages -> OS
+    fourier = program.subgrid_fft(group, program.gridder(group))
+    if isinstance(fourier, Quarantined):
+        return fourier
+    start, stop = program.groups[group]
+    arena["fourier"][start:stop] = fourier
+    if task.reduction == "tree":
+        return program.adder(group, fourier)
+    return fourier
 
 
-def _run_degrid_shard(
-    task: _ShardTask, idg: IDG, arena: SharedArena, runner: WorkGroupRunner | None
+def _run_shard(
+    task: _ShardTask, program: WorkGroupProgram, arena: SharedArena
 ) -> None:
-    plan = task.plan
-    backend = idg.backend
-    uvw = arena["uvw"]
-    grid = arena["grid"]
-    out = arena["visout"]
+    """Run the shard's groups in ascending order; publish each outcome
+    through its accounting rows, status byte last."""
     status = arena["status"]
-    retries = arena["retries"]
-    durations = arena["durations"]
-    fields = task.aterm_fields
-    group_size = task.idg_config.work_group_size
+    report = program.report
     for group in task.groups:
-        start, stop = _group_range(plan, group, group_size)
         t0 = time.perf_counter()
         if task.emulate_compute_s > 0:
             time.sleep(task.emulate_compute_s)
-
-        def degrid_body(start: int = start, stop: int = stop) -> None:
-            patches = backend.split_subgrids(grid, plan, start, stop)
-            backend.degrid_work_group(
-                plan, start, stop, backend.subgrids_to_image(patches),
-                uvw, out, idg.taper,
-                lmn=idg.lmn, aterm_fields=fields,
-            )
-
-        if runner is None:
-            try:
-                degrid_body()
-            except Exception as exc:
-                _write_text(
-                    arena["errors"][group],
-                    f"degridding work group {group} (plan items "
-                    f"[{start}, {stop})) failed in shard {task.shard}: "
-                    f"{exc!r}",
-                )
-                _write_text(arena["stages"][group], "degridder")
-                status[group] = _FAILED
-                return
-            durations[group] = time.perf_counter() - t0
-            status[group] = _DONE
-            continue
-
-        retries_before = runner.report.n_retries
-        outcome = runner.run(
-            "degridder", group, degrid_body, start=start, stop=stop,
-            n_visibilities=group_visibility_count(plan, start, stop),
-        )
-        retries[group] = runner.report.n_retries - retries_before
-        durations[group] = time.perf_counter() - t0
+        retries_before = report.n_retries
+        try:
+            outcome = _run_group(task, program, arena, group)
+        except WorkGroupError as exc:
+            # Fail-fast: the parent re-raises this with the shard named.
+            _write_text(arena["errors"][group], exc.error)
+            _write_text(arena["stages"][group], exc.stage)
+            status[group] = _FAILED
+            return
+        arena["retries"][group] = report.n_retries - retries_before
+        arena["durations"][group] = time.perf_counter() - t0
         if isinstance(outcome, Quarantined):
-            _publish_quarantine(arena, group, runner.report.dead_letters[-1])
+            letter = report.dead_letters[-1]
+            _write_text(arena["errors"][group], letter.error)
+            _write_text(arena["stages"][group], letter.stage)
+            arena["attempts"][group] = letter.attempts
+            status[group] = _DEAD
         else:
             status[group] = _DONE
+        program.drop_caches()  # retired group's file pages -> OS
 
 
 # --------------------------------------------------------------- parent side
@@ -418,35 +324,29 @@ class _ShardSupervisor:
     Shared by the grid and degrid paths; holds the worker-process table, the
     per-group death counts, and the set of groups the *parent* quarantined
     because their worker died past the retry budget (``parent_dead`` — their
-    dead letters are already in the runner's report when set).
+    dead letters are already in the program's report when set).
     """
 
     def __init__(
         self,
         *,
         kind: str,
-        idg: IDG,
+        program: WorkGroupProgram,
         config: ProcessConfig,
-        plan: Plan,
         assignment: ShardAssignment,
         arena: SharedArena,
-        runner: WorkGroupRunner | None,
         telemetry: Telemetry,
         faults: FaultPlan | None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None,
         skip: frozenset[int] = frozenset(),
         store_path: str | None = None,
     ) -> None:
         self.kind = kind
-        self.idg = idg
+        self.program = program
         self.config = config
-        self.plan = plan
         self.assignment = assignment
         self.arena = arena
-        self.runner = runner
         self.telemetry = telemetry
         self.fault_specs = faults.specs if faults is not None else None
-        self.aterm_fields = aterm_fields
         self.skip = skip
         self.store_path = store_path
         self.status = arena["status"]
@@ -464,6 +364,37 @@ class _ShardSupervisor:
             if pending:
                 self._spawn(shard, pending)
 
+    def collect(self, group: int) -> Quarantined | None:
+        """Wait for ``group`` and read its arena rows: the worker's retries
+        and dead letter are folded into the program's report, a lost group
+        returns its :class:`Quarantined` sentinel, and a fail-fast worker
+        failure raises :class:`WorkGroupError` naming the shard."""
+        code = self.await_group(group)
+        start, stop = self.program.groups[group]
+        lost = Quarantined(group=group, start=start, stop=stop)
+        if group in self.parent_dead:
+            return lost
+        arena = self.arena
+        if code == _FAILED:
+            raise WorkGroupError(
+                _read_text(arena["stages"][group]), group, start, stop,
+                _read_text(arena["errors"][group]),
+                shard=self.assignment.shard_of[group],
+            )
+        letter = None
+        if code == _DEAD:
+            letter = DeadLetter(
+                stage=_read_text(arena["stages"][group]),
+                group=group,
+                start=start,
+                stop=stop,
+                attempts=int(arena["attempts"][group]),
+                error=_read_text(arena["errors"][group]),
+                n_visibilities=group_visibility_count(self.program.plan, start, stop),
+            )
+        self.program.runner.absorb(int(arena["retries"][group]), letter)
+        return lost if letter is not None else None
+
     def await_group(self, group: int) -> int:
         """Block until ``group`` leaves pending; returns its status byte.
 
@@ -477,9 +408,10 @@ class _ShardSupervisor:
         ):
             proc = self.procs.get(shard)
             if proc is None:
+                start, stop = self.program.groups[group]
                 raise WorkGroupError(
-                    f"no worker process owns pending work group {group} "
-                    f"(shard {shard})"
+                    "worker", group, start, stop,
+                    "no worker process owns this pending group", shard=shard,
                 )
             if proc.exitcode is not None:
                 # Re-check status after observing the exit: the worker may
@@ -513,18 +445,19 @@ class _ShardSupervisor:
             for spec in (self.fault_specs or ())
             if spec.kind == "crash" and self.death_counts.get(spec.group, 0) > 0
         )
+        program = self.program
         task = _ShardTask(
             shard=shard,
             kind=self.kind,
-            plan=self.plan,
-            idg_config=self.idg.config,
+            plan=program.plan,
+            idg_config=program.idg.config,
             arena=self.arena.spec(),
             groups=shard_groups,
             fault_specs=self.fault_specs,
             seeded_attempts=seeded,
             emulate_compute_s=self.config.emulate_compute_s,
             reduction=self.config.reduction,
-            aterm_fields=self.aterm_fields,
+            aterm_fields=program.aterm_fields,
             store_path=self.store_path,
         )
         proc = self._ctx.Process(target=_worker_main, args=(task,), daemon=True)
@@ -544,21 +477,14 @@ class _ShardSupervisor:
             return  # died after finishing its shard; nothing was lost
         active = pending[0]  # workers run their groups in ascending order
         self.death_counts[active] = self.death_counts.get(active, 0) + 1
-        group_size = self.idg.config.work_group_size
-        start, stop = _group_range(self.plan, active, group_size)
+        start, stop = self.program.groups[active]
         death = WorkerDeath(
             f"worker process for shard {shard} died with exit code {code} "
             f"while work group {active} was in flight"
         )
-        if self.runner is None:
-            verb = "gridding" if self.kind == "grid" else "degridding"
-            raise WorkGroupError(
-                f"{verb} work group {active} (plan items [{start}, {stop})) "
-                f"failed in shard {shard}: {death}"
-            ) from death
-        quarantined = self.runner.fail_external(
+        quarantined = self.program.runner.fail_external(
             "worker", active, start=start, stop=stop,
-            n_visibilities=group_visibility_count(self.plan, start, stop),
+            n_visibilities=group_visibility_count(self.program.plan, start, stop),
             attempts=self.death_counts[active], error=death,
         )
         if quarantined is not None:
@@ -583,15 +509,15 @@ class ProcessShardedIDG:
         ``spawn`` start method.
     faults:
         Optional deterministic fault-injection plan.  Worker-side stages
-        (``gridder``/``subgrid_fft``/``degridder``, plus ``adder`` in tree
-        mode) fire inside the worker processes; ``adder`` faults fire in the
-        parent in exact mode; ``crash`` faults kill the worker process for
-        real (SIGKILL).
+        (``gridder``/``subgrid_fft``/``subgrid_split``/``subgrid_ifft``/
+        ``degridder``, plus ``adder`` in tree mode) fire inside the worker
+        processes; ``adder`` faults fire in the parent in exact mode;
+        ``crash`` faults kill the worker process for real (SIGKILL).
     n_procs:
         Shorthand overriding ``config.n_procs``.
 
-    After each run ``last_fault_report`` (``None`` when fault tolerance was
-    inactive), ``last_telemetry`` (per-shard spans and counters) and
+    After each run ``last_fault_report`` (``None`` when fail-fast),
+    ``last_telemetry`` (per-shard spans and counters) and
     ``last_assignment`` (the LPT shard map) describe what happened.
     """
 
@@ -615,26 +541,22 @@ class ProcessShardedIDG:
 
     # ------------------------------------------------------------- internal
 
-    def _runner(self, telemetry: Telemetry) -> WorkGroupRunner | None:
-        policy = RetryPolicy(
-            max_retries=self.idg.config.max_retries,
-            backoff_s=self.idg.config.retry_backoff_s,
+    def _start(self, program: WorkGroupProgram, telemetry: Telemetry) -> ShardAssignment:
+        """Publish the run's records and return its LPT shard map."""
+        self.last_telemetry = telemetry
+        self.last_fault_report = program.fault_report
+        self.last_assignment = partition_work_groups(
+            plan_group_weights(program.plan, self.idg.config.work_group_size),
+            self.config.n_procs,
         )
-        if not policy.enabled and self.faults is None:
-            return None
-        return WorkGroupRunner(policy, faults=self.faults, telemetry=telemetry)
+        return self.last_assignment
 
-    def _drain_worker_retries(
-        self, runner: WorkGroupRunner | None, telemetry: Telemetry, count: int
+    @staticmethod
+    def _arena_inputs(
+        arena: SharedArena, uvw_m: np.ndarray, n_groups: int
     ) -> None:
-        """Fold a worker-side retry count into the parent's report."""
-        if runner is None or count <= 0:
-            return
-        for _ in range(count):
-            runner.report.record_retry()
-        telemetry.add_counter("retries", count)
-
-    def _accounting_blocks(self, arena: SharedArena, n_groups: int) -> None:
+        """The uvw slab and the per-group accounting rows."""
+        np.copyto(arena.allocate("uvw", uvw_m.shape, uvw_m.dtype), uvw_m)
         arena.allocate("status", (n_groups,), np.uint8)
         arena.allocate("attempts", (n_groups,), np.int32)
         arena.allocate("retries", (n_groups,), np.int32)
@@ -661,37 +583,6 @@ class ProcessShardedIDG:
             )
         telemetry.add_counter(f"shard{shard}.groups", 1)
 
-    def _child_dead_letter(
-        self,
-        runner: WorkGroupRunner,
-        telemetry: Telemetry,
-        arena: SharedArena,
-        plan: Plan,
-        group: int,
-        start: int,
-        stop: int,
-    ) -> None:
-        """Reconstruct a worker-side quarantine from the arena rows."""
-        runner.report.record_dead_letter(
-            DeadLetter(
-                stage=_read_text(arena["stages"][group]),
-                group=group,
-                start=start,
-                stop=stop,
-                attempts=int(arena["attempts"][group]),
-                error=_read_text(arena["errors"][group]),
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-        )
-        telemetry.add_counter("dead_letters", 1)
-
-    @staticmethod
-    def _finish_report(runner: WorkGroupRunner, n_groups: int) -> None:
-        runner.report.n_groups = n_groups
-        runner.report.n_groups_completed = (
-            n_groups - len(runner.report.excluded_items())
-        )
-
     # ------------------------------------------------------------- gridding
 
     def grid(
@@ -714,41 +605,27 @@ class ProcessShardedIDG:
         store's visibility file read-only itself (sharing the page cache),
         so out-of-core datasets never cross the process boundary.
         """
-        idg = self.idg
         cfg = self.config
-        backend = idg.backend
-        idg._check_shapes(plan, uvw_m, visibilities)
-        visibilities = prepare_visibilities(visibilities, flags)
-        store_path = None
-        if isinstance(visibilities, ChunkedVisibilitySource):
-            store_path = visibilities.store_path
+        telemetry = Telemetry()
+        program = WorkGroupProgram.for_grid(
+            self.idg, plan, uvw_m, visibilities, aterms=aterms, flags=flags,
+            aterm_fields=aterm_fields, faults=self.faults, telemetry=telemetry,
+        )
+        assignment = self._start(program, telemetry)
+        visibilities, store_path = program.visibilities, None
+        if program.source is not None:
+            store_path = program.source.store_path
             if store_path is None:
                 # A source without a backing store (or carrying extra flags
                 # the store does not record) cannot be re-opened inside the
                 # workers; fall back to the shared-memory slab.
-                visibilities = visibilities.materialize()
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else idg.aterm_fields(plan, aterms)
-        )
-        group_size = idg.config.work_group_size
-        groups = list(plan.work_groups(group_size))
-        n_groups = len(groups)
-        assignment = partition_work_groups(
-            plan_group_weights(plan, group_size), cfg.n_procs
-        )
-        self.last_assignment = assignment
-        telemetry = Telemetry()
-        self.last_telemetry = telemetry
-        runner = self._runner(telemetry)
-        self.last_fault_report = runner.report if runner is not None else None
+                visibilities = program.source.materialize()
+        master = program.grid
 
         signature = None
         completed: set[int] = set()
-        master = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
         if cfg.checkpoint_path is not None or cfg.resume_from is not None:
-            signature = plan_signature(plan, group_size)
+            signature = plan_signature(plan, self.idg.config.work_group_size)
         if cfg.resume_from is not None:
             ckpt = load_checkpoint(cfg.resume_from, signature=signature)
             completed = set(ckpt.completed_set)
@@ -761,11 +638,10 @@ class ProcessShardedIDG:
                 cfg.checkpoint_path, master, completed, signature,
                 n_retired=n_retired,
             )
-            if runner is not None:
-                runner.report.n_checkpoints += 1
+            program.report.n_checkpoints += 1
 
         with SharedArena() as arena:
-            np.copyto(arena.allocate("uvw", uvw_m.shape, uvw_m.dtype), uvw_m)
+            self._arena_inputs(arena, uvw_m, program.n_groups)
             if store_path is None:
                 np.copyto(
                     arena.allocate(
@@ -777,64 +653,27 @@ class ProcessShardedIDG:
             fourier = arena.allocate(
                 "fourier", (plan.n_subgrids, n, n, 2, 2), COMPLEX_DTYPE
             )
-            self._accounting_blocks(arena, n_groups)
             if cfg.reduction == "tree":
-                g = idg.gridspec.grid_size
+                g = self.idg.gridspec.grid_size
                 shardgrids = arena.allocate(
                     "shardgrids", (cfg.n_procs, 4, g, g), COMPLEX_DTYPE
                 )
             supervisor = _ShardSupervisor(
-                kind="grid", idg=idg, config=cfg, plan=plan,
-                assignment=assignment, arena=arena, runner=runner,
-                telemetry=telemetry, faults=self.faults, aterm_fields=fields,
-                skip=frozenset(completed), store_path=store_path,
+                kind="grid", program=program, config=cfg,
+                assignment=assignment, arena=arena, telemetry=telemetry,
+                faults=self.faults, skip=frozenset(completed),
+                store_path=store_path,
             )
             try:
                 supervisor.start()
-                for group, (start, stop) in enumerate(groups):
+                for group, (start, stop) in enumerate(program.groups):
                     if group in completed:
                         continue  # resumed from checkpoint
-                    code = supervisor.await_group(group)
-                    if group in supervisor.parent_dead:
-                        n_retired += 1
-                        retired_since_save += 1
-                    elif code == _FAILED:
-                        raise WorkGroupError(
-                            _read_text(arena["errors"][group])
-                        )
-                    elif code == _DEAD:
-                        self._drain_worker_retries(
-                            runner, telemetry, int(arena["retries"][group])
-                        )
-                        self._child_dead_letter(
-                            runner, telemetry, arena, plan, group, start, stop
-                        )
-                        n_retired += 1
-                        retired_since_save += 1
-                    else:  # _DONE
-                        self._drain_worker_retries(
-                            runner, telemetry, int(arena["retries"][group])
-                        )
-                        n_vis = group_visibility_count(plan, start, stop)
+                    outcome = supervisor.collect(group)
+                    if not isinstance(outcome, Quarantined):
                         t0 = monotonic()
-                        merged = True
                         if cfg.reduction == "exact":
-                            block = fourier[start:stop]
-                            if runner is None:
-                                backend.add_subgrids(
-                                    master, plan, block, start=start
-                                )
-                            else:
-                                result = runner.run(
-                                    "adder", group,
-                                    lambda b=block, st=start:
-                                        backend.add_subgrids(
-                                            master, plan, b, start=st
-                                        ),
-                                    start=start, stop=stop,
-                                    n_visibilities=n_vis,
-                                )
-                                merged = not isinstance(result, Quarantined)
+                            outcome = program.adder(group, fourier[start:stop])
                             telemetry.record_span(
                                 "adder", group, t0, monotonic(),
                                 worker="parent",
@@ -842,11 +681,14 @@ class ProcessShardedIDG:
                         self._record_group_spans(
                             telemetry, arena, assignment, group, t0
                         )
-                        if merged:
-                            telemetry.add_counter("visibilities", n_vis)
+                        if not isinstance(outcome, Quarantined):
+                            telemetry.add_counter(
+                                "visibilities",
+                                group_visibility_count(plan, start, stop),
+                            )
                             completed.add(group)
-                        n_retired += 1
-                        retired_since_save += 1
+                    n_retired += 1
+                    retired_since_save += 1
                     if (
                         cfg.checkpoint_path is not None
                         and retired_since_save >= cfg.checkpoint_interval
@@ -865,9 +707,7 @@ class ProcessShardedIDG:
                     # Final snapshot on success *and* on abort, so a killed
                     # run resumes bit-exactly from the last retired prefix.
                     save_snapshot()
-        if runner is not None:
-            self._finish_report(runner, n_groups)
-        return master
+        return program.finish()
 
     # ----------------------------------------------------------- degridding
 
@@ -890,72 +730,33 @@ class ProcessShardedIDG:
         ``visout`` slab itself remains O(dataset); streaming degrid output
         without the slab is the StreamingIDG path's job.
         """
-        idg = self.idg
-        cfg = self.config
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else idg.aterm_fields(plan, aterms)
-        )
-        group_size = idg.config.work_group_size
-        groups = list(plan.work_groups(group_size))
-        n_groups = len(groups)
-        assignment = partition_work_groups(
-            plan_group_weights(plan, group_size), cfg.n_procs
-        )
-        self.last_assignment = assignment
         telemetry = Telemetry()
-        self.last_telemetry = telemetry
-        runner = self._runner(telemetry)
-        self.last_fault_report = runner.report if runner is not None else None
-        n_bl, n_times, _ = uvw_m.shape
-
+        program = WorkGroupProgram.for_degrid(
+            self.idg, plan, uvw_m, grid, aterms=aterms,
+            aterm_fields=aterm_fields, out=out, faults=self.faults,
+            telemetry=telemetry,
+        )
+        assignment = self._start(program, telemetry)
         with SharedArena() as arena:
-            np.copyto(arena.allocate("uvw", uvw_m.shape, uvw_m.dtype), uvw_m)
+            self._arena_inputs(arena, uvw_m, program.n_groups)
             np.copyto(arena.allocate("grid", grid.shape, grid.dtype), grid)
-            visout = arena.allocate(
-                "visout", (n_bl, n_times, plan.n_channels, 2, 2), COMPLEX_DTYPE
-            )
-            self._accounting_blocks(arena, n_groups)
+            visout = arena.allocate("visout", program.out.shape, COMPLEX_DTYPE)
             supervisor = _ShardSupervisor(
-                kind="degrid", idg=idg, config=cfg, plan=plan,
-                assignment=assignment, arena=arena, runner=runner,
-                telemetry=telemetry, faults=self.faults, aterm_fields=fields,
+                kind="degrid", program=program, config=self.config,
+                assignment=assignment, arena=arena, telemetry=telemetry,
+                faults=self.faults,
             )
             try:
                 supervisor.start()
-                for group, (start, stop) in enumerate(groups):
-                    code = supervisor.await_group(group)
-                    if group in supervisor.parent_dead:
-                        continue
-                    if code == _FAILED:
-                        raise WorkGroupError(_read_text(arena["errors"][group]))
-                    self._drain_worker_retries(
-                        runner, telemetry, int(arena["retries"][group])
-                    )
-                    if code == _DEAD:
-                        self._child_dead_letter(
-                            runner, telemetry, arena, plan, group, start, stop
+                for group, (start, stop) in enumerate(program.groups):
+                    if supervisor.collect(group) is None:
+                        self._record_group_spans(
+                            telemetry, arena, assignment, group, monotonic()
                         )
-                        continue
-                    self._record_group_spans(
-                        telemetry, arena, assignment, group, monotonic()
-                    )
-                    telemetry.add_counter(
-                        "visibilities", group_visibility_count(plan, start, stop)
-                    )
-                if out is None:
-                    result = visout.copy()
-                else:
-                    expected = (n_bl, n_times, plan.n_channels, 2, 2)
-                    if out.shape != expected:
-                        raise ValueError(
-                            f"out shape {out.shape} != {expected}"
+                        telemetry.add_counter(
+                            "visibilities", group_visibility_count(plan, start, stop)
                         )
-                    np.copyto(out, visout)
-                    result = out
+                np.copyto(program.out, visout)
             finally:
                 supervisor.shutdown()
-        if runner is not None:
-            self._finish_report(runner, n_groups)
-        return result
+        return program.finish()

@@ -13,8 +13,9 @@ Chrome-trace exporter, and graceful error propagation.
 
 Fault tolerance (DESIGN.md §11):
 
-* :class:`RetryPolicy` / :class:`WorkGroupRunner` — bounded-budget retry
-  with exponential backoff around per-work-group stage calls;
+* :class:`RetryPolicy` / :class:`WorkGroupRunner` — the failure contract
+  around per-work-group stage calls: fail-fast :class:`WorkGroupError` by
+  default, bounded-budget retry with exponential backoff when armed;
 * :class:`DeadLetter` / :class:`FaultReport` / :class:`Quarantined` —
   quarantine accounting when a group exhausts its budget;
 * :class:`FaultSpec` / :class:`FaultPlan` — deterministic fault injection
@@ -44,6 +45,7 @@ from repro.runtime.recovery import (
     FaultReport,
     Quarantined,
     RetryPolicy,
+    WorkGroupError,
     WorkGroupRunner,
     group_visibility_count,
 )
@@ -72,6 +74,7 @@ __all__ = [
     "StageGraph",
     "StreamingIDG",
     "Telemetry",
+    "WorkGroupError",
     "WorkGroupRunner",
     "group_visibility_count",
     "load_checkpoint",

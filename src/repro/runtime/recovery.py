@@ -1,26 +1,29 @@
 """Retry, dead-letter quarantine and fault reporting for work groups.
 
-The fault-tolerance layer shared by every executor (serial :class:`~repro.core.IDG`,
+The failure contract shared by every executor (serial :class:`~repro.core.IDG`,
 :class:`~repro.parallel.executor.ParallelIDG`,
-:class:`~repro.runtime.StreamingIDG`): each per-work-group stage call runs
-through a :class:`WorkGroupRunner`, which
+:class:`~repro.runtime.StreamingIDG`,
+:class:`~repro.parallel.process.ProcessShardedIDG`): each per-work-group
+stage call of a :class:`~repro.runtime.program.WorkGroupProgram` runs
+through its :class:`WorkGroupRunner`, which is always built.
 
-* retries failed attempts with exponential backoff under a bounded attempt
-  budget (:class:`RetryPolicy`, wired from ``IDGConfig.max_retries`` /
-  ``IDGConfig.retry_backoff_s`` and the CLI ``--max-retries`` /
-  ``--retry-backoff`` flags);
-* quarantines a work group that exhausts its budget into a
-  :class:`DeadLetter` (plan indices, final exception, attempt count) instead
-  of aborting the run — the stage call returns a :class:`Quarantined`
-  sentinel and the executor excludes that group's visibilities, with the
-  loss recorded for flag/weight accounting;
-* feeds retry/dead-letter counters and retry-backoff spans into the run's
-  :class:`~repro.runtime.telemetry.Telemetry`.
+* **Fail-fast** (``max_retries == 0`` and no fault plan, the default): the
+  stage runs directly and its first exception raises
+  :class:`WorkGroupError` naming the stage, the work group and its plan-item
+  range, with the original exception chained as ``__cause__``.
+* **Tolerant** (``IDGConfig.max_retries > 0`` / ``--max-retries``, or an
+  injected :class:`~repro.runtime.faults.FaultPlan`): failed attempts are
+  retried with exponential backoff under a bounded attempt budget
+  (:class:`RetryPolicy`); a work group that exhausts its budget is
+  quarantined into a :class:`DeadLetter` (plan indices, final exception,
+  attempt count) instead of aborting the run — the stage call returns a
+  :class:`Quarantined` sentinel that later stages pass on, and the executor
+  excludes that group's visibilities, with the loss recorded for
+  flag/weight accounting.  Retry/dead-letter counters and retry-backoff
+  spans feed the run's :class:`~repro.runtime.telemetry.Telemetry`.
 
-The whole layer is opt-in: with retries disabled and no fault plan installed
-the executors never construct a runner, so the legacy fail-fast path runs
-unchanged with zero overhead (measured by
-``benchmarks/bench_fault_recovery.py``).
+``benchmarks/bench_fault_recovery.py`` gates the tolerant path's clean-run
+cost against the fail-fast path.
 
 What is *not* exactly-once: gridder/FFT/splitter stages are pure functions
 of their inputs, so a retry re-runs them safely.  The adder mutates the
@@ -46,6 +49,7 @@ __all__ = [
     "FaultReport",
     "Quarantined",
     "RetryPolicy",
+    "WorkGroupError",
     "WorkGroupRunner",
     "group_visibility_count",
 ]
@@ -58,8 +62,9 @@ class RetryPolicy:
     Attributes
     ----------
     max_retries:
-        Retry attempts per stage call beyond the first try (0 disables the
-        fault-tolerance layer entirely: failures propagate immediately).
+        Retry attempts per stage call beyond the first try (0, with no
+        fault plan, is fail-fast: the first failure raises
+        :class:`WorkGroupError`).
     backoff_s:
         Backoff before the first retry; retry ``k`` waits
         ``backoff_s * backoff_factor**(k-1)`` seconds, capped.
@@ -93,6 +98,39 @@ class RetryPolicy:
         return min(
             self.backoff_s * self.backoff_factor ** (retry - 1),
             self.max_backoff_s,
+        )
+
+
+class WorkGroupError(RuntimeError):
+    """A fail-fast work-group failure: the stage, the work group and its
+    plan-item range (plus the shard, for a worker-process failure).
+
+    The original exception is chained as ``__cause__`` when it lives in this
+    process; ``error`` is its ``repr``.
+    """
+
+    def __init__(
+        self,
+        stage: str,
+        group: int,
+        start: int,
+        stop: int,
+        error: str,
+        shard: int | None = None,
+    ) -> None:
+        super().__init__(stage, group, start, stop, error, shard)
+        self.stage = stage
+        self.group = group
+        self.start = start
+        self.stop = stop
+        self.error = error
+        self.shard = shard
+
+    def __str__(self) -> str:
+        where = "" if self.shard is None else f" in shard {self.shard}"
+        return (
+            f"{self.stage} stage of work group {self.group} (plan items "
+            f"[{self.start}, {self.stop})) failed{where}: {self.error}"
         )
 
 
@@ -165,9 +203,9 @@ class FaultReport:
         with self._lock:
             self.dead_letters.append(letter)
 
-    def record_retry(self) -> None:
+    def record_retry(self, n: int = 1) -> None:
         with self._lock:
-            self.n_retries += 1
+            self.n_retries += n
 
     def summary(self) -> str:
         """One-paragraph human-readable digest of the run's faults."""
@@ -198,7 +236,7 @@ def group_visibility_count(plan: Any, start: int, stop: int) -> int:
 
 
 class WorkGroupRunner:
-    """Runs per-work-group stage calls under retry + quarantine semantics.
+    """Runs per-work-group stage calls under the failure contract.
 
     One runner is shared by all stages (and all worker threads) of a single
     grid/degrid call; its :class:`FaultReport` accumulates the outcome.
@@ -206,9 +244,9 @@ class WorkGroupRunner:
     Parameters
     ----------
     policy:
-        The retry budget/backoff.  ``max_retries=0`` still quarantines on
-        the first failure — a runner is only constructed when the caller
-        opted into fault tolerance.
+        The retry budget/backoff.  With ``max_retries=0`` and no ``faults``
+        the runner is fail-fast (module docstring); otherwise
+        ``max_retries=0`` quarantines on the first failure.
     faults:
         Optional deterministic injection plan (tests, benchmarks).
     telemetry:
@@ -227,6 +265,9 @@ class WorkGroupRunner:
         self.faults = faults
         self.telemetry = telemetry
         self.report = report if report is not None else FaultReport()
+        #: No retry budget and no fault plan: stage calls run directly and
+        #: the first failure raises :class:`WorkGroupError`.
+        self.fail_fast = not policy.enabled and faults is None
 
     def run(
         self,
@@ -238,13 +279,20 @@ class WorkGroupRunner:
         stop: int,
         n_visibilities: int,
     ) -> Any:
-        """Execute ``fn`` with retries; quarantine on budget exhaustion.
+        """Execute ``fn`` under the failure contract.
 
-        Returns ``fn()``'s result, or a :class:`Quarantined` sentinel after
-        ``1 + max_retries`` failed attempts.  Only ``Exception`` subclasses
-        are handled — ``KeyboardInterrupt`` and
-        :class:`~repro.runtime.faults.InjectedCrash` always propagate.
+        Fail-fast: returns ``fn()`` or raises :class:`WorkGroupError` from
+        its exception.  Tolerant: retries, and returns a
+        :class:`Quarantined` sentinel after ``1 + max_retries`` failed
+        attempts.  Only ``Exception`` subclasses are handled —
+        ``KeyboardInterrupt`` and :class:`~repro.runtime.faults.InjectedCrash`
+        always propagate.
         """
+        if self.fail_fast:
+            try:
+                return fn()
+            except Exception as exc:
+                raise WorkGroupError(stage, group, start, stop, repr(exc)) from exc
         budget = 1 + self.policy.max_retries
         attempt = 0
         while True:
@@ -280,27 +328,39 @@ class WorkGroupRunner:
         exception (a SIGKILL, an OOM kill, a segfault) never crosses the
         process boundary, so there is nothing for :meth:`run` to catch — the
         parent observes the exit code and charges the active work group one
-        attempt.  Within budget the failure is recorded as a retry (the
-        respawn latency *is* the backoff, so none is slept here) and ``None``
-        is returned — the caller respawns the shard.  Once ``attempts``
-        exhausts ``1 + max_retries`` the group is quarantined exactly like an
+        attempt.  Fail-fast, that raises :class:`WorkGroupError`.  Within
+        budget the failure is recorded as a retry (the respawn latency *is*
+        the backoff, so none is slept here) and ``None`` is returned — the
+        caller respawns the shard.  Once ``attempts`` exhausts
+        ``1 + max_retries`` the group is quarantined exactly like an
         in-process failure and the :class:`Quarantined` sentinel is returned.
         """
+        if self.fail_fast:
+            raise WorkGroupError(stage, group, start, stop, repr(error)) from error
         if attempts >= 1 + self.policy.max_retries:
             return self._quarantine(
                 stage, group, start, stop, n_visibilities, attempts, error
             )
-        self.report.record_retry()
-        if self.telemetry is not None:
-            self.telemetry.add_counter("retries", 1)
+        self.absorb(1)
         return None
+
+    def absorb(self, retries: int, letter: DeadLetter | None = None) -> None:
+        """Record ``retries`` retries and an optional dead letter in the
+        report and telemetry: this runner's own, or those a process-sharded
+        worker's runner published through shared memory."""
+        if retries:
+            self.report.record_retry(retries)
+            if self.telemetry is not None:
+                self.telemetry.add_counter("retries", retries)
+        if letter is not None:
+            self.report.record_dead_letter(letter)
+            if self.telemetry is not None:
+                self.telemetry.add_counter("dead_letters", 1)
 
     # ------------------------------------------------------------- internal
 
     def _retry(self, stage: str, group: int, attempt: int) -> None:
-        self.report.record_retry()
-        if self.telemetry is not None:
-            self.telemetry.add_counter("retries", 1)
+        self.absorb(1)
         pause = self.policy.backoff(attempt)
         t0 = monotonic()
         if pause > 0:
@@ -319,15 +379,11 @@ class WorkGroupRunner:
         stop: int,
         n_visibilities: int,
         attempts: int,
-        exc: Exception,
+        exc: BaseException,
     ) -> Quarantined:
-        self.report.record_dead_letter(
-            DeadLetter(
-                stage=stage, group=group, start=start, stop=stop,
-                attempts=attempts, error=repr(exc),
-                n_visibilities=n_visibilities,
-            )
-        )
-        if self.telemetry is not None:
-            self.telemetry.add_counter("dead_letters", 1)
+        self.absorb(0, DeadLetter(
+            stage=stage, group=group, start=start, stop=stop,
+            attempts=attempts, error=repr(exc),
+            n_visibilities=n_visibilities,
+        ))
         return Quarantined(group=group, start=start, stop=stop)

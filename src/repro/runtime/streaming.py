@@ -11,22 +11,20 @@ simulating it (:mod:`repro.perfmodel.streams`):
 with every hop a bounded channel and a global credit gate holding at most
 ``n_buffers`` work groups in flight — ``n_buffers=1`` degenerates to the
 serial schedule, ``n_buffers=3`` is the paper's triple buffering (Fig 7).
-The stage bodies are the *same kernels* the serial pipeline uses (the
-backend's ``grid_work_group``/``degrid_work_group`` — for the default
-backend the shape-bucketed drivers of :mod:`repro.parallel.bucketing` — the
-batched subgrid FFTs and the row-parallel adder), so results are
-bit-identical to ``IDG``: the adder
-stage applies batches in plan order (a reorder buffer absorbs out-of-order
-completion when ``gridder_workers > 1``), and degridding work items write
-disjoint visibility blocks.
+Each stage runs the matching stage of the call's
+:class:`~repro.runtime.program.WorkGroupProgram` — the *same* stage bodies
+the serial pipeline runs — so results are bit-identical to ``IDG``: the
+adder stage applies batches in plan order (a reorder buffer absorbs
+out-of-order completion when ``gridder_workers > 1``), and degridding work
+items write disjoint visibility blocks.
 
-Fault tolerance (DESIGN.md §11): when ``IDGConfig.max_retries > 0`` (or a
-:class:`~repro.runtime.faults.FaultPlan` is installed) every stage call runs
-through a :class:`~repro.runtime.recovery.WorkGroupRunner` — transient
-failures are retried with exponential backoff, and a work group that
-exhausts its budget is quarantined to a dead letter instead of aborting the
-run: a :class:`~repro.runtime.recovery.Quarantined` sentinel flows through
-the remaining stages so sequencing and credit accounting stay exact, and the
+Fault tolerance (DESIGN.md §11) is the program's: fail-fast by default (the
+first failing stage raises :class:`~repro.runtime.recovery.WorkGroupError`
+out of the graph), and with ``IDGConfig.max_retries > 0`` (or a
+:class:`~repro.runtime.faults.FaultPlan`) transient failures are retried
+and a work group that exhausts its budget is quarantined: a
+:class:`~repro.runtime.recovery.Quarantined` sentinel flows through the
+remaining stages so sequencing and credit accounting stay exact, and the
 :class:`~repro.runtime.recovery.FaultReport` on ``last_fault_report``
 records what was lost.  Gridding can additionally checkpoint the master grid
 plus the retired-group set to disk (atomic write-then-rename) and later
@@ -42,30 +40,23 @@ visibilities/sec) exportable as a Chrome trace — see
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
-from repro.core.pipeline import IDG, prepare_visibilities
+from repro.core.pipeline import IDG
 from repro.core.plan import Plan
-from repro.data.store import ChunkedVisibilitySource
 from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
 from repro.runtime.faults import FaultPlan
 from repro.runtime.graph import StageGraph
 from repro.runtime.memory import record_memory_gauges
+from repro.runtime.program import WorkGroupProgram
 from repro.runtime.queues import CreditGate
-from repro.runtime.recovery import (
-    FaultReport,
-    Quarantined,
-    RetryPolicy,
-    WorkGroupRunner,
-    group_visibility_count,
-)
+from repro.runtime.recovery import FaultReport, Quarantined
 from repro.runtime.telemetry import Telemetry
 
 
@@ -162,7 +153,7 @@ class StreamingIDG:
 
     The telemetry of the most recent run is kept on ``last_telemetry``; the
     fault report of the most recent *tolerant* run on ``last_fault_report``
-    (``None`` when the fault-tolerance layer was inactive).
+    (``None`` when fail-fast).
     """
 
     def __init__(
@@ -179,35 +170,32 @@ class StreamingIDG:
 
     # ------------------------------------------------------------- internal
 
-    def _runner(self, telemetry: Telemetry) -> WorkGroupRunner | None:
-        """A work-group runner when fault tolerance is active, else None
-        (the legacy fail-fast path, with zero added overhead)."""
-        policy = RetryPolicy(
-            max_retries=self.idg.config.max_retries,
-            backoff_s=self.idg.config.retry_backoff_s,
-        )
-        if not policy.enabled and self.faults is None:
-            return None
-        return WorkGroupRunner(policy, faults=self.faults, telemetry=telemetry)
-
-    def _gated_chunks(
-        self,
-        chunks: list[tuple[int, tuple[int, int]]],
-        gate: CreditGate,
-    ) -> Iterator[tuple[int, tuple[int, int]]]:
-        """Plan-chunk splitter: one credit per emitted work group.  Each
-        item is ``(group, (start, stop))`` with ``group`` the work group's
-        plan-order index (stable across resume filtering)."""
-        for group, chunk in chunks:
+    @staticmethod
+    def _gated_groups(
+        groups: Iterable[int], gate: CreditGate
+    ) -> Iterator[tuple[int, None]]:
+        """Plan-chunk splitter: one credit per emitted work group.  Payloads
+        are ``(group, data)`` pairs from here on, ``group`` being the work
+        group's plan-order index (stable across resume filtering)."""
+        for group in groups:
             gate.acquire()
-            yield (group, chunk)
+            yield group, None
 
-    def _transfer(self, nbytes: float) -> None:
-        """Occupy the emulated device link for ``nbytes`` without holding
-        the CPU (the DMA analogue; no-op when emulation is off)."""
+    def _link(
+        self, nbytes: Callable[[int, Any], float]
+    ) -> Callable[[int, tuple[int, Any]], tuple[int, Any]]:
+        """An emulated device-link stage: occupies the link for
+        ``nbytes(group, data)`` bytes of wall time without holding the CPU
+        (the DMA analogue); a quarantined group moves nothing."""
         gbs = self.config.emulate_pcie_gbs
-        if gbs is not None:
-            time.sleep(nbytes / (gbs * 1e9))
+
+        def stage(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
+            group, data = payload
+            if not isinstance(data, Quarantined):
+                time.sleep(nbytes(group, data) / (gbs * 1e9))
+            return payload
+
+        return stage
 
     # ------------------------------------------------------------- gridding
 
@@ -230,28 +218,19 @@ class StreamingIDG:
         ``config.checkpoint_path`` set, progress snapshots are written for
         a later bit-exact ``config.resume_from`` run.
         """
-        idg = self.idg
-        backend = idg.backend
-        idg._check_shapes(plan, uvw_m, visibilities)
-        visibilities = prepare_visibilities(visibilities, flags)
-        source = (
-            visibilities
-            if isinstance(visibilities, ChunkedVisibilitySource) else None
-        )
-        if grid is None:
-            grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
-        fields = idg.aterm_fields(plan, aterms)
-        out_grid = grid
-
         tm = telemetry if telemetry is not None else Telemetry()
-        runner = self._runner(tm)
-        self.last_fault_report = runner.report if runner is not None else None
+        program = WorkGroupProgram.for_grid(
+            self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
+            flags=flags, faults=self.faults, telemetry=tm,
+        )
+        self.last_fault_report = program.fault_report
+        out_grid = program.grid
+        source = program.source
 
-        chunks = list(enumerate(plan.work_groups(idg.config.work_group_size)))
         ckpt_path = self.config.checkpoint_path
         signature = None
         if ckpt_path is not None or self.config.resume_from is not None:
-            signature = plan_signature(plan, idg.config.work_group_size)
+            signature = plan_signature(plan, self.idg.config.work_group_size)
         completed: set[int] = set()
         if self.config.resume_from is not None:
             ckpt = load_checkpoint(self.config.resume_from, signature=signature)
@@ -259,10 +238,10 @@ class StreamingIDG:
             # The snapshot holds the prefix sum of exactly `completed`;
             # resuming continues from those bits (replacing any caller grid).
             out_grid[...] = np.asarray(ckpt.grid).reshape(out_grid.shape)
-        pending = [(g, c) for g, c in chunks if g not in completed]
+        pending = [g for g in range(program.n_groups) if g not in completed]
 
         gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
-        reorder: dict[int, Any] = {}
+        reorder: dict[int, tuple[int, Any]] = {}
         next_seq = 0
         n_retired = 0
 
@@ -274,104 +253,42 @@ class StreamingIDG:
                 n_retired=n_retired,
             )
             tm.add_counter("checkpoints", 1)
-            if runner is not None:
-                runner.report.n_checkpoints += 1
+            program.report.n_checkpoints += 1
 
-        def do_read(
-            seq: int, payload: tuple[int, tuple[int, int]]
-        ) -> Any:
+        def do_read(seq: int, payload: tuple[int, None]) -> tuple[int, Any]:
             # Out-of-core reader stage: materialise exactly the visibility
             # blocks this work group needs (masked, copied off the memory
             # map).  Downstream stages never touch the map, and the credit
             # gate bounds the prefetched groups resident to `n_buffers`.
-            group, (start, stop) = payload
-            def body():
-                return source.prefetch_group(plan, start, stop)
-            if runner is None:
-                return (group, (start, stop), body())
-            result = runner.run(
-                "reader", group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, (start, stop), result)
-
-        def grid_group(group: int, start: int, stop: int, vis_in: Any) -> Any:
-            def body() -> np.ndarray:
-                return backend.grid_work_group(
-                    plan, start, stop, uvw_m, vis_in, idg.taper,
-                    lmn=idg.lmn, aterm_fields=fields,
-                )
-            if runner is None:
-                return body()
-            return runner.run(
-                "gridder", group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
+            group, _ = payload
+            start, stop = program.groups[group]
+            return group, program.run(
+                "reader", group, lambda: source.prefetch_group(plan, start, stop)
             )
 
-        def do_grid(seq: int, payload: Any) -> Any:
-            if isinstance(payload, Quarantined):
-                # A reader-stage dead letter: pass the sentinel through so
-                # sequencing and credit accounting stay exact.
-                return payload
-            group, (start, stop) = payload[0], payload[1]
-            vis_in = payload[2] if len(payload) == 3 else visibilities
-            result = grid_group(group, start, stop, vis_in)
-            if isinstance(result, Quarantined):
-                return result
-            return (group, start, result)
+        def do_grid(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
+            group, vis_in = payload
+            return group, program.gridder(group, vis_in)
 
-        def do_fft(seq: int, payload: Any) -> Any:
-            if isinstance(payload, Quarantined):
-                return payload
-            group, start, subgrids = payload
-            if runner is None:
-                return (group, start, backend.subgrids_to_fourier(subgrids))
-            result = runner.run(
-                "subgrid_fft", group,
-                lambda: backend.subgrids_to_fourier(subgrids),
-                start=start, stop=start + len(subgrids),
-                n_visibilities=group_visibility_count(
-                    plan, start, start + len(subgrids)
-                ),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, start, result)
+        def do_fft(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
+            group, subgrids = payload
+            return group, program.subgrid_fft(group, subgrids)
 
-        def add_group(group: int, start: int, fourier: np.ndarray) -> Any:
-            def body() -> None:
-                backend.add_subgrids(
-                    out_grid, plan, fourier, start=start,
-                    n_workers=self.config.adder_row_workers,
-                )
-            if runner is None:
-                body()
-                return None
-            stop = start + len(fourier)
-            return runner.run(
-                "adder", group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-
-        def do_add(seq: int, payload: Any) -> None:
+        def do_add(seq: int, payload: tuple[int, Any]) -> None:
             # Apply batches in plan order so the floating-point accumulation
             # order — and hence the result — is bit-identical to the serial
-            # adder, even when gridder workers complete out of order.
+            # adder, even when gridder workers complete out of order.  A
+            # group dead-lettered upstream adds nothing, but still releases
+            # its credit and advances the sequence.
             nonlocal next_seq, n_retired
             reorder[seq] = payload
             while next_seq in reorder:
-                item = reorder.pop(next_seq)
-                if isinstance(item, Quarantined):
-                    # Dead-lettered upstream: nothing to add, but the group
-                    # still releases its credit and advances the sequence.
-                    pass
-                else:
-                    group, start, fourier = item
-                    result = add_group(group, start, fourier)
-                    if not isinstance(result, Quarantined):
-                        completed.add(group)
+                group, fourier = reorder.pop(next_seq)
+                result = program.adder(
+                    group, fourier, n_workers=self.config.adder_row_workers
+                )
+                if not isinstance(result, Quarantined):
+                    completed.add(group)
                 gate.release()
                 next_seq += 1
                 n_retired += 1
@@ -389,42 +306,32 @@ class StreamingIDG:
                 ):
                     write_checkpoint()
 
-        def do_htod(seq: int, payload: Any) -> Any:
-            if not isinstance(payload, Quarantined):
-                self._transfer(chunk_transfer_bytes(plan, *payload[1])[0])
-            return payload
-
-        def do_dtoh(seq: int, payload: Any) -> Any:
-            if not isinstance(payload, Quarantined):
-                self._transfer(payload[2].nbytes)
-            return payload
-
         graph = StageGraph("grid", n_buffers=self.config.n_buffers, telemetry=tm)
         graph.add_abortable(gate)
-        graph.add_source("splitter", self._gated_chunks(pending, gate))
+        graph.add_source("splitter", self._gated_groups(pending, gate))
         if source is not None:
             # Disk-read stage ahead of the (emulated) device upload: with
             # the credit gate upstream, at most `n_buffers` prefetched
             # groups exist at once — the RSS bound of the out-of-core path.
             graph.add_stage("reader", do_read)
-        if self.config.emulate_pcie_gbs is not None:
-            graph.add_stage("htod", do_htod)
+        emulate = self.config.emulate_pcie_gbs is not None
+        if emulate:
+            graph.add_stage("htod", self._link(
+                lambda group, _: chunk_transfer_bytes(plan, *program.groups[group])[0]
+            ))
         graph.add_stage("gridder", do_grid, workers=self.config.gridder_workers)
         graph.add_stage("subgrid_fft", do_fft, workers=self.config.fft_workers)
-        if self.config.emulate_pcie_gbs is not None:
-            graph.add_stage("dtoh", do_dtoh)
+        if emulate:
+            graph.add_stage("dtoh", self._link(lambda _, fourier: fourier.nbytes))
         graph.add_sink("adder", do_add)
         tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
         tm.add_counter("work_groups", plan.n_subgrids)
         graph.run()
-        if runner is not None:
-            runner.report.n_groups = len(chunks)
-            runner.report.n_groups_completed = len(completed)
         if ckpt_path is not None:
             write_checkpoint()
         record_memory_gauges(tm)
         self.last_telemetry = tm
-        return out_grid
+        return program.finish()
 
     # ----------------------------------------------------------- degridding
 
@@ -445,102 +352,44 @@ class StreamingIDG:
         ``out`` (zero-initialised, e.g. a writable dataset-store map)
         receives the prediction in place as on the serial executor.
         """
-        idg = self.idg
-        backend = idg.backend
-        fields = idg.aterm_fields(plan, aterms)
-        n_bl, n_times, _ = uvw_m.shape
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
-        if out is None:
-            out = np.zeros(expected, dtype=COMPLEX_DTYPE)
-        elif out.shape != expected:
-            raise ValueError(f"out shape {out.shape} != {expected}")
-
         tm = telemetry if telemetry is not None else Telemetry()
-        runner = self._runner(tm)
-        self.last_fault_report = runner.report if runner is not None else None
+        program = WorkGroupProgram.for_degrid(
+            self.idg, plan, uvw_m, grid, aterms=aterms, out=out,
+            faults=self.faults, telemetry=tm,
+        )
+        self.last_fault_report = program.fault_report
         gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
-        chunks = list(enumerate(plan.work_groups(idg.config.work_group_size)))
-        n_completed = 0
-        completed_lock = threading.Lock()
-
-        def run_stage(
-            stage: str, group: int, chunk: tuple[int, int], body: Any
-        ) -> Any:
-            if runner is None:
-                return body()
-            start, stop = chunk
-            return runner.run(
-                stage, group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-
-        def do_split(
-            seq: int, payload: tuple[int, tuple[int, int]]
-        ) -> Any:
-            group, chunk = payload
-            result = run_stage(
-                "subgrid_split", group, chunk,
-                lambda: backend.split_subgrids(grid, plan, *chunk),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, chunk, result)
-
-        def do_ifft(seq: int, payload: Any) -> Any:
-            if isinstance(payload, Quarantined):
-                return payload
-            group, chunk, patches = payload
-            result = run_stage(
-                "subgrid_ifft", group, chunk,
-                lambda: backend.subgrids_to_image(patches),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, chunk, result)
-
         emulate = self.config.emulate_pcie_gbs is not None
 
-        def do_degrid(seq: int, payload: Any) -> Any:
-            nonlocal n_completed
-            if isinstance(payload, Quarantined):
-                if not emulate:
-                    gate.release()
-                return payload
-            group, chunk, images = payload
+        def do_split(seq: int, payload: tuple[int, None]) -> tuple[int, Any]:
+            group, _ = payload
+            return group, program.subgrid_split(group)
 
-            def body() -> None:
-                # Work items cover disjoint (baseline, time, channel) blocks,
-                # so concurrent workers write `out` without synchronisation.
-                start, stop = chunk
-                backend.degrid_work_group(
-                    plan, start, stop, images, uvw_m, out, idg.taper,
-                    lmn=idg.lmn, aterm_fields=fields,
-                )
+        def do_ifft(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
+            group, patches = payload
+            return group, program.subgrid_ifft(group, patches)
 
-            result = run_stage("degridder", group, chunk, body)
-            if not isinstance(result, Quarantined):
-                with completed_lock:
-                    n_completed += 1
+        def do_degrid(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
+            group, images = payload
+            result = program.degridder(group, images)
             if not emulate:
                 gate.release()
-            return (group, chunk)
+            return group, result
 
-        def do_htod(seq: int, payload: Any) -> Any:
-            if not isinstance(payload, Quarantined):
-                self._transfer(payload[2].nbytes)
-            return payload
+        vis_to_host = self._link(
+            lambda group, _: chunk_transfer_bytes(plan, *program.groups[group])[0]
+        )
 
-        def do_dtoh(seq: int, payload: Any) -> None:
-            if not isinstance(payload, Quarantined):
-                self._transfer(chunk_transfer_bytes(plan, *payload[1])[0])
+        def do_dtoh(seq: int, payload: tuple[int, Any]) -> None:
+            vis_to_host(seq, payload)
             gate.release()
 
         graph = StageGraph("degrid", n_buffers=self.config.n_buffers, telemetry=tm)
         graph.add_abortable(gate)
-        graph.add_source("splitter", self._gated_chunks(chunks, gate))
+        graph.add_source("splitter", self._gated_groups(range(program.n_groups), gate))
         graph.add_stage("subgrid_split", do_split)
         if emulate:
-            graph.add_stage("htod", do_htod)
+            graph.add_stage("htod", self._link(lambda _, patches: patches.nbytes))
         graph.add_stage("subgrid_ifft", do_ifft, workers=self.config.fft_workers)
         if emulate:
             graph.add_stage("degridder", do_degrid,
@@ -551,12 +400,9 @@ class StreamingIDG:
         tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
         tm.add_counter("work_groups", plan.n_subgrids)
         graph.run()
-        if runner is not None:
-            runner.report.n_groups = len(chunks)
-            runner.report.n_groups_completed = n_completed
         record_memory_gauges(tm)
         self.last_telemetry = tm
-        return out
+        return program.finish()
 
 
 def modeled_schedule_jobs(

@@ -2,8 +2,9 @@
 
 Serial-equivalence (now bit-exact, not allclose) is pinned for every
 executor by ``test_executor_conformance.py``; this module keeps the
-thread-executor-specific behaviours — error attribution, early
-cancellation, fault-report plumbing.
+thread-executor-specific behaviours — early cancellation, fault-report
+plumbing — plus the fail-fast error attribution and ``out=`` validation
+every executor shares.
 """
 
 import pytest
@@ -31,10 +32,14 @@ def test_worker_exceptions_surface(small_idg, small_plan, small_obs,
         par.grid(small_plan, small_obs.uvw_m, bad_vis)
 
 
-def test_worker_error_names_the_work_group(small_idg, small_plan, small_obs,
-                                           single_source_vis, monkeypatch):
-    """A failing work group must be identifiable from the exception message
-    (group index + plan item range), with the original error chained."""
+@pytest.mark.parametrize("executor", ["serial", "threads", "streaming"])
+def test_worker_error_names_the_work_group(executor, small_idg, small_plan,
+                                           small_obs, single_source_vis,
+                                           monkeypatch):
+    """Fail-fast contract of every in-process executor: a failing work group
+    must be identifiable from the exception message (group index + plan
+    item range), with the original error chained."""
+    from repro.imaging.pipeline import make_engine
     from repro.parallel.executor import WorkGroupError
 
     idg = small_idg.with_config(work_group_size=5)
@@ -47,9 +52,9 @@ def test_worker_error_names_the_work_group(small_idg, small_plan, small_obs,
         return original(self, plan, start, stop, *args, **kwargs)
 
     monkeypatch.setattr(backend_cls, "grid_work_group", failing)
-    par = ParallelIDG(idg, n_workers=2)
+    engine = make_engine(idg, executor, n_workers=2)
     with pytest.raises(WorkGroupError, match=r"work group 2 \(plan items \[10, 15\)\)") as info:
-        par.grid(small_plan, small_obs.uvw_m, single_source_vis)
+        engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
     assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -105,3 +110,24 @@ def test_tolerant_mode_reports_on_last_fault_report(small_idg, small_plan,
     par_plain = ParallelIDG(small_idg, n_workers=2)
     par_plain.grid(small_plan, small_obs.uvw_m, single_source_vis)
     assert par_plain.last_fault_report is None
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "streaming", "processes"])
+def test_degrid_rejects_a_wrong_shaped_out(executor, small_idg, small_plan,
+                                           small_obs):
+    """Every executor validates ``out=`` against the plan's visibility
+    layout before it degrids anything."""
+    import numpy as np
+
+    from repro.constants import COMPLEX_DTYPE
+    from repro.imaging.pipeline import make_engine
+
+    g = small_idg.gridspec.grid_size
+    model = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)
+    n_bl, n_times, _ = small_obs.uvw_m.shape
+    out = np.zeros(
+        (n_bl, n_times, small_plan.n_channels + 1, 2, 2), dtype=COMPLEX_DTYPE
+    )
+    engine = make_engine(small_idg, executor, n_workers=2)
+    with pytest.raises(ValueError, match="out shape"):
+        engine.degrid(small_plan, small_obs.uvw_m, model, out=out)

@@ -1,6 +1,7 @@
 """Failure-injection matrix: {serial, threads, streaming, processes}
-executors x {gridder, subgrid_fft, adder} fault sites, plus the
-process-executor kill matrix (worker SIGKILL mid-shard).
+executors x {gridder, subgrid_fft, adder} and {subgrid_split, subgrid_ifft,
+degridder} fault sites, plus the process-executor kill matrix (worker
+SIGKILL mid-shard).
 
 For every cell: a permanent fault on one work group, retries exhausted, must
 yield exactly one dead letter with exact plan/visibility accounting, and the
@@ -39,6 +40,7 @@ from repro.runtime.checkpoint import load_checkpoint
 
 WORK_GROUP_SIZE = 5
 STAGES = ("gridder", "subgrid_fft", "adder")
+DEGRID_STAGES = ("subgrid_split", "subgrid_ifft", "degridder")
 EXECUTORS = ("serial", "threads", "streaming", "processes")
 FAULT_GROUP = 1
 MAX_RETRIES = 2
@@ -168,12 +170,21 @@ def test_corrupt_and_raise_kinds_both_quarantine(
     assert expected_error in report.dead_letters[0].error
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("executor, stage", [
+    # the degridder cells keep their plain executor ids
+    pytest.param(
+        executor, stage,
+        id=executor if stage == "degridder" else f"{stage}-{executor}",
+    )
+    for stage in DEGRID_STAGES
+    for executor in EXECUTORS
+])
 def test_degrid_dead_letter_leaves_block_zero(
-    executor, tolerant_idg, small_plan, small_obs, groups,
+    executor, stage, tolerant_idg, small_plan, small_obs, groups,
 ):
-    """A quarantined degrid work group leaves its visibility block zero and
-    every other block identical to the clean prediction."""
+    """A quarantined degrid work group — at any of its three stages —
+    leaves its visibility block zero and every other block identical to the
+    clean prediction."""
     rng = np.random.default_rng(5)
     g = tolerant_idg.gridspec.grid_size
     model_grid = (
@@ -181,7 +192,7 @@ def test_degrid_dead_letter_leaves_block_zero(
     ).astype(COMPLEX_DTYPE)
     clean = tolerant_idg.degrid(small_plan, small_obs.uvw_m, model_grid)
 
-    faults = FaultPlan.single("degridder", FAULT_GROUP, times=-1)
+    faults = FaultPlan.single(stage, FAULT_GROUP, times=-1)
     if executor == "serial":
         predicted = tolerant_idg.degrid(
             small_plan, small_obs.uvw_m, model_grid, faults=faults
@@ -201,6 +212,7 @@ def test_degrid_dead_letter_leaves_block_zero(
         report = engine.last_fault_report
 
     assert report.n_dead_letters == 1
+    assert report.dead_letters[0].stage == stage
     start, stop = groups[FAULT_GROUP]
     assert report.excluded_items() == ((start, stop),)
 

@@ -1,6 +1,8 @@
 """Memory gauges: rss/peak-rss/arena sampling and their export as Chrome
 trace counter events."""
 
+import mmap
+
 import numpy as np
 
 from repro.runtime import peak_rss_bytes, record_memory_gauges, rss_bytes
@@ -19,11 +21,15 @@ def test_rss_probes_report_plausible_values():
 
 
 def test_rss_tracks_a_large_allocation():
+    # A fresh anonymous mapping with every page written: a heap allocation
+    # can be served from pages an earlier test left resident, and then RSS
+    # does not grow at all.
     before = rss_bytes()
-    ballast = np.ones(32 << 20, dtype=np.uint8)  # 32 MB, touched
+    ballast = mmap.mmap(-1, 32 << 20)  # 32 MB
+    np.frombuffer(ballast, dtype=np.uint8)[:] = 1
     grown = rss_bytes()
     assert grown - before > 16 << 20
-    del ballast
+    ballast.close()
 
 
 def test_record_memory_gauges_exports_counter_events():
