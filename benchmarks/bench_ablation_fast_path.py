@@ -32,10 +32,12 @@ from repro.parallel.bucketing import (
 from repro.perfmodel.architectures import FIJI, HASWELL
 from repro.perfmodel.opcount import FMAS_PER_PIXEL_VIS
 from repro.perfmodel.sincos import mixed_throughput_ops
+from repro.runtime.blas import single_threaded_blas
 
 
 def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis,
                                      bench_idg):
+    single_threaded_blas()  # the BLAS threading production kernels run with
     stop = min(16, bench_plan.n_subgrids)
     bucket = max(bucket_work_items(bench_plan, 0, stop), key=lambda b: b.n_items)
     indices = bucket.indices

@@ -12,6 +12,7 @@ from _util import print_series
 from repro.perfmodel.architectures import ALL_ARCHITECTURES
 from repro.perfmodel.opcount import degridder_counts, gridder_counts
 from repro.perfmodel.runtime import throughput_mvis
+from repro.runtime.blas import single_threaded_blas
 
 
 def test_fig10_modelled_throughput(benchmark, bench_plan):
@@ -33,6 +34,7 @@ def test_fig10_modelled_throughput(benchmark, bench_plan):
 def test_fig10_measured_python_gridding(benchmark, bench_plan, bench_obs, bench_vis,
                                         bench_idg):
     """Measured NumPy gridder throughput over a slice of the plan."""
+    single_threaded_blas()  # the BLAS threading production kernels run with
     stop = min(24, bench_plan.n_subgrids)
 
     def run():

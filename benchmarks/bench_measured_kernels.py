@@ -6,13 +6,22 @@ are caught and users know what to expect on a host CPU.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.adder import add_subgrids, split_subgrids
 from repro.core.plan import Plan
 from repro.core.subgrid_fft import subgrids_to_fourier, subgrids_to_image
 from repro.parallel.executor import ParallelIDG
+from repro.runtime.blas import single_threaded_blas
 
 GROUP = 16
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _production_blas_threads():
+    """Time the kernels with the one OpenBLAS thread every grid and degrid
+    call runs them with."""
+    single_threaded_blas()
 
 
 def test_bench_plan_construction(benchmark, bench_obs, bench_gridspec):

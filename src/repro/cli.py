@@ -51,7 +51,8 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker threads / processes (threads and processes executors; "
-        "default: all cores for threads, 2 for processes)",
+        "default: the cores this process may run on for threads, 2 for "
+        "processes)",
     )
     parser.add_argument(
         "--n-buffers", type=int, default=3,

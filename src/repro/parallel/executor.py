@@ -12,6 +12,13 @@ cross-executor conformance suite pins.  Degridding needs no merging at all —
 work items write disjoint visibility blocks — mirroring the paper's
 observation that the splitter/degridder side is trivially parallel.
 
+The pool's workers are the only kernel parallelism: the program sets
+OpenBLAS to one thread for the process
+(:func:`~repro.runtime.blas.single_threaded_blas`), since each worker's
+four-column bucket gemm gains nothing from BLAS threads that would compete
+with the other workers for the same cores.  The default worker count is
+the number of cores the process may run on (its CPU affinity mask).
+
 Failure semantics are the program's (:mod:`repro.runtime.recovery`): by
 default the first failing stage raises
 :class:`~repro.runtime.recovery.WorkGroupError` naming the stage, the work
@@ -60,8 +67,9 @@ class ParallelIDG:
         supplies the retry policy via ``IDGConfig.max_retries`` /
         ``retry_backoff_s``).
     n_workers:
-        Worker threads; defaults to every logical core (the paper uses all
-        of them).
+        Worker threads; defaults to every core this process may run on
+        (its CPU affinity mask where the OS has one, else every logical
+        core; the paper uses all of them).
     faults:
         Optional deterministic fault-injection plan (tests, benchmarks).
 
@@ -76,7 +84,12 @@ class ParallelIDG:
         faults: FaultPlan | None = None,
     ):
         if n_workers is None:
-            n_workers = os.cpu_count() or 1
+            # The cores this process may run on (cpusets, taskset), not
+            # every core the host has.
+            n_workers = (
+                len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1
+            )
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self.idg = idg

@@ -25,6 +25,7 @@ from repro.constants import COMPLEX_DTYPE
 from repro.core.pipeline import IDG, prepare_visibilities
 from repro.core.plan import Plan
 from repro.data.store import ChunkedVisibilitySource
+from repro.runtime.blas import single_threaded_blas
 from repro.runtime.faults import FaultPlan
 from repro.runtime.recovery import (
     FaultReport,
@@ -47,6 +48,13 @@ class WorkGroupProgram:
     ``out`` the degridding output; ``faults`` and ``telemetry`` go to the
     runner.  The constructor takes its inputs as given — :meth:`for_grid`
     and :meth:`for_degrid` are the checking constructors executors use.
+
+    The constructor first calls
+    :func:`~repro.runtime.blas.single_threaded_blas`: from the first grid or
+    degrid call on, OpenBLAS runs one thread in this process, so kernel
+    parallelism comes only from the executor's workers.  The processes
+    executor builds its program in the parent before forking, so its
+    workers inherit the setting.
     """
 
     def __init__(
@@ -62,6 +70,7 @@ class WorkGroupProgram:
         faults: FaultPlan | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
+        single_threaded_blas()
         self.idg = idg
         self.backend = idg.backend
         self.plan = plan

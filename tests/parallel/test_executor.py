@@ -20,7 +20,20 @@ def test_n_workers_validation(small_idg):
 def test_n_workers_defaults_to_cpu_count(small_idg):
     import os
 
-    assert ParallelIDG(small_idg).n_workers == (os.cpu_count() or 1)
+    usable = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    assert ParallelIDG(small_idg).n_workers == usable
+
+
+def test_n_workers_default_follows_the_affinity_mask(small_idg, monkeypatch):
+    """A process pinned to one core (cpuset, taskset) gets one worker, not
+    one per core the host has."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ParallelIDG(small_idg).n_workers == 1
 
 
 def test_worker_exceptions_surface(small_idg, small_plan, small_obs,
