@@ -2,14 +2,18 @@
 
 This package's own optimisation in the spirit of the paper's Section V-B
 batch sincos precomputation: with evenly spaced channels, the phasor
-factorises as ``exp(i s_0 A) * exp(i ds A)**c``, trading one sincos per
-(pixel, visibility) for one sincos pair per (pixel, timestep) plus a
-complex multiply per channel step — a ~C-fold cut in transcendental work.
-On sincos-*limited* architectures (HASWELL, FIJI — the Fig 11 dashed
-bounds) the model says this recovers most of the gap to the FMA peak; this
-bench times the two production gridder kernels — ``gridder_bucket_fast``
-(recurrence) against ``gridder_bucket`` (direct sum) — on the same gathered
-bucket of work items, and pins the accuracy.
+factorises as ``exp(i s_0 A) * exp(i ds A)**c``, trading one phasor per
+(pixel, visibility) for one phasor and one step per (pixel, timestep) plus
+a complex multiply per channel step — a ~C-fold cut in transcendental work.
+Both kernels build their phasors from separable l-, m- and n-factor rows
+(``repro.core.gridder.raster_phasor``): the direct sum evaluates ``2N + R``
+sincos pairs per visibility, the recurrence ``2(2N + R)`` per timestep
+(``R = 83`` distinct n values for ``N = 24``), so the ratio between them is
+still ~C/2.  On sincos-*limited* architectures (HASWELL, FIJI — the Fig 11
+dashed bounds) the model says this recovers most of the gap to the FMA
+peak; this bench times the two production gridder kernels —
+``gridder_bucket_fast`` (recurrence) against ``gridder_bucket`` (direct
+sum) — on the same gathered bucket of work items, and pins the accuracy.
 """
 
 import time

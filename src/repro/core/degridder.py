@@ -13,7 +13,12 @@ adjoint pair (a property the test suite checks as an inner-product identity).
 As in the gridder, a whole bucket of identically shaped work items is
 evaluated at once, and the hot loop is one stacked
 ``phasor(G, M, N**2) @ S(G, N**2, 4)`` complex matrix product plus the
-sine/cosine evaluation.  :func:`degridder_bucket_fast` uses the
+sine/cosine evaluation.  The phasors come from the gridder's separable
+factor build (:func:`repro.core.gridder.raster_phasor`, with the phase sign
+flipped): sine/cosine on ``2N + R`` l-, m- and n-factor rows per (item,
+timestep) instead of on ``N**2`` pixels, so the recurrence kernel spends
+``2(2N + R)`` sine/cosine pairs per (item, timestep) on its phasor and
+step rather than ``2N**2``.  :func:`degridder_bucket_fast` uses the
 channel-phasor recurrence (evenly spaced channels);
 :func:`degridder_bucket` is the direct sum.
 """
@@ -27,9 +32,9 @@ from repro.aterms.jones import apply_sandwich
 from repro.constants import ACCUM_DTYPE
 from repro.core.gridder import (
     PHASOR_RENORM_INTERVAL,
-    _offset_phase_matrix,
-    _phase_tensor,
-    _sincos_into,
+    RasterFactors,
+    raster_factors,
+    raster_phasor,
 )
 from repro.core.scratch import ScratchArena, thread_arena
 
@@ -75,6 +80,7 @@ def degridder_bucket_fast(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
     arena: ScratchArena | None = None,
+    factors: RasterFactors | None = None,
 ) -> np.ndarray:
     """Algorithm 2 with the channel phasor recurrence, over a whole bucket.
 
@@ -99,8 +105,8 @@ def degridder_bucket_fast(
     offsets:
         ``(G, 3)`` per-item subgrid offsets ``u_mid, v_mid, w_offset`` in
         wavelengths.
-    lmn, taper, aterm_p, aterm_q:
-        As in :func:`gridder_bucket_fast`.
+    lmn, taper, aterm_p, aterm_q, factors:
+        As in :func:`repro.core.gridder.gridder_bucket_fast`.
     arena:
         Scratch arena (defaults to the calling thread's).
 
@@ -114,20 +120,20 @@ def degridder_bucket_fast(
     n_pixels2 = lmn.shape[0]
     if arena is None:
         arena = thread_arena()
+    if factors is None:
+        factors = raster_factors(lmn)
     pixels = _corrected_pixels_bucket(subgrid_images, taper, aterm_p, aterm_q, arena)
 
-    base = _phase_tensor(lmn, uvw_m, arena, "bucket.base")
-    offset_phase = _offset_phase_matrix(lmn, offsets, arena, "bucket.offset_phase")
-    phase = arena.take("bucket.phase", (g_total, n_pixels2, t_total), np.float64)
+    # conjugate of the gridding phasor and step
+    coords = arena.take("bucket.coords", (g_total, t_total, 3), np.float64)
+    np.multiply(uvw_m, scale0[:, np.newaxis, np.newaxis], out=coords)
+    coords -= offsets[:, np.newaxis, :]
     phasor = arena.take("bucket.phasor", (g_total, n_pixels2, t_total), ACCUM_DTYPE)
-    # conjugate of the gridding phasor: exp(-1j (s0 base - offset))
-    np.multiply(base, scale0[:, np.newaxis, np.newaxis], out=phase)
-    np.subtract(offset_phase[:, :, np.newaxis], phase, out=phase)
-    _sincos_into(phase, phasor)
+    raster_phasor(factors, coords, -1.0, phasor, arena)
     if n_channels > 1:
         step = arena.take("bucket.step", (g_total, n_pixels2, t_total), ACCUM_DTYPE)
-        np.multiply(base, -ds, out=phase)
-        _sincos_into(phase, step)
+        np.multiply(uvw_m, ds, out=coords)
+        raster_phasor(factors, coords, -1.0, step, arena)
 
     out = arena.take("degridder.out", (g_total, t_total, n_channels, 4), ACCUM_DTYPE)
     prod = arena.take("degridder.prod", (g_total, t_total, 4), ACCUM_DTYPE)
@@ -138,8 +144,11 @@ def degridder_bucket_fast(
         np.multiply(phasor, step, out=phasor)
         if c % PHASOR_RENORM_INTERVAL == 0:
             # same magnitude-drift guard as the gridder bucket kernel
-            np.abs(phasor, out=phase)
-            phasor /= phase
+            magnitude = arena.take(
+                "bucket.magnitude", (g_total, n_pixels2, t_total), np.float64
+            )
+            np.abs(phasor, out=magnitude)
+            phasor /= magnitude
         np.matmul(phasor_t, pixels, out=prod)
         out[:, :, c] = prod
     return out
@@ -162,12 +171,13 @@ def degridder_bucket(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
     arena: ScratchArena | None = None,
+    factors: RasterFactors | None = None,
 ) -> np.ndarray:
     """Algorithm 2 as a direct sum, over a whole bucket.
 
-    One broadcast matmul for the stacked ``(G, M, N**2)`` phase, one
-    batched sine/cosine evaluation, one stacked
-    ``(G, M, N**2) @ (G, N**2, 4)`` matrix product.
+    One :func:`~repro.core.gridder.raster_phasor` build of the stacked
+    ``(G, N**2, M)`` conjugate phasor from the relative uvw, and one stacked
+    ``(G, M, N**2) @ (G, N**2, 4)`` matrix product on its transposed view.
 
     Parameters
     ----------
@@ -175,8 +185,8 @@ def degridder_bucket(
         ``(G, N, N, 2, 2)`` stacked image-domain subgrids.
     uvw_rel_wl:
         ``(G, M, 3)`` stacked relative uvw in wavelengths.
-    lmn, taper, aterm_p, aterm_q:
-        As in :func:`gridder_bucket_fast`.
+    lmn, taper, aterm_p, aterm_q, factors:
+        As in :func:`repro.core.gridder.gridder_bucket_fast`.
     arena:
         Scratch arena (defaults to the calling thread's).
 
@@ -188,14 +198,13 @@ def degridder_bucket(
     n_pixels2 = lmn.shape[0]
     if arena is None:
         arena = thread_arena()
+    if factors is None:
+        factors = raster_factors(lmn)
     pixels = _corrected_pixels_bucket(subgrid_images, taper, aterm_p, aterm_q, arena)
 
-    phase = arena.take("bucket.phase", (g_total, m_total, n_pixels2), np.float64)
-    np.matmul(uvw_rel_wl, lmn.T, out=phase)
-    phase *= -2.0 * np.pi
-    phasor = arena.take("bucket.phasor", (g_total, m_total, n_pixels2), ACCUM_DTYPE)
-    _sincos_into(phase, phasor)
+    phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), ACCUM_DTYPE)
+    raster_phasor(factors, uvw_rel_wl, -1.0, phasor, arena)
 
     out = arena.take("degridder.out", (g_total, m_total, 4), ACCUM_DTYPE)
-    np.matmul(phasor, pixels, out=out)
+    np.matmul(np.swapaxes(phasor, 1, 2), pixels, out=out)
     return out

@@ -16,11 +16,29 @@ buckets), and the inner loop is one stacked complex matrix product
 (Listing 1) — while the sine/cosine evaluation is the analogue of the
 SVML/SFU cost the paper's roofline analysis centres on.
 
+The phasor is separable.  Its phase splits into an l, an m and an n term, so
+
+``exp(2 pi i (l_x a_u + m_y a_v + n_p a_w)) = exp(2 pi i l_x a_u)
+* exp(2 pi i m_y a_v) * exp(2 pi i n_p a_w)``
+
+and an ``N x N`` raster has only ``N`` distinct l values, ``N`` distinct m
+values and ``R`` distinct n values (``n`` depends on ``l**2 + m**2`` only;
+``R = 83`` for ``N = 24``).  :func:`raster_phasor` therefore evaluates
+sine/cosine on ``2N + R`` *factor rows* per (item, timestep) and assembles
+the ``N**2`` pixel phasors in place: gather the n-factors by pixel, then
+multiply in the m-factor of each raster row and the l-factor of each raster
+column.  The recurrence kernels need a phasor and a channel step, so a
+(item, timestep) costs ``2(2N + R)`` sine/cosine pairs — 262 for ``N = 24``
+— instead of ``2N**2`` (1152).
+
 :func:`gridder_bucket_fast` uses the channel-phasor recurrence (evenly
 spaced channels); :func:`gridder_bucket` is the direct sum.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -41,11 +59,12 @@ from repro.kernels.wkernel import n_term
 PHASOR_RENORM_INTERVAL = 64
 
 
-#: Content-hash keyed cache behind :func:`subgrid_lmn` (the PR 4
-#: ``lru_cache`` migrated onto the shared artifact-cache layer).  Every call
+#: Content-hash keyed cache behind :func:`subgrid_lmn` and
+#: :func:`raster_factors`, on the shared artifact-cache layer.  Every call
 #: site with the same (subgrid size, image size) — the ``IDG`` facade,
 #: work-group kernels called without a precomputed ``lmn``, w-stack layers,
-#: service jobs, tests — shares one immutable matrix.
+#: service jobs, tests — shares one immutable matrix and one set of its
+#: factors.
 _LMN_CACHE = ArtifactCache(max_bytes=64 * 1024 * 1024, name="core.subgrid_lmn")
 
 
@@ -76,26 +95,67 @@ def subgrid_lmn(subgrid_size: int, image_size: float) -> np.ndarray:
     )
 
 
-def _phase_tensor(
-    lmn: np.ndarray, uvw_m: np.ndarray, arena: ScratchArena, key: str
-) -> np.ndarray:
-    """``(G, N**2, T)`` metre-domain phase ``2 pi lmn . uvw`` of a bucket,
-    built with one broadcast batched matmul into an arena buffer."""
-    g_total, t_total = uvw_m.shape[0], uvw_m.shape[1]
-    base = arena.take(key, (g_total, lmn.shape[0], t_total), np.float64)
-    np.matmul(lmn, np.swapaxes(uvw_m, 1, 2), out=base)
-    base *= 2.0 * np.pi
-    return base
+@dataclass(frozen=True, eq=False)
+class RasterFactors:
+    """The separable factors of a subgrid raster's ``(N**2, 3)`` lmn matrix.
+
+    Row ``y * N + x`` of the raster is
+    ``(l[x], m[y], n_values[n_index[y * N + x]])``, bit for bit.  All arrays
+    are shared and read-only.
+
+    Attributes
+    ----------
+    l:
+        ``(N,)`` l of each raster column.
+    m:
+        ``(N,)`` m of each raster row.
+    n_values:
+        ``(R,)`` distinct n values, ascending.
+    n_index:
+        ``(N**2,)`` pixel -> index into ``n_values``.
+    """
+
+    l: np.ndarray
+    m: np.ndarray
+    n_values: np.ndarray
+    n_index: np.ndarray
 
 
-def _offset_phase_matrix(
-    lmn: np.ndarray, offsets: np.ndarray, arena: ScratchArena, key: str
-) -> np.ndarray:
-    """``(G, N**2)`` subgrid-offset phase ``2 pi lmn . offset`` per item."""
-    out = arena.take(key, (offsets.shape[0], lmn.shape[0]), np.float64)
-    np.matmul(offsets, lmn.T, out=out)
-    out *= 2.0 * np.pi
-    return out
+def _compute_raster_factors(lmn: np.ndarray) -> RasterFactors:
+    lmn = np.asarray(lmn, dtype=np.float64)
+    n = isqrt(lmn.shape[0]) if lmn.ndim == 2 else 0
+    if lmn.ndim != 2 or lmn.shape[1] != 3 or n < 1 or n * n != lmn.shape[0]:
+        raise ValueError(f"lmn must be (N**2, 3), got {lmn.shape}")
+    l, m = lmn[:n, 0].copy(), lmn[::n, 1].copy()
+    if not (
+        np.array_equal(lmn[:, 0], np.tile(l, n))
+        and np.array_equal(lmn[:, 1], np.repeat(m, n))
+    ):
+        raise ValueError(
+            "lmn is not a subgrid raster: row y * N + x must hold (l[x], m[y], n)"
+        )
+    n_values, n_index = np.unique(lmn[:, 2], return_inverse=True)
+    factors = RasterFactors(l, m, n_values, n_index.astype(np.intp, copy=False))
+    for array in (factors.l, factors.m, factors.n_values, factors.n_index):
+        array.setflags(write=False)
+    return factors
+
+
+def raster_factors(lmn: np.ndarray) -> RasterFactors:
+    """The :class:`RasterFactors` of a raster ``lmn`` (:func:`subgrid_lmn`).
+
+    Derived once per distinct matrix — so once per (subgrid size, image
+    size) — and cached next to it; the work-group drivers look them up once
+    per work group and hand them to every bucket kernel call.
+
+    Raises
+    ------
+    ValueError
+        When ``lmn`` is not ``(N**2, 3)`` or its l, m columns are not the
+        tiled/repeated axes of an ``N x N`` raster.
+    """
+    key = content_hash("raster_factors", np.asarray(lmn))
+    return _LMN_CACHE.get_or_create(key, lambda: _compute_raster_factors(lmn))
 
 
 def _sincos_into(phase: np.ndarray, out: np.ndarray) -> None:
@@ -105,6 +165,56 @@ def _sincos_into(phase: np.ndarray, out: np.ndarray) -> None:
     allocations)."""
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
+
+
+def raster_phasor(
+    factors: RasterFactors,
+    coords: np.ndarray,
+    sign: float,
+    out: np.ndarray,
+    arena: ScratchArena,
+) -> np.ndarray:
+    """Fill ``out`` with ``exp(sign * 2 pi i * lmn . coords)`` per pixel.
+
+    Parameters
+    ----------
+    factors:
+        The raster's :class:`RasterFactors`.
+    coords:
+        ``(G, K, 3)`` per-item coordinates ``(a_u, a_v, a_w)`` in
+        wavelengths.
+    sign:
+        ``+1`` (gridder) or ``-1`` (degridder).
+    out:
+        ``(G, N**2, K)`` complex128 destination, C-contiguous.
+    arena:
+        Scratch arena for the ``(G, 2N + R, K)`` factor rows.
+
+    Returns
+    -------
+    ``out``.  Sine/cosine runs on the factor rows only; the pixel phasors
+    are assembled in ``out`` itself (n-factors gathered by pixel, then the
+    m-factor of each raster row and the l-factor of each column multiplied
+    in), so no second phasor-sized buffer is touched.
+    """
+    g_total, k_total = coords.shape[:2]
+    n = factors.l.size
+    rows = 2 * n + factors.n_values.size
+    phase = arena.take("raster.phase", (g_total, rows, k_total), np.float64)
+    np.multiply(factors.l[:, np.newaxis], coords[:, np.newaxis, :, 0], out=phase[:, :n])
+    np.multiply(factors.m[:, np.newaxis], coords[:, np.newaxis, :, 1], out=phase[:, n : 2 * n])
+    np.multiply(
+        factors.n_values[:, np.newaxis], coords[:, np.newaxis, :, 2], out=phase[:, 2 * n :]
+    )
+    phase *= sign * 2.0 * np.pi
+    factor_rows = arena.take("raster.factors", (g_total, rows, k_total), ACCUM_DTYPE)
+    _sincos_into(phase, factor_rows)
+    # mode="clip" keeps np.take from buffering out (the indices are valid)
+    np.take(factor_rows[:, 2 * n :], factors.n_index, axis=1, out=out, mode="clip")
+    pixels = out.reshape(g_total, n, n, k_total)
+    pixels *= factor_rows[:, n : 2 * n, np.newaxis, :]
+    pixels *= factor_rows[:, np.newaxis, :n, :]
+    return out
 
 
 @shape_checked(
@@ -129,27 +239,29 @@ def gridder_bucket_fast(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
     arena: ScratchArena | None = None,
+    factors: RasterFactors | None = None,
 ) -> np.ndarray:
     """Algorithm 1 with the channel phasor recurrence, over a whole bucket.
 
-    The phase separates as ``phi(x, t, c) = s_c * A[x, t] - B[x]`` with
-    ``A = 2 pi lmn . uvw_m`` (metres), ``B = 2 pi lmn . offset``
-    (wavelengths) and ``s_c = f_c / c_light``.  For evenly spaced channels
-    ``s_c = s_0 + c * ds``, so
+    The phase of channel ``c`` separates as ``phi(x, t, c) = 2 pi lmn_x .
+    (s_c uvw_m[t] - offset)`` with ``s_c = f_c / c_light``.  For evenly
+    spaced channels ``s_c = s_0 + c * ds``, so
 
-    ``exp(i s_c A) = exp(i s_0 A) * exp(i ds A)**c``
+    ``exp(i phi(x, t, c)) = exp(2 pi i lmn_x . (s_0 uvw_m[t] - offset))
+    * exp(2 pi i lmn_x . (ds uvw_m[t]))**c``
 
-    — one pair of exponentials per (pixel, timestep) plus one complex
+    — one phasor and one step per (pixel, timestep) plus one complex
     multiply per channel step, instead of one exponential per (pixel,
     timestep, channel).  This is the image-domain analogue of the paper's
     batch sincos precomputation (Section V-B, optimisation 2): it reduces
     the sine/cosine count by a factor ~n_channels at the cost of extra
     FMAs, which both CPUs and GPUs have to spare (rho = 17 leaves the FMA
-    pipes underused on sincos-limited architectures).
+    pipes underused on sincos-limited architectures).  Both the phasor and
+    the step come from :func:`raster_phasor`, so a (item, timestep) costs
+    ``2(2N + R)`` sine/cosine pairs.
 
     ``G`` identically shaped work items are evaluated together — one
-    broadcast matmul for the stacked metre-domain phase, one batched
-    sine/cosine pair per (item, pixel, timestep), and one stacked
+    batched phasor and step build and one stacked
     ``(G, N**2, T) @ (G, T, 4)`` matrix product per channel step, with the
     recurrence multiply and its renormalisation applied in place.  All
     working memory comes from the scratch arena, so a steady stream of
@@ -178,6 +290,9 @@ def gridder_bucket_fast(
         stations; ``None`` means identity (the adjoint sandwich is skipped).
     arena:
         Scratch arena (defaults to the calling thread's).
+    factors:
+        ``lmn``'s :func:`raster_factors`, when the caller already holds
+        them (looked up from ``lmn`` otherwise).
 
     Returns
     -------
@@ -187,21 +302,21 @@ def gridder_bucket_fast(
     """
     g_total, t_total, c_total = visibilities.shape[:3]
     n_pixels2 = lmn.shape[0]
-    n = int(np.sqrt(n_pixels2))
+    n = isqrt(n_pixels2)
     if arena is None:
         arena = thread_arena()
+    if factors is None:
+        factors = raster_factors(lmn)
 
-    base = _phase_tensor(lmn, uvw_m, arena, "bucket.base")
-    offset_phase = _offset_phase_matrix(lmn, offsets, arena, "bucket.offset_phase")
-    phase = arena.take("bucket.phase", (g_total, n_pixels2, t_total), np.float64)
+    coords = arena.take("bucket.coords", (g_total, t_total, 3), np.float64)
+    np.multiply(uvw_m, scale0[:, np.newaxis, np.newaxis], out=coords)
+    coords -= offsets[:, np.newaxis, :]
     phasor = arena.take("bucket.phasor", (g_total, n_pixels2, t_total), ACCUM_DTYPE)
-    np.multiply(base, scale0[:, np.newaxis, np.newaxis], out=phase)
-    phase -= offset_phase[:, :, np.newaxis]
-    _sincos_into(phase, phasor)
+    raster_phasor(factors, coords, 1.0, phasor, arena)
     if c_total > 1:
         step = arena.take("bucket.step", (g_total, n_pixels2, t_total), ACCUM_DTYPE)
-        np.multiply(base, ds, out=phase)
-        _sincos_into(phase, step)
+        np.multiply(uvw_m, ds, out=coords)
+        raster_phasor(factors, coords, 1.0, step, arena)
 
     acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
     prod = arena.take("gridder.prod", (g_total, n_pixels2, 4), ACCUM_DTYPE)
@@ -210,10 +325,12 @@ def gridder_bucket_fast(
         np.multiply(phasor, step, out=phasor)
         if c % PHASOR_RENORM_INTERVAL == 0:
             # the recurrence drifts off the unit circle multiplicatively;
-            # pull it back before the error reaches single precision (the
-            # phase buffer doubles as the magnitude scratch)
-            np.abs(phasor, out=phase)
-            phasor /= phase
+            # pull it back before the error reaches single precision
+            magnitude = arena.take(
+                "bucket.magnitude", (g_total, n_pixels2, t_total), np.float64
+            )
+            np.abs(phasor, out=magnitude)
+            phasor /= magnitude
         np.matmul(phasor, visibilities[:, :, c], out=prod)
         acc += prod
 
@@ -241,14 +358,14 @@ def gridder_bucket(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
     arena: ScratchArena | None = None,
+    factors: RasterFactors | None = None,
 ) -> np.ndarray:
     """Algorithm 1 as a direct sum, over a whole bucket.
 
-    One broadcast matmul for the stacked ``(G, N**2, M)`` phase, one
-    batched sine/cosine evaluation, and one stacked
-    ``(G, N**2, M) @ (G, M, 4)`` matrix product.  The work-group drivers
-    use it when the channel recurrence is inapplicable (unevenly spaced
-    channels).
+    One :func:`raster_phasor` build of the stacked ``(G, N**2, M)`` phasor
+    from the relative uvw, and one stacked ``(G, N**2, M) @ (G, M, 4)``
+    matrix product.  The work-group drivers use it when the channel
+    recurrence is inapplicable (unevenly spaced channels).
 
     Parameters
     ----------
@@ -256,7 +373,7 @@ def gridder_bucket(
         ``(G, M, 4)`` stacked flattened visibility blocks.
     uvw_rel_wl:
         ``(G, M, 3)`` stacked relative uvw in wavelengths.
-    lmn, taper, aterm_p, aterm_q:
+    lmn, taper, aterm_p, aterm_q, factors:
         As in :func:`gridder_bucket_fast`.
     arena:
         Scratch arena (defaults to the calling thread's).
@@ -268,15 +385,14 @@ def gridder_bucket(
     """
     g_total, m_total = visibilities.shape[:2]
     n_pixels2 = lmn.shape[0]
-    n = int(np.sqrt(n_pixels2))
+    n = isqrt(n_pixels2)
     if arena is None:
         arena = thread_arena()
+    if factors is None:
+        factors = raster_factors(lmn)
 
-    phase = arena.take("bucket.phase", (g_total, n_pixels2, m_total), np.float64)
-    np.matmul(lmn, np.swapaxes(uvw_rel_wl, 1, 2), out=phase)
-    phase *= 2.0 * np.pi
     phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), ACCUM_DTYPE)
-    _sincos_into(phase, phasor)
+    raster_phasor(factors, uvw_rel_wl, 1.0, phasor, arena)
 
     acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
     np.matmul(phasor, visibilities, out=acc)

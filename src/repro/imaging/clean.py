@@ -68,7 +68,11 @@ def hogbom_clean(
     max_iterations:
         Minor-cycle cap.
     window:
-        Optional boolean mask restricting where peaks may be found.
+        Optional boolean mask restricting where peaks may be found.  Must
+        have the image's shape and select at least one pixel.  Peaks are
+        searched only inside its bounding box, whose unselected pixels are
+        masked; row-major order inside the box keeps ``argmax`` ties where
+        a full-image search puts them.
 
     Returns
     -------
@@ -86,16 +90,37 @@ def hogbom_clean(
     if not np.isclose(peak_psf, 1.0, atol=1e-3):
         raise ValueError(f"psf peak at centre must be ~1, got {peak_psf}")
 
+    row0, row1, col0, col1 = 0, g, 0, g
+    outside = None
+    if window is not None:
+        window = np.asarray(window, dtype=bool)
+        if window.shape != dirty.shape:
+            raise ValueError(
+                f"window shape {window.shape} must match the dirty image shape {dirty.shape}"
+            )
+        rows, cols = np.flatnonzero(window.any(axis=1)), np.flatnonzero(window.any(axis=0))
+        if rows.size == 0:
+            raise ValueError("window selects no pixel")
+        row0, row1 = int(rows[0]), int(rows[-1]) + 1
+        col0, col1 = int(cols[0]), int(cols[-1]) + 1
+        outside = ~window[row0:row1, col0:col1]
+        if not outside.any():
+            outside = None
+
     residual = dirty.astype(np.float64).copy()
     model = np.zeros_like(residual)
     comps: list[tuple[int, int, float]] = []
-    search = np.abs(residual) if window is None else np.where(window, np.abs(residual), -np.inf)
+    box = residual[row0:row1, col0:col1]
+    search = np.empty(box.shape)
 
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        idx = int(np.argmax(search))
-        row, col = divmod(idx, g)
+        np.abs(box, out=search)
+        if outside is not None:
+            np.copyto(search, -np.inf, where=outside)
+        box_row, box_col = divmod(int(np.argmax(search)), box.shape[1])
+        row, col = row0 + box_row, col0 + box_col
         peak = residual[row, col]
         if abs(peak) <= threshold:
             converged = True
@@ -114,10 +139,6 @@ def hogbom_clean(
 
         model[row, col] += flux
         comps.append((row, col, flux))
-        if window is None:
-            search = np.abs(residual)
-        else:
-            search = np.where(window, np.abs(residual), -np.inf)
     else:
         converged = abs(residual).max() <= threshold if threshold > 0 else False
 

@@ -31,7 +31,12 @@ import numpy as np
 from repro.aterms.jones import identity_jones_field
 from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, SPEED_OF_LIGHT
 from repro.core.degridder import degridder_bucket, degridder_bucket_fast
-from repro.core.gridder import gridder_bucket, gridder_bucket_fast, subgrid_lmn
+from repro.core.gridder import (
+    gridder_bucket,
+    gridder_bucket_fast,
+    raster_factors,
+    subgrid_lmn,
+)
 from repro.core.plan import Plan
 from repro.core.scratch import ScratchArena, thread_arena
 
@@ -57,16 +62,23 @@ __all__ = [
 #: (the ``(G, N**2, T)`` complex phasor).  Buckets larger than this are
 #: processed in chunks.  The channel-recurrence loop re-streams the phasor
 #: and step tensors once per channel, so the chunk's phasor-family working
-#: set (phasor + step + phase + base, ~3.5x this figure) must stay cache-
-#: resident or every channel step pays DRAM bandwidth; 1 MiB keeps it around
-#: a per-core L2 (measured fastest from 1-64 MiB on the bench config, where
-#: it still batches items up to ``(G, 576, 128)`` tensors) while small work
-#: items — the ones per-item dispatch overhead actually hurts — batch tens
-#: to hundreds of subgrids per call.
+#: set (phasor + step, 2x this figure, plus the ``(G, 2N + R, T)`` factor
+#: rows and phases they are built from, about a third of one phasor at
+#: N = 24) must stay cache-resident or every channel step pays DRAM
+#: bandwidth; 1 MiB keeps it around a per-core L2 (measured fastest from
+#: 1-64 MiB on the bench config, where it still batches items up to
+#: ``(G, 576, 128)`` tensors) while small work items — the ones per-item
+#: dispatch overhead actually hurts — batch tens to hundreds of subgrids
+#: per call.
 DEFAULT_BATCH_BYTES: Final = 2**20
 
 #: Bytes per complex128 scratch element.
 _COMPLEX_ITEMSIZE: Final = 16
+
+#: Absolute floor of :func:`uniform_channel_step`'s step comparison, in
+#: float64 ulps of the largest ``|f/c|``.  Evenly spaced ladders built with
+#: ``np.linspace`` or ``f0 + df * arange`` measure at most 1 ulp.
+_STEP_ULPS: Final = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,12 +339,19 @@ def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
     start at different channels, so it needs the *global* ladder to be an
     arithmetic progression (every subband this package simulates is);
     ``None`` sends the drivers down the direct-sum kernels instead.
+
+    Steps must agree to ``1e-9`` relative, with an absolute floor of
+    :data:`_STEP_ULPS` float64 ulps of the largest ``|f/c|`` for the
+    rounding of the division and the differences (numpy's default
+    ``atol = 1e-8`` would exceed ``1e-9 * ds`` for any channel narrower
+    than 3 GHz and accept a kHz ladder with a channel Hz off).
     """
     scales = np.asarray(frequencies_hz, dtype=np.float64) / SPEED_OF_LIGHT
     if scales.size < 2:
         return 0.0
     steps = np.diff(scales)
-    if not np.allclose(steps, steps[0], rtol=1e-9):
+    atol = _STEP_ULPS * float(np.spacing(np.max(np.abs(scales))))
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=atol):
         return None
     return float(steps[0])
 
@@ -369,7 +388,9 @@ def grid_work_group_batched(
         ``(N, N)`` taper.
     lmn:
         Optional precomputed :func:`~repro.core.gridder.subgrid_lmn`
-        (computed if omitted).
+        (computed if omitted).  Its
+        :func:`~repro.core.gridder.raster_factors` are looked up once per
+        call and shared by every bucket chunk.
     aterm_fields:
         Maps ``(station, interval)`` to an ``(N, N, 2, 2)`` Jones field;
         ``None`` or missing keys mean identity.
@@ -381,6 +402,7 @@ def grid_work_group_batched(
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
+    factors = raster_factors(lmn)
     if arena is None:
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
@@ -401,13 +423,13 @@ def grid_work_group_batched(
                     gather_scale0(plan, indices),
                     ds,
                     gather_offsets(plan, indices, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena,
+                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
                 )
             else:
                 subgrids = gridder_bucket(
                     vis.reshape(len(indices), -1, 4),
                     gather_rel_uvw(plan, indices, uvw_m, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena,
+                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
                 )
             out[indices - start] = subgrids
     return out
@@ -438,6 +460,7 @@ def degrid_work_group_batched(
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
+    factors = raster_factors(lmn)
     if arena is None:
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
@@ -459,12 +482,12 @@ def degrid_work_group_batched(
                     ds,
                     bucket.n_channels,
                     gather_offsets(plan, indices, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena,
+                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
                 )
             else:
                 block = degridder_bucket(
                     images,
                     gather_rel_uvw(plan, indices, uvw_m, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena,
+                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
                 ).reshape(len(indices), bucket.n_times, bucket.n_channels, 4)
             scatter_visibilities(plan, indices, block, visibilities_out)

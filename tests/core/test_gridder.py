@@ -8,8 +8,9 @@ property, a stacked bucket (``G > 1``) as well.
 import numpy as np
 import pytest
 
-from repro.core.gridder import gridder_bucket, subgrid_lmn
+from repro.core.gridder import gridder_bucket, raster_factors, raster_phasor, subgrid_lmn
 from repro.core.reference import reference_gridder, relative_uvw_wavelengths
+from repro.core.scratch import ScratchArena
 from repro.kernels.spheroidal import spheroidal_taper
 from repro.kernels.wkernel import n_term
 from repro.parallel.bucketing import grid_work_group_batched
@@ -54,6 +55,44 @@ def test_subgrid_lmn_structure(lmn):
     np.testing.assert_allclose(lmn[centre], [0.0, 0.0, 0.0], atol=1e-15)
     # n column equals n_term of the l, m columns
     np.testing.assert_allclose(lmn[:, 2], n_term(lmn[:, 0], lmn[:, 1]))
+    # the cached separable factors rebuild every raster bit for bit: l tiled
+    # across rows, m repeated along each row, n gathered from its distinct
+    # values (n depends on l**2 + m**2 only, so symmetric pixels share one)
+    for size in (8, 9, 24, 32):
+        raster = subgrid_lmn(size, IMAGE_SIZE)
+        factors = raster_factors(raster)
+        assert raster_factors(raster) is factors
+        np.testing.assert_array_equal(raster[:, 0], np.tile(factors.l, size))
+        np.testing.assert_array_equal(raster[:, 1], np.repeat(factors.m, size))
+        np.testing.assert_array_equal(raster[:, 2], factors.n_values[factors.n_index])
+        assert factors.n_values.size == np.unique(raster[:, 2]).size
+    assert raster_factors(subgrid_lmn(24, IMAGE_SIZE)).n_values.size == 83
+
+
+@pytest.mark.parametrize("g_total", [1, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_raster_phasor_matches_the_pixel_exponential(lmn, g_total, sign):
+    """The phasor assembled from l-, m- and n-factor rows equals the direct
+    per-pixel exponential of the full phase."""
+    rng = np.random.default_rng(17)
+    coords = rng.standard_normal((g_total, 11, 3)) * np.array([40.0, 40.0, 10.0])
+    out = np.empty((g_total, N * N, 11), dtype=np.complex128)
+    phasor = raster_phasor(raster_factors(lmn), coords, sign, out, ScratchArena())
+    assert phasor is out
+    expected = np.exp(sign * 2j * np.pi * (lmn @ np.swapaxes(coords, 1, 2)))
+    np.testing.assert_allclose(phasor, expected, rtol=1e-13, atol=0)
+
+
+def test_raster_factors_reject_a_non_raster_lmn(lmn):
+    swapped = lmn.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]  # two pixels out of raster order
+    with pytest.raises(ValueError, match="not a subgrid raster"):
+        raster_factors(swapped)
+    with pytest.raises(ValueError):
+        raster_factors(lmn[:10])  # not (N**2, 3)
+    vis, uvw = _random_block(5, seed=12)
+    with pytest.raises(ValueError):
+        _grid(vis, uvw, swapped, spheroidal_taper(N))
 
 
 def test_relative_uvw_layout():

@@ -102,3 +102,53 @@ def test_validation(psf):
         hogbom_clean(dirty, psf, gain=0.0)
     with pytest.raises(ValueError):
         hogbom_clean(dirty, psf * 0.5)  # peak not 1
+    with pytest.raises(ValueError, match="selects no pixel"):
+        hogbom_clean(dirty, psf, window=np.zeros_like(dirty, dtype=bool))
+    with pytest.raises(ValueError, match="window shape"):
+        hogbom_clean(dirty, psf, window=np.ones((32, 32), dtype=bool))
+
+
+def _full_image_clean(dirty, psf, gain, threshold, max_iterations, window):
+    """The plain Hogbom loop: argmax of ``|residual|`` over the whole image,
+    unselected pixels masked with -inf."""
+    g = dirty.shape[0]
+    centre = g // 2
+    residual = dirty.astype(np.float64).copy()
+    model = np.zeros_like(residual)
+    components = []
+    for _ in range(max_iterations):
+        row, col = divmod(int(np.argmax(np.where(window, np.abs(residual), -np.inf))), g)
+        peak = residual[row, col]
+        if abs(peak) <= threshold:
+            break
+        flux = gain * peak
+        shifted = np.roll(np.roll(psf, row - centre, axis=0), col - centre, axis=1)
+        # np.roll wraps; mask the wrapped part so the subtraction is clipped
+        rows = np.arange(g)[:, np.newaxis] - row + centre
+        cols = np.arange(g)[np.newaxis, :] - col + centre
+        inside = (rows >= 0) & (rows < g) & (cols >= 0) & (cols < g)
+        residual -= np.where(inside, flux * shifted, 0.0)
+        model[row, col] += flux
+        components.append((row, col, flux))
+    return np.array(components, dtype=np.float64).reshape(-1, 3), model, residual
+
+
+def test_windowed_search_matches_a_full_image_loop_with_tied_peaks(psf):
+    """A disc window with exactly tied peaks: searching only the window's
+    bounding box picks the same pixel as a full-image argmax every time."""
+    g = psf.shape[0]
+    y, x = np.mgrid[0:g, 0:g]
+    window = (y - 30) ** 2 + (x - 34) ** 2 <= 14**2
+    # two equal sources point-symmetric about the disc centre tie bit for
+    # bit, and row-major order (row 24 first) picks another one than
+    # column-major order (column 28 first) would; the brightest pixel of
+    # all lies outside the disc
+    dirty = _dirty_from_components(psf, [(24, 40, 4.0), (36, 28, 4.0), (5, 5, 9.0)])
+    assert dirty[24, 40] == dirty[36, 28] == np.abs(dirty[window]).max()
+    res = hogbom_clean(dirty, psf, gain=0.2, threshold=0.02, max_iterations=120, window=window)
+    components, model, residual = _full_image_clean(dirty, psf, 0.2, 0.02, 120, window)
+    assert tuple(components[0, :2]) == (24, 40)
+    assert len(res.components) > 10
+    np.testing.assert_array_equal(res.components, components)
+    np.testing.assert_array_equal(res.model_image, model)
+    np.testing.assert_array_equal(res.residual, residual)

@@ -18,6 +18,7 @@ from repro.parallel.bucketing import (
     uniform_channel_step,
 )
 from repro.constants import SPEED_OF_LIGHT
+from repro.telescope.observation import ska1_low_observation
 
 
 # --------------------------------------------------------------- bucketing
@@ -82,6 +83,19 @@ def test_uniform_channel_step():
     assert uniform_channel_step(np.array([1.0e8])) == 0.0
     ragged = np.array([1.0e8, 1.1e8, 1.25e8])
     assert uniform_channel_step(ragged) is None
+    # a 1 kHz ladder with one channel 2.5 Hz off is not uniform (numpy's
+    # default atol of 1e-8, in units of 1/m, would accept it)
+    khz = 1.5e8 + 1e3 * np.arange(16)
+    assert uniform_channel_step(khz) == pytest.approx(1e3 / SPEED_OF_LIGHT)
+    khz[9] += 2.5
+    assert uniform_channel_step(khz) is None
+    # the simulated 200 kHz subband and a linspace ladder stay uniform
+    freqs = ska1_low_observation(n_stations=4, n_times=2, n_channels=64).frequencies_hz
+    assert uniform_channel_step(freqs) == pytest.approx(200e3 / SPEED_OF_LIGHT)
+    spaced = np.linspace(1.2e8, 1.9e8, 97)
+    assert uniform_channel_step(spaced) == pytest.approx(
+        (spaced[1] - spaced[0]) / SPEED_OF_LIGHT
+    )
 
 
 # ----------------------------------------------------------- gather/scatter
