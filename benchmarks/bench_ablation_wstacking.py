@@ -39,9 +39,8 @@ def wide_field():
     bl = obs.array.baselines()
     vis = predict_visibilities(obs.uvw_m, obs.frequencies_hz, sky, baselines=bl)
     g = gs.grid_size
-    model = np.zeros((4, g, g), dtype=np.complex128)
-    model[0, round(m0 / dl) + g // 2, round(l0 / dl) + g // 2] = 1.0
-    model[3, round(m0 / dl) + g // 2, round(l0 / dl) + g // 2] = 1.0
+    model = np.zeros((g, g))  # Stokes I
+    model[round(m0 / dl) + g // 2, round(l0 / dl) + g // 2] = 1.0
     return obs, gs, bl, vis, model
 
 

@@ -50,9 +50,8 @@ def main() -> None:
     vis = repro.predict_visibilities(obs.uvw_m, obs.frequencies_hz, sky,
                                      baselines=baselines)
     g = gridspec.grid_size
-    model = np.zeros((4, g, g), dtype=np.complex128)
-    model[0, round(m0 / dl) + g // 2, round(l0 / dl) + g // 2] = 1.0
-    model[3, round(m0 / dl) + g // 2, round(l0 / dl) + g // 2] = 1.0
+    model = np.zeros((g, g))  # Stokes I
+    model[round(m0 / dl) + g // 2, round(l0 / dl) + g // 2] = 1.0
 
     print(f"\n{'subgrid':>8} {'w planes':>9} {'degrid rel rms':>15} "
           f"{'predict [s]':>12}")

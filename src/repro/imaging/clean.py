@@ -6,13 +6,22 @@ find the absolute peak of the residual image, subtract ``gain * peak`` times
 the PSF centred there, and record the subtracted flux as a *CLEAN component*.
 Components accumulate into the sky model that the predict step (FFT +
 degridding) turns back into visibilities.
+
+The helpers after :func:`hogbom_clean` are the parts of a CLEAN major-cycle
+loop that :class:`repro.imaging.ImagingCycle` and
+:func:`repro.calibration.self_calibrate` share: argument checks that run
+before the first grid pass, the central clean window, windowed statistics
+and the peak-normalised PSF.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+
+from repro.constants import COMPLEX_DTYPE
 
 
 @dataclass
@@ -82,8 +91,7 @@ def hogbom_clean(
         raise ValueError("dirty image must be square 2-D")
     if psf.shape != dirty.shape:
         raise ValueError("psf must match the dirty image shape")
-    if not (0.0 < gain <= 1.0):
-        raise ValueError("gain must be in (0, 1]")
+    check_loop_gain("gain", gain)
     g = dirty.shape[0]
     centre = g // 2
     peak_psf = psf[centre, centre]
@@ -152,3 +160,71 @@ def hogbom_clean(
         n_iterations=iteration,
         converged=converged,
     )
+
+
+# ------------------------------------------------ major-cycle loop helpers
+
+
+def check_loop_gain(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is a loop gain in (0, 1]."""
+    if not (0.0 < value <= 1.0):
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+
+
+def _window_margin(grid_size: int, fraction: float) -> int:
+    return int(round(grid_size * (1.0 - fraction) / 2.0))
+
+
+def check_clean_window(grid_size: int, fraction: float) -> None:
+    """Raise ``ValueError`` when :func:`clean_window` would select no pixel."""
+    if 0.0 < fraction < 1.0 and 2 * _window_margin(grid_size, fraction) >= grid_size:
+        raise ValueError(
+            f"clean window fraction {fraction} selects no pixel of a "
+            f"{grid_size}-pixel image"
+        )
+
+
+def clean_window(grid_size: int, fraction: float) -> np.ndarray | None:
+    """Boolean mask of the central ``fraction`` of a ``(G, G)`` image.
+
+    ``None`` (no window) unless ``0 < fraction < 1``.  Near the edge the
+    taper grid correction divides by a vanishing taper and amplifies
+    aliasing into spurious peaks, so CLEAN searches only the interior.
+    Raises ``ValueError`` when the fraction selects no pixel.
+    """
+    check_clean_window(grid_size, fraction)
+    if not (0.0 < fraction < 1.0):
+        return None
+    margin = _window_margin(grid_size, fraction)
+    window = np.zeros((grid_size, grid_size), dtype=bool)
+    window[margin : grid_size - margin, margin : grid_size - margin] = True
+    return window
+
+
+def windowed_rms(image: np.ndarray, window: np.ndarray | None) -> float:
+    """RMS of ``image`` inside ``window`` (everywhere when ``None``)."""
+    values = image[window] if window is not None else image
+    return float(np.sqrt((values**2).mean()))
+
+
+def windowed_peak(image: np.ndarray, window: np.ndarray | None) -> float:
+    """Largest ``|image|`` inside ``window`` (everywhere when ``None``)."""
+    values = image[window] if window is not None else image
+    return float(np.abs(values).max())
+
+
+def peak_normalised_psf(
+    dirty_image: Callable[[np.ndarray], np.ndarray], vis_shape: tuple[int, ...]
+) -> np.ndarray:
+    """PSF: ``dirty_image`` of unpolarised unit visibilities (``XX = YY =
+    1``) of ``(n_bl, T, C)`` layout ``vis_shape``, normalised to 1 at the
+    image centre."""
+    unit = np.zeros(vis_shape + (2, 2), dtype=COMPLEX_DTYPE)
+    unit[..., 0, 0] = 1.0
+    unit[..., 1, 1] = 1.0
+    psf = dirty_image(unit)
+    centre = psf.shape[0] // 2
+    peak = psf[centre, centre]
+    if peak == 0:
+        raise RuntimeError("PSF centre is zero — no visibilities were gridded")
+    return psf / peak

@@ -10,22 +10,37 @@ downstream user runs.
 
 The gridder/degridder pair is pluggable: anything exposing the
 :class:`repro.core.IDG` interface (``make_plan``/``grid``/``degrid``) works,
-which is how the W-projection baseline is compared end-to-end.
+which is how the W-projection baseline is compared end-to-end.  Invert and
+predict always run through an :class:`repro.imaging.pipeline.FTProcessor`:
+a :class:`~repro.imaging.pipeline.TwoDimFTProcessor` on the given gridder
+unless another processor is passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.aterms.schedule import ATermSchedule
-from repro.constants import COMPLEX_DTYPE
 from repro.core.pipeline import IDG
 from repro.core.scratch import trim_thread_arenas
-from repro.imaging.clean import CleanResult, hogbom_clean
-from repro.imaging.image import dirty_image_from_grid, model_image_to_grid
+from repro.imaging.clean import (
+    CleanResult,
+    check_clean_window,
+    check_loop_gain,
+    clean_window,
+    hogbom_clean,
+    peak_normalised_psf,
+    windowed_peak,
+    windowed_rms,
+)
+
+# Not called here: the benchmark suite's tracer patches these two names on
+# this module by ``getattr``, so they must stay importable from it.
+from repro.imaging.image import dirty_image_from_grid, model_image_to_grid  # noqa: F401
+from repro.imaging.pipeline import ImagingContext, TwoDimFTProcessor
 
 
 @dataclass
@@ -73,15 +88,11 @@ class MajorCycleResult:
 class ImagingCycle:
     """Drives major cycles over a fixed observation with a given gridder.
 
-    ``processor`` optionally replaces the direct grid/IFFT path with any
-    :class:`repro.imaging.pipeline.FTProcessor` (w-stacked, faceted, ...);
-    the major-cycle logic is identical, only invert/predict are delegated.
-
-    The direct path transforms Stokes I only.  Stokes I is linear in the
-    grid, so the dirty image (and the PSF) comes from the one plane
-    ``0.5 * (XX + YY)`` of the gridded correlations, and a Stokes-I model
-    is transformed once and written into the XX and YY planes of the model
-    grid: one ``G x G`` FFT per direction instead of four.
+    ``processor`` is the :class:`repro.imaging.pipeline.FTProcessor`
+    (w-stacked, faceted, ...) that every invert and predict goes through;
+    by default a :class:`~repro.imaging.pipeline.TwoDimFTProcessor` on
+    ``idg`` with the given A-term schedule.  The processors transform
+    Stokes I only: one ``G x G`` FFT per direction.
     """
 
     def __init__(
@@ -99,62 +110,33 @@ class ImagingCycle:
         self.frequencies_hz = np.atleast_1d(np.asarray(frequencies_hz, dtype=np.float64))
         self.baselines = np.asarray(baselines)
         self.aterms = aterms
-        self.processor = processor
-        if processor is not None:
-            self.plan = processor.plan
-        else:
-            self.plan = idg.make_plan(
-                self.uvw_m, self.frequencies_hz, self.baselines,
-                aterm_schedule=aterm_schedule,
+        if processor is None:
+            processor = TwoDimFTProcessor(
+                ImagingContext(
+                    idg, self.uvw_m, self.frequencies_hz, self.baselines,
+                    aterm_schedule=aterm_schedule,
+                )
             )
-        self._weight_sum = float(self.plan.statistics.n_visibilities_gridded)
+        self.processor = processor
+        self.plan = processor.plan
+
+    def _aterm_override(self) -> dict:
+        # Only override the processor's own A-term default when this cycle
+        # was given one explicitly.
+        return {} if self.aterms is None else {"aterms": self.aterms}
 
     # ------------------------------------------------------------ building
     def make_dirty_image(self, visibilities: np.ndarray) -> np.ndarray:
         """Stokes-I dirty image of a visibility set (grid + IFFT + correct)."""
-        if self.processor is not None:
-            # Only override the processor's own A-term default when this
-            # cycle was given one explicitly.
-            if self.aterms is not None:
-                return self.processor.invert(visibilities, aterms=self.aterms).stokes_i
-            return self.processor.invert(visibilities).stokes_i
-        grid = self.idg.grid(self.plan, self.uvw_m, visibilities, aterms=self.aterms)
-        # Re(IFFT(0.5 (XX + YY))) == stokes_i_image(IFFT(grid)), one plane
-        stokes_i_grid = 0.5 * (grid[0] + grid[3])
-        image = dirty_image_from_grid(
-            stokes_i_grid, self.idg.gridspec, weight_sum=self._weight_sum,
-            taper=self.idg.config.taper, taper_beta=self.idg.config.taper_beta,
-        )
-        return np.real(image)
+        return self.processor.invert(visibilities, **self._aterm_override()).image
 
     def make_psf(self) -> np.ndarray:
         """PSF: the image of unit visibilities, normalised to peak 1."""
-        shape = self.plan.flagged.shape + (2, 2)
-        unit = np.zeros(shape, dtype=np.complex64)
-        unit[..., 0, 0] = 1.0
-        unit[..., 1, 1] = 1.0
-        psf = self.make_dirty_image(unit)
-        centre = self.idg.gridspec.grid_size // 2
-        peak = psf[centre, centre]
-        if peak == 0:
-            raise RuntimeError("PSF centre is zero — no visibilities were gridded")
-        return psf / peak
+        return peak_normalised_psf(self.make_dirty_image, self.plan.flagged.shape)
 
     def predict(self, model_image_stokes_i: np.ndarray) -> np.ndarray:
         """Predict visibilities of a Stokes-I model image (FFT + degrid)."""
-        if self.processor is not None:
-            if self.aterms is not None:
-                return self.processor.predict(model_image_stokes_i, aterms=self.aterms)
-            return self.processor.predict(model_image_stokes_i)
-        g = self.idg.gridspec.grid_size
-        stokes_i_grid = model_image_to_grid(
-            np.asarray(model_image_stokes_i), self.idg.gridspec,
-            taper=self.idg.config.taper, taper_beta=self.idg.config.taper_beta,
-        )
-        grid = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)
-        grid[0] = stokes_i_grid  # XX = YY = I (B = I*eye convention)
-        grid[3] = stokes_i_grid
-        return self.idg.degrid(self.plan, self.uvw_m, grid, aterms=self.aterms)
+        return self.processor.predict(model_image_stokes_i, **self._aterm_override())
 
     # ------------------------------------------------------------- driving
     def run(
@@ -183,30 +165,23 @@ class ImagingCycle:
         exact degridding predict of the next major cycle resynchronises the
         residual.
         """
+        g = self.idg.gridspec.grid_size
+        check_loop_gain("gain", gain)
+        check_loop_gain("major_gain", major_gain)
+        check_clean_window(g, clean_window_fraction)
         psf = self.make_psf()
         residual_vis = np.array(visibilities, copy=True)
-        g = self.idg.gridspec.grid_size
         model = np.zeros((g, g), dtype=np.float64)
-        window = None
-        if 0.0 < clean_window_fraction < 1.0:
-            margin = int(round(g * (1.0 - clean_window_fraction) / 2.0))
-            window = np.zeros((g, g), dtype=bool)
-            window[margin : g - margin, margin : g - margin] = True
+        # built after the PSF: kept alive across the PSF's grid-sized
+        # temporaries it pins the heap and raises the peak RSS
+        window = clean_window(g, clean_window_fraction)
         cycles: list[CleanResult] = []
         rms_history: list[float] = []
         residual_image = self.make_dirty_image(residual_vis)
 
-        def windowed_rms(image: np.ndarray) -> float:
-            values = image[window] if window is not None else image
-            return float(np.sqrt((values**2).mean()))
-
-        if not (0.0 < major_gain <= 1.0):
-            raise ValueError("major_gain must be in (0, 1]")
         for _ in range(n_major):
-            rms = windowed_rms(residual_image)
-            peak = float(
-                np.abs(residual_image[window] if window is not None else residual_image).max()
-            )
+            rms = windowed_rms(residual_image, window)
+            peak = windowed_peak(residual_image, window)
             threshold = max(threshold_factor * rms, (1.0 - major_gain) * peak)
             result = hogbom_clean(
                 residual_image, psf, gain=gain,
@@ -222,7 +197,7 @@ class ImagingCycle:
             predicted = self.predict(model)
             residual_vis = np.asarray(visibilities) - predicted
             residual_image = self.make_dirty_image(residual_vis)
-            rms_history.append(windowed_rms(residual_image))
+            rms_history.append(windowed_rms(residual_image, window))
             # The gridding/degridding above is quiescent here; shrink the
             # scratch arenas to this cycle's working set so one oversized
             # early bucket doesn't pin its peak footprint for the whole run.

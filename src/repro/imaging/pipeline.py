@@ -22,10 +22,14 @@ grids and predictions (the PR 8 conformance corpus pins this) and the
 image-domain post-processing here is identical numpy code, a pipeline
 result is ``np.array_equal`` across executors.
 
-Normalisation contract: ``invert`` returns an :class:`InvertResult` whose
-``image`` is the taper-corrected complex ``(4, G, G)`` dirty image in flux
-units (``stokes_i`` reduces it); ``predict`` takes a ``(G, G)`` Stokes-I or
-``(4, G, G)`` model and returns ``(n_bl, T, C, 2, 2)`` visibilities.
+Normalisation contract: everything here is Stokes I.  ``invert`` returns an
+:class:`InvertResult` whose ``image`` is the real, taper-corrected
+``(G, G)`` Stokes-I dirty image in flux units; ``predict`` takes a real
+``(G, G)`` Stokes-I model (any other shape raises ``ValueError``) and
+returns ``(n_bl, T, C, 2, 2)`` visibilities with ``XX = YY = I``.  Stokes I
+is linear in the grid, so every transform runs on the one plane
+``0.5 * (XX + YY)`` of a gridded layer, and a model is transformed once per
+layer and written into the XX and YY planes of the model grid.
 Weighted imaging passes Briggs/uniform weights from
 :mod:`repro.imaging.weighting` straight into ``invert`` — the weights
 multiply the visibilities and their (coverage-masked) sum normalises the
@@ -55,11 +59,7 @@ from repro.imaging.facets import (
     facet_shifted_uvw,
     plan_facets,
 )
-from repro.imaging.image import (
-    dirty_image_from_grid,
-    model_image_to_grid,
-    stokes_i_image,
-)
+from repro.imaging.image import dirty_image_from_grid, model_image_to_grid
 from repro.imaging.weighting import apply_weights
 from repro.kernels.fft import centered_fft2, centered_ifft2
 from repro.kernels.spheroidal import grid_correction
@@ -199,13 +199,13 @@ class ImagingContext:
 class InvertResult:
     """Normalised dirty image plus the weight that normalised it."""
 
-    image: np.ndarray  # (4, G, G) complex, taper-corrected, flux units
+    image: np.ndarray  # (G, G) real Stokes I, taper-corrected, flux units
     weight_sum: float
 
     @property
     def stokes_i(self) -> np.ndarray:
-        """Real ``(G, G)`` Stokes-I reduction of ``image``."""
-        return stokes_i_image(self.image)
+        """Alias of ``image``."""
+        return self.image
 
 
 # --------------------------------------------------------------- weighting
@@ -250,21 +250,20 @@ def plan_weight_sum(
     return float(weights[covered].sum())
 
 
-def _as_model4(model_image: np.ndarray, grid_size: int) -> np.ndarray:
-    """Lift a ``(G, G)`` Stokes-I model to the ``(4, G, G)`` XX=YY=I form
-    (pass-through for an explicit 4-polarisation model)."""
+def _stokes_i_model(model_image: np.ndarray, grid_size: int) -> np.ndarray:
+    """A predict input checked against the ``(G, G)`` Stokes-I contract."""
     model_image = np.asarray(model_image)
-    if model_image.shape == (4, grid_size, grid_size):
-        return model_image.astype(ACCUM_DTYPE, copy=False)
     if model_image.shape != (grid_size, grid_size):
         raise ValueError(
-            f"model image must be ({grid_size}, {grid_size}) Stokes I or "
-            f"(4, {grid_size}, {grid_size}), got {model_image.shape}"
+            f"model image must be a ({grid_size}, {grid_size}) Stokes-I "
+            f"image, got shape {model_image.shape}"
         )
-    model4 = np.zeros((4, grid_size, grid_size), dtype=ACCUM_DTYPE)
-    model4[0] = model_image  # XX = YY = I  (B = I * eye convention)
-    model4[3] = model_image
-    return model4
+    return model_image
+
+
+def _stokes_i_plane(grid: np.ndarray) -> np.ndarray:
+    """The Stokes-I plane ``0.5 * (XX + YY)`` of a ``(4, g, g)`` grid."""
+    return 0.5 * (grid[0] + grid[3])
 
 
 def _weighted(
@@ -286,6 +285,12 @@ class _Field:
     2-D variants use a layer-less field, the w-stack variants split the
     field's plan into :class:`~repro.core.wstack.WLayer` sub-plans; the
     facet variants run one field per tile on the facet grid.
+
+    Every transform is one Stokes-I plane.  A w-layer's image-domain
+    correction — its w screen ``exp(+2πi w_p n(l, m))`` divided by the
+    taper — is built for all layers at once on first use and kept:
+    ``invert`` multiplies each layer's image by its screen, ``predict``
+    multiplies the model by the conjugate.
     """
 
     def __init__(
@@ -309,49 +314,23 @@ class _Field:
             if n_w_planes <= 1
             else split_plan_by_w(self.plan, uvw_m, n_w_planes)
         )
+        self._screens: np.ndarray | None = None
 
-    # -- helpers (hoisted out of the layer loops: IDG002/IDG003 style) -----
-
-    def _w_screen(self, w: float, sign: float) -> np.ndarray:
-        """Image-domain w correction on this field's raster."""
-        gs = self.idg.gridspec
-        g = gs.grid_size
-        coords = (np.arange(g) - g // 2) * (gs.image_size / g)
-        n = n_term(coords[np.newaxis, :], coords[:, np.newaxis])
-        return np.exp(sign * 2.0j * np.pi * w * n)
-
-    def _grid_correction(self) -> np.ndarray:
-        return grid_correction(
-            self.idg.gridspec.grid_size,
-            taper=self.idg.config.taper,
-            beta=self.idg.config.taper_beta,
-        )
-
-    def _layer_image(
-        self,
-        layer: WLayer,
-        visibilities: np.ndarray,
-        aterms: ATermGenerator | None,
-        flags: np.ndarray | None,
-    ) -> np.ndarray:
-        """One layer's raw (unnormalised) w-corrected image."""
-        g = self.idg.gridspec.grid_size
-        grid = self.engine.grid(
-            layer.plan, self.uvw_m, visibilities, aterms=aterms, flags=flags
-        )
-        image = centered_ifft2(grid, axes=(-2, -1)) * (g * g)
-        return image * self._w_screen(layer.w_centre, sign=+1.0)
-
-    def _layer_predict(
-        self,
-        layer: WLayer,
-        pre_corrected: np.ndarray,
-        aterms: ATermGenerator | None,
-    ) -> np.ndarray:
-        """One layer's predicted visibilities (disjoint blocks per layer)."""
-        screened = pre_corrected * self._w_screen(layer.w_centre, sign=-1.0)
-        grid = centered_fft2(screened, axes=(-2, -1)).astype(COMPLEX_DTYPE)
-        return self.engine.degrid(layer.plan, self.uvw_m, grid, aterms=aterms)
+    def _layer_screens(self) -> np.ndarray:
+        """``(P, g, g)`` screens ``exp(+2πi w_p n(l, m)) / taper`` of the
+        P w-layers (built by one ``np.exp`` on first use)."""
+        if self._screens is None:
+            gs = self.idg.gridspec
+            g = gs.grid_size
+            coords = (np.arange(g) - g // 2) * (gs.image_size / g)
+            n = n_term(coords[np.newaxis, :], coords[:, np.newaxis])
+            w = np.array([layer.w_centre for layer in self.layers])
+            screens = np.exp(2.0j * np.pi * w[:, np.newaxis, np.newaxis] * n)
+            screens /= grid_correction(
+                g, taper=self.idg.config.taper, beta=self.idg.config.taper_beta
+            )
+            self._screens = screens
+        return self._screens
 
     # -- the two directions ------------------------------------------------
 
@@ -367,7 +346,8 @@ class _Field:
         flags: np.ndarray | None,
         weight_sum: float,
     ) -> np.ndarray:
-        """Normalised, taper-corrected ``(4, g, g)`` image of this field."""
+        """Normalised, taper-corrected real ``(g, g)`` Stokes-I image of
+        this field."""
         if weight_sum <= 0:
             raise ValueError(
                 "weight_sum must be positive — no unflagged visibility was "
@@ -377,40 +357,52 @@ class _Field:
             grid = self.engine.grid(
                 self.plan, self.uvw_m, visibilities, aterms=aterms, flags=flags
             )
-            return dirty_image_from_grid(
-                grid,
-                self.idg.gridspec,
-                weight_sum=weight_sum,
-                taper=self.idg.config.taper,
-                taper_beta=self.idg.config.taper_beta,
-            )
+            # copied: a view would keep the complex image, twice the size,
+            # alive for as long as the caller holds the result
+            return np.real(
+                dirty_image_from_grid(
+                    _stokes_i_plane(grid),
+                    self.idg.gridspec,
+                    weight_sum=weight_sum,
+                    taper=self.idg.config.taper,
+                    taper_beta=self.idg.config.taper_beta,
+                )
+            ).copy()
         g = self.idg.gridspec.grid_size
-        accum = np.zeros((4, g, g), dtype=ACCUM_DTYPE)
-        for layer in self.layers:
-            accum += self._layer_image(layer, visibilities, aterms, flags)
-        accum /= weight_sum
-        return accum / self._grid_correction()
+        accum = np.zeros((g, g), dtype=ACCUM_DTYPE)
+        for layer, screen in zip(self.layers, self._layer_screens()):
+            grid = self.engine.grid(
+                layer.plan, self.uvw_m, visibilities, aterms=aterms, flags=flags
+            )
+            accum += centered_ifft2(_stokes_i_plane(grid)) * screen
+        return accum.real * (g * g / weight_sum)
 
     def predict(
-        self, model4: np.ndarray, aterms: ATermGenerator | None
+        self, model: np.ndarray, aterms: ATermGenerator | None
     ) -> np.ndarray:
-        """Predicted ``(n_bl, T, C, 2, 2)`` visibilities of a ``(4, g, g)``
-        model on this field's raster."""
+        """Predicted ``(n_bl, T, C, 2, 2)`` visibilities of a ``(g, g)``
+        Stokes-I model on this field's raster (``XX = YY = I``)."""
+        g = self.idg.gridspec.grid_size
         if self.layers is None:
-            grid = model_image_to_grid(
-                model4,
+            plane = model_image_to_grid(
+                model,
                 self.idg.gridspec,
                 taper=self.idg.config.taper,
                 taper_beta=self.idg.config.taper_beta,
             )
+            # allocated after the transform: its temporaries are freed by now
+            grid = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)
+            grid[0] = grid[3] = plane
             return self.engine.degrid(self.plan, self.uvw_m, grid, aterms=aterms)
-        pre = model4 / self._grid_correction()
         n_bl, n_times, _ = self.uvw_m.shape
         out = np.zeros(
             (n_bl, n_times, self.plan.n_channels, 2, 2), dtype=COMPLEX_DTYPE
         )
-        for layer in self.layers:
-            out += self._layer_predict(layer, pre, aterms)  # disjoint blocks
+        grid = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)  # reused by every layer
+        for layer, screen in zip(self.layers, self._layer_screens()):
+            grid[0] = grid[3] = centered_fft2(model * np.conj(screen))
+            # the layers' work items cover disjoint visibility blocks
+            out += self.engine.degrid(layer.plan, self.uvw_m, grid, aterms=aterms)
         return out
 
 
@@ -476,8 +468,8 @@ class _SingleFieldProcessor:
         model_image: np.ndarray,
         aterms: ATermGenerator | None = _UNSET,
     ) -> np.ndarray:
-        model4 = _as_model4(model_image, self.ctx.idg.gridspec.grid_size)
-        return self._field.predict(model4, self._aterms(aterms))
+        model = _stokes_i_model(model_image, self.ctx.idg.gridspec.grid_size)
+        return self._field.predict(model, self._aterms(aterms))
 
 
 class TwoDimFTProcessor(_SingleFieldProcessor):
@@ -577,19 +569,17 @@ class _FacetedProcessor:
         image = field.invert(rotated, aterms, flags, weight_sum)
         tile = extract_tile(image, self.scheme, facet)
         t = self.scheme.tile_size
-        mosaic[
-            :, facet.row0 : facet.row0 + t, facet.col0 : facet.col0 + t
-        ] = tile
+        mosaic[facet.row0 : facet.row0 + t, facet.col0 : facet.col0 + t] = tile
 
     def _facet_predict(
         self,
-        model4: np.ndarray,
+        model: np.ndarray,
         index: int,
         aterms: ATermGenerator | None,
     ) -> np.ndarray:
         """One facet's (de-rotated) contribution to the predicted set."""
         facet = self.scheme.facets[index]
-        facet_model = embed_tile(model4, self.scheme, facet)
+        facet_model = embed_tile(model, self.scheme, facet)
         predicted = self._fields[index].predict(facet_model, aterms)
         return self._rotate(predicted, facet, sign=-1.0)
 
@@ -605,7 +595,7 @@ class _FacetedProcessor:
         weighted = _weighted(visibilities, weights)
         aterms_ = self._aterms(aterms)
         g = self.scheme.master.grid_size
-        mosaic = np.zeros((4, g, g), dtype=ACCUM_DTYPE)
+        mosaic = np.zeros((g, g), dtype=np.float64)
         # each facet normalises by its own gridded weight (the uv shift can
         # move samples on/off the grid edge per facet)
         for index in range(len(self.scheme.facets)):
@@ -622,7 +612,7 @@ class _FacetedProcessor:
         model_image: np.ndarray,
         aterms: ATermGenerator | None = _UNSET,
     ) -> np.ndarray:
-        model4 = _as_model4(model_image, self.scheme.master.grid_size)
+        model = _stokes_i_model(model_image, self.scheme.master.grid_size)
         aterms_ = self._aterms(aterms)
         n_bl, n_times, _ = self.ctx.uvw_m.shape
         out = np.zeros(
@@ -632,7 +622,7 @@ class _FacetedProcessor:
         # every sky component lives in exactly one facet's tile, so the
         # per-facet predictions add to the full-model prediction.
         for index in range(len(self.scheme.facets)):
-            out += self._facet_predict(model4, index, aterms_)
+            out += self._facet_predict(model, index, aterms_)
         return out
 
 

@@ -23,13 +23,7 @@ import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.core.pipeline import IDG
-from repro.imaging.image import dirty_image_from_grid, stokes_i_image
-from repro.imaging.pipeline import (
-    ImagingContext,
-    make_ftprocessor,
-    plan_weight_sum,
-)
-from repro.imaging.weighting import apply_weights
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor
 from repro.telescope.observation import Observation, subband_frequencies
 
 
@@ -85,15 +79,15 @@ class SpectralImager:
     is fixed; uv *pixel* coordinates differ per subband because they scale
     with frequency, which each subband's own plan accounts for).
 
-    ``kind`` selects an :class:`~repro.imaging.pipeline.FTProcessor` variant
-    for the per-subband inverts (``"wstack"``, ``"facets"``, ...), with
-    ``ft_options`` forwarded to its constructor; ``None`` keeps the direct
-    plain-IDG gridding path.  Both paths take per-visibility imaging weights
-    (e.g. Briggs from :mod:`repro.imaging.weighting`) — weighted wide-band
-    imaging is the composition of the two modules.
+    ``kind`` selects the :class:`~repro.imaging.pipeline.FTProcessor`
+    variant for the per-subband inverts (``"2d"``, ``"wstack"``,
+    ``"facets"``, ...), with ``ft_options`` forwarded to its constructor.
+    Per-visibility imaging weights (e.g. Briggs from
+    :mod:`repro.imaging.weighting`) and A-terms go through the processor —
+    weighted wide-band imaging is the composition of the two modules.
     """
 
-    def __init__(self, idg: IDG, kind: str | None = None, **ft_options: Any):
+    def __init__(self, idg: IDG, kind: str = "2d", **ft_options: Any):
         self.idg = idg
         self.kind = kind
         self.ft_options = ft_options
@@ -106,44 +100,19 @@ class SpectralImager:
         weights: np.ndarray | None = None,
     ) -> SubbandImage:
         """Dirty Stokes-I image of one subband."""
-        baselines = observation.array.baselines()
-        frequency = float(observation.frequencies_hz.mean())
-        if self.kind is not None:
-            context = ImagingContext(
-                idg=self.idg,
-                uvw_m=observation.uvw_m,
-                frequencies_hz=observation.frequencies_hz,
-                baselines=baselines,
-                aterms=aterms,
-            )
-            processor = make_ftprocessor(
-                context, kind=self.kind, **self.ft_options
-            )
-            result = processor.invert(visibilities, weights=weights)
-            return SubbandImage(
-                frequency_hz=frequency,
-                image=result.stokes_i,
-                weight=result.weight_sum,
-            )
-        plan = self.idg.make_plan(
-            observation.uvw_m, observation.frequencies_hz, baselines
+        context = ImagingContext(
+            idg=self.idg,
+            uvw_m=observation.uvw_m,
+            frequencies_hz=observation.frequencies_hz,
+            baselines=observation.array.baselines(),
+            aterms=aterms,
         )
-        if weights is not None:
-            visibilities = apply_weights(visibilities, np.asarray(weights))
-            weight = plan_weight_sum(plan, weights)
-        else:
-            weight = float(plan.statistics.n_visibilities_gridded)
-        grid = self.idg.grid(plan, observation.uvw_m, visibilities, aterms=aterms)
-        image = stokes_i_image(
-            dirty_image_from_grid(
-                grid, self.idg.gridspec, weight_sum=weight,
-                taper=self.idg.config.taper, taper_beta=self.idg.config.taper_beta,
-            )
-        )
+        processor = make_ftprocessor(context, kind=self.kind, **self.ft_options)
+        result = processor.invert(visibilities, weights=weights)
         return SubbandImage(
-            frequency_hz=frequency,
-            image=image,
-            weight=weight,
+            frequency_hz=float(observation.frequencies_hz.mean()),
+            image=result.image,
+            weight=result.weight_sum,
         )
 
     def mfs_image(self, subband_images: list[SubbandImage]) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,21 @@ def test_config_validation():
         SelfCalConfig(solution_interval=-1)
     with pytest.raises(ValueError):
         SelfCalConfig(major_gain=0.0)
+    with pytest.raises(ValueError, match="clean_gain"):
+        SelfCalConfig(clean_gain=0.0)
+    with pytest.raises(ValueError, match="bootstrap_major_gain"):
+        SelfCalConfig(bootstrap_major_gain=0.0)
+
+
+def test_empty_clean_window_raises_before_gridding(harness, counting_gridder):
+    context, corrupted, _ = harness
+    idg = counting_gridder(context.idg)
+    with pytest.raises(ValueError, match="selects no pixel"):
+        self_calibrate(
+            replace(context, idg=idg), corrupted, N_STATIONS,
+            config=SelfCalConfig(clean_window_fraction=0.001),
+        )
+    assert idg.grid_calls == 0
 
 
 def test_rejects_wrong_visibility_shape(harness):

@@ -102,3 +102,25 @@ def small_idg(small_gridspec):
 @pytest.fixture(scope="session")
 def small_plan(small_idg, small_obs, small_baselines):
     return small_idg.make_plan(small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
+
+
+class _CountingGridder:
+    """A gridder facade that counts its ``grid`` passes."""
+
+    def __init__(self, idg):
+        self._idg = idg
+        self.grid_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._idg, name)
+
+    def grid(self, *args, **kwargs):
+        self.grid_calls += 1
+        return self._idg.grid(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_gridder():
+    """Wrap a gridder so a test can count its grid passes; as the serial
+    engine of an FTProcessor it sees every grid the processor runs."""
+    return _CountingGridder

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.imaging.clean import hogbom_clean
+from repro.imaging.clean import clean_window, hogbom_clean, peak_normalised_psf
 
 
 def _gaussian_psf(g=64, sigma=2.0):
@@ -152,3 +152,31 @@ def test_windowed_search_matches_a_full_image_loop_with_tied_peaks(psf):
     np.testing.assert_array_equal(res.components, components)
     np.testing.assert_array_equal(res.model_image, model)
     np.testing.assert_array_equal(res.residual, residual)
+
+
+def test_clean_window_is_the_central_box():
+    window = clean_window(64, 0.5)
+    assert window.sum() == 32 * 32
+    assert window[16:48, 16:48].all()
+    assert clean_window(64, 0.0) is None
+    assert clean_window(64, 1.0) is None
+
+
+def test_clean_window_rejects_a_fraction_that_selects_no_pixel():
+    with pytest.raises(ValueError, match="selects no pixel"):
+        clean_window(64, 0.01)
+
+
+def test_peak_normalised_psf_divides_by_the_centre():
+    def dirty_image(unit):
+        assert unit.shape == (3, 4, 5, 2, 2)
+        assert np.array_equal(unit[..., 0, 0], unit[..., 1, 1])
+        image = np.ones((8, 8))
+        image[4, 4] = 4.0
+        return image
+
+    psf = peak_normalised_psf(dirty_image, (3, 4, 5))
+    assert psf[4, 4] == 1.0
+    assert psf[0, 0] == 0.25
+    with pytest.raises(RuntimeError, match="PSF centre is zero"):
+        peak_normalised_psf(lambda unit: np.zeros((8, 8)), (3, 4, 5))

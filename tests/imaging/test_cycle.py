@@ -87,6 +87,21 @@ def test_noise_only_input_cleans_nothing_much(cycle, single_source_vis):
     assert abs(result.total_clean_flux()) < 0.05
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"major_gain": 0.0}, {"gain": 0.0}, {"clean_window_fraction": 0.001}],
+    ids=["major_gain", "gain", "empty_window"],
+)
+def test_run_rejects_bad_arguments_before_gridding(
+    small_idg, small_obs, small_baselines, single_source_vis, counting_gridder, bad
+):
+    idg = counting_gridder(small_idg)
+    cycle = ImagingCycle(idg, small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
+    with pytest.raises(ValueError):
+        cycle.run(single_source_vis, **bad)
+    assert idg.grid_calls == 0
+
+
 def test_restored_product(cycle, single_source_vis, snapped_source, small_gridspec):
     """MajorCycleResult.restored: peak reads the flux, beam is sane."""
     result = cycle.run(single_source_vis, n_major=3, minor_iterations=150,

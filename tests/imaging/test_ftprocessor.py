@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.imaging.pipeline as pipeline
 from repro.core.pipeline import IDG, IDGConfig
 from repro.imaging.cycle import ImagingCycle
+from repro.imaging.image import model_image_to_grid
 from repro.imaging.pipeline import (
     ImagingContext,
     invert_2d,
@@ -20,6 +22,7 @@ from repro.imaging.pipeline import (
     predict_wstack,
     predict_wstack_facets,
 )
+from repro.kernels.wkernel import n_term
 from repro.sky.model import SkyModel
 from repro.sky.simulate import predict_visibilities
 from repro.telescope.observation import ska1_low_observation
@@ -82,7 +85,12 @@ PREDICTS = {
 @pytest.mark.parametrize("kind", KINDS)
 def test_invert_recovers_source_flux(setup, kind):
     ctx = _context(setup)
-    image = INVERTS[kind](ctx, setup[4]).stokes_i
+    result = INVERTS[kind](ctx, setup[4])
+    # every kind returns the real (G, G) Stokes-I image; stokes_i aliases it
+    assert result.image.shape == (GRID, GRID)
+    assert result.image.dtype == np.float64
+    assert result.stokes_i is result.image
+    image = result.stokes_i
     row, col = _source_pixel(setup)
     peak = image[row, col]
     assert peak == pytest.approx(5.0, rel=0.05)
@@ -140,6 +148,46 @@ def test_predict_matches_direct_evaluation(setup, kind):
     truth = setup[4][..., 0, 0][covered]
     err = np.abs(predicted - truth).max() / np.abs(truth).max()
     assert err < 0.02
+    # predict takes a (G, G) Stokes-I model only
+    with pytest.raises(ValueError, match="Stokes-I"):
+        processor.predict(np.zeros((4, GRID, GRID)))
+
+
+def test_2d_predict_equals_the_four_plane_model_grid(setup):
+    """Transforming the Stokes-I model once and writing it into XX and YY
+    gives the grid of the four-plane XX = YY = I model, bit for bit."""
+    ctx = _context(setup)
+    idg = ctx.idg
+    processor = make_ftprocessor(ctx, kind="2d")
+    model = np.random.default_rng(3).standard_normal((GRID, GRID))  # dense
+    model4 = np.zeros((4, GRID, GRID), dtype=np.complex128)
+    model4[0] = model4[3] = model
+    grid = model_image_to_grid(
+        model4, idg.gridspec, taper=idg.config.taper, taper_beta=idg.config.taper_beta
+    )
+    reference = idg.degrid(processor.plan, ctx.uvw_m, grid)
+    assert np.array_equal(processor.predict(model), reference)
+
+
+def test_wstack_screens_are_built_once(setup, monkeypatch):
+    """Each w-layer's screen is computed on first use and reused by every
+    later invert and predict of the processor."""
+    calls = []
+
+    def counting_n_term(l, m):
+        calls.append(1)
+        return n_term(l, m)
+
+    monkeypatch.setattr(pipeline, "n_term", counting_n_term)
+    processor = make_ftprocessor(_context(setup), kind="wstack")
+    row, col = _source_pixel(setup)
+    model = np.zeros((GRID, GRID))
+    model[row, col] = 5.0
+    first = processor.invert(setup[4]).image
+    processor.predict(model)
+    again = processor.invert(setup[4]).image
+    assert len(calls) == 1
+    assert np.array_equal(first, again)
 
 
 def test_invert_matches_imaging_cycle_dirty_path(setup):
