@@ -21,7 +21,6 @@ import time
 import numpy as np
 from _util import print_series
 
-from repro.constants import ACCUM_DTYPE
 from repro.core.gridder import gridder_bucket, gridder_bucket_fast
 from repro.core.scratch import ScratchArena
 from repro.parallel.bucketing import (
@@ -47,9 +46,7 @@ def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis
     indices = bucket.indices
     n_vis = bucket.n_visibilities
     arena = ScratchArena()
-    vis = gather_visibilities(
-        bench_plan, indices, bench_vis, arena, dtype=ACCUM_DTYPE
-    ).copy()
+    vis = gather_visibilities(bench_plan, indices, bench_vis, arena).copy()
     uvw = gather_uvw(bench_plan, indices, bench_obs.uvw_m, arena).copy()
     rel_uvw = gather_rel_uvw(bench_plan, indices, bench_obs.uvw_m, arena).copy()
     offsets = gather_offsets(bench_plan, indices, arena).copy()

@@ -1,11 +1,13 @@
 """IDG001 — raw complex dtype literals in kernel code.
 
 The paper's single-precision argument (Section VI-A) is encoded once, in
-:mod:`repro.constants`: storage is ``COMPLEX_DTYPE`` (complex64) and phasor
-accumulation is ``ACCUM_DTYPE`` (complex128).  Kernel code that spells
+:mod:`repro.constants`: storage and kernel compute (phasors, recurrence,
+stacked products) are ``COMPLEX_DTYPE`` (complex64), and the sums that stay
+double (the gridder's cross-channel accumulator, taper and A-term
+sandwiches) are ``ACCUM_DTYPE`` (complex128).  Kernel code that spells
 ``np.complex64`` / ``np.complex128`` directly re-decides that policy locally
-and silently diverges when the constants change (e.g. a future
-mixed-precision backend), so any raw literal in a kernel module is flagged.
+and silently diverges when the constants change, so any raw literal in a
+kernel module is flagged.
 """
 
 from __future__ import annotations

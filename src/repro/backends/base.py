@@ -64,7 +64,7 @@ class KernelBackend:
         """Grid work items ``start .. stop-1`` (Algorithm 1).
 
         Same signature and semantics as
-        :func:`repro.parallel.bucketing.grid_work_group_batched`; returns
+        :func:`repro.parallel.bucketing.grid_work_group`; returns
         the ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
         """
         raise NotImplementedError
@@ -86,7 +86,7 @@ class KernelBackend:
         """Degrid work items ``start .. stop-1`` (Algorithm 2).
 
         Same signature and semantics as
-        :func:`repro.parallel.bucketing.degrid_work_group_batched`:
+        :func:`repro.parallel.bucketing.degrid_work_group`:
         predictions are written into ``visibilities_out`` in place.
         """
         raise NotImplementedError

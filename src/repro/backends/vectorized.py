@@ -2,15 +2,16 @@
 
 Each work group runs through the shape-bucketed batch-of-subgrids drivers
 of :mod:`repro.parallel.bucketing`: work items of identical block shape are
-gathered into stacked tensors and evaluated with one stacked
+gathered into stacked tensors and evaluated with one stacked complex64
 ``(G, N**2, T) @ (G, T, 4)`` product per bucket and channel step, dispatched
-to BLAS ``*gemm``, with all scratch drawn from the calling thread's
-:class:`~repro.core.scratch.ScratchArena`.  Evenly spaced channels take the
-channel-phasor recurrence (:func:`repro.core.gridder.gridder_bucket_fast`),
-which trades sine/cosine evaluations for FMAs exactly as the paper's
-Section V-B optimisation 2 does; any other channel ladder takes the direct
-sum (:func:`repro.core.gridder.gridder_bucket`).  The data makes that
-choice.  It is the default backend.
+to BLAS ``cgemm`` (the paper's single precision), with all scratch drawn
+from the calling thread's :class:`~repro.core.scratch.ScratchArena`.
+Evenly spaced channels take the channel-phasor recurrence
+(:func:`repro.core.gridder.gridder_bucket_fast`), which trades sine/cosine
+evaluations for FMAs exactly as the paper's Section V-B optimisation 2
+does; any other channel ladder takes the direct sum
+(:func:`repro.core.gridder.gridder_bucket`).  The data makes that choice.
+It is the default backend.
 """
 
 from __future__ import annotations
@@ -19,12 +20,8 @@ import numpy as np
 
 from repro.backends.base import KernelBackend
 from repro.core.plan import Plan
-from repro.parallel.bucketing import (
-    degrid_work_group_batched as _degrid_work_group_batched,
-)
-from repro.parallel.bucketing import (
-    grid_work_group_batched as _grid_work_group_batched,
-)
+from repro.parallel.bucketing import degrid_work_group as _degrid_work_group
+from repro.parallel.bucketing import grid_work_group as _grid_work_group
 
 
 class VectorizedBackend(KernelBackend):
@@ -43,7 +40,7 @@ class VectorizedBackend(KernelBackend):
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray:
-        return _grid_work_group_batched(
+        return _grid_work_group(
             plan, start, stop, uvw_m, visibilities, taper,
             lmn=lmn, aterm_fields=aterm_fields,
         )
@@ -60,7 +57,7 @@ class VectorizedBackend(KernelBackend):
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> None:
-        _degrid_work_group_batched(
+        _degrid_work_group(
             plan, start, stop, subgrid_images, uvw_m, visibilities_out,
             taper, lmn=lmn, aterm_fields=aterm_fields,
         )

@@ -8,9 +8,10 @@ All quantities in the package are SI unless a name says otherwise:
   the small-angle limit),
 * frequencies — Hz, time — seconds.
 
-Complex visibilities are stored as ``complex64`` by default (the paper uses
-single precision throughout; Section VI-A: "All computations are performed in
-single precision").
+Complex visibilities are stored as ``complex64`` by default, and the
+production kernels compute in it (the paper uses single precision
+throughout; Section VI-A: "All computations are performed in single
+precision").
 """
 
 from __future__ import annotations
@@ -21,15 +22,20 @@ from numpy.typing import NDArray
 #: Speed of light in vacuum [m/s]; used to convert uvw metres -> wavelengths.
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: Default dtype for visibilities, subgrids and grids (paper: single precision).
+#: Default dtype for visibilities, subgrids and grids (paper: single
+#: precision), and the compute dtype of the bucket kernels: their phasors,
+#: channel recurrence and stacked matrix products.
 COMPLEX_DTYPE = np.complex64
 
-#: Accumulation dtype.  Kernels accumulate phasor sums in double precision and
-#: convert to :data:`COMPLEX_DTYPE` only on return, so the paper's
-#: single-precision storage never compounds rounding across visibilities.
+#: Accumulation dtype: the sums that stay double.  The gridder adds each
+#: channel's single-precision product into a complex128 subgrid, so rounding
+#: does not compound across channels, and the taper and A-term sandwiches
+#: are applied to subgrid pixels in complex128.  The ``reference`` oracle
+#: kernels run in it throughout.
 ACCUM_DTYPE = np.complex128
 
-#: Default dtype for real-valued auxiliary data (uvw, tapers, phases).
+#: Default dtype for real-valued auxiliary data (uvw, tapers), and of the
+#: kernels' factor-row phases and phasor magnitudes.
 FLOAT_DTYPE = np.float32
 
 #: Array aliases used in kernel signatures (kept loose on purpose: kernels

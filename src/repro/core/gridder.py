@@ -11,10 +11,22 @@ prediction), then applies the A-term adjoint sandwich ``A_p^H S A_q`` and the
 anti-aliasing taper.  The kernels evaluate a whole *bucket* of identically
 shaped work items at once (:mod:`repro.parallel.bucketing` forms the
 buckets), and the inner loop is one stacked complex matrix product
-``phasor(G, N^2, M) @ V(G, M, 4)`` so NumPy dispatches it to BLAS ``*gemm``
+``phasor(G, N^2, M) @ V(G, M, 4)`` so NumPy dispatches it to BLAS ``cgemm``
 — the Python analogue of the paper's FMA-dominated SIMD reduction
 (Listing 1) — while the sine/cosine evaluation is the analogue of the
 SVML/SFU cost the paper's roofline analysis centres on.
+
+Precision follows the paper (Section VI-A: "All computations are performed
+in single precision").  Each factor-row phase is formed in float64 from the
+item's relative coordinates and rounded once to ``FLOAT_DTYPE``; sine and
+cosine run in float32, and the phasor, the channel step, the recurrence, its
+renormalisation and every stacked product run in ``COMPLEX_DTYPE``
+(complex64).  Phases stay small because the coordinates are relative to the
+subgrid centre (``|l a_u| <= N/4`` cycles), so the rounded phase errs by
+at most about 2e-6 rad at ``N = 24``.  The sums across channels, the A-term
+sandwich and the taper stay ``ACCUM_DTYPE`` (complex128), and the
+``reference`` backend (:mod:`repro.core.reference`) remains the float64
+oracle the kernels are checked against.
 
 The phasor is separable.  Its phase splits into an l, an m and an n term, so
 
@@ -45,7 +57,7 @@ import numpy as np
 from repro.analysis.contracts import shape_checked
 from repro.aterms.jones import apply_adjoint_sandwich
 from repro.cache import ArtifactCache
-from repro.constants import ACCUM_DTYPE
+from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, FLOAT_DTYPE
 from repro.core.scratch import ScratchArena, thread_arena
 from repro.hashing import content_hash
 from repro.kernels.fft import image_coordinates
@@ -55,7 +67,10 @@ from repro.kernels.wkernel import n_term
 #: Each recurrence step multiplies by a unit-magnitude complex number whose
 #: rounding error compounds multiplicatively; dividing by ``|phasor|`` every
 #: 64 steps keeps wide-band (hundreds of channels) runs at single-precision
-#: accuracy for the cost of one |z| per pixel-timestep per interval.
+#: accuracy for the cost of one |z| per pixel-timestep per interval.  In
+#: complex64 the recurrence stays within 2.9e-6 of peak of the float64
+#: oracle at C = 512 (``tests/core/test_precision.py``), so the interval
+#: did not have to shrink.
 PHASOR_RENORM_INTERVAL = 64
 
 
@@ -176,6 +191,11 @@ def raster_phasor(
 ) -> np.ndarray:
     """Fill ``out`` with ``exp(sign * 2 pi i * lmn . coords)`` per pixel.
 
+    The precision follows ``out``: each factor-row phase is formed in
+    float64 and rounded once to the real dtype of ``out``, and sine/cosine
+    and the pixel assembly run at that precision.  The kernels pass a
+    ``COMPLEX_DTYPE`` destination; a complex128 one gives float64 phasors.
+
     Parameters
     ----------
     factors:
@@ -186,9 +206,9 @@ def raster_phasor(
     sign:
         ``+1`` (gridder) or ``-1`` (degridder).
     out:
-        ``(G, N**2, K)`` complex128 destination, C-contiguous.
+        ``(G, N**2, K)`` complex destination, C-contiguous.
     arena:
-        Scratch arena for the ``(G, 2N + R, K)`` factor rows.
+        Scratch arena for the ``(G, 2N + R, K)`` phases and factor rows.
 
     Returns
     -------
@@ -200,14 +220,14 @@ def raster_phasor(
     g_total, k_total = coords.shape[:2]
     n = factors.l.size
     rows = 2 * n + factors.n_values.size
-    phase = arena.take("raster.phase", (g_total, rows, k_total), np.float64)
-    np.multiply(factors.l[:, np.newaxis], coords[:, np.newaxis, :, 0], out=phase[:, :n])
-    np.multiply(factors.m[:, np.newaxis], coords[:, np.newaxis, :, 1], out=phase[:, n : 2 * n])
-    np.multiply(
-        factors.n_values[:, np.newaxis], coords[:, np.newaxis, :, 2], out=phase[:, 2 * n :]
-    )
-    phase *= sign * 2.0 * np.pi
-    factor_rows = arena.take("raster.factors", (g_total, rows, k_total), ACCUM_DTYPE)
+    angular = arena.take("raster.angular", (g_total, 1, k_total, 3), np.float64)
+    np.multiply(coords[:, np.newaxis], sign * 2.0 * np.pi, out=angular)
+    # float64 products, each rounded once into the phase buffer's dtype
+    phase = arena.take("raster.phase", (g_total, rows, k_total), out.real.dtype)
+    np.multiply(factors.l[:, np.newaxis], angular[..., 0], out=phase[:, :n])
+    np.multiply(factors.m[:, np.newaxis], angular[..., 1], out=phase[:, n : 2 * n])
+    np.multiply(factors.n_values[:, np.newaxis], angular[..., 2], out=phase[:, 2 * n :])
+    factor_rows = arena.take("raster.factors", (g_total, rows, k_total), out.dtype)
     _sincos_into(phase, factor_rows)
     # mode="clip" keeps np.take from buffering out (the indices are valid)
     np.take(factor_rows[:, 2 * n :], factors.n_index, axis=1, out=out, mode="clip")
@@ -261,16 +281,17 @@ def gridder_bucket_fast(
     ``2(2N + R)`` sine/cosine pairs.
 
     ``G`` identically shaped work items are evaluated together — one
-    batched phasor and step build and one stacked
+    batched phasor and step build and one stacked complex64
     ``(G, N**2, T) @ (G, T, 4)`` matrix product per channel step, with the
-    recurrence multiply and its renormalisation applied in place.  All
-    working memory comes from the scratch arena, so a steady stream of
-    equal-shape buckets allocates nothing.
+    recurrence multiply and its renormalisation applied in place.  Each
+    channel's product is added into a complex128 accumulator.  All working
+    memory comes from the scratch arena, so a steady stream of equal-shape
+    buckets allocates nothing.
 
     Parameters
     ----------
     visibilities:
-        ``(G, T, C, 4)`` stacked visibility blocks.
+        ``(G, T, C, 4)`` stacked ``COMPLEX_DTYPE`` visibility blocks.
     uvw_m:
         ``(G, T, 3)`` stacked uvw in metres.
     scale0:
@@ -296,9 +317,10 @@ def gridder_bucket_fast(
 
     Returns
     -------
-    ``(G, N, N, 2, 2)`` complex128 image-domain subgrids.  The array is a
-    view into the arena — copy it out (the work-group drivers assign it
-    into their output array) before the next batched call on this thread.
+    ``(G, N, N, 2, 2)`` ``ACCUM_DTYPE`` image-domain subgrids.  The array
+    is a view into the arena — copy it out (the work-group drivers assign
+    it into their output array) before the next batched call on this
+    thread.
     """
     g_total, t_total, c_total = visibilities.shape[:3]
     n_pixels2 = lmn.shape[0]
@@ -311,23 +333,24 @@ def gridder_bucket_fast(
     coords = arena.take("bucket.coords", (g_total, t_total, 3), np.float64)
     np.multiply(uvw_m, scale0[:, np.newaxis, np.newaxis], out=coords)
     coords -= offsets[:, np.newaxis, :]
-    phasor = arena.take("bucket.phasor", (g_total, n_pixels2, t_total), ACCUM_DTYPE)
+    phasor = arena.take("bucket.phasor", (g_total, n_pixels2, t_total), COMPLEX_DTYPE)
     raster_phasor(factors, coords, 1.0, phasor, arena)
     if c_total > 1:
-        step = arena.take("bucket.step", (g_total, n_pixels2, t_total), ACCUM_DTYPE)
+        step = arena.take("bucket.step", (g_total, n_pixels2, t_total), COMPLEX_DTYPE)
         np.multiply(uvw_m, ds, out=coords)
         raster_phasor(factors, coords, 1.0, step, arena)
 
     acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
-    prod = arena.take("gridder.prod", (g_total, n_pixels2, 4), ACCUM_DTYPE)
-    np.matmul(phasor, visibilities[:, :, 0], out=acc)
+    prod = arena.take("gridder.prod", (g_total, n_pixels2, 4), COMPLEX_DTYPE)
+    np.matmul(phasor, visibilities[:, :, 0], out=prod)
+    acc[...] = prod
     for c in range(1, c_total):
         np.multiply(phasor, step, out=phasor)
         if c % PHASOR_RENORM_INTERVAL == 0:
             # the recurrence drifts off the unit circle multiplicatively;
             # pull it back before the error reaches single precision
             magnitude = arena.take(
-                "bucket.magnitude", (g_total, n_pixels2, t_total), np.float64
+                "bucket.magnitude", (g_total, n_pixels2, t_total), FLOAT_DTYPE
             )
             np.abs(phasor, out=magnitude)
             phasor /= magnitude
@@ -362,15 +385,17 @@ def gridder_bucket(
 ) -> np.ndarray:
     """Algorithm 1 as a direct sum, over a whole bucket.
 
-    One :func:`raster_phasor` build of the stacked ``(G, N**2, M)`` phasor
-    from the relative uvw, and one stacked ``(G, N**2, M) @ (G, M, 4)``
-    matrix product.  The work-group drivers use it when the channel
-    recurrence is inapplicable (unevenly spaced channels).
+    One :func:`raster_phasor` build of the stacked complex64
+    ``(G, N**2, M)`` phasor from the relative uvw, and one stacked
+    complex64 ``(G, N**2, M) @ (G, M, 4)`` matrix product, widened to
+    ``ACCUM_DTYPE`` for the A-term sandwich and taper.  The work-group
+    drivers use it when the channel recurrence is inapplicable (unevenly
+    spaced channels).
 
     Parameters
     ----------
     visibilities:
-        ``(G, M, 4)`` stacked flattened visibility blocks.
+        ``(G, M, 4)`` stacked flattened ``COMPLEX_DTYPE`` visibility blocks.
     uvw_rel_wl:
         ``(G, M, 3)`` stacked relative uvw in wavelengths.
     lmn, taper, aterm_p, aterm_q, factors:
@@ -380,7 +405,7 @@ def gridder_bucket(
 
     Returns
     -------
-    ``(G, N, N, 2, 2)`` complex128 subgrids (an arena view — see
+    ``(G, N, N, 2, 2)`` ``ACCUM_DTYPE`` subgrids (an arena view — see
     :func:`gridder_bucket_fast`).
     """
     g_total, m_total = visibilities.shape[:2]
@@ -391,11 +416,13 @@ def gridder_bucket(
     if factors is None:
         factors = raster_factors(lmn)
 
-    phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), ACCUM_DTYPE)
+    phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), COMPLEX_DTYPE)
     raster_phasor(factors, uvw_rel_wl, 1.0, phasor, arena)
 
+    prod = arena.take("gridder.prod", (g_total, n_pixels2, 4), COMPLEX_DTYPE)
+    np.matmul(phasor, visibilities, out=prod)
     acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
-    np.matmul(phasor, visibilities, out=acc)
+    acc[...] = prod
 
     subgrids = acc.reshape(g_total, n, n, 2, 2)
     if aterm_p is not None or aterm_q is not None:

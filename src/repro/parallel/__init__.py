@@ -12,8 +12,8 @@ from repro.parallel.batching import chunk_ranges
 from repro.parallel.bucketing import (
     Bucket,
     bucket_work_items,
-    degrid_work_group_batched,
-    grid_work_group_batched,
+    degrid_work_group,
+    grid_work_group,
 )
 from repro.parallel.partition import (
     RowPartition,
@@ -30,8 +30,8 @@ __all__ = [
     "chunk_ranges",
     "Bucket",
     "bucket_work_items",
-    "grid_work_group_batched",
-    "degrid_work_group_batched",
+    "grid_work_group",
+    "degrid_work_group",
     "RowPartition",
     "ShardAssignment",
     "add_subgrids_row_parallel",

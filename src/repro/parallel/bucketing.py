@@ -52,28 +52,24 @@ __all__ = [
     "gather_visibilities",
     "gather_aterm_fields",
     "scatter_visibilities",
-    "grid_work_group_batched",
-    "degrid_work_group_batched",
+    "grid_work_group",
+    "degrid_work_group",
     "uniform_channel_step",
     "DEFAULT_BATCH_BYTES",
 ]
 
-#: Ceiling on the largest single scratch tensor of a batched kernel call
-#: (the ``(G, N**2, T)`` complex phasor).  Buckets larger than this are
-#: processed in chunks.  The channel-recurrence loop re-streams the phasor
-#: and step tensors once per channel, so the chunk's phasor-family working
-#: set (phasor + step, 2x this figure, plus the ``(G, 2N + R, T)`` factor
-#: rows and phases they are built from, about a third of one phasor at
-#: N = 24) must stay cache-resident or every channel step pays DRAM
-#: bandwidth; 1 MiB keeps it around a per-core L2 (measured fastest from
-#: 1-64 MiB on the bench config, where it still batches items up to
-#: ``(G, 576, 128)`` tensors) while small work items — the ones per-item
-#: dispatch overhead actually hurts — batch tens to hundreds of subgrids
-#: per call.
-DEFAULT_BATCH_BYTES: Final = 2**20
-
-#: Bytes per complex128 scratch element.
-_COMPLEX_ITEMSIZE: Final = 16
+#: Ceiling on one batched kernel call's scratch working set, as counted by
+#: :func:`max_bucket_items`.  Buckets larger than this are processed in
+#: chunks.  The channel-recurrence loop re-streams the phasor and step once
+#: per channel, so a chunk's working set must stay cache-resident or every
+#: channel step pays DRAM bandwidth: 2 MiB is one core's L2 on the reference
+#: host (2-vCPU KVM guest, Intel Xeon).  At N = 24 it gives G = 2, 4, 7 and
+#: 9 items at T = 96, 32, 16 and 8.  Measured on that host in three runs
+#: each: a 1 MiB budget counting the phasor alone (G = 2, 7, 14, 28) raised
+#: the streaming ``selfcal-wstack`` benchmark's peak RSS from 156 to 189 MB,
+#: since every stage thread grows its own arena, and G = 1, 3, 7, 14 cost
+#: the threaded ``wideband-threads`` benchmark a fifth of its throughput.
+DEFAULT_BATCH_BYTES: Final = 2**21
 
 #: Absolute floor of :func:`uniform_channel_step`'s step comparison, in
 #: float64 ulps of the largest ``|f/c|``.  Evenly spaced ladders built with
@@ -123,14 +119,19 @@ def bucket_work_items(plan: Plan, start: int, stop: int) -> tuple[Bucket, ...]:
 
 
 def max_bucket_items(n_pixels2: int, n_phase: int, budget_bytes: int = DEFAULT_BATCH_BYTES) -> int:
-    """Items per batched kernel call so the ``(G, n_pixels2, n_phase)``
-    complex scratch tensor stays under ``budget_bytes`` (always >= 1).
+    """Items per batched kernel call so their scratch working set stays
+    under ``budget_bytes`` (always >= 1).
 
-    ``n_phase`` is the phasor's trailing extent: ``n_times`` for the
-    channel-recurrence kernels, ``n_times * n_channels`` for the direct sum.
+    An item's working set is its ``(n_pixels2, n_phase)`` phasor and step
+    at ``COMPLEX_DTYPE``, plus four ``(n_pixels2, 4)`` ``ACCUM_DTYPE``
+    buffers: the gridder's accumulator, the degridder's corrected pixels and
+    the two stations' A-term fields.  ``n_phase`` is the phasor's trailing
+    extent: ``n_times`` for the channel-recurrence kernels, ``n_times *
+    n_channels`` for the direct sum.
     """
-    per_item = max(n_pixels2 * n_phase * _COMPLEX_ITEMSIZE, 1)
-    return max(int(budget_bytes // per_item), 1)
+    phasors = 2 * n_pixels2 * n_phase * np.dtype(COMPLEX_DTYPE).itemsize
+    pixels = 4 * n_pixels2 * 4 * np.dtype(ACCUM_DTYPE).itemsize
+    return max(int(budget_bytes // max(phasors + pixels, 1)), 1)
 
 
 def iter_bucket_chunks(bucket: Bucket, max_items: int) -> Iterator[np.ndarray]:
@@ -225,19 +226,14 @@ def gather_visibilities(
     visibilities: np.ndarray,
     arena: ScratchArena,
     key: str = "gather.vis",
-    dtype: np.dtype | type | None = None,
 ) -> np.ndarray:
-    """Stack the items' visibility blocks into a ``(G, T, C, 4)`` arena view
-    (``visibilities``' dtype unless ``dtype`` overrides — the batched kernels
-    gather straight to complex128 so the gemm inputs match)."""
+    """Stack the items' visibility blocks into a ``(G, T, C, 4)``
+    ``COMPLEX_DTYPE`` arena view, the operand dtype of the kernels'
+    single-precision products."""
     rows = plan.items[indices]
     n_times = int(rows["time_end"][0] - rows["time_start"][0])
     n_channels = int(rows["channel_end"][0] - rows["channel_start"][0])
-    out = arena.take(
-        key,
-        (len(rows), n_times, n_channels, 4),
-        visibilities.dtype if dtype is None else dtype,
-    )
+    out = arena.take(key, (len(rows), n_times, n_channels, 4), COMPLEX_DTYPE)
     flat = visibilities.reshape(*visibilities.shape[:3], 4)
     for g in range(len(rows)):
         row = rows[g]
@@ -356,7 +352,7 @@ def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
     return float(steps[0])
 
 
-def grid_work_group_batched(
+def grid_work_group(
     plan: Plan,
     start: int,
     stop: int,
@@ -371,8 +367,9 @@ def grid_work_group_batched(
     """Run the gridder over work items ``start .. stop-1``.
 
     Buckets the work items by block shape, gathers each bucket into stacked
-    tensors and grids it with one batched kernel call (chunked so the phasor
-    scratch stays under ``batch_bytes``): :func:`gridder_bucket_fast` when
+    tensors and grids it with one batched kernel call (chunked so the
+    scratch working set stays under ``batch_bytes``, see
+    :func:`max_bucket_items`): :func:`gridder_bucket_fast` when
     :func:`uniform_channel_step` finds evenly spaced channels,
     :func:`gridder_bucket` otherwise.
 
@@ -412,9 +409,7 @@ def grid_work_group_batched(
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)
         for indices in iter_bucket_chunks(bucket, cap):
-            vis = gather_visibilities(
-                plan, indices, visibilities, arena, dtype=ACCUM_DTYPE
-            )
+            vis = gather_visibilities(plan, indices, visibilities, arena)
             a_p, a_q = gather_aterm_fields(plan, indices, aterm_fields, identity, arena)
             if ds is not None:
                 subgrids = gridder_bucket_fast(
@@ -435,7 +430,7 @@ def grid_work_group_batched(
     return out
 
 
-def degrid_work_group_batched(
+def degrid_work_group(
     plan: Plan,
     start: int,
     stop: int,
@@ -455,7 +450,7 @@ def degrid_work_group_batched(
     ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
     subgrids produced by the splitter + inverse subgrid FFT; the other
     arguments and the kernel choice are as in
-    :func:`grid_work_group_batched`.
+    :func:`grid_work_group`.
     """
     n = plan.subgrid_size
     if lmn is None:

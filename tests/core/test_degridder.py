@@ -117,7 +117,10 @@ def test_gridder_degridder_adjoint_identity(lmn, taper):
     lhs = np.vdot(gridded, sub)
     degridded = degridder_bucket(sub, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
     rhs = np.vdot(vis, degridded)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    # the kernels' phasors and products are complex64 (paper Section VI-A),
+    # so the two sides agree to single precision, not to float64 rounding:
+    # held to the differential harness's 1e-5 relative budget
+    assert lhs == pytest.approx(rhs, rel=1e-5)
 
 
 def test_degridder_shape_validation(lmn, taper):

@@ -5,13 +5,14 @@ import pytest
 
 from repro.core.scratch import ScratchArena
 from repro.parallel.bucketing import (
+    DEFAULT_BATCH_BYTES,
     bucket_work_items,
-    degrid_work_group_batched,
+    degrid_work_group,
     gather_rel_uvw,
     gather_scale0,
     gather_uvw,
     gather_visibilities,
-    grid_work_group_batched,
+    grid_work_group,
     iter_bucket_chunks,
     max_bucket_items,
     scatter_visibilities,
@@ -70,10 +71,16 @@ def test_iter_bucket_chunks_partitions_in_order(small_plan):
 
 
 def test_max_bucket_items_respects_budget():
-    # 576 pixels x 16 phase steps x 16 B = 147456 B per item
-    assert max_bucket_items(576, 16, budget_bytes=2**20) == 7
+    # per item: complex64 phasor + step, 576 x T x 2 x 8 B, plus four
+    # (576, 4) complex128 pixel buffers, 576 x 4 x 4 x 16 B = 147456 B;
+    # T = 16: 147456 + 147456 = 294912 B per item
+    assert max_bucket_items(576, 16, budget_bytes=2**20) == 3
     assert max_bucket_items(576, 16, budget_bytes=1) == 1  # floor of 1
     assert max_bucket_items(0, 0, budget_bytes=2**20) >= 1
+    # the default 2 MiB budget at the benchmark's bucket shapes (N = 24)
+    assert DEFAULT_BATCH_BYTES == 2**21
+    for n_times, items in ((96, 2), (32, 4), (16, 7), (8, 9)):
+        assert max_bucket_items(576, n_times) == items
 
 
 def test_uniform_channel_step():
@@ -192,7 +199,7 @@ def test_grid_batched_matches_per_item_driver(small_idg, kernel_plan, small_obs,
         kernel_plan, 0, stop, small_obs.uvw_m, single_source_vis,
         small_idg.taper, lmn=small_idg.lmn,
     )
-    batched = grid_work_group_batched(
+    batched = grid_work_group(
         kernel_plan, 0, stop, small_obs.uvw_m, single_source_vis,
         small_idg.taper, lmn=small_idg.lmn,
     )
@@ -220,7 +227,7 @@ def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
         small_idg.taper, lmn=small_idg.lmn,
     )
     batched = np.zeros_like(single_source_vis)
-    degrid_work_group_batched(
+    degrid_work_group(
         small_plan, 0, stop, images, small_obs.uvw_m, batched,
         small_idg.taper, lmn=small_idg.lmn,
     )
@@ -235,11 +242,11 @@ def test_tiny_batch_budget_still_matches(small_idg, small_plan, small_obs,
     """Forcing one-item chunks exercises the chunk loop without changing
     results."""
     stop = min(12, small_plan.n_subgrids)
-    roomy = grid_work_group_batched(
+    roomy = grid_work_group(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
         small_idg.taper, lmn=small_idg.lmn,
     )
-    chunked = grid_work_group_batched(
+    chunked = grid_work_group(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
         small_idg.taper, lmn=small_idg.lmn, batch_bytes=1,
     )

@@ -97,4 +97,6 @@ def test_gridder_scaling_homogeneity(n, g, m, seed, scale):
     # the kernel returns a scratch-arena view: copy before the next call
     a = gridder_bucket(scale * vis, uvw, lmn, taper).copy()
     b = gridder_bucket(vis, uvw, lmn, taper)
-    np.testing.assert_allclose(a, scale * b, rtol=1e-9, atol=1e-9)
+    # each call rounds its complex64 products separately (paper Section
+    # VI-A precision): the differential harness's budget, 1e-5 of the peak
+    np.testing.assert_allclose(a, scale * b, rtol=1e-5, atol=1e-5 * np.abs(a).max())
