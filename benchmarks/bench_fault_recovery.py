@@ -17,8 +17,10 @@ bench plan:
     Two transient injected faults (``times=1``, zero backoff) — measures the
     cost of re-executing faulted work groups.
 ``checkpointed``
-    Periodic atomic grid snapshots every other work group — measures the
-    serialisation cost of checkpoint/resume.
+    The disabled configuration with a per-call
+    ``checkpoint=CheckpointConfig(interval=2)``: periodic atomic grid
+    snapshots every other work group — measures the serialisation cost of
+    checkpoint/resume.
 
 Writes ``benchmarks/results/BENCH_fault_recovery.json`` with per-repeat
 samples next to the usual ASCII table.  The CI fault-recovery smoke job
@@ -33,7 +35,13 @@ import numpy as np
 
 from _util import RESULTS_DIR, print_series
 
-from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, StreamingIDG
+from repro.runtime import (
+    CheckpointConfig,
+    FaultPlan,
+    FaultSpec,
+    RuntimeConfig,
+    StreamingIDG,
+)
 
 #: Work-group size for this bench: the bench plan's ~270 subgrids become
 #: ~9 pipeline work groups.
@@ -72,33 +80,29 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
         return StreamingIDG(tolerant, RuntimeConfig(n_buffers=N_BUFFERS),
                             faults=_transient_faults())
 
-    def run_checkpointed():
-        return StreamingIDG(plain, RuntimeConfig(
-            n_buffers=N_BUFFERS, checkpoint_path=str(ckpt),
-            checkpoint_interval=2,
-        ))
-
     factories = {
         "disabled": run_disabled,
         "armed": run_armed,
         "recovery": run_recovery,
-        "checkpointed": run_checkpointed,
+        "checkpointed": run_disabled,
     }
+    checkpoints = {"checkpointed": CheckpointConfig(path=str(ckpt), interval=2)}
 
-    def measure(factory):
-        engine = factory()
-        grid = engine.grid(bench_plan, bench_obs.uvw_m, bench_vis)
+    def measure(name):
+        engine = factories[name]()
+        grid = engine.grid(bench_plan, bench_obs.uvw_m, bench_vis,
+                           checkpoint=checkpoints.get(name))
         return engine, grid, engine.last_telemetry.makespan()
 
     # Warm up BLAS/FFT once, then round-robin the modes so slow drift in the
     # host (thermal, page cache) hits every mode equally.
-    measure(run_disabled)
+    measure("disabled")
     samples = {name: [] for name in factories}
     engines = {}
     grids = {}
     for _ in range(REPEATS):
-        for name, factory in factories.items():
-            engine, grid, span = measure(factory)
+        for name in factories:
+            engine, grid, span = measure(name)
             samples[name].append(span)
             engines[name], grids[name] = engine, grid
 

@@ -11,16 +11,18 @@ points of the pipeline (Fig 4) —
 * **subgrid FFT** — the batched image<->Fourier subgrid transforms,
 * **adder/splitter** — master-grid accumulation and extraction —
 
-and every executor (:class:`repro.core.IDG`,
-:class:`repro.parallel.ParallelIDG`, :class:`repro.runtime.StreamingIDG`)
-dispatches through whichever backend the :class:`~repro.core.pipeline.IDG`
-was configured with.  The equivalence contract — all registered backends
+and all four executors (:class:`repro.core.IDG`,
+:class:`repro.parallel.ParallelIDG`, :class:`repro.runtime.StreamingIDG`,
+:class:`repro.parallel.ProcessShardedIDG`) dispatch through whichever
+backend the :class:`~repro.core.pipeline.IDG` was configured with.  The equivalence contract — all registered backends
 agree pairwise to ``rtol = 1e-5`` on a shared corpus of plans, and each is
 self-adjoint across grid/degrid — is enforced by ``tests/backends/``; a new
 backend only has to register itself to be held to it.
 
 Backends must be stateless after construction (no per-call mutable members):
-``ParallelIDG`` and ``StreamingIDG`` call one instance from many threads.
+``ParallelIDG`` and ``StreamingIDG`` call one instance from many threads, and
+``ProcessShardedIDG``'s workers rebuild the backend from its registry name
+while the parent process keeps the instance that runs the adder.
 """
 
 from __future__ import annotations
@@ -109,22 +111,10 @@ class KernelBackend:
         plan: Plan,
         subgrids_fourier: np.ndarray,
         start: int = 0,
-        n_workers: int = 1,
     ) -> None:
-        """Accumulate Fourier-domain subgrids onto the master grid in place.
-
-        ``n_workers > 1`` uses the lock-free row-partitioned adder (paper
-        Section V-B-d); ``1`` is the serial adder, bit-identical to
-        :func:`repro.core.adder.add_subgrids`.
-        """
-        if n_workers <= 1:
-            _add_subgrids(grid, plan, subgrids_fourier, start=start)
-        else:
-            from repro.parallel.partition import add_subgrids_row_parallel
-
-            add_subgrids_row_parallel(
-                grid, plan, subgrids_fourier, start=start, n_workers=n_workers
-            )
+        """Accumulate Fourier-domain subgrids onto the master grid in place
+        (the serial adder, :func:`repro.core.adder.add_subgrids`)."""
+        _add_subgrids(grid, plan, subgrids_fourier, start=start)
 
     def split_subgrids(
         self, grid: np.ndarray, plan: Plan, start: int, stop: int

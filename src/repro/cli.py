@@ -72,21 +72,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "--retry-backoff", type=float, default=0.05, metavar="SECONDS",
         help="backoff before the first retry (doubles per retry, capped)",
     )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="streaming/processes executors: snapshot the grid + completed "
-        "work groups to this .npz (atomic) while gridding",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=int, default=4, metavar="N",
-        help="work groups retired between checkpoint snapshots",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="streaming/processes executors: resume gridding from a "
-        "checkpoint written by a previous run over the same dataset/plan "
-        "(bit-exact)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,6 +140,20 @@ def _build_parser() -> argparse.ArgumentParser:
     img.add_argument("--weighting", choices=["natural", "uniform"],
                      default="natural")
     _add_executor_args(img)
+    img.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="snapshot the grid + completed work groups to this .npz "
+        "(atomic) while gridding, on any executor",
+    )
+    img.add_argument(
+        "--checkpoint-interval", type=int, default=4, metavar="N",
+        help="work groups retired between checkpoint snapshots",
+    )
+    img.add_argument(
+        "--resume", default=None, metavar="PATH",
+        help="resume gridding from a checkpoint written by a previous run "
+        "over the same dataset/plan (bit-exact)",
+    )
 
     clean = sub.add_parser("clean", help="run the CLEAN major cycle")
     clean.add_argument("dataset")
@@ -469,26 +468,12 @@ def _make_executor(idg, args):
     if args.executor == "streaming":
         from repro.runtime import RuntimeConfig, StreamingIDG
 
-        return StreamingIDG(idg, RuntimeConfig(
-            n_buffers=args.n_buffers,
-            checkpoint_path=getattr(args, "checkpoint", None),
-            checkpoint_interval=getattr(args, "checkpoint_interval", 4),
-            resume_from=getattr(args, "resume", None),
-        ))
+        return StreamingIDG(idg, RuntimeConfig(n_buffers=args.n_buffers))
     if args.executor == "processes":
         from repro.parallel.process import ProcessConfig, ProcessShardedIDG
 
-        config = ProcessConfig(
-            n_procs=args.workers if args.workers else 2,
-            checkpoint_path=getattr(args, "checkpoint", None),
-            checkpoint_interval=getattr(args, "checkpoint_interval", 4),
-            resume_from=getattr(args, "resume", None),
-        )
-        return ProcessShardedIDG(idg, config)
-    if getattr(args, "checkpoint", None) or getattr(args, "resume", None):
-        raise SystemExit(
-            "error: --checkpoint/--resume require --executor streaming "
-            "or processes"
+        return ProcessShardedIDG(
+            idg, ProcessConfig(n_procs=args.workers if args.workers else 2)
         )
     return idg
 
@@ -537,8 +522,16 @@ def _cmd_image(args) -> int:
         vis = apply_weights(vis, weights)
         weight_sum = float(weights.sum())
 
+    checkpoint = None
+    if args.checkpoint is not None or args.resume is not None:
+        from repro.runtime import CheckpointConfig
+
+        checkpoint = CheckpointConfig(
+            path=args.checkpoint, interval=args.checkpoint_interval,
+            resume_from=args.resume,
+        )
     engine = _make_executor(idg, args)
-    grid = engine.grid(plan, ds.uvw_m, vis)
+    grid = engine.grid(plan, ds.uvw_m, vis, checkpoint=checkpoint)
     _report_run(engine, args)
     report = getattr(engine, "last_fault_report", None)
     if report is not None and not report.ok and args.weighting == "natural":

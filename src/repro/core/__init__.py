@@ -17,12 +17,7 @@ facade.
 
 from repro.core.plan import Plan, PlanStatistics, WorkItem
 from repro.core.subgrid_fft import subgrids_to_fourier, subgrids_to_image
-from repro.core.adder import (
-    add_grid,
-    add_subgrids,
-    split_subgrids,
-    tree_reduce_grids,
-)
+from repro.core.adder import add_subgrids, split_subgrids
 from repro.core.pipeline import IDG, IDGConfig
 from repro.core.scratch import (
     ArenaStats,
@@ -40,10 +35,8 @@ __all__ = [
     "WorkItem",
     "subgrids_to_fourier",
     "subgrids_to_image",
-    "add_grid",
     "add_subgrids",
     "split_subgrids",
-    "tree_reduce_grids",
     "IDG",
     "IDGConfig",
     "ArenaStats",

@@ -3,9 +3,12 @@
 The adder accumulates Fourier-domain subgrids into the master grid at their
 integer corner positions; because subgrids overlap, concurrent adds to the
 same pixels must be serialised (the paper parallelises over grid *rows* on
-the CPU and uses atomics on the GPU — :mod:`repro.parallel.partition`
-implements the row strategy).  The splitter is the read-only reverse used in
-degridding, trivially parallel over subgrids.
+the CPU and uses atomics on the GPU).  Here every executor retires work
+groups through one serial adder in plan order
+(:meth:`repro.runtime.program.WorkGroupProgram.retire`), which fixes the
+floating-point accumulation order and so makes all executors bit-identical.
+The splitter is the read-only reverse used in degridding, trivially parallel
+over subgrids.
 
 Grid layout: ``(4, grid_size, grid_size)`` with polarisation order
 XX, XY, YX, YY; the first pixel axis is v (rows), the second u (columns).
@@ -60,53 +63,6 @@ def add_subgrids(
         row = plan.items[start + k]
         cu, cv = int(row["corner_u"]), int(row["corner_v"])
         grid[:, cv : cv + n, cu : cu + n] += pol[k]
-
-
-def add_grid(master: np.ndarray, partial: np.ndarray) -> None:
-    """Accumulate one shard's partial grid into the master grid, in place.
-
-    The shard-local adder entry of the process-sharded executor: each worker
-    process folds its work groups into a private ``(4, G, G)`` partial grid
-    with :func:`add_subgrids`, and the parent combines the shard grids with
-    this (or :func:`tree_reduce_grids`).  Note the combination *reassociates*
-    the floating-point sums relative to the serial plan-order fold — see
-    DESIGN.md §14 for when that is acceptable.
-    """
-    if master.shape != partial.shape:
-        raise ValueError(
-            f"partial grid shape {partial.shape} != master {master.shape}"
-        )
-    master += partial
-
-
-def tree_reduce_grids(grids: list[np.ndarray]) -> np.ndarray:
-    """Pairwise tree reduction of shard grids in pinned shard-index order.
-
-    Level ``k`` combines neighbours ``(0, 1), (2, 3), ...`` of level
-    ``k - 1``; an odd trailing grid is carried up unchanged.  The pairing is
-    a pure function of the shard count, so the reduction is deterministic
-    run-to-run — but it reassociates floating-point addition relative to the
-    serial fold-left, so the result is *not* bit-identical to
-    :func:`add_subgrids` applied in plan order (the exact-mode reduction of
-    the process executor is; DESIGN.md §14).  The first grid is consumed as
-    the accumulator root and must be writable.
-    """
-    if not grids:
-        raise ValueError("tree_reduce_grids needs at least one grid")
-    shape = grids[0].shape
-    for grid in grids[1:]:
-        if grid.shape != shape:
-            raise ValueError("all shard grids must share one shape")
-    level = list(grids)
-    while len(level) > 1:
-        merged = []
-        for k in range(0, len(level) - 1, 2):
-            level[k] += level[k + 1]
-            merged.append(level[k])
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
 
 
 @shape_checked(grid="(4, G, G)", returns="(k, N, N, 2, 2)")

@@ -9,8 +9,8 @@ processing the plan's work items in *work groups* (Fig 6) — the unit the
 parallel executors and the GPU stream scheduler of the performance model also
 operate on.  Each call builds one
 :class:`~repro.runtime.program.WorkGroupProgram` (the stage bodies, input
-checks and failure contract every executor shares) and runs its groups in an
-inline loop.
+checks, failure contract and group retirement every executor shares) and
+runs its groups in an inline loop.
 
 Typical use::
 
@@ -27,6 +27,7 @@ correction) live in :mod:`repro.imaging.image`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from repro.core.plan import Plan
 from repro.data.store import ChunkedVisibilitySource
 from repro.gridspec import GridSpec
 from repro.kernels.spheroidal import taper_for
+
+if TYPE_CHECKING:
+    from repro.runtime.checkpoint import CheckpointConfig
 
 
 def mask_flagged(
@@ -217,6 +221,8 @@ class IDG:
         flags: np.ndarray | None = None,
         faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        *,
+        checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Grid a visibility set onto the master grid.
 
@@ -247,6 +253,11 @@ class IDG:
             Pre-evaluated Jones fields (the :meth:`aterm_fields` mapping),
             overriding evaluation from ``aterms``.  The serving layer passes
             cached fields here so coalesced jobs share one evaluation.
+        checkpoint:
+            Optional :class:`~repro.runtime.checkpoint.CheckpointConfig`:
+            snapshot this call's progress for a bit-exact resume, or resume
+            from an earlier call's snapshot over the same plan.  Every
+            executor's ``grid`` takes the same argument.
 
         Returns
         -------
@@ -262,11 +273,15 @@ class IDG:
         program = WorkGroupProgram.for_grid(
             self, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
             flags=flags, aterm_fields=aterm_fields, faults=faults,
+            checkpoint=checkpoint,
         )
         self.last_fault_report = program.fault_report
-        for group in range(program.n_groups):
-            program.adder(group, program.subgrid_fft(group, program.gridder(group)))
-            program.drop_caches()
+        with program.retiring() as pending:
+            for group in pending:
+                program.retire(
+                    group, program.subgrid_fft(group, program.gridder(group))
+                )
+                program.drop_caches()
         return program.finish()
 
     # ----------------------------------------------------------- degridding

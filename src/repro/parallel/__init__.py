@@ -2,13 +2,15 @@
 
 The paper's CPU implementation distributes work items over cores with OpenMP
 and parallelises the adder over grid *rows* (subgrids overlap, so per-subgrid
-parallel adds would race — Section V-B-d).  The Python analogue uses a thread
-pool: the heavy lifting inside each work item is BLAS/FFT calls that release
-the GIL, so threads scale, and the row-partitioned adder gives each worker a
-disjoint horizontal band of the grid.
+parallel adds would race — Section V-B-d).  The Python analogues parallelise
+the gridder, FFT and degridder stages only: a thread pool
+(:class:`ParallelIDG` — the BLAS/FFT calls inside each work group release the
+GIL) or worker processes over shared memory (:class:`ProcessShardedIDG`).
+Both retire every work group through the call's one serial adder in plan
+order (:meth:`repro.runtime.program.WorkGroupProgram.retire`), so their grids
+are bit-identical to the serial executor's.
 """
 
-from repro.parallel.batching import chunk_ranges
 from repro.parallel.bucketing import (
     Bucket,
     bucket_work_items,
@@ -16,9 +18,7 @@ from repro.parallel.bucketing import (
     grid_work_group,
 )
 from repro.parallel.partition import (
-    RowPartition,
     ShardAssignment,
-    add_subgrids_row_parallel,
     partition_work_groups,
     plan_group_weights,
 )
@@ -27,14 +27,11 @@ from repro.parallel.executor import ParallelIDG, WorkGroupError
 from repro.parallel.process import ProcessConfig, ProcessShardedIDG, WorkerDeath
 
 __all__ = [
-    "chunk_ranges",
     "Bucket",
     "bucket_work_items",
     "grid_work_group",
     "degrid_work_group",
-    "RowPartition",
     "ShardAssignment",
-    "add_subgrids_row_parallel",
     "partition_work_groups",
     "plan_group_weights",
     "ArenaSpec",

@@ -3,14 +3,15 @@
 ``ParallelIDG`` runs a call's :class:`~repro.runtime.program.WorkGroupProgram`
 on a thread pool: one future per work group computes that group's stages up
 to the adder (the BLAS matrix products and FFTs inside release the GIL), and
-the main thread retires the futures **in ascending work-group order** — so
-the pool acts as its own reorder buffer and the adder accumulates groups in
-exactly the serial executor's plan order (the row-partitioned adder keeps
-each pixel's within-group addition order unchanged).  The result is
-bit-identical to :meth:`repro.core.IDG.grid` — the property the
-cross-executor conformance suite pins.  Degridding needs no merging at all —
-work items write disjoint visibility blocks — mirroring the paper's
-observation that the splitter/degridder side is trivially parallel.
+the main thread hands the futures to the program's serial adder
+(:meth:`~repro.runtime.program.WorkGroupProgram.retire`) **in ascending
+work-group order** — so the pool acts as its own reorder buffer and the grid
+accumulates groups in exactly the serial executor's plan order.  The result
+is bit-identical to :meth:`repro.core.IDG.grid` — the property the
+cross-executor conformance suite pins — and checkpoints are the program's,
+as on every executor.  Degridding needs no merging at all — work items write
+disjoint visibility blocks — mirroring the paper's observation that the
+splitter/degridder side is trivially parallel.
 
 The pool's workers are the only kernel parallelism: the program sets
 OpenBLAS to one thread for the process
@@ -43,13 +44,14 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.core.pipeline import IDG
 from repro.core.plan import Plan
+from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import FaultReport, WorkGroupError
@@ -101,12 +103,12 @@ class ParallelIDG:
 
     def _run_in_order(
         self,
-        n_groups: int,
+        groups: Sequence[int],
         compute: Callable[[int], Any],
         retire: Callable[[int, Any], None] | None = None,
     ) -> None:
-        """``compute(group)`` for every group on the pool, then
-        ``retire(group, result)`` on this thread in ascending group order.
+        """``compute(group)`` for every group of ``groups`` (ascending) on
+        the pool, then ``retire(group, result)`` on this thread in order.
 
         The first failure sets an abort flag (groups not started yet skip
         their work), cancels the queued futures and is re-raised.
@@ -124,9 +126,9 @@ class ParallelIDG:
                 raise
 
         with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [pool.submit(task, group) for group in range(n_groups)]
+            futures = [pool.submit(task, group) for group in groups]
             try:
-                for group, future in enumerate(futures):
+                for group, future in zip(groups, futures):
                     result = future.result()
                     if retire is not None and result is not skipped:
                         retire(group, result)
@@ -146,6 +148,8 @@ class ParallelIDG:
         aterms: ATermGenerator | None = None,
         flags: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        *,
+        checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Parallel equivalent of :meth:`repro.core.IDG.grid`.
 
@@ -153,11 +157,12 @@ class ParallelIDG:
         retirement loop adds groups in ascending order, so the master grid
         accumulates contributions in exactly the serial plan order
         (bit-identical result) while the pool keeps gridding ahead.
-        ``flags`` and ``aterm_fields`` behave as on the serial executor.
+        ``flags``, ``aterm_fields`` and ``checkpoint`` behave as on the
+        serial executor.
         """
         program = WorkGroupProgram.for_grid(
             self.idg, plan, uvw_m, visibilities, aterms=aterms, flags=flags,
-            aterm_fields=aterm_fields, faults=self.faults,
+            aterm_fields=aterm_fields, faults=self.faults, checkpoint=checkpoint,
         )
         self.last_fault_report = program.fault_report
 
@@ -165,13 +170,14 @@ class ParallelIDG:
             # Retired groups' mmap pages are dead weight; evict them so
             # resident memory tracks the groups in flight.
             program.drop_caches()
-            program.adder(group, fourier, n_workers=self.n_workers)
+            program.retire(group, fourier)
 
-        self._run_in_order(
-            program.n_groups,
-            lambda group: program.subgrid_fft(group, program.gridder(group)),
-            retire,
-        )
+        with program.retiring() as pending:
+            self._run_in_order(
+                pending,
+                lambda group: program.subgrid_fft(group, program.gridder(group)),
+                retire,
+            )
         return program.finish()
 
     # ----------------------------------------------------------- degridding
@@ -201,7 +207,7 @@ class ParallelIDG:
         )
         self.last_fault_report = program.fault_report
         self._run_in_order(
-            program.n_groups,
+            range(program.n_groups),
             lambda group: program.degridder(
                 group, program.subgrid_ifft(group, program.subgrid_split(group))
             ),

@@ -1,72 +1,22 @@
-"""Work partitioning: grid rows for the adder, work groups for shards.
+"""Work partitioning: work groups over the shards of the process executor.
 
-Two partition strategies live here:
-
-* :class:`RowPartition` — the paper's Section V-B-d row-banded adder: each
-  worker owns a horizontal band of the master grid, so overlapping subgrids
-  never race on a pixel.
-* :func:`partition_work_groups` — the shard partitioner of the
-  process-sharded executor (DESIGN.md §14): work groups are distributed over
-  worker processes by greedy longest-processing-time (LPT) assignment on
-  their visibility weights.  The assignment is a pure function of the
-  weights (groups are canonically ordered before placement), so it is stable
-  under permutation of the input order, every group lands on exactly one
-  shard, and the heaviest shard carries at most ``total/n_shards`` plus one
-  group's weight — the classic LPT balance bound, pinned by the hypothesis
-  suite in ``tests/parallel/test_partition_properties.py``.
+:func:`partition_work_groups` is the shard partitioner of the
+process-sharded executor (DESIGN.md §14): work groups are distributed over
+worker processes by greedy longest-processing-time (LPT) assignment on their
+visibility weights.  The assignment is a pure function of the weights
+(groups are canonically ordered before placement), so it is stable under
+permutation of the input order, every group lands on exactly one shard, and
+the heaviest shard carries at most ``total/n_shards`` plus one group's
+weight — the classic LPT balance bound, pinned by the hypothesis suite in
+``tests/parallel/test_partition_properties.py``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.core.adder import _pol_major
 from repro.core.plan import Plan
-from repro.parallel.batching import chunk_ranges
-
-
-@dataclass(frozen=True)
-class RowPartition:
-    """A disjoint partition of the grid's rows into horizontal bands."""
-
-    grid_size: int
-    bands: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def create(cls, grid_size: int, n_workers: int) -> "RowPartition":
-        return cls(grid_size=grid_size, bands=tuple(chunk_ranges(grid_size, n_workers)))
-
-    def covers_all_rows(self) -> bool:
-        seen = np.zeros(self.grid_size, dtype=bool)
-        for lo, hi in self.bands:
-            if seen[lo:hi].any():
-                return False
-            seen[lo:hi] = True
-        return bool(seen.all())
-
-
-def _add_band(
-    grid: np.ndarray,
-    plan: Plan,
-    subgrids_pol: np.ndarray,
-    start: int,
-    band: tuple[int, int],
-) -> None:
-    """Add the band-intersecting rows of every subgrid (one worker's share)."""
-    lo, hi = band
-    n = plan.subgrid_size
-    for k in range(subgrids_pol.shape[0]):
-        row = plan.items[start + k]
-        cu, cv = int(row["corner_u"]), int(row["corner_v"])
-        r0 = max(cv, lo)
-        r1 = min(cv + n, hi)
-        if r0 >= r1:
-            continue
-        grid[:, r0:r1, cu : cu + n] += subgrids_pol[k, :, r0 - cv : r1 - cv, :]
 
 
 @dataclass(frozen=True)
@@ -157,31 +107,3 @@ def plan_group_weights(plan: Plan, group_size: int) -> tuple[int, ...]:
         stop = min(start + group_size, plan.n_subgrids)
         weights.append(max(1, int(covered[start:stop].sum())))
     return tuple(weights)
-
-
-def add_subgrids_row_parallel(
-    grid: np.ndarray,
-    plan: Plan,
-    subgrids_fourier: np.ndarray,
-    start: int = 0,
-    n_workers: int = 4,
-) -> None:
-    """Lock-free parallel adder: workers own disjoint row bands.
-
-    Result is bit-identical to :func:`repro.core.adder.add_subgrids` (up to
-    floating-point addition order within a band, which is unchanged).
-    """
-    if grid.shape != (4, plan.gridspec.grid_size, plan.gridspec.grid_size):
-        raise ValueError(f"grid shape {grid.shape} does not match plan")
-    partition = RowPartition.create(plan.gridspec.grid_size, n_workers)
-    pol = _pol_major(subgrids_fourier)
-    if n_workers == 1:
-        _add_band(grid, plan, pol, start, partition.bands[0])
-        return
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(_add_band, grid, plan, pol, start, band)
-            for band in partition.bands
-        ]
-        for f in futures:
-            f.result()

@@ -3,27 +3,15 @@
 ``ProcessShardedIDG`` breaks the GIL ceiling of the thread executor: the
 plan's work groups are partitioned over *worker processes* (greedy LPT on
 visibility weights, :func:`repro.parallel.partition.partition_work_groups`),
-each worker grids its shard into slabs backed by
-``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`), and the parent
-reduces the results into the master grid.
-
-Reduction modes
----------------
-``exact`` (default)
-    Workers only produce per-group Fourier subgrid slabs; the **parent**
-    applies them to the master grid with the serial adder in ascending
-    work-group order.  Floating-point addition order is therefore identical
-    to the serial executor's fold, so the result is **bit-identical** to
-    :meth:`repro.core.IDG.grid` — the property the cross-executor conformance
-    suite pins.  Because groups retire in plan order, checkpoints are
-    prefix-closed and resume is bit-exact (PR 5 semantics).
-``tree``
-    Each shard additionally folds its groups into a private partial grid in
-    shared memory, and the parent combines the shard grids with the pinned
-    pairwise reduction of :func:`repro.core.adder.tree_reduce_grids`.
-    Deterministic run-to-run (the pairing is a pure function of the shard
-    count) but *not* bit-identical to serial — addition is reassociated.
-    Checkpoint/resume is refused in this mode.
+each worker grids its shard into per-group Fourier subgrid slabs backed by
+``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`), and the
+**parent** retires the slabs through its program's serial adder
+(:meth:`~repro.runtime.program.WorkGroupProgram.retire`) in ascending
+work-group order.  Floating-point addition order is therefore identical to
+the serial executor's fold, so the result is **bit-identical** to
+:meth:`repro.core.IDG.grid` — the property the cross-executor conformance
+suite pins — and the call's checkpoints are the program's, as on every
+executor.
 
 Worker/parent protocol
 ----------------------
@@ -47,14 +35,10 @@ fault plan) a death raises :class:`~repro.runtime.recovery.WorkGroupError`.
 Both sides run the call's :class:`~repro.runtime.program.WorkGroupProgram`:
 each worker rebuilds the program over the arena views and runs its shard's
 groups through the same stage bodies and failure contract as every other
-executor, and the parent's program supplies the input checks, the exact-mode
-adder, and the fault report into which worker outcomes are folded.
-
-Not exactly-once: in ``tree`` mode a worker killed mid-add can leave a
-partial contribution in its shard grid which a re-run then duplicates — the
-same caveat the serial adder documents for genuine mid-add failures.  In
-``exact`` mode re-runs are safe: workers only write their slab, and the
-parent adds each group once.
+executor, and the parent's program supplies the input checks, the adder,
+the checkpoints, and the fault report into which worker outcomes are folded.
+Re-running a group after a worker death is safe: workers only write their
+slab, and the parent adds each group once.
 """
 
 from __future__ import annotations
@@ -69,7 +53,6 @@ import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
-from repro.core.adder import add_grid, tree_reduce_grids
 from repro.core.pipeline import IDG, IDGConfig
 from repro.core.plan import Plan
 from repro.data.store import open_store
@@ -79,7 +62,7 @@ from repro.parallel.partition import (
     plan_group_weights,
 )
 from repro.parallel.shm import ArenaSpec, SharedArena
-from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
+from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedCrash
 from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import (
@@ -102,7 +85,6 @@ _PENDING, _DONE, _DEAD, _FAILED = 0, 1, 2, 3
 _ERROR_BYTES = 240
 _STAGE_BYTES = 16
 
-_REDUCTIONS = ("exact", "tree")
 _START_METHODS = ("spawn", "fork", "forkserver")
 
 
@@ -118,9 +100,6 @@ class ProcessConfig:
     ----------
     n_procs:
         Worker processes (shards).
-    reduction:
-        ``"exact"`` (bit-identical to serial, module docstring) or
-        ``"tree"`` (pinned pairwise shard-grid reduction).
     start_method:
         ``multiprocessing`` start method.  ``"spawn"`` is the portable
         default; ``"fork"`` starts workers orders of magnitude faster on
@@ -128,11 +107,6 @@ class ProcessConfig:
         benchmark uses.
     poll_interval_s:
         Parent sleep between status polls while a group is pending.
-    checkpoint_path / checkpoint_interval / resume_from:
-        PR 5 checkpoint semantics for gridding (exact reduction only): a
-        snapshot every ``checkpoint_interval`` retired groups, a final one on
-        completion *and* on abort, and bit-exact resume that skips the
-        checkpoint's completed groups.
     emulate_compute_s:
         Sleep this many seconds per work group inside the worker — a stand-in
         for device compute when benchmarking scaling on hosts with fewer
@@ -140,21 +114,13 @@ class ProcessConfig:
     """
 
     n_procs: int = 2
-    reduction: str = "exact"
     start_method: str = "spawn"
     poll_interval_s: float = 0.002
-    checkpoint_path: str | None = None
-    checkpoint_interval: int = 4
-    resume_from: str | None = None
     emulate_compute_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_procs <= 0:
             raise ValueError("n_procs must be positive")
-        if self.reduction not in _REDUCTIONS:
-            raise ValueError(
-                f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}"
-            )
         if self.start_method not in _START_METHODS:
             raise ValueError(
                 f"start_method must be one of {_START_METHODS}, "
@@ -162,17 +128,8 @@ class ProcessConfig:
             )
         if self.poll_interval_s < 0:
             raise ValueError("poll_interval_s must be non-negative")
-        if self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be positive")
         if self.emulate_compute_s < 0:
             raise ValueError("emulate_compute_s must be non-negative")
-        if self.reduction != "exact" and (
-            self.checkpoint_path is not None or self.resume_from is not None
-        ):
-            raise ValueError(
-                "checkpoint/resume requires exact reduction: tree-reduced "
-                "shard grids are not a plan-order prefix sum"
-            )
 
 
 @dataclass(frozen=True)
@@ -192,7 +149,6 @@ class _ShardTask:
     fault_specs: tuple[FaultSpec, ...] | None
     seeded_attempts: tuple[tuple[str, int, int], ...]
     emulate_compute_s: float
-    reduction: str
     aterm_fields: dict[tuple[int, int], np.ndarray] | None
     #: Chunked-store directory to read visibilities from (out-of-core
     #: gridding).  When set there is no "vis" slab in the arena: each worker
@@ -255,11 +211,8 @@ def _shard_program(
         vis = open_store(task.store_path).source()
     else:
         vis = arena["vis"]
-    shard_grid = (
-        arena["shardgrids"][task.shard] if task.reduction == "tree" else None
-    )
     return WorkGroupProgram(
-        idg, task.plan, arena["uvw"], visibilities=vis, grid=shard_grid,
+        idg, task.plan, arena["uvw"], visibilities=vis,
         aterm_fields=task.aterm_fields, faults=faults,
     )
 
@@ -277,8 +230,6 @@ def _run_group(
         return fourier
     start, stop = program.groups[group]
     arena["fourier"][start:stop] = fourier
-    if task.reduction == "tree":
-        return program.adder(group, fourier)
     return fourier
 
 
@@ -324,7 +275,9 @@ class _ShardSupervisor:
     Shared by the grid and degrid paths; holds the worker-process table, the
     per-group death counts, and the set of groups the *parent* quarantined
     because their worker died past the retry budget (``parent_dead`` — their
-    dead letters are already in the program's report when set).
+    dead letters are already in the program's report when set).  Only the
+    groups in ``groups`` are handed to workers (a resumed grid call leaves its
+    snapshot's groups out).
     """
 
     def __init__(
@@ -337,7 +290,7 @@ class _ShardSupervisor:
         arena: SharedArena,
         telemetry: Telemetry,
         faults: FaultPlan | None,
-        skip: frozenset[int] = frozenset(),
+        groups: frozenset[int],
         store_path: str | None = None,
     ) -> None:
         self.kind = kind
@@ -347,7 +300,7 @@ class _ShardSupervisor:
         self.arena = arena
         self.telemetry = telemetry
         self.fault_specs = faults.specs if faults is not None else None
-        self.skip = skip
+        self.groups = groups
         self.store_path = store_path
         self.status = arena["status"]
         self.procs: dict[int, mp.process.BaseProcess] = {}
@@ -358,8 +311,7 @@ class _ShardSupervisor:
     def start(self) -> None:
         for shard in range(self.assignment.n_shards):
             pending = tuple(
-                g for g in self.assignment.groups_for(shard)
-                if g not in self.skip
+                g for g in self.assignment.groups_for(shard) if g in self.groups
             )
             if pending:
                 self._spawn(shard, pending)
@@ -456,7 +408,6 @@ class _ShardSupervisor:
             fault_specs=self.fault_specs,
             seeded_attempts=seeded,
             emulate_compute_s=self.config.emulate_compute_s,
-            reduction=self.config.reduction,
             aterm_fields=program.aterm_fields,
             store_path=self.store_path,
         )
@@ -469,7 +420,7 @@ class _ShardSupervisor:
         code = proc.exitcode
         pending = [
             g for g in self.assignment.groups_for(shard)
-            if g not in self.skip
+            if g in self.groups
             and g not in self.parent_dead
             and int(self.status[g]) == _PENDING
         ]
@@ -505,14 +456,14 @@ class ProcessShardedIDG:
         policy and backend come from its ``IDGConfig``; workers rebuild the
         same pipeline from it).
     config:
-        :class:`ProcessConfig`; defaults to two workers, exact reduction,
-        ``spawn`` start method.
+        :class:`ProcessConfig`; defaults to two workers and the ``spawn``
+        start method.
     faults:
         Optional deterministic fault-injection plan.  Worker-side stages
         (``gridder``/``subgrid_fft``/``subgrid_split``/``subgrid_ifft``/
-        ``degridder``, plus ``adder`` in tree mode) fire inside the worker
-        processes; ``adder`` faults fire in the parent in exact mode;
-        ``crash`` faults kill the worker process for real (SIGKILL).
+        ``degridder``) fire inside the worker processes; ``adder`` faults
+        fire in the parent; ``crash`` faults kill the worker process for
+        real (SIGKILL).
     n_procs:
         Shorthand overriding ``config.n_procs``.
 
@@ -593,23 +544,25 @@ class ProcessShardedIDG:
         aterms: ATermGenerator | None = None,
         flags: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        *,
+        checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Process-parallel equivalent of :meth:`repro.core.IDG.grid`.
 
-        In exact reduction mode the result is bit-identical to the serial
-        executor (module docstring); quarantined work groups are excluded
-        and reported on ``last_fault_report`` exactly like the other
-        executors.  A store-backed
+        The result is bit-identical to the serial executor (module
+        docstring); quarantined work groups are excluded and reported on
+        ``last_fault_report`` and ``checkpoint`` behaves exactly as on the
+        other executors.  A store-backed
         :class:`~repro.data.store.ChunkedVisibilitySource` is passed to the
         workers *by path*: no "vis" slab is allocated, each worker maps the
         store's visibility file read-only itself (sharing the page cache),
         so out-of-core datasets never cross the process boundary.
         """
-        cfg = self.config
         telemetry = Telemetry()
         program = WorkGroupProgram.for_grid(
             self.idg, plan, uvw_m, visibilities, aterms=aterms, flags=flags,
             aterm_fields=aterm_fields, faults=self.faults, telemetry=telemetry,
+            checkpoint=checkpoint,
         )
         assignment = self._start(program, telemetry)
         visibilities, store_path = program.visibilities, None
@@ -620,27 +573,8 @@ class ProcessShardedIDG:
                 # the store does not record) cannot be re-opened inside the
                 # workers; fall back to the shared-memory slab.
                 visibilities = program.source.materialize()
-        master = program.grid
 
-        signature = None
-        completed: set[int] = set()
-        if cfg.checkpoint_path is not None or cfg.resume_from is not None:
-            signature = plan_signature(plan, self.idg.config.work_group_size)
-        if cfg.resume_from is not None:
-            ckpt = load_checkpoint(cfg.resume_from, signature=signature)
-            completed = set(ckpt.completed_set)
-            np.copyto(master, ckpt.grid)
-        n_retired = len(completed)
-        retired_since_save = 0
-
-        def save_snapshot() -> None:
-            save_checkpoint(
-                cfg.checkpoint_path, master, completed, signature,
-                n_retired=n_retired,
-            )
-            program.report.n_checkpoints += 1
-
-        with SharedArena() as arena:
+        with program.retiring() as pending, SharedArena() as arena:
             self._arena_inputs(arena, uvw_m, program.n_groups)
             if store_path is None:
                 np.copyto(
@@ -653,60 +587,32 @@ class ProcessShardedIDG:
             fourier = arena.allocate(
                 "fourier", (plan.n_subgrids, n, n, 2, 2), COMPLEX_DTYPE
             )
-            if cfg.reduction == "tree":
-                g = self.idg.gridspec.grid_size
-                shardgrids = arena.allocate(
-                    "shardgrids", (cfg.n_procs, 4, g, g), COMPLEX_DTYPE
-                )
             supervisor = _ShardSupervisor(
-                kind="grid", program=program, config=cfg,
+                kind="grid", program=program, config=self.config,
                 assignment=assignment, arena=arena, telemetry=telemetry,
-                faults=self.faults, skip=frozenset(completed),
+                faults=self.faults, groups=frozenset(pending),
                 store_path=store_path,
             )
             try:
                 supervisor.start()
-                for group, (start, stop) in enumerate(program.groups):
-                    if group in completed:
-                        continue  # resumed from checkpoint
-                    outcome = supervisor.collect(group)
+                for group in pending:
+                    start, stop = program.groups[group]
+                    lost = supervisor.collect(group)
+                    if lost is not None:
+                        program.retire(group, lost)
+                        continue
+                    t0 = monotonic()
+                    outcome = program.retire(group, fourier[start:stop])
+                    telemetry.record_span(
+                        "adder", group, t0, monotonic(), worker="parent"
+                    )
+                    self._record_group_spans(telemetry, arena, assignment, group, t0)
                     if not isinstance(outcome, Quarantined):
-                        t0 = monotonic()
-                        if cfg.reduction == "exact":
-                            outcome = program.adder(group, fourier[start:stop])
-                            telemetry.record_span(
-                                "adder", group, t0, monotonic(),
-                                worker="parent",
-                            )
-                        self._record_group_spans(
-                            telemetry, arena, assignment, group, t0
+                        telemetry.add_counter(
+                            "visibilities", group_visibility_count(plan, start, stop)
                         )
-                        if not isinstance(outcome, Quarantined):
-                            telemetry.add_counter(
-                                "visibilities",
-                                group_visibility_count(plan, start, stop),
-                            )
-                            completed.add(group)
-                    n_retired += 1
-                    retired_since_save += 1
-                    if (
-                        cfg.checkpoint_path is not None
-                        and retired_since_save >= cfg.checkpoint_interval
-                    ):
-                        save_snapshot()
-                        retired_since_save = 0
-                if cfg.reduction == "tree":
-                    partials = [
-                        shardgrids[shard].copy()
-                        for shard in range(cfg.n_procs)
-                    ]
-                    add_grid(master, tree_reduce_grids(partials))
             finally:
                 supervisor.shutdown()
-                if cfg.checkpoint_path is not None:
-                    # Final snapshot on success *and* on abort, so a killed
-                    # run resumes bit-exactly from the last retired prefix.
-                    save_snapshot()
         return program.finish()
 
     # ----------------------------------------------------------- degridding
@@ -744,7 +650,7 @@ class ProcessShardedIDG:
             supervisor = _ShardSupervisor(
                 kind="degrid", program=program, config=self.config,
                 assignment=assignment, arena=arena, telemetry=telemetry,
-                faults=self.faults,
+                faults=self.faults, groups=frozenset(range(program.n_groups)),
             )
             try:
                 supervisor.start()

@@ -20,11 +20,13 @@ Fault tolerance (DESIGN.md §11):
   quarantine accounting when a group exhausts its budget;
 * :class:`FaultSpec` / :class:`FaultPlan` — deterministic fault injection
   for tests and ``benchmarks/bench_fault_recovery.py``;
-* :func:`save_checkpoint` / :func:`load_checkpoint` /
+* :class:`CheckpointConfig` — the per-call ``checkpoint=`` setting of every
+  executor's ``grid``; :func:`save_checkpoint` / :func:`load_checkpoint` /
   :func:`plan_signature` — atomic grid snapshots for bit-exact resume.
 """
 
 from repro.runtime.checkpoint import (
+    CheckpointConfig,
     GridCheckpoint,
     load_checkpoint,
     plan_signature,
@@ -55,6 +57,7 @@ from repro.runtime.telemetry import GaugeSample, QueueStats, Span, Telemetry
 __all__ = [
     "Channel",
     "ChannelClosed",
+    "CheckpointConfig",
     "CorruptDataError",
     "CreditGate",
     "DeadLetter",

@@ -1,13 +1,25 @@
-"""Checkpoint/resume for streaming gridding runs.
+"""Checkpoint/resume for gridding calls, on every executor.
 
-:class:`~repro.runtime.StreamingIDG` periodically snapshots the master grid
-plus the set of retired work-group ids while gridding
-(``RuntimeConfig.checkpoint_path`` / ``checkpoint_interval``), and a later
-run started with ``RuntimeConfig.resume_from`` (CLI ``--resume``) skips the
-completed groups.  Resume is *bit-exact*: the adder stage retires groups in
-plan order, so a checkpoint taken after groups ``0..k`` holds exactly the
-floating-point prefix sum an uninterrupted run would have at that point, and
-resuming adds the remaining groups in the same order onto the same bits.
+A ``grid`` call given ``checkpoint=CheckpointConfig(path=...)`` snapshots
+the master grid plus the set of completed work-group ids while it grids, and
+a later call over the same plan given
+``CheckpointConfig(resume_from=...)`` (CLI ``image --resume``) skips the
+completed groups.  The snapshots are written by the call's
+:class:`~repro.runtime.program.WorkGroupProgram` — the one place that
+retires work groups — so the serial, threads, streaming and processes
+executors all checkpoint the same way.  The setting belongs to the call, not
+to the executor, because :func:`plan_signature` binds a snapshot to one plan
+while one executor grids many (w-layers, facets, the PSF).
+
+Every snapshot holds exactly the plan-order sum of its completed set.
+Resume is therefore *bit-exact* when that set is a plan-order prefix (the
+case of a crashed or killed run): the adder retires groups in plan order, so
+the snapshot holds the floating-point prefix sum an uninterrupted run would
+have at that point, and resuming adds the remaining groups in the same order
+onto the same bits.  A snapshot is written every ``interval`` retirements,
+once on completion and once on abort; after an add that raised part-way
+(the grid may then hold part of a group) no further snapshot is written and
+the last good one stays.
 
 Snapshots are written atomically (temp file + ``os.replace`` via
 :mod:`repro.atomicio`), so a crash mid-checkpoint leaves the previous
@@ -30,6 +42,7 @@ from repro.hashing import ContentHasher
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "CheckpointConfig",
     "GridCheckpoint",
     "load_checkpoint",
     "plan_signature",
@@ -38,6 +51,34 @@ __all__ = [
 
 #: On-disk schema version of checkpoint archives.
 CHECKPOINT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class CheckpointConfig:
+    """The checkpoint setting of one ``grid`` call.
+
+    Attributes
+    ----------
+    path:
+        When set, the call snapshots the master grid plus the completed
+        work-group set to this ``.npz`` path (atomically) every ``interval``
+        retired groups, once more when it completes and once when it aborts.
+    interval:
+        Retired work groups between snapshots.
+    resume_from:
+        Path of a snapshot written by an earlier call over the *same* plan
+        and work-group size (validated by signature); its completed groups
+        are skipped and its grid replaces the contents of any caller-supplied
+        ``grid=``.
+    """
+
+    path: str | None = None
+    interval: int = 4
+    resume_from: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.interval <= 0:
+            raise ValueError("interval must be positive")
 
 
 def plan_signature(plan: Any, work_group_size: int) -> str:

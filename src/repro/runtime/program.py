@@ -12,11 +12,20 @@ executors keep only their scheduling — an inline loop (``IDG``), a thread
 pool with in-order retirement (``ParallelIDG``), a stage graph
 (``StreamingIDG``) or worker-process shards (``ProcessShardedIDG``) — so
 they all run the same stage bodies on the same groups, bit-identically.
+
+A grid work group is retired in one place, :meth:`WorkGroupProgram.retire`:
+the serial adder in plan order, then the checkpoint bookkeeping of
+:mod:`repro.runtime.checkpoint` — the completed set, the retirement count
+and the snapshots.  :meth:`WorkGroupProgram.for_grid` loads a resume
+snapshot; :meth:`WorkGroupProgram.retiring` yields the groups still pending
+and writes the final snapshot when the executor's loop ends, completed or
+aborted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import contextlib
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -26,6 +35,12 @@ from repro.core.pipeline import IDG, prepare_visibilities
 from repro.core.plan import Plan
 from repro.data.store import ChunkedVisibilitySource
 from repro.runtime.blas import single_threaded_blas
+from repro.runtime.checkpoint import (
+    CheckpointConfig,
+    load_checkpoint,
+    plan_signature,
+    save_checkpoint,
+)
 from repro.runtime.faults import FaultPlan
 from repro.runtime.recovery import (
     FaultReport,
@@ -47,7 +62,8 @@ class WorkGroupProgram:
     ``(4, G, G)`` grid the adder accumulates into or the splitter reads,
     ``out`` the degridding output; ``faults`` and ``telemetry`` go to the
     runner.  The constructor takes its inputs as given — :meth:`for_grid`
-    and :meth:`for_degrid` are the checking constructors executors use.
+    and :meth:`for_degrid` are the checking constructors executors use, and
+    only :meth:`for_grid` takes a checkpoint setting.
 
     The constructor first calls
     :func:`~repro.runtime.blas.single_threaded_blas`: from the first grid or
@@ -98,6 +114,19 @@ class WorkGroupProgram:
             telemetry=telemetry,
         )
         self.report = self.runner.report
+        self.telemetry = telemetry
+        #: The call's checkpoint setting (``None``: no snapshots, no resume).
+        self.checkpoint: CheckpointConfig | None = None
+        self.signature: str | None = None
+        #: Groups whose contribution :attr:`grid` holds, resumed ones
+        #: included; quarantined groups never enter.
+        self.completed: set[int] = set()
+        #: Groups retired so far, resumed ones included.
+        self.n_retired = 0
+        self._unsaved = 0  # retirements since the last snapshot
+        #: An add raised after it had started (or ran more than once), so
+        #: :attr:`grid` may hold part of a group: no further snapshots.
+        self.torn = False
 
     # ------------------------------------------------------- constructors
 
@@ -115,10 +144,16 @@ class WorkGroupProgram:
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         faults: FaultPlan | None = None,
         telemetry: Telemetry | None = None,
+        checkpoint: CheckpointConfig | None = None,
     ) -> "WorkGroupProgram":
         """The program of ``IDG.grid``'s arguments: shapes checked, flags
         masked, A-term fields resolved (``aterm_fields`` wins over
-        ``aterms``), the master grid allocated unless ``grid`` is given."""
+        ``aterms``), the master grid allocated unless ``grid`` is given.
+
+        With ``checkpoint.resume_from`` set, the snapshot's signature is
+        checked against this plan (``ValueError`` on a mismatch), its grid
+        is copied into :attr:`grid` and its groups are recorded as
+        completed."""
         n_bl, n_times, three = uvw_m.shape
         if three != 3:
             raise ValueError("uvw_m must have a trailing axis of 3")
@@ -134,10 +169,21 @@ class WorkGroupProgram:
             grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
         if aterm_fields is None:
             aterm_fields = idg.aterm_fields(plan, aterms)
-        return cls(
+        program = cls(
             idg, plan, uvw_m, visibilities=visibilities, grid=grid,
             aterm_fields=aterm_fields, faults=faults, telemetry=telemetry,
         )
+        if checkpoint is not None:
+            program.checkpoint = checkpoint
+            program.signature = plan_signature(plan, idg.config.work_group_size)
+            if checkpoint.resume_from is not None:
+                snapshot = load_checkpoint(
+                    checkpoint.resume_from, signature=program.signature
+                )
+                np.copyto(grid, snapshot.grid)
+                program.completed = set(snapshot.completed_set)
+                program.n_retired = len(program.completed)
+        return program
 
     @classmethod
     def for_degrid(
@@ -224,14 +270,70 @@ class WorkGroupProgram:
             "subgrid_fft", group, lambda: self.backend.subgrids_to_fourier(subgrids)
         )
 
-    def adder(self, group: int, fourier: Any, n_workers: int = 1) -> Any:
-        """Add ``group``'s Fourier subgrids onto :attr:`grid`."""
-        if isinstance(fourier, Quarantined):
-            return fourier
-        start = self.groups[group][0]
-        return self.run("adder", group, lambda: self.backend.add_subgrids(
-            self.grid, self.plan, fourier, start=start, n_workers=n_workers,
-        ))
+    # --------------------------------------------------------- retirement
+
+    @contextlib.contextmanager
+    def retiring(self) -> Iterator[list[int]]:
+        """The scope of an executor's retirement loop.
+
+        Yields the groups still pending — ascending, the resumed snapshot's
+        completed groups left out — which the executor schedules and hands
+        to :meth:`retire` in that order.  On the way out, after a completed
+        run and after an abort alike, the final snapshot is written.
+        """
+        try:
+            yield [g for g in range(self.n_groups) if g not in self.completed]
+        finally:
+            self._snapshot()
+
+    def retire(self, group: int, fourier: Any) -> Any:
+        """Retire ``group``: add its Fourier subgrids onto :attr:`grid` as
+        the ``adder`` stage, then mark it completed (unless it is
+        :class:`Quarantined`), count it and snapshot every
+        ``checkpoint.interval`` retirements.  Returns the adder's outcome.
+
+        Executors call this from one thread at a time, in plan order, so the
+        grid accumulates exactly as the serial executor's does.
+        """
+        outcome = fourier
+        if not isinstance(fourier, Quarantined):
+            start = self.groups[group][0]
+            adds = 0
+            whole = False
+
+            def add() -> None:
+                nonlocal adds
+                adds += 1
+                self.backend.add_subgrids(self.grid, self.plan, fourier, start=start)
+
+            try:
+                outcome = self.run("adder", group, add)
+                whole = not isinstance(outcome, Quarantined)
+            finally:
+                # The grid holds the group once and whole only if exactly one
+                # add ran and finished; injected faults fire before the add.
+                self.torn |= adds != int(whole)
+            if whole:
+                self.completed.add(group)
+        self.n_retired += 1
+        self._unsaved += 1
+        if self.checkpoint is not None and self._unsaved >= self.checkpoint.interval:
+            self._snapshot()
+        return outcome
+
+    def _snapshot(self) -> None:
+        """Write :attr:`grid` and the completed set to ``checkpoint.path``,
+        unless there is none or the grid may hold part of a group."""
+        if self.checkpoint is None or self.checkpoint.path is None or self.torn:
+            return
+        save_checkpoint(
+            self.checkpoint.path, self.grid, self.completed, self.signature,
+            n_retired=self.n_retired,
+        )
+        self._unsaved = 0
+        self.report.n_checkpoints += 1
+        if self.telemetry is not None:
+            self.telemetry.add_counter("checkpoints", 1)
 
     # ----------------------------------------------------- degrid stages
 

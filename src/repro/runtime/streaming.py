@@ -26,10 +26,10 @@ and a work group that exhausts its budget is quarantined: a
 :class:`~repro.runtime.recovery.Quarantined` sentinel flows through the
 remaining stages so sequencing and credit accounting stay exact, and the
 :class:`~repro.runtime.recovery.FaultReport` on ``last_fault_report``
-records what was lost.  Gridding can additionally checkpoint the master grid
-plus the retired-group set to disk (atomic write-then-rename) and later
-resume bit-exactly, skipping completed groups
-(:mod:`repro.runtime.checkpoint`).
+records what was lost.  The adder stage hands each group to the program's
+:meth:`~repro.runtime.program.WorkGroupProgram.retire`, which also keeps the
+call's checkpoints (:mod:`repro.runtime.checkpoint`), so a streaming ``grid``
+checkpoints and resumes like every other executor's.
 
 Every run produces a :class:`~repro.runtime.telemetry.Telemetry` (span
 timings, queue occupancy, retry/dead-letter/checkpoint counters,
@@ -50,7 +50,7 @@ from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
 from repro.core.pipeline import IDG
 from repro.core.plan import Plan
-from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
+from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.graph import StageGraph
 from repro.runtime.memory import record_memory_gauges
@@ -74,9 +74,6 @@ class RuntimeConfig:
         Threads in the gridder stage (its BLAS products release the GIL).
     fft_workers:
         Threads in the subgrid FFT/iFFT stage.
-    adder_row_workers:
-        Row bands of the lock-free adder (`1` uses the serial fast path,
-        which is bit-identical to :func:`repro.core.adder.add_subgrids`).
     degridder_workers:
         Threads in the degridder stage (work items write disjoint blocks,
         so no synchronisation is needed).
@@ -87,36 +84,17 @@ class RuntimeConfig:
         PCIe copies the paper's three-stream schedule hides (Fig 7), on a
         machine with no accelerator.  ``None`` (default) adds no transfer
         stages.
-    checkpoint_path:
-        When set, ``grid`` snapshots the master grid plus the retired
-        work-group set to this ``.npz`` path (atomically) every
-        ``checkpoint_interval`` retired groups, and once more when the run
-        completes.  Ignored by ``degrid`` (its output has no accumulated
-        state worth snapshotting — a restarted degrid simply re-runs).
-    checkpoint_interval:
-        Retired work groups between snapshots.
-    resume_from:
-        Path of a checkpoint written by a previous ``grid`` run over the
-        *same* plan and work-group size (validated by signature); completed
-        groups are skipped and the result is bit-identical to an
-        uninterrupted run.  The checkpoint grid replaces the contents of
-        any caller-supplied ``grid=``.
     """
 
     n_buffers: int = 3
     gridder_workers: int = 1
     fft_workers: int = 1
-    adder_row_workers: int = 1
     degridder_workers: int = 1
     emulate_pcie_gbs: float | None = None
-    checkpoint_path: str | None = None
-    checkpoint_interval: int = 4
-    resume_from: str | None = None
 
     def __post_init__(self) -> None:
         for name in (
-            "n_buffers", "gridder_workers", "fft_workers",
-            "adder_row_workers", "degridder_workers", "checkpoint_interval",
+            "n_buffers", "gridder_workers", "fft_workers", "degridder_workers",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -146,8 +124,8 @@ class StreamingIDG:
         geometry and the retry policy (``IDGConfig.max_retries`` /
         ``retry_backoff_s``).
     config:
-        Runtime parameters (buffer count, per-stage worker counts,
-        checkpointing).
+        Runtime parameters (buffer count, per-stage worker counts, emulated
+        device link).
     faults:
         Optional deterministic fault-injection plan (tests, benchmarks).
 
@@ -208,52 +186,27 @@ class StreamingIDG:
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
         telemetry: Telemetry | None = None,
+        *,
+        checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.grid`.
 
         Identical signature and bit-identical result; accepts an optional
         ``telemetry`` recorder (also stored on ``last_telemetry``).  With
         fault tolerance active, quarantined work groups are excluded and
-        reported on ``last_fault_report`` instead of raising; with
-        ``config.checkpoint_path`` set, progress snapshots are written for
-        a later bit-exact ``config.resume_from`` run.
+        reported on ``last_fault_report`` instead of raising; ``checkpoint``
+        behaves as on the serial executor.
         """
         tm = telemetry if telemetry is not None else Telemetry()
         program = WorkGroupProgram.for_grid(
             self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
-            flags=flags, faults=self.faults, telemetry=tm,
+            flags=flags, faults=self.faults, telemetry=tm, checkpoint=checkpoint,
         )
         self.last_fault_report = program.fault_report
-        out_grid = program.grid
         source = program.source
-
-        ckpt_path = self.config.checkpoint_path
-        signature = None
-        if ckpt_path is not None or self.config.resume_from is not None:
-            signature = plan_signature(plan, self.idg.config.work_group_size)
-        completed: set[int] = set()
-        if self.config.resume_from is not None:
-            ckpt = load_checkpoint(self.config.resume_from, signature=signature)
-            completed = set(ckpt.completed_set)
-            # The snapshot holds the prefix sum of exactly `completed`;
-            # resuming continues from those bits (replacing any caller grid).
-            out_grid[...] = np.asarray(ckpt.grid).reshape(out_grid.shape)
-        pending = [g for g in range(program.n_groups) if g not in completed]
-
         gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
         reorder: dict[int, tuple[int, Any]] = {}
         next_seq = 0
-        n_retired = 0
-
-        def write_checkpoint() -> None:
-            # Runs inside the single-worker adder stage: the grid is quiescent
-            # (the adder is its only mutator), so the snapshot is consistent.
-            save_checkpoint(
-                ckpt_path, out_grid, completed, signature,
-                n_retired=n_retired,
-            )
-            tm.add_counter("checkpoints", 1)
-            program.report.n_checkpoints += 1
 
         def do_read(seq: int, payload: tuple[int, None]) -> tuple[int, Any]:
             # Out-of-core reader stage: materialise exactly the visibility
@@ -280,19 +233,13 @@ class StreamingIDG:
             # adder, even when gridder workers complete out of order.  A
             # group dead-lettered upstream adds nothing, but still releases
             # its credit and advances the sequence.
-            nonlocal next_seq, n_retired
+            nonlocal next_seq
             reorder[seq] = payload
             while next_seq in reorder:
-                group, fourier = reorder.pop(next_seq)
-                result = program.adder(
-                    group, fourier, n_workers=self.config.adder_row_workers
-                )
-                if not isinstance(result, Quarantined):
-                    completed.add(group)
+                program.retire(*reorder.pop(next_seq))
                 gate.release()
                 next_seq += 1
-                n_retired += 1
-                if source is not None and n_retired % 8 == 0:
+                if source is not None and next_seq % 8 == 0:
                     # Retired groups' file pages are dead weight: evict them
                     # and snapshot the memory gauges so the trace shows RSS
                     # staying flat as data streams through.  Every 8th group
@@ -301,34 +248,29 @@ class StreamingIDG:
                     # bounded by 8 groups' worth of file pages.
                     source.drop_caches()
                     record_memory_gauges(tm)
-                if ckpt_path is not None and (
-                    n_retired % self.config.checkpoint_interval == 0
-                ):
-                    write_checkpoint()
 
-        graph = StageGraph("grid", n_buffers=self.config.n_buffers, telemetry=tm)
-        graph.add_abortable(gate)
-        graph.add_source("splitter", self._gated_groups(pending, gate))
-        if source is not None:
-            # Disk-read stage ahead of the (emulated) device upload: with
-            # the credit gate upstream, at most `n_buffers` prefetched
-            # groups exist at once — the RSS bound of the out-of-core path.
-            graph.add_stage("reader", do_read)
-        emulate = self.config.emulate_pcie_gbs is not None
-        if emulate:
-            graph.add_stage("htod", self._link(
-                lambda group, _: chunk_transfer_bytes(plan, *program.groups[group])[0]
-            ))
-        graph.add_stage("gridder", do_grid, workers=self.config.gridder_workers)
-        graph.add_stage("subgrid_fft", do_fft, workers=self.config.fft_workers)
-        if emulate:
-            graph.add_stage("dtoh", self._link(lambda _, fourier: fourier.nbytes))
-        graph.add_sink("adder", do_add)
         tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
         tm.add_counter("work_groups", plan.n_subgrids)
-        graph.run()
-        if ckpt_path is not None:
-            write_checkpoint()
+        emulate = self.config.emulate_pcie_gbs is not None
+        with program.retiring() as pending:
+            graph = StageGraph("grid", n_buffers=self.config.n_buffers, telemetry=tm)
+            graph.add_abortable(gate)
+            graph.add_source("splitter", self._gated_groups(pending, gate))
+            if source is not None:
+                # Disk-read stage ahead of the (emulated) device upload: with
+                # the credit gate upstream, at most `n_buffers` prefetched
+                # groups exist at once — the RSS bound of the out-of-core path.
+                graph.add_stage("reader", do_read)
+            if emulate:
+                graph.add_stage("htod", self._link(
+                    lambda group, _: chunk_transfer_bytes(plan, *program.groups[group])[0]
+                ))
+            graph.add_stage("gridder", do_grid, workers=self.config.gridder_workers)
+            graph.add_stage("subgrid_fft", do_fft, workers=self.config.fft_workers)
+            if emulate:
+                graph.add_stage("dtoh", self._link(lambda _, fourier: fourier.nbytes))
+            graph.add_sink("adder", do_add)
+            graph.run()
         record_memory_gauges(tm)
         self.last_telemetry = tm
         return program.finish()

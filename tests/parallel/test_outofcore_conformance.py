@@ -18,6 +18,7 @@ import pytest
 
 from repro.data.store import DatasetWriter, write_store
 from repro.runtime import (
+    CheckpointConfig,
     FaultPlan,
     InjectedCrash,
     RuntimeConfig,
@@ -135,22 +136,17 @@ def test_streaming_kill_and_resume_from_store(conformance, store_for,
 
     ckpt = tmp_path / "oc-crash.npz"
     crash = FaultPlan.single("gridder", n_groups - 1, kind="crash")
-    engine = StreamingIDG(
-        w["idg"],
-        RuntimeConfig(n_buffers=2, checkpoint_path=str(ckpt),
-                      checkpoint_interval=1),
-        faults=crash,
-    )
+    engine = StreamingIDG(w["idg"], RuntimeConfig(n_buffers=2), faults=crash)
     with pytest.raises(InjectedCrash):
-        engine.grid(w["plan"], w["obs"].uvw_m, store.source())
+        engine.grid(w["plan"], w["obs"].uvw_m, store.source(),
+                    checkpoint=CheckpointConfig(path=str(ckpt), interval=1))
 
     snap = load_checkpoint(ckpt)
     assert 0 < len(snap.completed_set) < n_groups
 
-    resume = StreamingIDG(
-        w["idg"], RuntimeConfig(n_buffers=2, resume_from=str(ckpt))
-    )
-    resumed = resume.grid(w["plan"], w["obs"].uvw_m, store.source())
+    resume = StreamingIDG(w["idg"], RuntimeConfig(n_buffers=2))
+    resumed = resume.grid(w["plan"], w["obs"].uvw_m, store.source(),
+                          checkpoint=CheckpointConfig(resume_from=str(ckpt)))
     assert np.array_equal(resumed, reference)
     # only the remaining groups were re-read and re-gridded on resume
     assert len(resume.last_telemetry.spans("reader")) == (

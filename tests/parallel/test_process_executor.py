@@ -1,9 +1,10 @@
-"""ProcessShardedIDG: config validation, reductions, telemetry, checkpoints.
+"""ProcessShardedIDG: config validation, shard map, telemetry, failures.
 
-Cross-executor bit-exactness is pinned by ``test_executor_conformance.py``;
-this module covers the process executor's own contract — the LPT shard map,
-per-shard telemetry, the tree reduction's determinism, the fail-fast error
-text, spawn-method support and checkpoint/resume.
+Cross-executor bit-exactness is pinned by ``test_executor_conformance.py``
+and checkpoint/resume by ``tests/runtime/test_checkpoint.py`` (its
+``[processes]`` cells); this module covers the process executor's own
+contract — the LPT shard map, per-shard telemetry, the fail-fast error text
+and spawn-method support.
 """
 
 from __future__ import annotations
@@ -39,26 +40,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProcessConfig(n_procs=0)
     with pytest.raises(ValueError):
-        ProcessConfig(reduction="bogus")
-    with pytest.raises(ValueError):
         ProcessConfig(start_method="bogus")
     with pytest.raises(ValueError):
         ProcessConfig(poll_interval_s=-0.1)
     with pytest.raises(ValueError):
-        ProcessConfig(checkpoint_interval=0)
-    with pytest.raises(ValueError):
         ProcessConfig(emulate_compute_s=-1.0)
-    assert ProcessConfig().reduction == "exact"
-
-
-def test_checkpoint_refused_for_tree_reduction(tmp_path):
-    """Tree-reduced shard grids are not a plan-order prefix sum, so a
-    checkpoint taken from them could never resume bit-exactly."""
-    path = str(tmp_path / "ck.npz")
-    with pytest.raises(ValueError, match="exact reduction"):
-        ProcessConfig(reduction="tree", checkpoint_path=path)
-    with pytest.raises(ValueError, match="exact reduction"):
-        ProcessConfig(reduction="tree", resume_from=path)
 
 
 def test_n_procs_shorthand(baseline):
@@ -69,7 +55,7 @@ def test_n_procs_shorthand(baseline):
     assert overridden.config.n_procs == 3
 
 
-# ---------------------------------------------------------------- reductions
+# -------------------------------------------------------------- bit-exactness
 
 
 def test_three_shards_bit_exact(baseline):
@@ -89,20 +75,6 @@ def test_spawn_start_method_bit_exact(baseline):
     obs = baseline["obs"]
     grid = engine.grid(baseline["plan"], obs.uvw_m, baseline["vis"])
     assert np.array_equal(grid, baseline["ref_grid"])
-
-
-def test_tree_reduction_deterministic_and_close(baseline):
-    """Tree mode reassociates the shard sums (so only *close* to serial) but
-    the pinned pairwise reduction order makes it deterministic run-to-run."""
-    obs = baseline["obs"]
-    first = _engine(baseline, n_procs=3, reduction="tree").grid(
-        baseline["plan"], obs.uvw_m, baseline["vis"]
-    )
-    second = _engine(baseline, n_procs=3, reduction="tree").grid(
-        baseline["plan"], obs.uvw_m, baseline["vis"]
-    )
-    assert np.array_equal(first, second)
-    np.testing.assert_allclose(first, baseline["ref_grid"], rtol=1e-5, atol=1e-5)
 
 
 # ------------------------------------------------- assignment and telemetry
@@ -164,39 +136,3 @@ def test_failfast_error_names_group_and_shard(baseline, monkeypatch):
         str(err.value),
     )
     assert "injected kernel failure" in str(err.value)
-
-
-# ---------------------------------------------------------------- checkpoint
-
-
-def test_checkpoint_and_resume_bit_exact(baseline, tmp_path):
-    """A checkpointed run leaves a final snapshot; resuming from any snapshot
-    of it reproduces the uninterrupted grid bit-exactly."""
-    obs = baseline["obs"]
-    path = str(tmp_path / "ck.npz")
-    first = _engine(baseline, checkpoint_path=path, checkpoint_interval=2).grid(
-        baseline["plan"], obs.uvw_m, baseline["vis"]
-    )
-    assert np.array_equal(first, baseline["ref_grid"])
-    resumed = _engine(baseline, resume_from=path).grid(
-        baseline["plan"], obs.uvw_m, baseline["vis"]
-    )
-    assert np.array_equal(resumed, baseline["ref_grid"])
-
-
-def test_resume_rejects_mismatched_plan(baseline, conformance, tmp_path):
-    """A checkpoint is bound to its plan signature; resuming a different
-    plan must fail loudly rather than blend two observations."""
-    obs = baseline["obs"]
-    path = str(tmp_path / "ck.npz")
-    _engine(baseline, checkpoint_path=path).grid(
-        baseline["plan"], obs.uvw_m, baseline["vis"]
-    )
-    other_case = next(c for c in conformance.cases if c.name == "w-offset")
-    other = conformance.workload(other_case)
-    engine = ProcessShardedIDG(
-        other["idg"],
-        ProcessConfig(n_procs=2, start_method="fork", resume_from=path),
-    )
-    with pytest.raises(ValueError):
-        engine.grid(other["plan"], other["obs"].uvw_m, other["vis"])

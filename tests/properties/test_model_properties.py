@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.kernels.spheroidal import evaluate_prolate_spheroidal
 from repro.kernels.wkernel import n_term
-from repro.parallel.batching import chunk_ranges
 from repro.perfmodel.architectures import ALL_ARCHITECTURES
 from repro.perfmodel.sincos import mixed_throughput_ops
 from repro.perfmodel.streams import schedule_buffers, serial_makespan
@@ -56,20 +55,6 @@ def test_sincos_throughput_monotone(rho_a, rho_b):
         # relative tolerance: the min() against peak_ops introduces sub-ulp
         # wobble between algebraically equal expressions
         assert mixed_throughput_ops(arch, lo) <= mixed_throughput_ops(arch, hi) * (1 + 1e-9)
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=64))
-@settings(max_examples=50, deadline=None)
-def test_chunk_ranges_exact_partition(total, n_chunks):
-    ranges = chunk_ranges(total, n_chunks)
-    covered = []
-    for a, b in ranges:
-        assert a < b
-        covered.extend(range(a, b))
-    assert covered == list(range(total))
-    if ranges:
-        sizes = [b - a for a, b in ranges]
-        assert max(sizes) - min(sizes) <= 1
 
 
 @given(st.floats(min_value=-0.7, max_value=0.7), st.floats(min_value=-0.7, max_value=0.7))

@@ -1,20 +1,34 @@
 """Checkpoint/resume: periodic atomic snapshots while gridding, bit-exact
-resume, signature guarding, and the kill-and-resume round trip."""
+resume, signature guarding, and the kill-and-resume round trip.
+
+Snapshots are written by the call's ``WorkGroupProgram``, so the run tests
+are parametrized over the four executors.  The invariant they pin: every
+snapshot on disk holds exactly the plan-order sum of its completed set,
+``n_retired`` counts every retired group (resumed ones included), and an add
+that raised part-way stops all further snapshots for the call.
+"""
 
 import numpy as np
 import pytest
 
+from repro.backends.vectorized import VectorizedBackend
+from repro.constants import COMPLEX_DTYPE
+from repro.parallel import ParallelIDG
+from repro.parallel.process import ProcessConfig, ProcessShardedIDG
 from repro.runtime import (
+    CheckpointConfig,
     FaultPlan,
     InjectedCrash,
     RuntimeConfig,
     StreamingIDG,
+    WorkGroupError,
     load_checkpoint,
     plan_signature,
     save_checkpoint,
 )
 
 WORK_GROUP_SIZE = 5
+EXECUTORS = ("serial", "threads", "streaming", "processes")
 
 
 @pytest.fixture(scope="module")
@@ -34,49 +48,219 @@ def n_groups(small_plan):
     return len(list(small_plan.work_groups(WORK_GROUP_SIZE)))
 
 
-def test_completed_run_checkpoint_is_total(idg, small_plan, small_obs,
+def run_grid(executor, idg, plan, uvw_m, vis, checkpoint=None, faults=None):
+    """Grid on one executor with a per-call checkpoint setting; returns the
+    grid and the object carrying ``last_fault_report``."""
+    if executor == "serial":
+        grid = idg.grid(plan, uvw_m, vis, faults=faults, checkpoint=checkpoint)
+        return grid, idg
+    if executor == "threads":
+        engine = ParallelIDG(idg, n_workers=2, faults=faults)
+    elif executor == "streaming":
+        engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2), faults=faults)
+    else:
+        engine = ProcessShardedIDG(
+            idg, ProcessConfig(n_procs=2, start_method="fork"), faults=faults
+        )
+    return engine.grid(plan, uvw_m, vis, checkpoint=checkpoint), engine
+
+
+def plan_order_sum(idg, plan, uvw_m, vis, groups):
+    """The serial adder's fold of exactly ``groups``, in plan order — what a
+    snapshot whose completed set is ``groups`` must hold."""
+    backend = idg.backend
+    grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
+    for group, (start, stop) in enumerate(plan.work_groups(WORK_GROUP_SIZE)):
+        if group not in groups:
+            continue
+        subgrids = backend.grid_work_group(
+            plan, start, stop, uvw_m, vis, idg.taper,
+            lmn=idg.lmn, aterm_fields=None,
+        )
+        backend.add_subgrids(
+            grid, plan, backend.subgrids_to_fourier(subgrids), start=start
+        )
+    return grid
+
+
+def prefix_snapshot(path, idg, plan, uvw_m, vis, k):
+    """Hand-build the mid-run snapshot of groups ``0..k-1``."""
+    grid = plan_order_sum(idg, plan, uvw_m, vis, set(range(k)))
+    return save_checkpoint(
+        path, grid, range(k), plan_signature(plan, WORK_GROUP_SIZE)
+    )
+
+
+class TearingBackend(VectorizedBackend):
+    """Adds the first subgrid of the work group starting at plan item
+    ``tear`` and then raises — an adder that fails part-way."""
+
+    def __init__(self, tear: int) -> None:
+        self.tear = tear
+
+    def add_subgrids(self, grid, plan, subgrids_fourier, start=0):
+        if start != self.tear:
+            return super().add_subgrids(grid, plan, subgrids_fourier, start=start)
+        super().add_subgrids(grid, plan, subgrids_fourier[:1], start=start)
+        raise RuntimeError("adder failed part-way through a work group")
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_completed_run_checkpoint_is_total(executor, idg, small_plan, small_obs,
                                            single_source_vis, clean_grid,
-                                           n_groups, tmp_path):
+                                           n_groups, tmp_path, monkeypatch):
+    import repro.runtime.program as program_module
+
+    writes = []
+    save = program_module.save_checkpoint
+
+    def counting_save(*args, **kwargs):
+        writes.append(kwargs["n_retired"])
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(program_module, "save_checkpoint", counting_save)
     ckpt = tmp_path / "run.ckpt.npz"
-    engine = StreamingIDG(idg, RuntimeConfig(
-        n_buffers=2, checkpoint_path=str(ckpt), checkpoint_interval=2,
-    ))
-    grid = engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    grid, engine = run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(path=str(ckpt), interval=2),
+    )
     assert np.array_equal(grid, clean_grid)
     snap = load_checkpoint(ckpt, signature=plan_signature(small_plan,
                                                           WORK_GROUP_SIZE))
     assert snap.completed_set == frozenset(range(n_groups))
     assert snap.n_retired == n_groups
     np.testing.assert_array_equal(snap.grid, clean_grid)
-    # periodic snapshots actually happened along the way
-    assert engine.last_telemetry.counters["checkpoints"] >= n_groups // 2
+    # periodic snapshots actually happened along the way, then the final one
+    assert writes == [*range(2, n_groups + 1, 2), n_groups]
+    telemetry = getattr(engine, "last_telemetry", None)
+    if telemetry is not None:
+        assert telemetry.counters["checkpoints"] == len(writes)
 
 
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_resume_from_partial_checkpoint_is_bit_exact(
-    idg, small_plan, small_obs, single_source_vis, clean_grid, n_groups,
-    tmp_path,
+    executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
+    n_groups, tmp_path,
 ):
     """Hand-build a mid-run snapshot (the prefix sum of groups 0..k-1) and
     resume: the final grid must be bit-identical to the uninterrupted run."""
-    backend = idg.backend
-    k = n_groups // 2
-    partial = idg.gridspec.allocate_grid(dtype=clean_grid.dtype)
-    groups = list(small_plan.work_groups(WORK_GROUP_SIZE))
-    for start, stop in groups[:k]:
-        subgrids = backend.grid_work_group(
-            small_plan, start, stop, small_obs.uvw_m, single_source_vis,
-            idg.taper, lmn=idg.lmn, aterm_fields=None,
-        )
-        backend.add_subgrids(
-            partial, small_plan, backend.subgrids_to_fourier(subgrids),
-            start=start,
-        )
-    ckpt = tmp_path / "partial.npz"
-    save_checkpoint(ckpt, partial, range(k),
-                    plan_signature(small_plan, WORK_GROUP_SIZE))
+    ckpt = prefix_snapshot(
+        tmp_path / "partial.npz", idg, small_plan, small_obs.uvw_m,
+        single_source_vis, n_groups // 2,
+    )
+    resumed, _ = run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(resume_from=str(ckpt)),
+    )
+    assert np.array_equal(resumed, clean_grid)
 
-    engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2, resume_from=str(ckpt)))
-    resumed = engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_resumed_run_final_snapshot_counts_every_group(
+    executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
+    n_groups, tmp_path,
+):
+    """A run resumed from a prefix snapshot retires the rest; its final
+    snapshot counts the resumed groups too."""
+    k = 3
+    ckpt = prefix_snapshot(
+        tmp_path / "prefix.npz", idg, small_plan, small_obs.uvw_m,
+        single_source_vis, k,
+    )
+    final = tmp_path / "final.npz"
+    resumed, _ = run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(
+            path=str(final), interval=n_groups + 1, resume_from=str(ckpt)
+        ),
+    )
+    assert np.array_equal(resumed, clean_grid)
+    snap = load_checkpoint(final)
+    assert snap.completed_set == frozenset(range(n_groups))
+    assert snap.n_retired == n_groups
+    assert np.array_equal(snap.grid, clean_grid)
+
+
+@pytest.mark.parametrize("max_retries", [0, 1], ids=["failfast", "tolerant"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_torn_add_leaves_last_good_snapshot(
+    executor, max_retries, idg, small_plan, small_obs, single_source_vis,
+    clean_grid, n_groups, tmp_path,
+):
+    """An add that raises after adding part of group k leaves the grid
+    holding part of a group: the snapshot on disk must stay the last good
+    one (the plan-order sum of its completed set), which then resumes
+    bit-exactly."""
+    k = 2
+    tear = list(small_plan.work_groups(WORK_GROUP_SIZE))[k][0]
+    tearing = idg.with_config(max_retries=max_retries, retry_backoff_s=0.0)
+    tearing.backend = TearingBackend(tear)
+    ckpt = tmp_path / "torn.npz"
+    checkpoint = CheckpointConfig(path=str(ckpt), interval=1)
+    uvw_m = small_obs.uvw_m
+    if max_retries == 0:
+        with pytest.raises(WorkGroupError, match="adder"):
+            run_grid(executor, tearing, small_plan, uvw_m, single_source_vis,
+                     checkpoint=checkpoint)
+    else:
+        _, engine = run_grid(executor, tearing, small_plan, uvw_m,
+                             single_source_vis, checkpoint=checkpoint)
+        letters = engine.last_fault_report.dead_letters
+        assert [(d.stage, d.group) for d in letters] == [("adder", k)]
+
+    snap = load_checkpoint(ckpt)
+    assert snap.completed_set == frozenset(range(k))
+    assert np.array_equal(
+        snap.grid,
+        plan_order_sum(idg, small_plan, uvw_m, single_source_vis,
+                       snap.completed_set),
+    )
+    resumed, _ = run_grid(
+        executor, idg, small_plan, uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(resume_from=str(ckpt)),
+    )
+    assert np.array_equal(resumed, clean_grid)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_failfast_stage_failure_leaves_prefix_snapshot(
+    executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
+    n_groups, tmp_path, monkeypatch,
+):
+    """A fail-fast gridder failure aborts the run before the first periodic
+    snapshot is due; the abort snapshot still holds a plan-order prefix and
+    resumes bit-exactly (the processes workers inherit the patch by fork)."""
+    fail_from = list(small_plan.work_groups(WORK_GROUP_SIZE))[n_groups - 2][0]
+    backend_cls = type(idg.backend)
+    real = backend_cls.grid_work_group
+
+    def failing(self, plan, start, stop, *args, **kwargs):
+        if start == fail_from:
+            raise RuntimeError("injected gridder failure")
+        return real(self, plan, start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(backend_cls, "grid_work_group", failing)
+    ckpt = tmp_path / "abort.npz"
+    with pytest.raises(WorkGroupError, match="gridder"):
+        run_grid(
+            executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+            checkpoint=CheckpointConfig(path=str(ckpt), interval=n_groups + 1),
+        )
+    monkeypatch.undo()
+
+    snap = load_checkpoint(ckpt)
+    completed = snap.completed_set
+    assert completed == frozenset(range(len(completed)))
+    assert len(completed) < n_groups
+    assert np.array_equal(
+        snap.grid,
+        plan_order_sum(idg, small_plan, small_obs.uvw_m, single_source_vis,
+                       completed),
+    )
+    resumed, _ = run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(resume_from=str(ckpt)),
+    )
     assert np.array_equal(resumed, clean_grid)
 
 
@@ -89,40 +273,44 @@ def test_kill_and_resume_round_trip(idg, small_plan, small_obs,
     assert n_groups >= 6, "fixture too small for a mid-run crash"
     ckpt = tmp_path / "crash.npz"
     crash = FaultPlan.single("gridder", n_groups - 2, kind="crash")
-    engine = StreamingIDG(
-        idg,
-        RuntimeConfig(n_buffers=2, checkpoint_path=str(ckpt),
-                      checkpoint_interval=1),
-        faults=crash,
-    )
+    engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2), faults=crash)
     with pytest.raises(InjectedCrash):
-        engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+        engine.grid(small_plan, small_obs.uvw_m, single_source_vis,
+                    checkpoint=CheckpointConfig(path=str(ckpt), interval=1))
 
     snap = load_checkpoint(ckpt)
     assert 0 < len(snap.completed_set) < n_groups
 
-    resume = StreamingIDG(idg, RuntimeConfig(n_buffers=2, resume_from=str(ckpt)))
-    resumed = resume.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    resume = StreamingIDG(idg, RuntimeConfig(n_buffers=2))
+    resumed = resume.grid(small_plan, small_obs.uvw_m, single_source_vis,
+                          checkpoint=CheckpointConfig(resume_from=str(ckpt)))
     assert np.array_equal(resumed, clean_grid)
     # only the remaining groups were gridded on resume
     spans = resume.last_telemetry.spans("gridder")
     assert len(spans) == n_groups - len(snap.completed_set)
 
 
-def test_resume_rejects_mismatched_plan(idg, small_plan, small_obs,
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_resume_rejects_mismatched_plan(executor, idg, small_plan, small_obs,
                                         single_source_vis, tmp_path):
     ckpt = tmp_path / "wrong.npz"
-    engine = StreamingIDG(idg, RuntimeConfig(
-        n_buffers=1, checkpoint_path=str(ckpt), checkpoint_interval=1000,
-    ))
-    engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
-    # a different work-group partition must refuse the checkpoint
-    other = StreamingIDG(
-        idg.with_config(work_group_size=WORK_GROUP_SIZE + 1),
-        RuntimeConfig(n_buffers=1, resume_from=str(ckpt)),
+    run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(path=str(ckpt), interval=1000),
     )
+    # a different work-group partition must refuse the checkpoint
     with pytest.raises(ValueError, match="refusing to resume"):
-        other.grid(small_plan, small_obs.uvw_m, single_source_vis)
+        run_grid(
+            executor, idg.with_config(work_group_size=WORK_GROUP_SIZE + 1),
+            small_plan, small_obs.uvw_m, single_source_vis,
+            checkpoint=CheckpointConfig(resume_from=str(ckpt)),
+        )
+
+
+def test_checkpoint_config_validation():
+    with pytest.raises(ValueError, match="interval"):
+        CheckpointConfig(interval=0)
+    assert CheckpointConfig().interval == 4
 
 
 def test_checkpoint_versioning_and_signature_api(tmp_path, small_plan):
@@ -167,20 +355,21 @@ def test_checkpoint_write_is_atomic(tmp_path, small_plan, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz"]
 
 
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_quarantined_groups_are_not_marked_completed(
-    idg, small_plan, small_obs, single_source_vis, n_groups, tmp_path,
+    executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
+    n_groups, tmp_path,
 ):
     """Dead-lettered groups must be retried on resume, so they may not enter
     the checkpoint's completed set."""
     ckpt = tmp_path / "dead.npz"
     faults = FaultPlan.single("gridder", 1, times=-1)
-    engine = StreamingIDG(
-        idg.with_config(max_retries=1, retry_backoff_s=0.0),
-        RuntimeConfig(n_buffers=2, checkpoint_path=str(ckpt),
-                      checkpoint_interval=1),
+    _, engine = run_grid(
+        executor, idg.with_config(max_retries=1, retry_backoff_s=0.0),
+        small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(path=str(ckpt), interval=1),
         faults=faults,
     )
-    engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
     assert engine.last_fault_report.n_dead_letters == 1
     snap = load_checkpoint(ckpt)
     assert 1 not in snap.completed_set
@@ -190,9 +379,8 @@ def test_quarantined_groups_are_not_marked_completed(
     # FP-reassociated relative to the clean run — numerically equal, not
     # bit-exact (bit-exactness holds when the completed set is a plan-order
     # prefix, i.e. the crash/kill case; see DESIGN.md §11).
-    resume = StreamingIDG(idg, RuntimeConfig(n_buffers=2, resume_from=str(ckpt)))
-    resumed = resume.grid(small_plan, small_obs.uvw_m, single_source_vis)
-    clean = StreamingIDG(idg, RuntimeConfig(n_buffers=2)).grid(
-        small_plan, small_obs.uvw_m, single_source_vis
+    resumed, _ = run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(resume_from=str(ckpt)),
     )
-    np.testing.assert_allclose(resumed, clean, rtol=1e-4, atol=1e-6)
+    np.testing.assert_allclose(resumed, clean_grid, rtol=1e-4, atol=1e-6)

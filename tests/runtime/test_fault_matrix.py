@@ -31,6 +31,7 @@ from repro.constants import COMPLEX_DTYPE
 from repro.parallel import ParallelIDG
 from repro.parallel.process import ProcessConfig, ProcessShardedIDG
 from repro.runtime import (
+    CheckpointConfig,
     FaultPlan,
     RuntimeConfig,
     StreamingIDG,
@@ -290,16 +291,14 @@ def test_external_kill_failfast_checkpoint_is_prefix_closed_and_resumes(
     clean = idg.grid(small_plan, small_obs.uvw_m, single_source_vis)
     n_groups = len(list(small_plan.work_groups(WORK_GROUP_SIZE)))
     path = str(tmp_path / "killed.npz")
-    engine = process_engine(
-        idg, checkpoint_path=path, checkpoint_interval=1,
-        emulate_compute_s=0.15,
-    )
+    engine = process_engine(idg, emulate_compute_s=0.15)
     before = set(mp.active_children())
     outcome = {}
 
     def target():
         try:
-            engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+            engine.grid(small_plan, small_obs.uvw_m, single_source_vis,
+                        checkpoint=CheckpointConfig(path=path, interval=1))
             outcome["error"] = None
         except Exception as exc:
             outcome["error"] = exc
@@ -327,7 +326,8 @@ def test_external_kill_failfast_checkpoint_is_prefix_closed_and_resumes(
     assert completed == set(range(len(completed))), "not prefix-closed"
     assert len(completed) < n_groups
 
-    resumed = process_engine(idg, resume_from=path).grid(
-        small_plan, small_obs.uvw_m, single_source_vis
+    resumed = process_engine(idg).grid(
+        small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(resume_from=path),
     )
     assert np.array_equal(resumed, clean)

@@ -153,6 +153,32 @@ def test_image_processes_executor(sim_dataset, tmp_path):
         np.testing.assert_array_equal(a["image"], b["image"])
 
 
+def test_image_checkpoint_and_resume_serial(sim_dataset, tmp_path):
+    """image --checkpoint, then image --resume from that snapshot, on the
+    serial executor: both write the plain run's image bit-exactly."""
+    from repro.runtime import load_checkpoint
+
+    plain_path = tmp_path / "plain.npz"
+    ckpt_image = tmp_path / "ckpt-image.npz"
+    resumed_image = tmp_path / "resumed.npz"
+    snapshot = tmp_path / "grid.ckpt.npz"
+    common = ["--grid-size", "256"]
+    assert main(["image", str(sim_dataset), str(plain_path)] + common) == 0
+    assert main(["image", str(sim_dataset), str(ckpt_image)] + common + [
+        "--checkpoint", str(snapshot), "--checkpoint-interval", "1"]) == 0
+    assert load_checkpoint(snapshot).completed.size > 0
+    assert main(["image", str(sim_dataset), str(resumed_image)] + common + [
+        "--resume", str(snapshot)]) == 0
+    with np.load(plain_path) as a, np.load(ckpt_image) as b, \
+            np.load(resumed_image) as c:
+        assert np.array_equal(b["image"], a["image"])
+        assert np.array_equal(c["image"], a["image"])
+    # only image grids under a checkpoint; predict rejects the flag
+    with pytest.raises(SystemExit):
+        main(["predict", str(sim_dataset), str(plain_path),
+              str(tmp_path / "pred.npz"), "--checkpoint", str(snapshot)])
+
+
 def test_predict_roundtrip(sim_dataset, tmp_path):
     """clean -> predict: predicted model visibilities correlate strongly
     with the simulated data."""
