@@ -17,7 +17,10 @@ and all four executors (:class:`repro.core.IDG`,
 backend the :class:`~repro.core.pipeline.IDG` was configured with.  The equivalence contract — all registered backends
 agree pairwise to ``rtol = 1e-5`` on a shared corpus of plans, and each is
 self-adjoint across grid/degrid — is enforced by ``tests/backends/``; a new
-backend only has to register itself to be held to it.
+backend only has to register itself to be held to it.  The contract holds
+over both correlation counts the data can carry: ``(..., 2, 2)``
+visibilities with ``(4, G, G)`` grids, and the one-correlation Stokes-I
+sample as ``(..., 1, 1)`` visibilities with ``(1, G, G)`` grids.
 
 Backends must be stateless after construction (no per-call mutable members):
 ``ParallelIDG`` and ``StreamingIDG`` call one instance from many threads, and
@@ -67,7 +70,8 @@ class KernelBackend:
 
         Same signature and semantics as
         :func:`repro.parallel.bucketing.grid_work_group`; returns
-        the ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
+        the ``(stop - start, N, N, a, a)`` image-domain subgrids of the
+        ``(..., a, a)`` visibilities' ``a**2`` correlations (``a`` 1 or 2).
         """
         raise NotImplementedError
 

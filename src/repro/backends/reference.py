@@ -39,9 +39,9 @@ class ReferenceBackend(KernelBackend):
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray:
-        n = plan.subgrid_size
+        n, a = plan.subgrid_size, visibilities.shape[-1]
         image_size = plan.gridspec.image_size
-        out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
+        out = np.empty((stop - start, n, n, a, a), dtype=COMPLEX_DTYPE)
         for k, index in enumerate(range(start, stop)):
             item = plan.work_item(index)
             u_mid, v_mid = plan.subgrid_centre_uv(index)
@@ -52,7 +52,7 @@ class ReferenceBackend(KernelBackend):
                 item.baseline,
                 item.time_start : item.time_end,
                 item.channel_start : item.channel_end,
-            ].reshape(-1, 2, 2)
+            ].reshape(-1, a, a)
             rel = relative_uvw_wavelengths(
                 uvw_block, freqs, u_mid, v_mid, plan.w_offset
             )
@@ -85,7 +85,7 @@ class ReferenceBackend(KernelBackend):
             )
             vis = reference_degridder(
                 subgrid_images[k], rel, image_size, taper, aterm_p=a_p, aterm_q=a_q
-            ).reshape(item.n_times, item.n_channels, 2, 2)
+            ).reshape(item.n_times, item.n_channels, *subgrid_images.shape[-2:])
             visibilities_out[
                 item.baseline,
                 item.time_start : item.time_end,

@@ -3,7 +3,8 @@
 Each work group runs through the shape-bucketed batch-of-subgrids drivers
 of :mod:`repro.parallel.bucketing`: work items of identical block shape are
 gathered into stacked tensors and evaluated with one stacked complex64
-``(G, N**2, T) @ (G, T, 4)`` product per bucket and channel step, dispatched
+``(G, N**2, T) @ (G, T, K)`` product per bucket and channel step (``K`` the
+data's correlation count, 4 or 1), dispatched
 to BLAS ``cgemm`` (the paper's single precision), with all scratch drawn
 from the calling thread's :class:`~repro.core.scratch.ScratchArena`.
 Evenly spaced channels take the channel-phasor recurrence

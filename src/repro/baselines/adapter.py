@@ -3,10 +3,12 @@
 The paper's Fig 4 argues IDG is a *drop-in replacement* for the gridding and
 degridding steps of the imaging pipeline.  The converse also holds: this
 adapter wraps :class:`~repro.baselines.wprojection.WProjectionGridder` in
-the :class:`~repro.core.IDG` interface (``make_plan`` / ``grid`` /
-``degrid`` plus the attributes the imaging layer reads), so the *same*
-:class:`~repro.imaging.cycle.ImagingCycle` can run with either gridder —
-enabling end-to-end image-quality comparisons on identical code paths.
+the :class:`~repro.core.IDG` interface (``make_plan`` / ``aterm_fields`` /
+``grid`` / ``degrid`` plus the attributes the imaging layer reads), so the
+*same* :class:`~repro.imaging.cycle.ImagingCycle` can run with either
+gridder — enabling end-to-end image-quality comparisons on identical code
+paths, the one-correlation Stokes-I grids of the imaging processors
+included.
 """
 
 from __future__ import annotations
@@ -77,15 +79,25 @@ class WProjectionImager:
         self._frequencies = np.atleast_1d(np.asarray(frequencies_hz, dtype=np.float64))
         return _AdapterPlan(flagged, self._frequencies.size)
 
-    def grid(self, plan, uvw_m, visibilities, aterms=None, grid=None, flags=None):
+    def aterm_fields(self, plan, aterms) -> None:
+        """No fields: identity A-terms only (``NotImplementedError``
+        otherwise)."""
         if aterms is not None and not getattr(aterms, "is_identity", False):
+            raise NotImplementedError("W-projection cannot apply A-terms")
+        return None
+
+    def grid(self, plan, uvw_m, visibilities, aterms=None, grid=None, flags=None,
+             aterm_fields=None):
+        self.aterm_fields(plan, aterms)
+        if aterm_fields is not None:
             raise NotImplementedError("W-projection cannot apply A-terms")
         vis = visibilities
         if flags is not None:
             vis = np.where(np.asarray(flags, bool)[..., None, None], 0, vis)
         return self._gridder.grid(uvw_m, self._frequencies, vis, grid=grid)
 
-    def degrid(self, plan, uvw_m, grid, aterms=None):
-        if aterms is not None and not getattr(aterms, "is_identity", False):
+    def degrid(self, plan, uvw_m, grid, aterms=None, aterm_fields=None):
+        self.aterm_fields(plan, aterms)
+        if aterm_fields is not None:
             raise NotImplementedError("W-projection cannot apply A-terms")
         return self._gridder.degrid(uvw_m, self._frequencies, grid)

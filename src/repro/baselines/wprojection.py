@@ -209,18 +209,21 @@ class WProjectionGridder:
         grid: np.ndarray | None = None,
         w_offset: float = 0.0,
     ) -> np.ndarray:
-        """Grid a ``(n_bl, T, C, 2, 2)`` visibility set; returns ``(4, G, G)``."""
+        """Grid a ``(n_bl, T, C, a, a)`` visibility set (``a`` 2, or 1 for
+        the Stokes-I sample alone); returns ``(a**2, G, G)``."""
         gs = self.gridspec
+        visibilities = np.asarray(visibilities)
+        k = visibilities.shape[-1] ** 2
         if grid is None:
-            grid = gs.allocate_grid(dtype=COMPLEX_DTYPE)
+            grid = gs.allocate_grid(k, dtype=COMPLEX_DTYPE)
         flat, w_wl = self._flatten(uvw_m, frequencies_hz, w_offset=w_offset)
-        vis_flat = np.asarray(visibilities).reshape(-1, 4)
+        vis_flat = visibilities.reshape(-1, k)
         s = self.support
         half = s // 2
         g = gs.grid_size
         offsets = np.arange(s) - half
 
-        grid_flat = grid.reshape(4, g * g)
+        grid_flat = grid.reshape(k, g * g)
         idx_all = np.flatnonzero(flat.inside)
         for start in range(0, idx_all.size, self.chunk):
             sel = idx_all[start : start + self.chunk]
@@ -236,7 +239,7 @@ class WProjectionGridder:
                     sub.size, -1
                 )
                 contrib = kernels.reshape(sub.size, -1)
-                for pol in range(4):
+                for pol in range(k):
                     np.add.at(
                         grid_flat[pol],
                         cell_idx.ravel(),
@@ -253,18 +256,20 @@ class WProjectionGridder:
         grid: np.ndarray,
         w_offset: float = 0.0,
     ) -> np.ndarray:
-        """Predict visibilities from a model grid; zeros where the kernel
-        footprint falls off the grid."""
+        """Predict ``(n_bl, T, C, a, a)`` visibilities from an
+        ``(a**2, G, G)`` model grid; zeros where the kernel footprint falls
+        off the grid."""
         gs = self.gridspec
         g = gs.grid_size
         n_bl, n_times, _ = uvw_m.shape
         n_chan = np.atleast_1d(np.asarray(frequencies_hz)).size
         flat, _ = self._flatten(uvw_m, frequencies_hz, w_offset=w_offset)
-        out = np.zeros((n_bl * n_times * n_chan, 4), dtype=np.complex64)
+        k = grid.shape[0]
+        out = np.zeros((n_bl * n_times * n_chan, k), dtype=np.complex64)
         s = self.support
         half = s // 2
         offsets = np.arange(s) - half
-        grid_flat = grid.reshape(4, g * g)
+        grid_flat = grid.reshape(k, g * g)
 
         idx_all = np.flatnonzero(flat.inside)
         for start in range(0, idx_all.size, self.chunk):
@@ -278,10 +283,11 @@ class WProjectionGridder:
                 cell_idx = (rows[:, :, np.newaxis] * g + cols[:, np.newaxis, :]).reshape(
                     sub.size, -1
                 )
-                for pol in range(4):
+                for pol in range(k):
                     patches = grid_flat[pol][cell_idx]  # (m, S*S)
                     out[sub, pol] = (patches * kernels).sum(axis=1)
-        return out.reshape(n_bl, n_times, n_chan, 2, 2)
+        a = 1 if k == 1 else 2
+        return out.reshape(n_bl, n_times, n_chan, a, a)
 
     # -------------------------------------------------------------- metrics
 

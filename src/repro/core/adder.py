@@ -10,11 +10,15 @@ floating-point accumulation order and so makes all executors bit-identical.
 The splitter is the read-only reverse used in degridding, trivially parallel
 over subgrids.
 
-Grid layout: ``(4, grid_size, grid_size)`` with polarisation order
-XX, XY, YX, YY; the first pixel axis is v (rows), the second u (columns).
+Grid layout: ``(a**2, grid_size, grid_size)``, one plane per correlation of
+the ``(k, N, N, a, a)`` subgrids: XX, XY, YX, YY for ``a = 2``, the Stokes-I
+sample ``0.5 (XX + YY)`` alone for ``a = 1``.  The first pixel axis is v
+(rows), the second u (columns).
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -23,18 +27,35 @@ from repro.core.plan import Plan
 
 
 def _pol_major(subgrids: np.ndarray) -> np.ndarray:
-    """View ``(k, N, N, 2, 2)`` subgrids as ``(k, 4, N, N)`` (pol-major)."""
-    k, n = subgrids.shape[0], subgrids.shape[1]
-    return subgrids.reshape(k, n, n, 4).transpose(0, 3, 1, 2)
+    """View ``(k, N, N, a, a)`` subgrids as ``(k, a**2, N, N)``
+    (correlation-major)."""
+    k, n, _, a, _ = subgrids.shape
+    return subgrids.reshape(k, n, n, a * a).transpose(0, 3, 1, 2)
 
 
 def _pol_minor(subgrids_pol: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pol_major`: ``(k, 4, N, N)`` -> ``(k, N, N, 2, 2)``."""
-    k, _, n, _ = subgrids_pol.shape
-    return subgrids_pol.transpose(0, 2, 3, 1).reshape(k, n, n, 2, 2)
+    """Inverse of :func:`_pol_major`: ``(k, a**2, N, N)`` ->
+    ``(k, N, N, a, a)``."""
+    k, planes, n, _ = subgrids_pol.shape
+    a = isqrt(planes)
+    return subgrids_pol.transpose(0, 2, 3, 1).reshape(k, n, n, a, a)
 
 
-@shape_checked(grid="(4, G, G)", subgrids_fourier="(k, N, N, 2, 2)")
+def _check_grid(grid: np.ndarray, plan: Plan, planes: int | None = None) -> None:
+    """``grid`` must be ``(1 | 4, G, G)`` on the plan's geometry, with
+    ``planes`` planes when given (a plane count off by the subgrids' would
+    otherwise broadcast in the add silently)."""
+    g = plan.gridspec.grid_size
+    if (
+        grid.ndim != 3
+        or grid.shape[0] not in (1, 4)
+        or grid.shape[1:] != (g, g)
+        or planes not in (None, grid.shape[0])
+    ):
+        raise ValueError(f"grid shape {grid.shape} does not match plan")
+
+
+@shape_checked(grid="(a**2, G, G)", subgrids_fourier="(k, N, N, a, a)")
 def add_subgrids(
     grid: np.ndarray,
     plan: Plan,
@@ -46,18 +67,17 @@ def add_subgrids(
     Parameters
     ----------
     grid:
-        ``(4, G, G)`` master grid, modified in place.
+        ``(a**2, G, G)`` master grid, modified in place.
     plan:
         The execution plan (supplies each subgrid's corner).
     subgrids_fourier:
-        ``(k, N, N, 2, 2)`` uv-domain subgrids for work items
+        ``(k, N, N, a, a)`` uv-domain subgrids for work items
         ``start .. start+k-1``.
     start:
         Index of the first work item in the batch.
     """
     n = plan.subgrid_size
-    if grid.shape != (4, plan.gridspec.grid_size, plan.gridspec.grid_size):
-        raise ValueError(f"grid shape {grid.shape} does not match plan")
+    _check_grid(grid, plan, subgrids_fourier.shape[-1] ** 2)
     pol = _pol_major(subgrids_fourier)
     for k in range(subgrids_fourier.shape[0]):
         row = plan.items[start + k]
@@ -65,19 +85,19 @@ def add_subgrids(
         grid[:, cv : cv + n, cu : cu + n] += pol[k]
 
 
-@shape_checked(grid="(4, G, G)", returns="(k, N, N, 2, 2)")
+@shape_checked(grid="(a**2, G, G)", returns="(k, N, N, a, a)")
 def split_subgrids(
     grid: np.ndarray,
     plan: Plan,
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Extract the ``(stop-start, N, N, 2, 2)`` uv-domain subgrids for a
-    work-item range (read-only on the grid; safe to run concurrently)."""
+    """Extract the ``(stop-start, N, N, a, a)`` uv-domain subgrids of an
+    ``(a**2, G, G)`` grid for a work-item range (read-only on the grid; safe
+    to run concurrently)."""
     n = plan.subgrid_size
-    if grid.shape != (4, plan.gridspec.grid_size, plan.gridspec.grid_size):
-        raise ValueError(f"grid shape {grid.shape} does not match plan")
-    out_pol = np.empty((stop - start, 4, n, n), dtype=grid.dtype)
+    _check_grid(grid, plan)
+    out_pol = np.empty((stop - start, grid.shape[0], n, n), dtype=grid.dtype)
     for k, index in enumerate(range(start, stop)):
         row = plan.items[index]
         cu, cv = int(row["corner_u"]), int(row["corner_v"])

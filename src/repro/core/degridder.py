@@ -12,7 +12,7 @@ every visibility of the work item as
 adjoint pair (a property the test suite checks as an inner-product identity).
 As in the gridder, a whole bucket of identically shaped work items is
 evaluated at once, and the hot loop is one stacked complex64
-``S(G, 4, N**2) @ phasor(G, N**2, M)`` matrix product (BLAS ``cgemm``) plus
+``S(G, K, N**2) @ phasor(G, N**2, M)`` matrix product (BLAS ``cgemm``) plus
 the sine/cosine evaluation.  The phasors come from the gridder's separable
 factor build (:func:`repro.core.gridder.raster_phasor`, with the phase sign
 flipped): sine/cosine on ``2N + R`` l-, m- and n-factor rows per (item,
@@ -25,12 +25,13 @@ channel-phasor recurrence (evenly spaced channels);
 Precision matches the gridder: complex64 phasors, recurrence and products,
 with the taper and the A-term sandwich applied to the pixels in
 ``ACCUM_DTYPE`` before they are rounded to ``COMPLEX_DTYPE`` for the
-products.  The products put the four polarisations first: each channel is
-one ``(4, N**2) @ (N**2, T)`` product per item, written as a contiguous
-``(4, T)`` block of a channel-major ``(G, C, 4, T)`` buffer, and the kernel
-returns that buffer's ``(G, T, C, 4)`` transposed view.  At the default
+products.  The products put the ``K = a**2`` correlations first (four, or
+one for the Stokes-I sample alone, as in the gridder): each channel is one
+``(K, N**2) @ (N**2, T)`` product per item, written as a contiguous
+``(K, T)`` block of a channel-major ``(G, C, K, T)`` buffer, and the kernel
+returns that buffer's ``(G, T, C, K)`` transposed view.  At the default
 chunk sizes for ``N = 24`` and ``T = 8, 16, 32, 96``, one channel's stacked
-product took 49-102 us this way against 101-147 us as
+four-correlation product took 49-102 us this way against 101-147 us as
 ``(T, N**2) @ (N**2, 4)`` (2-vCPU KVM guest, Intel Xeon, OpenBLAS 0.3.31).
 """
 
@@ -57,31 +58,31 @@ def _corrected_pixels_bucket(
     aterm_q: np.ndarray | None,
     arena: ScratchArena,
 ) -> np.ndarray:
-    """Taper + A-term-corrected pixels of a bucket, polarisation first, as
-    ``(G, 4, N**2)`` ``COMPLEX_DTYPE`` (the shared preamble of both batched
+    """Taper + A-term-corrected pixels of a bucket, correlation first, as
+    ``(G, K, N**2)`` ``COMPLEX_DTYPE`` (the shared preamble of both batched
     degridder kernels).  The correction runs in ``ACCUM_DTYPE``; the result
     is rounded once, into the product operand."""
-    g_total, n = subgrid_images.shape[:2]
-    corrected = arena.take("degridder.corrected", (g_total, n, n, 2, 2), ACCUM_DTYPE)
+    g_total, n, _, a, _ = subgrid_images.shape
+    corrected = arena.take("degridder.corrected", subgrid_images.shape, ACCUM_DTYPE)
     corrected[...] = subgrid_images
     if aterm_p is not None or aterm_q is not None:
         corrected = apply_sandwich(aterm_p, corrected, aterm_q)
     corrected *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
-    pixels = arena.take("degridder.pixels", (g_total, 4, n * n), COMPLEX_DTYPE)
-    pixels[...] = np.swapaxes(corrected.reshape(g_total, n * n, 4), 1, 2)
+    pixels = arena.take("degridder.pixels", (g_total, a * a, n * n), COMPLEX_DTYPE)
+    pixels[...] = np.swapaxes(corrected.reshape(g_total, n * n, a * a), 1, 2)
     return pixels
 
 
 @shape_checked(
-    subgrid_images="(G, N, N, 2, 2)",
+    subgrid_images="(G, N, N, a, a)",
     uvw_m="(G, T, 3)",
     scale0="(G,)",
     offsets="(G, 3)",
     lmn="(N**2, 3)",
     taper="(N, N)",
-    aterm_p="(G, N, N, 2, 2)",
-    aterm_q="(G, N, N, 2, 2)",
-    returns="(G, T, C, 4)",
+    aterm_p="(G, N, N, a, a)",
+    aterm_q="(G, N, N, a, a)",
+    returns="(G, T, C, a**2)",
 )
 def degridder_bucket_fast(
     subgrid_images: np.ndarray,
@@ -102,14 +103,15 @@ def degridder_bucket_fast(
     The exact phase conjugate of
     :func:`repro.core.gridder.gridder_bucket_fast` (same phase separation,
     recurrence and precision), with one stacked complex64
-    ``(G, 4, N**2) @ (G, N**2, T)`` matrix product per channel step, written
-    straight into channel ``c`` of a ``(G, C, 4, T)`` arena buffer, and the
+    ``(G, K, N**2) @ (G, N**2, T)`` matrix product per channel step, written
+    straight into channel ``c`` of a ``(G, C, K, T)`` arena buffer, and the
     recurrence applied in place on arena buffers.
 
     Parameters
     ----------
     subgrid_images:
-        ``(G, N, N, 2, 2)`` stacked image-domain subgrids.
+        ``(G, N, N, a, a)`` stacked image-domain subgrids of ``K = a**2``
+        correlations.
     uvw_m:
         ``(G, T, 3)`` stacked uvw in metres.
     scale0:
@@ -128,7 +130,7 @@ def degridder_bucket_fast(
 
     Returns
     -------
-    ``(G, T, C, 4)`` ``COMPLEX_DTYPE`` predicted visibilities: the
+    ``(G, T, C, a**2)`` ``COMPLEX_DTYPE`` predicted visibilities: the
     transposed view of the channel-major arena buffer (the work-group
     driver scatters it into the output before the next batched call on this
     thread).
@@ -152,7 +154,10 @@ def degridder_bucket_fast(
         np.multiply(uvw_m, ds, out=coords)
         raster_phasor(factors, coords, -1.0, step, arena)
 
-    out = arena.take("degridder.out", (g_total, n_channels, 4, t_total), COMPLEX_DTYPE)
+    k_total = pixels.shape[1]
+    out = arena.take(
+        "degridder.out", (g_total, n_channels, k_total, t_total), COMPLEX_DTYPE
+    )
     np.matmul(pixels, phasor, out=out[:, 0])
     for c in range(1, n_channels):
         np.multiply(phasor, step, out=phasor)
@@ -168,13 +173,13 @@ def degridder_bucket_fast(
 
 
 @shape_checked(
-    subgrid_images="(G, N, N, 2, 2)",
+    subgrid_images="(G, N, N, a, a)",
     uvw_rel_wl="(G, M, 3)",
     lmn="(N**2, 3)",
     taper="(N, N)",
-    aterm_p="(G, N, N, 2, 2)",
-    aterm_q="(G, N, N, 2, 2)",
-    returns="(G, M, 4)",
+    aterm_p="(G, N, N, a, a)",
+    aterm_q="(G, N, N, a, a)",
+    returns="(G, M, a**2)",
 )
 def degridder_bucket(
     subgrid_images: np.ndarray,
@@ -190,12 +195,12 @@ def degridder_bucket(
 
     One :func:`~repro.core.gridder.raster_phasor` build of the stacked
     complex64 ``(G, N**2, M)`` conjugate phasor from the relative uvw, and
-    one stacked complex64 ``(G, 4, N**2) @ (G, N**2, M)`` matrix product.
+    one stacked complex64 ``(G, K, N**2) @ (G, N**2, M)`` matrix product.
 
     Parameters
     ----------
     subgrid_images:
-        ``(G, N, N, 2, 2)`` stacked image-domain subgrids.
+        ``(G, N, N, a, a)`` stacked image-domain subgrids.
     uvw_rel_wl:
         ``(G, M, 3)`` stacked relative uvw in wavelengths.
     lmn, taper, aterm_p, aterm_q, factors:
@@ -205,8 +210,8 @@ def degridder_bucket(
 
     Returns
     -------
-    ``(G, M, 4)`` ``COMPLEX_DTYPE`` predicted visibilities: the transposed
-    view of a polarisation-first arena buffer.
+    ``(G, M, a**2)`` ``COMPLEX_DTYPE`` predicted visibilities: the
+    transposed view of a correlation-first arena buffer.
     """
     g_total, m_total = uvw_rel_wl.shape[:2]
     n_pixels2 = lmn.shape[0]
@@ -219,6 +224,6 @@ def degridder_bucket(
     phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), COMPLEX_DTYPE)
     raster_phasor(factors, uvw_rel_wl, -1.0, phasor, arena)
 
-    out = arena.take("degridder.out", (g_total, 4, m_total), COMPLEX_DTYPE)
+    out = arena.take("degridder.out", (g_total, pixels.shape[1], m_total), COMPLEX_DTYPE)
     np.matmul(pixels, phasor, out=out)
     return np.swapaxes(out, 1, 2)

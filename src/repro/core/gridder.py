@@ -11,10 +11,19 @@ prediction), then applies the A-term adjoint sandwich ``A_p^H S A_q`` and the
 anti-aliasing taper.  The kernels evaluate a whole *bucket* of identically
 shaped work items at once (:mod:`repro.parallel.bucketing` forms the
 buckets), and the inner loop is one stacked complex matrix product
-``phasor(G, N^2, M) @ V(G, M, 4)`` so NumPy dispatches it to BLAS ``cgemm``
+``phasor(G, N^2, M) @ V(G, M, K)`` so NumPy dispatches it to BLAS ``cgemm``
 — the Python analogue of the paper's FMA-dominated SIMD reduction
 (Listing 1) — while the sine/cosine evaluation is the analogue of the
 SVML/SFU cost the paper's roofline analysis centres on.
+
+The number of correlations is a data dimension.  Visibilities hold
+``K = a**2`` correlations per sample and subgrids and A-term fields are
+``a x a`` per pixel: ``a = 2`` is the paper's four polarisations (Algorithm
+1, lines 9-13), ``a = 1`` the Stokes-I sample ``0.5 (XX + YY)`` alone, which
+the imaging processors grid whenever their A-terms are scalar fields
+(:func:`repro.aterms.jones.scalar_jones_fields`).  One column per
+correlation is the whole difference: the phasor, its factor build and the
+recurrence are shared, and the stacked product is ``K`` columns wide.
 
 Precision follows the paper (Section VI-A: "All computations are performed
 in single precision").  Each factor-row phase is formed in float64 from the
@@ -238,15 +247,15 @@ def raster_phasor(
 
 
 @shape_checked(
-    visibilities="(G, T, C, 4)",
+    visibilities="(G, T, C, a**2)",
     uvw_m="(G, T, 3)",
     scale0="(G,)",
     offsets="(G, 3)",
     lmn="(N**2, 3)",
     taper="(N, N)",
-    aterm_p="(G, N, N, 2, 2)",
-    aterm_q="(G, N, N, 2, 2)",
-    returns="(G, N, N, 2, 2)",
+    aterm_p="(G, N, N, a, a)",
+    aterm_q="(G, N, N, a, a)",
+    returns="(G, N, N, a, a)",
 )
 def gridder_bucket_fast(
     visibilities: np.ndarray,
@@ -282,7 +291,7 @@ def gridder_bucket_fast(
 
     ``G`` identically shaped work items are evaluated together — one
     batched phasor and step build and one stacked complex64
-    ``(G, N**2, T) @ (G, T, 4)`` matrix product per channel step, with the
+    ``(G, N**2, T) @ (G, T, K)`` matrix product per channel step, with the
     recurrence multiply and its renormalisation applied in place.  Each
     channel's product is added into a complex128 accumulator.  All working
     memory comes from the scratch arena, so a steady stream of equal-shape
@@ -291,7 +300,8 @@ def gridder_bucket_fast(
     Parameters
     ----------
     visibilities:
-        ``(G, T, C, 4)`` stacked ``COMPLEX_DTYPE`` visibility blocks.
+        ``(G, T, C, a**2)`` stacked ``COMPLEX_DTYPE`` visibility blocks of
+        ``K = a**2`` correlations (4, or 1 for Stokes I alone).
     uvw_m:
         ``(G, T, 3)`` stacked uvw in metres.
     scale0:
@@ -307,7 +317,7 @@ def gridder_bucket_fast(
     taper:
         ``(N, N)`` anti-aliasing taper.
     aterm_p, aterm_q:
-        Optional ``(G, N, N, 2, 2)`` per-item Jones fields of the two
+        Optional ``(G, N, N, a, a)`` per-item Jones fields of the two
         stations; ``None`` means identity (the adjoint sandwich is skipped).
     arena:
         Scratch arena (defaults to the calling thread's).
@@ -317,12 +327,12 @@ def gridder_bucket_fast(
 
     Returns
     -------
-    ``(G, N, N, 2, 2)`` ``ACCUM_DTYPE`` image-domain subgrids.  The array
+    ``(G, N, N, a, a)`` ``ACCUM_DTYPE`` image-domain subgrids.  The array
     is a view into the arena — copy it out (the work-group drivers assign
     it into their output array) before the next batched call on this
     thread.
     """
-    g_total, t_total, c_total = visibilities.shape[:3]
+    g_total, t_total, c_total, k_total = visibilities.shape
     n_pixels2 = lmn.shape[0]
     n = isqrt(n_pixels2)
     if arena is None:
@@ -340,8 +350,8 @@ def gridder_bucket_fast(
         np.multiply(uvw_m, ds, out=coords)
         raster_phasor(factors, coords, 1.0, step, arena)
 
-    acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
-    prod = arena.take("gridder.prod", (g_total, n_pixels2, 4), COMPLEX_DTYPE)
+    acc = arena.take("gridder.acc", (g_total, n_pixels2, k_total), ACCUM_DTYPE)
+    prod = arena.take("gridder.prod", (g_total, n_pixels2, k_total), COMPLEX_DTYPE)
     np.matmul(phasor, visibilities[:, :, 0], out=prod)
     acc[...] = prod
     for c in range(1, c_total):
@@ -356,8 +366,21 @@ def gridder_bucket_fast(
             phasor /= magnitude
         np.matmul(phasor, visibilities[:, :, c], out=prod)
         acc += prod
+    return _corrected_subgrids(acc, n, taper, aterm_p, aterm_q)
 
-    subgrids = acc.reshape(g_total, n, n, 2, 2)
+
+def _corrected_subgrids(
+    acc: np.ndarray,
+    n: int,
+    taper: np.ndarray,
+    aterm_p: np.ndarray | None,
+    aterm_q: np.ndarray | None,
+) -> np.ndarray:
+    """The ``(G, N**2, K)`` accumulator as ``(G, N, N, a, a)`` subgrids with
+    the adjoint A-term sandwich and the taper applied (the shared epilogue
+    of both gridder kernels)."""
+    a = isqrt(acc.shape[2])
+    subgrids = acc.reshape(acc.shape[0], n, n, a, a)
     if aterm_p is not None or aterm_q is not None:
         subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
     subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
@@ -365,13 +388,13 @@ def gridder_bucket_fast(
 
 
 @shape_checked(
-    visibilities="(G, M, 4)",
+    visibilities="(G, M, a**2)",
     uvw_rel_wl="(G, M, 3)",
     lmn="(N**2, 3)",
     taper="(N, N)",
-    aterm_p="(G, N, N, 2, 2)",
-    aterm_q="(G, N, N, 2, 2)",
-    returns="(G, N, N, 2, 2)",
+    aterm_p="(G, N, N, a, a)",
+    aterm_q="(G, N, N, a, a)",
+    returns="(G, N, N, a, a)",
 )
 def gridder_bucket(
     visibilities: np.ndarray,
@@ -387,7 +410,7 @@ def gridder_bucket(
 
     One :func:`raster_phasor` build of the stacked complex64
     ``(G, N**2, M)`` phasor from the relative uvw, and one stacked
-    complex64 ``(G, N**2, M) @ (G, M, 4)`` matrix product, widened to
+    complex64 ``(G, N**2, M) @ (G, M, K)`` matrix product, widened to
     ``ACCUM_DTYPE`` for the A-term sandwich and taper.  The work-group
     drivers use it when the channel recurrence is inapplicable (unevenly
     spaced channels).
@@ -395,7 +418,8 @@ def gridder_bucket(
     Parameters
     ----------
     visibilities:
-        ``(G, M, 4)`` stacked flattened ``COMPLEX_DTYPE`` visibility blocks.
+        ``(G, M, a**2)`` stacked flattened ``COMPLEX_DTYPE`` visibility
+        blocks.
     uvw_rel_wl:
         ``(G, M, 3)`` stacked relative uvw in wavelengths.
     lmn, taper, aterm_p, aterm_q, factors:
@@ -405,10 +429,10 @@ def gridder_bucket(
 
     Returns
     -------
-    ``(G, N, N, 2, 2)`` ``ACCUM_DTYPE`` subgrids (an arena view — see
+    ``(G, N, N, a, a)`` ``ACCUM_DTYPE`` subgrids (an arena view — see
     :func:`gridder_bucket_fast`).
     """
-    g_total, m_total = visibilities.shape[:2]
+    g_total, m_total, k_total = visibilities.shape
     n_pixels2 = lmn.shape[0]
     n = isqrt(n_pixels2)
     if arena is None:
@@ -419,13 +443,8 @@ def gridder_bucket(
     phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), COMPLEX_DTYPE)
     raster_phasor(factors, uvw_rel_wl, 1.0, phasor, arena)
 
-    prod = arena.take("gridder.prod", (g_total, n_pixels2, 4), COMPLEX_DTYPE)
+    prod = arena.take("gridder.prod", (g_total, n_pixels2, k_total), COMPLEX_DTYPE)
     np.matmul(phasor, visibilities, out=prod)
-    acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
+    acc = arena.take("gridder.acc", (g_total, n_pixels2, k_total), ACCUM_DTYPE)
     acc[...] = prod
-
-    subgrids = acc.reshape(g_total, n, n, 2, 2)
-    if aterm_p is not None or aterm_q is not None:
-        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
-    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
-    return subgrids
+    return _corrected_subgrids(acc, n, taper, aterm_p, aterm_q)

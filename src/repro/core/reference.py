@@ -8,8 +8,10 @@ line by line.
 
 The loop structure mirrors the pseudocode exactly: the gridder iterates
 pixels (y, x) outermost then visibilities (t, c), evaluating one sine/cosine
-pair per (pixel, visibility) followed by the 4-polarisation multiply-add; the
-degridder iterates visibilities outermost then pixels.
+pair per (pixel, visibility) followed by the multiply-add over the ``a x a``
+correlations (the paper's four polarisations for ``a = 2``, the Stokes-I
+sample alone for ``a = 1``); the degridder iterates visibilities outermost
+then pixels.
 """
 
 from __future__ import annotations
@@ -70,37 +72,39 @@ def reference_gridder(
 ) -> np.ndarray:
     """Algorithm 1, executed with explicit Python loops.
 
-    ``visibilities`` is the ``(M, 2, 2)`` (or ``(M, 4)``) block of one work
-    item, ``uvw_rel_wl`` its ``(M, 3)`` relative uvw
+    ``visibilities`` is the ``(M, a, a)`` (or ``(M, a**2)``) block of one
+    work item with ``a`` 1 or 2, ``uvw_rel_wl`` its ``(M, 3)`` relative uvw
     (:func:`relative_uvw_wavelengths`), ``taper`` the ``(N, N)`` taper and
-    ``aterm_p``/``aterm_q`` optional ``(N, N, 2, 2)`` Jones fields
-    (``None`` = identity).  Returns the ``(N, N, 2, 2)`` subgrid.
+    ``aterm_p``/``aterm_q`` optional ``(N, N, a, a)`` Jones fields
+    (``None`` = identity).  Returns the ``(N, N, a, a)`` subgrid.
     """
     coords = image_coordinates(subgrid_size, image_size)
     m_total = uvw_rel_wl.shape[0]
-    vis = np.asarray(visibilities).reshape(m_total, 2, 2)
-    subgrid = np.zeros((subgrid_size, subgrid_size, 2, 2), dtype=ACCUM_DTYPE)
+    vis = np.asarray(visibilities).reshape(m_total, -1)
+    a = math.isqrt(vis.shape[1])
+    vis = vis.reshape(m_total, a, a)
+    subgrid = np.zeros((subgrid_size, subgrid_size, a, a), dtype=ACCUM_DTYPE)
 
     for y in range(subgrid_size):
         for x in range(subgrid_size):
             l = coords[x]
             m = coords[y]
             n = 1.0 - math.sqrt(max(0.0, 1.0 - l * l - m * m))
-            pixel = np.zeros((2, 2), dtype=ACCUM_DTYPE)  # idglint: disable=IDG003  (oracle: mirrors pseudocode)
+            pixel = np.zeros((a, a), dtype=ACCUM_DTYPE)  # idglint: disable=IDG003  (oracle: mirrors pseudocode)
             for k in range(m_total):
                 u, v, w = uvw_rel_wl[k]
                 # Line 7 of Algorithm 1: alpha = f(x, y) . g(u, v, w)
                 alpha = 2.0 * math.pi * (u * l + v * m + w * n)
                 phi = complex(math.cos(alpha), math.sin(alpha))
-                # Lines 9-13: the 4-polarisation multiply-add
-                for p in range(2):
-                    for q in range(2):
+                # Lines 9-13: the multiply-add over the correlations
+                for p in range(a):
+                    for q in range(a):
                         pixel[p, q] += phi * vis[k, p, q]
             subgrid[y, x] = pixel
 
     # apply_aterm(S); apply_spheroidal(S)  (adjoint direction)
     if aterm_p is not None or aterm_q is not None:
-        identity = identity_jones_field(subgrid_size)
+        identity = identity_jones_field(subgrid_size, a=a)
         a_p = aterm_p if aterm_p is not None else identity
         a_q = aterm_q if aterm_q is not None else identity
         subgrid = apply_adjoint_sandwich(a_p, subgrid, a_q)
@@ -116,24 +120,28 @@ def reference_degridder(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Algorithm 2, executed with explicit Python loops."""
-    subgrid_size = subgrid_image.shape[0]
+    """Algorithm 2, executed with explicit Python loops.
+
+    ``subgrid_image`` is one ``(N, N, a, a)`` subgrid; returns the
+    ``(M, a, a)`` predicted visibilities.
+    """
+    subgrid_size, a = subgrid_image.shape[0], subgrid_image.shape[-1]
     coords = image_coordinates(subgrid_size, image_size)
 
     corrected = subgrid_image.astype(ACCUM_DTYPE)
     # apply_spheroidal(S); apply_aterm(S)  (forward direction)
     if aterm_p is not None or aterm_q is not None:
-        identity = identity_jones_field(subgrid_size)
+        identity = identity_jones_field(subgrid_size, a=a)
         a_p = aterm_p if aterm_p is not None else identity
         a_q = aterm_q if aterm_q is not None else identity
         corrected = apply_sandwich(a_p, corrected, a_q)
     corrected = corrected * taper[:, :, np.newaxis, np.newaxis]
 
     m_total = uvw_rel_wl.shape[0]
-    out = np.zeros((m_total, 2, 2), dtype=ACCUM_DTYPE)
+    out = np.zeros((m_total, a, a), dtype=ACCUM_DTYPE)
     for k in range(m_total):
         u, v, w = uvw_rel_wl[k]
-        acc = np.zeros((2, 2), dtype=ACCUM_DTYPE)  # idglint: disable=IDG003  (oracle: mirrors pseudocode)
+        acc = np.zeros((a, a), dtype=ACCUM_DTYPE)  # idglint: disable=IDG003  (oracle: mirrors pseudocode)
         for y in range(subgrid_size):
             for x in range(subgrid_size):
                 l = coords[x]
@@ -142,8 +150,8 @@ def reference_degridder(
                 # Line 8 of Algorithm 2 (note the negated phase)
                 alpha = -2.0 * math.pi * (u * l + v * m + w * n)
                 phi = complex(math.cos(alpha), math.sin(alpha))
-                for p in range(2):
-                    for q in range(2):
+                for p in range(a):
+                    for q in range(a):
                         acc[p, q] += phi * corrected[y, x, p, q]
         out[k] = acc
     return out

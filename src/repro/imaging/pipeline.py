@@ -26,10 +26,19 @@ Normalisation contract: everything here is Stokes I.  ``invert`` returns an
 :class:`InvertResult` whose ``image`` is the real, taper-corrected
 ``(G, G)`` Stokes-I dirty image in flux units; ``predict`` takes a real
 ``(G, G)`` Stokes-I model (any other shape raises ``ValueError``) and
-returns ``(n_bl, T, C, 2, 2)`` visibilities with ``XX = YY = I``.  Stokes I
-is linear in the grid, so every transform runs on the one plane
-``0.5 * (XX + YY)`` of a gridded layer, and a model is transformed once per
-layer and written into the XX and YY planes of the model grid.
+returns ``(n_bl, T, C, 2, 2)`` visibilities with ``XX = YY = I``.
+
+Stokes I is also all that is gridded, whenever the A-terms allow it.  With
+no A-terms, or with fields that are each a scalar times the identity at
+every pixel (gains, beams, pointing errors, ionospheric phases), the
+sandwich ``A_p B A_q^H`` is one complex factor per pixel, so ``invert``
+reduces the visibilities to the one correlation ``0.5 (XX + YY)`` and grids,
+transforms and adds that alone onto a ``(1, G, G)`` grid, and ``predict``
+transforms the model onto one plane, degrids one correlation and writes it
+into XX and YY.  Any other field (polarisation leakage) mixes the
+correlations: those calls grid all four, and every transform still runs on
+the one Stokes-I plane ``0.5 * (XX + YY)`` of a gridded layer, with the
+model written into the XX and YY planes of the model grid.
 Weighted imaging passes Briggs/uniform weights from
 :mod:`repro.imaging.weighting` straight into ``invert`` — the weights
 multiply the visibilities and their (coverage-masked) sum normalises the
@@ -44,6 +53,7 @@ from typing import Any, Final, Protocol
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
+from repro.aterms.jones import scalar_jones_fields
 from repro.aterms.schedule import ATermSchedule
 from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE
 from repro.core.pipeline import IDG
@@ -262,8 +272,39 @@ def _stokes_i_model(model_image: np.ndarray, grid_size: int) -> np.ndarray:
 
 
 def _stokes_i_plane(grid: np.ndarray) -> np.ndarray:
-    """The Stokes-I plane ``0.5 * (XX + YY)`` of a ``(4, g, g)`` grid."""
+    """The Stokes-I plane of a ``(1, g, g)`` grid (its one plane) or of a
+    ``(4, g, g)`` grid (``0.5 * (XX + YY)``)."""
+    if grid.shape[0] == 1:
+        return grid[0]
     return 0.5 * (grid[0] + grid[3])
+
+
+def _set_stokes_i(grid: np.ndarray, plane: np.ndarray) -> None:
+    """Write a Stokes-I model plane into a ``(1, g, g)`` grid, or into the
+    XX and YY planes of a zeroed ``(4, g, g)`` grid."""
+    grid[0] = plane
+    if grid.shape[0] == 4:
+        grid[3] = grid[0]
+
+
+def _stokes_i_visibilities(visibilities: np.ndarray) -> np.ndarray:
+    """The Stokes-I sample ``0.5 (XX + YY)`` of ``(n_bl, T, C, 2, 2)``
+    visibilities, as ``(n_bl, T, C, 1, 1)`` ``COMPLEX_DTYPE`` (rounded
+    once)."""
+    out = np.empty(visibilities.shape[:3] + (1, 1), dtype=COMPLEX_DTYPE)
+    np.add(visibilities[..., 0, 0], visibilities[..., 1, 1], out=out[..., 0, 0])
+    out *= 0.5
+    return out
+
+
+def _four_correlations(predicted: np.ndarray) -> np.ndarray:
+    """``(n_bl, T, C, 2, 2)`` visibilities of a prediction: a ``(..., 1, 1)``
+    Stokes-I one becomes ``XX = YY = I``, ``XY = YX = 0``."""
+    if predicted.shape[-1] == 2:
+        return predicted
+    out = np.zeros(predicted.shape[:3] + (2, 2), dtype=predicted.dtype)
+    out[..., 0, 0] = out[..., 1, 1] = predicted[..., 0, 0]
+    return out
 
 
 def _weighted(
@@ -286,11 +327,13 @@ class _Field:
     field's plan into :class:`~repro.core.wstack.WLayer` sub-plans; the
     facet variants run one field per tile on the facet grid.
 
-    Every transform is one Stokes-I plane.  A w-layer's image-domain
-    correction — its w screen ``exp(+2πi w_p n(l, m))`` divided by the
-    taper — is built for all layers at once on first use and kept:
-    ``invert`` multiplies each layer's image by its screen, ``predict``
-    multiplies the model by the conjugate.
+    Every transform is one Stokes-I plane, and with scalar A-terms (or
+    none) every grid and degrid is one correlation too
+    (:meth:`_resolve_aterms`).  A w-layer's image-domain correction — its
+    w screen ``exp(+2πi w_p n(l, m))`` divided by the taper — is built for
+    all layers at once on first use and kept: ``invert`` multiplies each
+    layer's image by its screen, ``predict`` multiplies the model by the
+    conjugate.
     """
 
     def __init__(
@@ -332,6 +375,24 @@ class _Field:
             self._screens = screens
         return self._screens
 
+    def _resolve_aterms(
+        self, aterms: ATermGenerator | None
+    ) -> tuple[int, dict[tuple[int, int], np.ndarray] | None]:
+        """``(a, fields)``: the correlations per axis this call grids and
+        degrids, and the ``(N, N, a, a)`` A-term fields of this field's plan
+        (``None`` for identity), evaluated once for all its w-layers.
+
+        ``a = 1`` — the Stokes-I sample alone — when there are no fields or
+        every field is exactly a scalar times the identity; ``a = 2``
+        otherwise."""
+        fields = self.idg.aterm_fields(self.plan, aterms)
+        if fields is None:
+            return 1, None
+        scalar = scalar_jones_fields(fields)
+        if scalar is None:
+            return 2, fields
+        return 1, scalar
+
     # -- the two directions ------------------------------------------------
 
     def weight_sum(
@@ -347,15 +408,20 @@ class _Field:
         weight_sum: float,
     ) -> np.ndarray:
         """Normalised, taper-corrected real ``(g, g)`` Stokes-I image of
-        this field."""
+        this field, from a ``(1, g, g)`` grid of ``0.5 (XX + YY)`` when the
+        A-terms allow it (:meth:`_resolve_aterms`)."""
         if weight_sum <= 0:
             raise ValueError(
                 "weight_sum must be positive — no unflagged visibility was "
                 "covered by the plan (or the imaging weights sum to zero)"
             )
+        a, fields = self._resolve_aterms(aterms)
+        if a == 1:
+            visibilities = _stokes_i_visibilities(visibilities)
         if self.layers is None:
             grid = self.engine.grid(
-                self.plan, self.uvw_m, visibilities, aterms=aterms, flags=flags
+                self.plan, self.uvw_m, visibilities, flags=flags,
+                aterm_fields=fields,
             )
             # copied: a view would keep the complex image, twice the size,
             # alive for as long as the caller holds the result
@@ -372,7 +438,8 @@ class _Field:
         accum = np.zeros((g, g), dtype=ACCUM_DTYPE)
         for layer, screen in zip(self.layers, self._layer_screens()):
             grid = self.engine.grid(
-                layer.plan, self.uvw_m, visibilities, aterms=aterms, flags=flags
+                layer.plan, self.uvw_m, visibilities, flags=flags,
+                aterm_fields=fields,
             )
             accum += centered_ifft2(_stokes_i_plane(grid)) * screen
         return accum.real * (g * g / weight_sum)
@@ -381,8 +448,11 @@ class _Field:
         self, model: np.ndarray, aterms: ATermGenerator | None
     ) -> np.ndarray:
         """Predicted ``(n_bl, T, C, 2, 2)`` visibilities of a ``(g, g)``
-        Stokes-I model on this field's raster (``XX = YY = I``)."""
+        Stokes-I model on this field's raster (``XX = YY = I``), degridded
+        from one ``(1, g, g)`` plane when the A-terms allow it
+        (:meth:`_resolve_aterms`)."""
         g = self.idg.gridspec.grid_size
+        a, fields = self._resolve_aterms(aterms)
         if self.layers is None:
             plane = model_image_to_grid(
                 model,
@@ -391,19 +461,23 @@ class _Field:
                 taper_beta=self.idg.config.taper_beta,
             )
             # allocated after the transform: its temporaries are freed by now
-            grid = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)
-            grid[0] = grid[3] = plane
-            return self.engine.degrid(self.plan, self.uvw_m, grid, aterms=aterms)
+            grid = np.zeros((a * a, g, g), dtype=COMPLEX_DTYPE)
+            _set_stokes_i(grid, plane)
+            return _four_correlations(
+                self.engine.degrid(self.plan, self.uvw_m, grid, aterm_fields=fields)
+            )
         n_bl, n_times, _ = self.uvw_m.shape
         out = np.zeros(
-            (n_bl, n_times, self.plan.n_channels, 2, 2), dtype=COMPLEX_DTYPE
+            (n_bl, n_times, self.plan.n_channels, a, a), dtype=COMPLEX_DTYPE
         )
-        grid = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)  # reused by every layer
+        grid = np.zeros((a * a, g, g), dtype=COMPLEX_DTYPE)  # reused by every layer
         for layer, screen in zip(self.layers, self._layer_screens()):
-            grid[0] = grid[3] = centered_fft2(model * np.conj(screen))
+            _set_stokes_i(grid, centered_fft2(model * np.conj(screen)))
             # the layers' work items cover disjoint visibility blocks
-            out += self.engine.degrid(layer.plan, self.uvw_m, grid, aterms=aterms)
-        return out
+            out += self.engine.degrid(
+                layer.plan, self.uvw_m, grid, aterm_fields=fields
+            )
+        return _four_correlations(out)
 
 
 # -------------------------------------------------------------- processors

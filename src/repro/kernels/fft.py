@@ -24,16 +24,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def centered_fft2(a: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:
+def centered_fft2(
+    a: np.ndarray, axes: tuple[int, int] = (-2, -1), norm: str | None = None
+) -> np.ndarray:
     """Forward FFT that maps a centered array to a centered spectrum.
 
     Equivalent to ``fftshift(fft2(ifftshift(a)))`` over ``axes``.  For an
     input sampled at centered coordinates this computes
 
     ``A[q, p] = sum_{y,x} a[y, x] * exp(-2*pi*i*((p-N//2)*(x-N//2)
-    + (q-M//2)*(y-M//2))/N)``.
+    + (q-M//2)*(y-M//2))/N)``,
+
+    scaled as numpy's ``norm`` says (``"forward"``: by ``1/(M*N)``).
     """
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(a, axes=axes), axes=axes), axes=axes)
+    return np.fft.fftshift(
+        np.fft.fft2(np.fft.ifftshift(a, axes=axes), axes=axes, norm=norm), axes=axes
+    )
 
 
 def centered_ifft2(a: np.ndarray, axes: tuple[int, int] = (-2, -1)) -> np.ndarray:

@@ -12,12 +12,17 @@ evaluate a whole bucket with a handful of large array operations.
 
 This module owns the bucketing pass and the gather/scatter between the
 observation-shaped arrays (``(n_baselines, n_times, n_channels, ...)``) and
-the stacked bucket tensors (``(G, T, 3)`` uvw, ``(G, T, C, 4)``
-visibilities, ``(G, 3)`` subgrid offsets, ``(G, N, N, 2, 2)`` A-term
+the stacked bucket tensors (``(G, T, 3)`` uvw, ``(G, T, C, K)``
+visibilities, ``(G, 3)`` subgrid offsets, ``(G, N, N, a, a)`` A-term
 fields).  Gathers write into :class:`~repro.core.scratch.ScratchArena`
 views so the steady state allocates nothing; the batched kernels in
 :mod:`repro.core.gridder` / :mod:`repro.core.degridder` consume the stacked
 tensors directly.
+
+The correlation count comes from the data: ``(n_bl, T, C, a, a)``
+visibilities, or ``(k, N, N, a, a)`` subgrids for the degridder, give
+``K = a**2`` columns per sample, with ``a = 2`` (four correlations) or
+``a = 1`` (the Stokes-I sample alone).
 """
 
 from __future__ import annotations
@@ -64,11 +69,13 @@ __all__ = [
 #: per channel, so a chunk's working set must stay cache-resident or every
 #: channel step pays DRAM bandwidth: 2 MiB is one core's L2 on the reference
 #: host (2-vCPU KVM guest, Intel Xeon).  At N = 24 it gives G = 2, 4, 7 and
-#: 9 items at T = 96, 32, 16 and 8.  Measured on that host in three runs
-#: each: a 1 MiB budget counting the phasor alone (G = 2, 7, 14, 28) raised
-#: the streaming ``selfcal-wstack`` benchmark's peak RSS from 156 to 189 MB,
-#: since every stage thread grows its own arena, and G = 1, 3, 7, 14 cost
-#: the threaded ``wideband-threads`` benchmark a fifth of its throughput.
+#: 9 items at T = 96, 32, 16 and 8 with four correlations, and G = 2, 6, 11
+#: and 18 with one (its K-column buffers are a quarter the size).  Measured
+#: on that host in three runs each, with four correlations: a 1 MiB budget
+#: counting the phasor alone (G = 2, 7, 14, 28) raised the streaming
+#: ``selfcal-wstack`` benchmark's peak RSS from 156 to 189 MB, since every
+#: stage thread grows its own arena, and G = 1, 3, 7, 14 cost the threaded
+#: ``wideband-threads`` benchmark a fifth of its throughput.
 DEFAULT_BATCH_BYTES: Final = 2**21
 
 #: Absolute floor of :func:`uniform_channel_step`'s step comparison, in
@@ -118,19 +125,24 @@ def bucket_work_items(plan: Plan, start: int, stop: int) -> tuple[Bucket, ...]:
     )
 
 
-def max_bucket_items(n_pixels2: int, n_phase: int, budget_bytes: int = DEFAULT_BATCH_BYTES) -> int:
+def max_bucket_items(
+    n_pixels2: int,
+    n_phase: int,
+    budget_bytes: int = DEFAULT_BATCH_BYTES,
+    n_correlations: int = 4,
+) -> int:
     """Items per batched kernel call so their scratch working set stays
     under ``budget_bytes`` (always >= 1).
 
     An item's working set is its ``(n_pixels2, n_phase)`` phasor and step
-    at ``COMPLEX_DTYPE``, plus four ``(n_pixels2, 4)`` ``ACCUM_DTYPE``
-    buffers: the gridder's accumulator, the degridder's corrected pixels and
-    the two stations' A-term fields.  ``n_phase`` is the phasor's trailing
-    extent: ``n_times`` for the channel-recurrence kernels, ``n_times *
-    n_channels`` for the direct sum.
+    at ``COMPLEX_DTYPE``, plus four ``(n_pixels2, K)`` ``ACCUM_DTYPE``
+    buffers of ``K = n_correlations`` columns: the gridder's accumulator,
+    the degridder's corrected pixels and the two stations' A-term fields.
+    ``n_phase`` is the phasor's trailing extent: ``n_times`` for the
+    channel-recurrence kernels, ``n_times * n_channels`` for the direct sum.
     """
     phasors = 2 * n_pixels2 * n_phase * np.dtype(COMPLEX_DTYPE).itemsize
-    pixels = 4 * n_pixels2 * 4 * np.dtype(ACCUM_DTYPE).itemsize
+    pixels = 4 * n_pixels2 * n_correlations * np.dtype(ACCUM_DTYPE).itemsize
     return max(int(budget_bytes // max(phasors + pixels, 1)), 1)
 
 
@@ -227,14 +239,15 @@ def gather_visibilities(
     arena: ScratchArena,
     key: str = "gather.vis",
 ) -> np.ndarray:
-    """Stack the items' visibility blocks into a ``(G, T, C, 4)``
-    ``COMPLEX_DTYPE`` arena view, the operand dtype of the kernels'
-    single-precision products."""
+    """Stack the items' ``(n_bl, T, C, a, a)`` visibility blocks into a
+    ``(G, T, C, a**2)`` ``COMPLEX_DTYPE`` arena view, the operand dtype of
+    the kernels' single-precision products."""
     rows = plan.items[indices]
     n_times = int(rows["time_end"][0] - rows["time_start"][0])
     n_channels = int(rows["channel_end"][0] - rows["channel_start"][0])
-    out = arena.take(key, (len(rows), n_times, n_channels, 4), COMPLEX_DTYPE)
-    flat = visibilities.reshape(*visibilities.shape[:3], 4)
+    k = visibilities.shape[3] * visibilities.shape[4]
+    out = arena.take(key, (len(rows), n_times, n_channels, k), COMPLEX_DTYPE)
+    flat = visibilities.reshape(*visibilities.shape[:3], k)
     for g in range(len(rows)):
         row = rows[g]
         block = flat[
@@ -261,11 +274,18 @@ def gather_aterm_fields(
     key_p: str = "gather.aterm_p",
     key_q: str = "gather.aterm_q",
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Stack per-item station Jones fields into ``(G, N, N, 2, 2)`` views.
+    """Stack per-item station Jones fields into ``(G, N, N, a, a)`` views.
 
     Returns ``(None, None)`` when ``aterm_fields`` is ``None`` or no item in
     the chunk has a field (all-identity buckets skip the sandwich entirely);
-    missing fields are filled with ``identity``.
+    missing fields are filled with ``identity``, whose ``(N, N, a, a)``
+    shape sizes the views.
+
+    Raises
+    ------
+    ValueError
+        When a field's shape differs from ``identity``'s (a 1x1 field
+        would otherwise broadcast into a 2x2 view silently).
     """
     if aterm_fields is None:
         return None, None
@@ -284,14 +304,19 @@ def gather_aterm_fields(
         return None, None
     if identity is None:
         raise ValueError("identity field required when any item has an A-term")
-    n = identity.shape[0]
-    a_p = arena.take(key_p, (len(rows), n, n, 2, 2), identity.dtype)
-    a_q = arena.take(key_q, (len(rows), n, n, 2, 2), identity.dtype)
+    a_p = arena.take(key_p, (len(rows), *identity.shape), identity.dtype)
+    a_q = arena.take(key_q, (len(rows), *identity.shape), identity.dtype)
     for g in range(len(rows)):
         row = rows[g]
         interval = int(row["aterm_interval"])
-        a_p[g] = aterm_fields.get((int(row["station_p"]), interval), identity)
-        a_q[g] = aterm_fields.get((int(row["station_q"]), interval), identity)
+        for out, station in ((a_p, row["station_p"]), (a_q, row["station_q"])):
+            field = aterm_fields.get((int(station), interval), identity)
+            if field.shape != identity.shape:
+                raise ValueError(
+                    f"A-term field {field.shape} does not match the "
+                    f"{identity.shape} fields of this call's correlations"
+                )
+            out[g] = field
     return a_p, a_q
 
 
@@ -371,7 +396,8 @@ def grid_work_group(
     scratch working set stays under ``batch_bytes``, see
     :func:`max_bucket_items`): :func:`gridder_bucket_fast` when
     :func:`uniform_channel_step` finds evenly spaced channels,
-    :func:`gridder_bucket` otherwise.
+    :func:`gridder_bucket` otherwise.  The visibilities' trailing
+    ``(a, a)`` shape sets the correlation count.
 
     Parameters
     ----------
@@ -380,7 +406,7 @@ def grid_work_group(
     uvw_m:
         ``(n_baselines, n_times, 3)`` uvw in metres (full observation).
     visibilities:
-        ``(n_baselines, n_times, n_channels, 2, 2)`` complex visibilities.
+        ``(n_baselines, n_times, n_channels, a, a)`` complex visibilities.
     taper:
         ``(N, N)`` taper.
     lmn:
@@ -389,12 +415,12 @@ def grid_work_group(
         :func:`~repro.core.gridder.raster_factors` are looked up once per
         call and shared by every bucket chunk.
     aterm_fields:
-        Maps ``(station, interval)`` to an ``(N, N, 2, 2)`` Jones field;
+        Maps ``(station, interval)`` to an ``(N, N, a, a)`` Jones field;
         ``None`` or missing keys mean identity.
 
     Returns
     -------
-    ``(stop - start, N, N, 2, 2)`` complex64 image-domain subgrids.
+    ``(stop - start, N, N, a, a)`` complex64 image-domain subgrids.
     """
     n = plan.subgrid_size
     if lmn is None:
@@ -402,12 +428,13 @@ def grid_work_group(
     factors = raster_factors(lmn)
     if arena is None:
         arena = thread_arena()
-    identity = identity_jones_field(n) if aterm_fields else None
+    a = visibilities.shape[-1]
+    identity = identity_jones_field(n, a=a) if aterm_fields else None
     ds = uniform_channel_step(plan.frequencies_hz)
-    out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
+    out = np.empty((stop - start, n, n, a, a), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
-        cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)
+        cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             vis = gather_visibilities(plan, indices, visibilities, arena)
             a_p, a_q = gather_aterm_fields(plan, indices, aterm_fields, identity, arena)
@@ -422,7 +449,7 @@ def grid_work_group(
                 )
             else:
                 subgrids = gridder_bucket(
-                    vis.reshape(len(indices), -1, 4),
+                    vis.reshape(len(indices), -1, a * a),
                     gather_rel_uvw(plan, indices, uvw_m, arena),
                     lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
                 )
@@ -444,13 +471,13 @@ def degrid_work_group(
     arena: ScratchArena | None = None,
 ) -> None:
     """Run the degridder over work items ``start .. stop-1``, writing into
-    ``visibilities_out`` (shape ``(n_baselines, n_times, n_channels, 2, 2)``)
+    ``visibilities_out`` (shape ``(n_baselines, n_times, n_channels, a, a)``)
     in place, one batched kernel call per bucket chunk.
 
-    ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
-    subgrids produced by the splitter + inverse subgrid FFT; the other
-    arguments and the kernel choice are as in
-    :func:`grid_work_group`.
+    ``subgrid_images`` holds the ``(stop-start, N, N, a, a)`` image-domain
+    subgrids produced by the splitter + inverse subgrid FFT, whose trailing
+    shape sets the correlation count; the other arguments and the kernel
+    choice are as in :func:`grid_work_group`.
     """
     n = plan.subgrid_size
     if lmn is None:
@@ -458,14 +485,15 @@ def degrid_work_group(
     factors = raster_factors(lmn)
     if arena is None:
         arena = thread_arena()
-    identity = identity_jones_field(n) if aterm_fields else None
+    a = subgrid_images.shape[-1]
+    identity = identity_jones_field(n, a=a) if aterm_fields else None
     ds = uniform_channel_step(plan.frequencies_hz)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
-        cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)
+        cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             images = arena.take(
-                "gather.subgrids", (len(indices), n, n, 2, 2), subgrid_images.dtype
+                "gather.subgrids", (len(indices), n, n, a, a), subgrid_images.dtype
             )
             np.take(subgrid_images, indices - start, axis=0, out=images)
             a_p, a_q = gather_aterm_fields(plan, indices, aterm_fields, identity, arena)
@@ -484,5 +512,5 @@ def degrid_work_group(
                     images,
                     gather_rel_uvw(plan, indices, uvw_m, arena),
                     lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
-                ).reshape(len(indices), bucket.n_times, bucket.n_channels, 4)
+                ).reshape(len(indices), bucket.n_times, bucket.n_channels, a * a)
             scatter_visibilities(plan, indices, block, visibilities_out)

@@ -583,9 +583,9 @@ class ProcessShardedIDG:
                     ),
                     visibilities,
                 )
-            n = plan.subgrid_size
+            n, a = plan.subgrid_size, visibilities.shape[-1]
             fourier = arena.allocate(
-                "fourier", (plan.n_subgrids, n, n, 2, 2), COMPLEX_DTYPE
+                "fourier", (plan.n_subgrids, n, n, a, a), COMPLEX_DTYPE
             )
             supervisor = _ShardSupervisor(
                 kind="grid", program=program, config=self.config,

@@ -10,12 +10,16 @@ model's analogue of the paper's measured values).
 
 All functions take a :class:`repro.core.plan.Plan` so the counts reflect the
 *actual* work distribution (subgrid occupancy, channel splits, flagged
-visibilities) of the data set being analysed.
+visibilities) of the data set being analysed.  The per-plan kernel counts
+also take the number of correlations the kernels carry: 4 (the paper's
+polarisations, the default) or 1 (the Stokes-I sample the imaging
+processors grid alone).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Final
 
 import numpy as np
 
@@ -23,7 +27,8 @@ from repro.core.plan import Plan
 
 #: Real multiply-adds per (pixel, visibility): 1 in the phase evaluation
 #: f(x,y).g(u,v,w), 16 in the 4-polarisation complex accumulation
-#: (Algorithm 1 caption).
+#: (Algorithm 1 caption).  Each correlation's complex multiply-add is 4 of
+#: the 16 (:func:`_fmas_per_pixel_vis`).
 FMAS_PER_PIXEL_VIS = 17
 
 #: Shared-memory bytes one gridder thread moves per (pixel, visibility)
@@ -40,6 +45,10 @@ DEGRIDDER_SHARED_BYTES = 64
 #: Bytes of one 4-polarisation complex64 value.
 _VIS_BYTES = 4 * 8
 _UVW_BYTES = 3 * 4
+
+#: Real FMAs per pixel of the 2x2 A-term sandwich (two complex 2x2 matrix
+#: products); with one correlation it is two complex multiplies.
+_SANDWICH_FMAS: Final = {4: 112, 1: 8}
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,24 @@ class KernelCounts:
         return self.ops / self.bytes_shared if self.bytes_shared else float("inf")
 
 
+def _check_correlations(correlations: int) -> int:
+    if correlations not in (1, 4):
+        raise ValueError(f"correlations must be 1 or 4, got {correlations}")
+    return correlations
+
+
+def _fmas_per_pixel_vis(correlations: int) -> int:
+    """The phase FMA plus one complex multiply-add (4 FMAs) per
+    correlation: 17 for four correlations, 5 for one."""
+    return 1 + 4 * correlations
+
+
+def _correction_fmas(correlations: int, with_aterms: bool) -> int:
+    """Per-pixel FMAs of the taper (one complex scale per correlation) and
+    the optional A-term sandwich."""
+    return 2 * correlations + (_SANDWICH_FMAS[correlations] if with_aterms else 0)
+
+
 def _pixel_vis_products(plan: Plan) -> tuple[float, float]:
     """(sum of N^2 * M over work items, total gridded visibilities)."""
     n2 = float(plan.subgrid_size * plan.subgrid_size)
@@ -110,82 +137,95 @@ def _pixel_vis_products(plan: Plan) -> tuple[float, float]:
     return float(n2 * m.sum()), float(m.sum())
 
 
-def gridder_counts(plan: Plan, with_aterms: bool = False) -> KernelCounts:
-    """Algorithm 1 totals for the whole plan."""
+def gridder_counts(
+    plan: Plan, with_aterms: bool = False, correlations: int = 4
+) -> KernelCounts:
+    """Algorithm 1 totals for the whole plan, at ``correlations`` (4 or 1)
+    complex values per visibility and subgrid pixel."""
+    vis_bytes = _VIS_BYTES * _check_correlations(correlations) // 4
     pixel_vis, n_vis = _pixel_vis_products(plan)
     n2 = plan.subgrid_size**2
     k = plan.n_subgrids
-    # corrections: taper multiply (4 pol complex scale = 8 FMAs/pixel) and,
-    # optionally, the 2x2 A-term sandwich (two complex 2x2 matmuls/pixel).
-    corrections = k * n2 * (8 + (112 if with_aterms else 0))
+    # corrections: taper multiply (a complex scale per correlation) and,
+    # optionally, the A-term sandwich.
+    corrections = k * n2 * _correction_fmas(correlations, with_aterms)
     per_item_bytes = (
-        n_vis * (_VIS_BYTES + _UVW_BYTES / max(plan.n_channels, 1))  # vis + uvw reads
-        + k * n2 * _VIS_BYTES  # subgrid writes
+        n_vis * (vis_bytes + _UVW_BYTES / max(plan.n_channels, 1))  # vis + uvw reads
+        + k * n2 * vis_bytes  # subgrid writes
         + k * n2 * 4  # taper read
-        + (2 * k * n2 * _VIS_BYTES if with_aterms else 0)
+        + (2 * k * n2 * vis_bytes if with_aterms else 0)
     )
     return KernelCounts(
         name="gridder",
-        fmas=FMAS_PER_PIXEL_VIS * pixel_vis + corrections,
+        fmas=_fmas_per_pixel_vis(correlations) * pixel_vis + corrections,
         sincos_evals=pixel_vis,
         bytes_device=per_item_bytes,
-        bytes_shared=GRIDDER_SHARED_BYTES * pixel_vis,
+        bytes_shared=(GRIDDER_SHARED_BYTES - _VIS_BYTES + vis_bytes) * pixel_vis,
         visibilities=n_vis,
         n_subgrids=k,
     )
 
 
-def degridder_counts(plan: Plan, with_aterms: bool = False) -> KernelCounts:
-    """Algorithm 2 totals for the whole plan."""
+def degridder_counts(
+    plan: Plan, with_aterms: bool = False, correlations: int = 4
+) -> KernelCounts:
+    """Algorithm 2 totals for the whole plan, at ``correlations`` (4 or 1)
+    complex values per visibility and subgrid pixel."""
+    vis_bytes = _VIS_BYTES * _check_correlations(correlations) // 4
     pixel_vis, n_vis = _pixel_vis_products(plan)
     n2 = plan.subgrid_size**2
     k = plan.n_subgrids
-    corrections = k * n2 * (8 + (112 if with_aterms else 0))
+    corrections = k * n2 * _correction_fmas(correlations, with_aterms)
     per_item_bytes = (
-        n_vis * (_VIS_BYTES + _UVW_BYTES / max(plan.n_channels, 1))  # vis writes + uvw
-        + k * n2 * _VIS_BYTES  # subgrid reads
+        n_vis * (vis_bytes + _UVW_BYTES / max(plan.n_channels, 1))  # vis writes + uvw
+        + k * n2 * vis_bytes  # subgrid reads
         + k * n2 * 4
-        + (2 * k * n2 * _VIS_BYTES if with_aterms else 0)
+        + (2 * k * n2 * vis_bytes if with_aterms else 0)
     )
     return KernelCounts(
         name="degridder",
-        fmas=FMAS_PER_PIXEL_VIS * pixel_vis + corrections,
+        fmas=_fmas_per_pixel_vis(correlations) * pixel_vis + corrections,
         sincos_evals=pixel_vis,
         bytes_device=per_item_bytes,
-        bytes_shared=DEGRIDDER_SHARED_BYTES * pixel_vis,
+        bytes_shared=(DEGRIDDER_SHARED_BYTES - _VIS_BYTES + vis_bytes) * pixel_vis,
         visibilities=n_vis,
         n_subgrids=k,
     )
 
 
-def subgrid_fft_counts(plan: Plan) -> KernelCounts:
-    """Four N x N complex FFTs per subgrid (one per polarisation product)."""
+def subgrid_fft_counts(plan: Plan, correlations: int = 4) -> KernelCounts:
+    """One N x N complex FFT per subgrid and correlation (four for the
+    polarisation products, one for Stokes I alone)."""
+    vis_bytes = _VIS_BYTES * _check_correlations(correlations) // 4
     n = plan.subgrid_size
     k = plan.n_subgrids
     _, n_vis = _pixel_vis_products(plan)
     # 2-D complex FFT: 2N length-N transforms, 5 N log2 N flops each.
-    flops = k * 4 * 2 * n * 5.0 * n * np.log2(n)
+    flops = k * correlations * 2 * n * 5.0 * n * np.log2(n)
     return KernelCounts(
         name="subgrid-fft",
         fmas=flops / 2.0,
         sincos_evals=0.0,
-        bytes_device=k * 2.0 * n * n * _VIS_BYTES,  # read + write
+        bytes_device=k * 2.0 * n * n * vis_bytes,  # read + write
         bytes_shared=0.0,
         visibilities=n_vis,
         n_subgrids=k,
     )
 
 
-def adder_counts(plan: Plan) -> KernelCounts:
-    """Adder: read-modify-write of the grid region under every subgrid."""
+def adder_counts(plan: Plan, correlations: int = 4) -> KernelCounts:
+    """Adder: read-modify-write of the grid region under every subgrid, on
+    ``correlations`` (4 or 1) grid planes."""
+    vis_bytes = _VIS_BYTES * _check_correlations(correlations) // 4
     n2 = plan.subgrid_size**2
     k = plan.n_subgrids
     _, n_vis = _pixel_vis_products(plan)
     return KernelCounts(
         name="adder",
-        fmas=k * n2 * 4.0,  # 4 complex adds = 8 real adds = 4 FMA-equivalents
+        # one complex add (2 real adds = 1 FMA-equivalent) per correlation
+        fmas=k * n2 * float(correlations),
         sincos_evals=0.0,
-        bytes_device=k * n2 * _VIS_BYTES * 3.0,  # read subgrid, read+write grid
+        bytes_device=k * n2 * vis_bytes * 3.0,  # read subgrid, read+write grid
         bytes_shared=0.0,
         visibilities=n_vis,
         n_subgrids=k,

@@ -17,13 +17,17 @@ case of a crashed or killed run): the adder retires groups in plan order, so
 the snapshot holds the floating-point prefix sum an uninterrupted run would
 have at that point, and resuming adds the remaining groups in the same order
 onto the same bits.  A snapshot is written every ``interval`` retirements,
-once on completion and once on abort; after an add that raised part-way
-(the grid may then hold part of a group) no further snapshot is written and
-the last good one stays.
+once on completion and once on abort; an add that raised part-way (the
+grid may then hold part of a group) fails the call, no further snapshot is
+written and the last good one stays.
 
 Snapshots are written atomically (temp file + ``os.replace`` via
 :mod:`repro.atomicio`), so a crash mid-checkpoint leaves the previous
-complete snapshot in place, never a truncated archive.  Each snapshot embeds
+complete snapshot in place, never a truncated archive.  They are written
+uncompressed: zlib over a whole master grid cost 0.87 s per 2048**2
+snapshot against 0.14 s for the plain archive, and made a checkpointed
+streaming run 6.6x as long as a plain one.  :func:`load_checkpoint` reads
+compressed snapshots of earlier builds too.  Each snapshot embeds
 a :func:`plan_signature` — a hash of the plan's work items, geometry and the
 work-group size — and :func:`load_checkpoint` refuses to resume against a
 mismatched plan instead of silently producing a wrong image.
@@ -37,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.atomicio import atomic_savez_compressed
+from repro.atomicio import atomic_savez
 from repro.hashing import ContentHasher
 
 __all__ = [
@@ -116,8 +120,9 @@ class GridCheckpoint:
     signature:
         :func:`plan_signature` of the run that wrote the snapshot.
     grid:
-        ``(4, G, G)`` complex master grid holding the contributions of
-        exactly the ``completed`` work groups.
+        ``(a**2, G, G)`` complex master grid holding the contributions of
+        exactly the ``completed`` work groups (four planes, or one for a
+        Stokes-I grid).
     completed:
         Sorted work-group sequence indices already retired by the adder.
     n_retired:
@@ -142,10 +147,11 @@ def save_checkpoint(
     signature: str,
     n_retired: int | None = None,
 ) -> pathlib.Path:
-    """Atomically write a :class:`GridCheckpoint` archive; returns the path
-    actually written (a ``.npz`` suffix is appended when missing)."""
+    """Atomically write an uncompressed :class:`GridCheckpoint` archive;
+    returns the path actually written (a ``.npz`` suffix is appended when
+    missing)."""
     completed_arr = np.asarray(sorted(int(k) for k in completed), dtype=np.int64)
-    return atomic_savez_compressed(
+    return atomic_savez(
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
         signature=np.str_(signature),
@@ -160,7 +166,8 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | pathlib.Path, signature: str | None = None
 ) -> GridCheckpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read a checkpoint written by :func:`save_checkpoint` (compressed or
+    not: ``np.load`` reads both archive kinds).
 
     When ``signature`` is given, a mismatch raises ``ValueError`` — the
     checkpoint belongs to a different plan or work-group size and resuming

@@ -19,7 +19,15 @@ the serial adder in plan order, then the checkpoint bookkeeping of
 and the snapshots.  :meth:`WorkGroupProgram.for_grid` loads a resume
 snapshot; :meth:`WorkGroupProgram.retiring` yields the groups still pending
 and writes the final snapshot when the executor's loop ends, completed or
-aborted.
+aborted.  An add that raised part-way is fatal on every executor, tolerant
+or not: the grid may hold part of the group, so ``retire`` raises
+:class:`~repro.runtime.recovery.WorkGroupError` instead of returning a
+wrong grid, and the last good snapshot stays on disk.
+
+The correlation count is the data's: ``(n_bl, T, C, a, a)`` visibilities
+grid onto an ``(a**2, G, G)`` grid, and an ``(a**2, G, G)`` grid degrids
+into ``(n_bl, T, C, a, a)`` visibilities, with ``a = 2`` (four
+correlations) or ``a = 1`` (the Stokes-I sample alone).
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from repro.runtime.recovery import (
     FaultReport,
     Quarantined,
     RetryPolicy,
+    WorkGroupError,
     WorkGroupRunner,
     group_visibility_count,
 )
@@ -59,7 +68,7 @@ class WorkGroupProgram:
 
     ``idg`` supplies the kernels, taper, work-group size and retry policy;
     ``visibilities`` is the gridding input (flags applied), ``grid`` the
-    ``(4, G, G)`` grid the adder accumulates into or the splitter reads,
+    ``(a**2, G, G)`` grid the adder accumulates into or the splitter reads,
     ``out`` the degridding output; ``faults`` and ``telemetry`` go to the
     runner.  The constructor takes its inputs as given — :meth:`for_grid`
     and :meth:`for_degrid` are the checking constructors executors use, and
@@ -125,7 +134,8 @@ class WorkGroupProgram:
         self.n_retired = 0
         self._unsaved = 0  # retirements since the last snapshot
         #: An add raised after it had started (or ran more than once), so
-        #: :attr:`grid` may hold part of a group: no further snapshots.
+        #: :attr:`grid` may hold part of a group: no further snapshots, and
+        #: :meth:`retire` raised.
         self.torn = False
 
     # ------------------------------------------------------- constructors
@@ -148,25 +158,28 @@ class WorkGroupProgram:
     ) -> "WorkGroupProgram":
         """The program of ``IDG.grid``'s arguments: shapes checked, flags
         masked, A-term fields resolved (``aterm_fields`` wins over
-        ``aterms``), the master grid allocated unless ``grid`` is given.
+        ``aterms``), the ``(a**2, G, G)`` master grid allocated unless
+        ``grid`` is given.
 
         With ``checkpoint.resume_from`` set, the snapshot's signature is
-        checked against this plan (``ValueError`` on a mismatch), its grid
-        is copied into :attr:`grid` and its groups are recorded as
-        completed."""
+        checked against this plan and its plane count against the grid's
+        (``ValueError`` on a mismatch), its grid is copied into :attr:`grid`
+        and its groups are recorded as completed."""
         n_bl, n_times, three = uvw_m.shape
         if three != 3:
             raise ValueError("uvw_m must have a trailing axis of 3")
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
-        if visibilities.shape != expected:
+        shape = tuple(visibilities.shape)
+        a = shape[-1]
+        if shape != (n_bl, n_times, plan.n_channels, a, a) or a not in (1, 2):
             raise ValueError(
-                f"visibilities shape {visibilities.shape} does not match {expected}"
+                f"visibilities shape {shape} does not match "
+                f"{(n_bl, n_times, plan.n_channels)} + (a, a) with a in (1, 2)"
             )
         if plan.flagged.shape != (n_bl, n_times, plan.n_channels):
             raise ValueError("plan was built for a different observation shape")
         visibilities = prepare_visibilities(visibilities, flags)
         if grid is None:
-            grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
+            grid = idg.gridspec.allocate_grid(a * a, dtype=COMPLEX_DTYPE)
         if aterm_fields is None:
             aterm_fields = idg.aterm_fields(plan, aterms)
         program = cls(
@@ -180,6 +193,12 @@ class WorkGroupProgram:
                 snapshot = load_checkpoint(
                     checkpoint.resume_from, signature=program.signature
                 )
+                if snapshot.grid.shape != grid.shape:
+                    raise ValueError(
+                        f"checkpoint grid {snapshot.grid.shape} does not match "
+                        f"this call's {grid.shape} grid: a different number "
+                        "of correlations (refusing to resume)"
+                    )
                 np.copyto(grid, snapshot.grid)
                 program.completed = set(snapshot.completed_set)
                 program.n_retired = len(program.completed)
@@ -200,10 +219,16 @@ class WorkGroupProgram:
         telemetry: Telemetry | None = None,
     ) -> "WorkGroupProgram":
         """The program of ``IDG.degrid``'s arguments: A-term fields
-        resolved, a zeroed output allocated unless ``out`` is given, whose
-        shape is checked."""
+        resolved, a zeroed ``(n_bl, T, C, a, a)`` output sized by the
+        ``(a**2, G, G)`` grid's plane count allocated unless ``out`` is
+        given, whose shape is checked."""
         n_bl, n_times, _ = uvw_m.shape
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
+        a = {1: 1, 4: 2}.get(grid.shape[0])
+        if grid.ndim != 3 or a is None:
+            raise ValueError(
+                f"grid shape {grid.shape} is not (1, G, G) or (4, G, G)"
+            )
+        expected = (n_bl, n_times, plan.n_channels, a, a)
         if out is None:
             out = np.zeros(expected, dtype=COMPLEX_DTYPE)
         elif out.shape != expected:
@@ -294,25 +319,47 @@ class WorkGroupProgram:
 
         Executors call this from one thread at a time, in plan order, so the
         grid accumulates exactly as the serial executor's does.
+
+        Raises
+        ------
+        WorkGroupError
+            Naming the ``adder`` stage and ``group`` when the add was torn:
+            it raised part-way, or ran other than exactly once, so the grid
+            may hold part of the group.  This holds in tolerant mode too — a
+            retry would add the part again — and the snapshot on disk stays
+            the last good one.  Injected adder faults fire before the add,
+            so they stay retriable.
         """
         outcome = fourier
         if not isinstance(fourier, Quarantined):
-            start = self.groups[group][0]
+            start, stop = self.groups[group]
             adds = 0
+            error: Exception | None = None
             whole = False
 
             def add() -> None:
-                nonlocal adds
+                nonlocal adds, error
                 adds += 1
-                self.backend.add_subgrids(self.grid, self.plan, fourier, start=start)
+                try:
+                    self.backend.add_subgrids(self.grid, self.plan, fourier, start=start)
+                except Exception as exc:  # noqa: BLE001 — never retried: see Raises
+                    error = exc
 
             try:
                 outcome = self.run("adder", group, add)
-                whole = not isinstance(outcome, Quarantined)
+                whole = error is None and not isinstance(outcome, Quarantined)
             finally:
                 # The grid holds the group once and whole only if exactly one
                 # add ran and finished; injected faults fire before the add.
                 self.torn |= adds != int(whole)
+            if self.torn:
+                detail = repr(error) if error is not None else (
+                    f"its add ran {adds} times, then the stage failed"
+                )
+                raise WorkGroupError(
+                    "adder", group, start, stop,
+                    f"torn add, the grid may hold part of the group: {detail}",
+                ) from error
             if whole:
                 self.completed.add(group)
         self.n_retired += 1

@@ -29,9 +29,12 @@ What is *not* exactly-once: gridder/FFT/splitter stages are pure functions
 of their inputs, so a retry re-runs them safely.  The adder mutates the
 master grid; injected adder faults strike at stage entry (before any
 mutation) and retry cleanly, but a genuine exception part-way through an
-accumulation can leave a partial contribution behind — such a group is
-quarantined and counted, yet the grid may hold a fraction of it.  See
-DESIGN.md §11 for the full failure model.
+accumulation can leave a partial contribution behind.  Such a torn add is
+never retried or quarantined: the program's retirement
+(:meth:`repro.runtime.program.WorkGroupProgram.retire`) raises
+:class:`WorkGroupError` naming the ``adder`` stage, in tolerant mode too, so
+no executor returns a grid holding part of a group.  See DESIGN.md §11 for
+the full failure model.
 """
 
 from __future__ import annotations

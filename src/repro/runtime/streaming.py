@@ -102,15 +102,18 @@ class RuntimeConfig:
             raise ValueError("emulate_pcie_gbs must be positive")
 
 
-def chunk_transfer_bytes(plan: Plan, start: int, stop: int) -> tuple[float, float]:
+def chunk_transfer_bytes(
+    plan: Plan, start: int, stop: int, n_correlations: int = 4
+) -> tuple[float, float]:
     """(bytes in, bytes out) of one gridding work group over the emulated
     device link: the work items' visibilities and uvw in, their uv-domain
-    subgrids out (degridding is the mirror image)."""
+    subgrids out (degridding is the mirror image), at ``n_correlations``
+    complex values per visibility and subgrid pixel."""
     rows = plan.items[start:stop]
     n_timesteps = int((rows["time_end"] - rows["time_start"]).sum())
-    itemsize = np.dtype(COMPLEX_DTYPE).itemsize
-    bytes_in = float(n_timesteps) * (plan.n_channels * 4 * itemsize + 3 * 8)
-    bytes_out = float(stop - start) * plan.subgrid_size**2 * 4 * itemsize
+    itemsize = np.dtype(COMPLEX_DTYPE).itemsize * n_correlations
+    bytes_in = float(n_timesteps) * (plan.n_channels * itemsize + 3 * 8)
+    bytes_out = float(stop - start) * plan.subgrid_size**2 * itemsize
     return bytes_in, bytes_out
 
 
@@ -187,6 +190,7 @@ class StreamingIDG:
         flags: np.ndarray | None = None,
         telemetry: Telemetry | None = None,
         *,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.grid`.
@@ -194,13 +198,15 @@ class StreamingIDG:
         Identical signature and bit-identical result; accepts an optional
         ``telemetry`` recorder (also stored on ``last_telemetry``).  With
         fault tolerance active, quarantined work groups are excluded and
-        reported on ``last_fault_report`` instead of raising; ``checkpoint``
-        behaves as on the serial executor.
+        reported on ``last_fault_report`` instead of raising;
+        ``aterm_fields`` and ``checkpoint`` behave as on the serial
+        executor.
         """
         tm = telemetry if telemetry is not None else Telemetry()
         program = WorkGroupProgram.for_grid(
             self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
-            flags=flags, faults=self.faults, telemetry=tm, checkpoint=checkpoint,
+            flags=flags, aterm_fields=aterm_fields, faults=self.faults,
+            telemetry=tm, checkpoint=checkpoint,
         )
         self.last_fault_report = program.fault_report
         source = program.source
@@ -262,8 +268,11 @@ class StreamingIDG:
                 # groups exist at once — the RSS bound of the out-of-core path.
                 graph.add_stage("reader", do_read)
             if emulate:
+                planes = program.grid.shape[0]
                 graph.add_stage("htod", self._link(
-                    lambda group, _: chunk_transfer_bytes(plan, *program.groups[group])[0]
+                    lambda group, _: chunk_transfer_bytes(
+                        plan, *program.groups[group], planes
+                    )[0]
                 ))
             graph.add_stage("gridder", do_grid, workers=self.config.gridder_workers)
             graph.add_stage("subgrid_fft", do_fft, workers=self.config.fft_workers)
@@ -285,6 +294,8 @@ class StreamingIDG:
         aterms: ATermGenerator | None = None,
         telemetry: Telemetry | None = None,
         out: np.ndarray | None = None,
+        *,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.degrid`.
 
@@ -292,12 +303,14 @@ class StreamingIDG:
         visibility block zero (the same convention the plan uses for
         unplaceable samples) and is reported on ``last_fault_report``.
         ``out`` (zero-initialised, e.g. a writable dataset-store map)
-        receives the prediction in place as on the serial executor.
+        receives the prediction in place and ``aterm_fields`` overrides
+        ``aterms``, as on the serial executor.
         """
         tm = telemetry if telemetry is not None else Telemetry()
         program = WorkGroupProgram.for_degrid(
-            self.idg, plan, uvw_m, grid, aterms=aterms, out=out,
-            faults=self.faults, telemetry=tm,
+            self.idg, plan, uvw_m, grid, aterms=aterms,
+            aterm_fields=aterm_fields, out=out, faults=self.faults,
+            telemetry=tm,
         )
         self.last_fault_report = program.fault_report
         gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
@@ -319,7 +332,9 @@ class StreamingIDG:
             return group, result
 
         vis_to_host = self._link(
-            lambda group, _: chunk_transfer_bytes(plan, *program.groups[group])[0]
+            lambda group, _: chunk_transfer_bytes(
+                plan, *program.groups[group], grid.shape[0]
+            )[0]
         )
 
         def do_dtoh(seq: int, payload: tuple[int, Any]) -> None:

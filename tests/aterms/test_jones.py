@@ -1,4 +1,4 @@
-"""Unit tests for 2x2 Jones algebra."""
+"""Unit tests for Jones algebra (2x2, and 1x1 for the Stokes-I sample)."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.aterms.jones import (
     identity_jones,
     jones_inverse,
     jones_multiply,
+    scalar_jones_fields,
 )
 
 
@@ -88,3 +89,35 @@ def test_frobenius_norm():
     np.testing.assert_allclose(
         frobenius_norm(field), [np.linalg.norm(field[k]) for k in range(3)]
     )
+
+
+def test_one_by_one_sandwiches_are_complex_products():
+    """For 1x1 fields the sandwiches are ``a_p B conj(a_q)`` and its
+    adjoint ``conj(a_p) S a_q``: one complex product per pixel."""
+    a_p, a_q, b = (_random_field((4, 4), seed)[..., :1, :1] for seed in (14, 15, 16))
+    np.testing.assert_allclose(apply_sandwich(a_p, b, a_q), a_p * b * np.conj(a_q))
+    np.testing.assert_allclose(
+        apply_adjoint_sandwich(a_p, b, a_q), np.conj(a_p) * b * a_q
+    )
+    assert identity_jones((3,), a=1).shape == (3, 1, 1)
+
+
+def test_scalar_fields_reduce_to_their_factor():
+    """A scalar times the identity is exactly the 2x2 sandwich of its
+    factor, so its Stokes-I sample needs only the 1x1 entry; a field with
+    an off-diagonal term or unequal diagonals has no such factor."""
+    factor = _random_field((5, 5), 17)[..., 0, 0]
+    scalar = identity_jones((5, 5)) * factor[..., np.newaxis, np.newaxis]
+    reduced = scalar_jones_fields({(0, 0): scalar, (1, 0): identity_jones((5, 5))})
+    assert reduced[(0, 0)].shape == (5, 5, 1, 1)
+    np.testing.assert_array_equal(reduced[(0, 0)][..., 0, 0], factor)
+    b = _random_field((5, 5), 18)
+    full = apply_sandwich(scalar, b, scalar)
+    one = apply_sandwich(reduced[(0, 0)], b[..., :1, :1], reduced[(0, 0)])
+    np.testing.assert_allclose(one[..., 0, 0], full[..., 0, 0])
+    leaky = scalar.copy()
+    leaky[..., 0, 1] = 1e-3
+    assert scalar_jones_fields({(0, 0): scalar, (1, 0): leaky}) is None
+    unequal = scalar.copy()
+    unequal[..., 1, 1] *= 1.5
+    assert scalar_jones_fields({(0, 0): unequal}) is None

@@ -3,9 +3,11 @@
 Every registered kernel backend runs the same corpus of small but
 structurally varied plans — a plain observation, a w-offset plan, an A-term
 schedule, a wideband (C = 512) subband exercising the channel-phasor
-recurrence, a degenerate single-visibility plan, and a subband whose
-channels are not evenly spaced (which sends ``vectorized`` down its
-direct-sum kernels) — and the tests in this directory hold all backends to pairwise agreement at ``rtol = 1e-5`` plus
+recurrence, a degenerate single-visibility plan, a subband whose channels
+are not evenly spaced (which sends ``vectorized`` down its direct-sum
+kernels), and two one-correlation plans (``(..., 1, 1)`` visibilities and
+``(1, G, G)`` grids, one with scalar A-term fields) — and the tests in this
+directory hold all backends to pairwise agreement at ``rtol = 1e-5`` plus
 per-backend gridder/degridder adjointness.
 
 Running a case through a backend is expensive (the ``reference`` oracle is a
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.aterms.generators import GaussianBeamATerm
+from repro.aterms.jones import scalar_jones_fields
 from repro.aterms.schedule import ATermSchedule
 from repro.backends import available_backends
 from repro.core.pipeline import IDG, IDGConfig
@@ -48,6 +51,9 @@ class Case:
     #: Moves every channel off the evenly spaced ladder by up to this
     #: fraction of the channel width (0 keeps the ladder).
     channel_jitter: float = 0.0
+    #: Correlations per sample: 4 (``(..., 2, 2)``) or 1 (``(..., 1, 1)``,
+    #: the Stokes-I sample alone, with the fields' scalar factors).
+    n_correlations: int = 4
     seed: int = 0
 
 
@@ -77,6 +83,8 @@ CASES = (
         seed=15,
     ),
     Case("uneven-channels", n_channels=5, channel_jitter=0.3, fill_factor=1.4, seed=16),
+    Case("one-correlation", n_correlations=1, seed=17),
+    Case("one-correlation-aterms", n_correlations=1, aterm_interval=3, seed=18),
 )
 
 #: Registered backends, captured at collection time.
@@ -111,14 +119,15 @@ class Corpus:
                 case.grid_size, fill_factor=case.fill_factor
             )
             rng = np.random.default_rng(case.seed)
+            a = 2 if case.n_correlations == 4 else 1
             vis_shape = (
-                obs.array.n_baselines, case.n_times, case.n_channels, 2, 2
+                obs.array.n_baselines, case.n_times, case.n_channels, a, a
             )
             vis = (
                 rng.standard_normal(vis_shape)
                 + 1j * rng.standard_normal(vis_shape)
             ).astype(np.complex64)
-            model_shape = (4, case.grid_size, case.grid_size)
+            model_shape = (case.n_correlations, case.grid_size, case.grid_size)
             model = (
                 rng.standard_normal(model_shape)
                 + 1j * rng.standard_normal(model_shape)
@@ -163,12 +172,17 @@ class Corpus:
                 w_offset=case.w_offset,
             )
             assert plan.statistics.n_visibilities_gridded > 0
-            grid = idg.grid(plan, obs.uvw_m, w["vis"], aterms=w["aterms"])
-            degridded = idg.degrid(plan, obs.uvw_m, w["model"], aterms=w["aterms"])
+            fields = idg.aterm_fields(plan, w["aterms"])
+            if fields is not None and case.n_correlations == 1:
+                fields = scalar_jones_fields(fields)
+                assert fields is not None
+            grid = idg.grid(plan, obs.uvw_m, w["vis"], aterm_fields=fields)
+            degridded = idg.degrid(plan, obs.uvw_m, w["model"], aterm_fields=fields)
+            assert grid.shape[0] == degridded.shape[-1] ** 2 == case.n_correlations
             self._results[key] = {
                 "idg": idg,
                 "plan": plan,
-                "fields": idg.aterm_fields(plan, w["aterms"]),
+                "fields": fields,
                 "grid": grid,
                 "degridded": degridded,
             }

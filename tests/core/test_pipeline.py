@@ -44,6 +44,35 @@ def test_grid_input_validation(small_idg, small_plan, small_obs, single_source_v
         small_idg.grid(small_plan, small_obs.uvw_m, single_source_vis[:, :, :2])
     with pytest.raises(ValueError):
         small_idg.grid(small_plan, small_obs.uvw_m[..., :2], single_source_vis)
+    # the trailing shape is the correlation count: (1, 1) or (2, 2) only
+    for trailing in ((2, 1), (3, 3), (4,)):
+        vis = np.zeros(single_source_vis.shape[:3] + trailing, dtype=np.complex64)
+        with pytest.raises(ValueError):
+            small_idg.grid(small_plan, small_obs.uvw_m, vis)
+
+
+def test_one_correlation_grid_and_degrid_shapes(
+    small_idg, small_plan, small_obs, single_source_vis
+):
+    """(..., 1, 1) visibilities grid onto a (1, G, G) grid, which is the
+    Stokes-I plane of the four-correlation grid to single precision, and a
+    (1, G, G) grid degrids into (..., 1, 1) visibilities."""
+    stokes_i = 0.5 * (single_source_vis[..., 0, 0] + single_source_vis[..., 1, 1])
+    vis = stokes_i[..., np.newaxis, np.newaxis].astype(np.complex64)
+    grid = small_idg.grid(small_plan, small_obs.uvw_m, vis)
+    g = small_idg.gridspec.grid_size
+    assert grid.shape == (1, g, g) and grid.dtype == np.complex64
+    four = small_idg.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    plane = 0.5 * (four[0] + four[3])
+    assert np.abs(grid[0] - plane).max() <= 1e-5 * np.abs(plane).max()
+    predicted = small_idg.degrid(small_plan, small_obs.uvw_m, grid)
+    assert predicted.shape == vis.shape
+    with pytest.raises(ValueError):
+        small_idg.degrid(small_plan, small_obs.uvw_m, np.zeros((2, g, g), np.complex64))
+    with pytest.raises(ValueError, match="out shape"):
+        small_idg.degrid(
+            small_plan, small_obs.uvw_m, grid, out=np.zeros_like(single_source_vis)
+        )
 
 
 def test_dirty_image_recovers_source_position_and_flux(

@@ -67,3 +67,36 @@ def test_preserves_dtype_and_shape():
     back = subgrids_to_image(out)
     assert back.shape == subs.shape
     assert back.dtype == subs.dtype
+
+
+@pytest.mark.parametrize("a", [1, 2], ids=["one-correlation", "four-correlations"])
+def test_forward_norm_matches_the_divided_transform(a):
+    """The 1/N**2 folded into the transform (``norm="forward"``) gives the
+    old default-norm ``fft2`` followed by a division by N**2, to 1e-6
+    relative to the peak, on both correlation counts."""
+    rng = np.random.default_rng(5)
+    shape = (32, 24, 24, a, a)
+    subs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+        np.complex64
+    )
+    moved = np.moveaxis(subs, (-2, -1), (0, 1))
+    divided = np.moveaxis(
+        centered_fft2(moved, axes=(-2, -1)) / (24 * 24), (0, 1), (-2, -1)
+    )
+    out = subgrids_to_fourier(subs)
+    assert out.shape == shape and out.dtype == np.complex64
+    peak = np.abs(divided).max()
+    assert np.abs(out - divided).max() <= 1e-6 * peak
+
+
+def test_one_correlation_round_trip():
+    """The transforms act on each correlation plane alone, so a (k, N, N,
+    1, 1) stack is the XX plane of a (k, N, N, 2, 2) one."""
+    subs = _random_subgrids(3, 12, seed=6)
+    one = subs[..., :1, :1].copy()
+    np.testing.assert_array_equal(
+        subgrids_to_fourier(one)[..., 0, 0], subgrids_to_fourier(subs)[..., 0, 0]
+    )
+    np.testing.assert_array_equal(
+        subgrids_to_image(one)[..., 0, 0], subgrids_to_image(subs)[..., 0, 0]
+    )

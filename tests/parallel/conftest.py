@@ -5,7 +5,8 @@ Every executor — serial :class:`~repro.core.IDG`, thread-parallel
 :class:`~repro.runtime.StreamingIDG`, process-sharded
 :class:`~repro.parallel.process.ProcessShardedIDG` — runs the same corpus of
 small but structurally varied plans (plain, w-offset, A-term schedule,
-wideband C = 512, flagged visibilities) and must reproduce the serial
+wideband C = 512, flagged visibilities, and the one-correlation Stokes-I
+sample with and without scalar A-term fields) and must reproduce the serial
 executor's grids and visibilities **bit-identically** (``np.array_equal``,
 no tolerance).  This replaces the ad-hoc pairwise bit-exactness checks that
 used to live in ``tests/runtime/test_streaming.py`` and
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.aterms.generators import GaussianBeamATerm
+from repro.aterms.jones import scalar_jones_fields
 from repro.aterms.schedule import ATermSchedule
 from repro.core.pipeline import IDG, IDGConfig
 from repro.telescope.observation import ska1_low_observation
@@ -51,6 +53,10 @@ class ConformanceCase:
     aterm_interval: int | None = None
     #: Fraction of (baseline, time, channel) samples flagged at random.
     flag_fraction: float = 0.0
+    #: Correlations per sample: 4, or 1 for the Stokes-I sample alone
+    #: (``(..., 1, 1)`` visibilities, ``(1, G, G)`` grids, the A-term
+    #: fields' scalar factors passed as ``aterm_fields``).
+    n_correlations: int = 4
     seed: int = 0
 
 
@@ -71,14 +77,22 @@ CONFORMANCE_CASES = (
     ConformanceCase("flagged", flag_fraction=0.25, seed=16),
 )
 
+#: The one-correlation Stokes-I corpus: what the imaging processors grid
+#: and degrid whenever their A-terms are scalar fields (or absent).
+STOKES_I_CASES = (
+    ConformanceCase("stokes-i", n_correlations=1, flag_fraction=0.25, seed=17),
+    ConformanceCase("stokes-i-aterms", n_correlations=1, aterm_interval=3, seed=18),
+)
+
 
 class ConformanceCorpus:
     """Builds and caches per-case workloads and per-(case, executor) runs."""
 
-    #: The case table, reachable from the ``conformance`` fixture (test
+    #: The case tables, reachable from the ``conformance`` fixture (test
     #: modules in this directory have no package, so they cannot import
     #: this conftest directly).
     cases: tuple[ConformanceCase, ...] = ()  # filled in below
+    stokes_i_cases: tuple[ConformanceCase, ...] = ()
 
     def __init__(self) -> None:
         self._workloads: dict[str, dict] = {}
@@ -101,14 +115,15 @@ class ConformanceCorpus:
                 case.grid_size, fill_factor=case.fill_factor
             )
             rng = np.random.default_rng(case.seed)
+            a = 2 if case.n_correlations == 4 else 1
             vis_shape = (
-                obs.array.n_baselines, case.n_times, case.n_channels, 2, 2
+                obs.array.n_baselines, case.n_times, case.n_channels, a, a
             )
             vis = (
                 rng.standard_normal(vis_shape)
                 + 1j * rng.standard_normal(vis_shape)
             ).astype(np.complex64)
-            model_shape = (4, case.grid_size, case.grid_size)
+            model_shape = (case.n_correlations, case.grid_size, case.grid_size)
             model = (
                 rng.standard_normal(model_shape)
                 + 1j * rng.standard_normal(model_shape)
@@ -140,6 +155,15 @@ class ConformanceCorpus:
                 w_offset=case.w_offset,
             )
             assert plan.statistics.n_visibilities_gridded > 0
+            # Four correlations: each executor evaluates the fields itself.
+            # One: the scalar factors, as the imaging processors pass them.
+            aterm_kwargs = {"aterms": aterms}
+            if case.n_correlations == 1:
+                fields = idg.aterm_fields(plan, aterms)
+                aterm_kwargs = {
+                    "aterm_fields": None if fields is None
+                    else scalar_jones_fields(fields)
+                }
             self._workloads[case.name] = {
                 "obs": obs,
                 "idg": idg,
@@ -147,6 +171,7 @@ class ConformanceCorpus:
                 "vis": vis,
                 "model": model,
                 "aterms": aterms,
+                "aterm_kwargs": aterm_kwargs,
                 "flags": flags,
             }
         return self._workloads[case.name]
@@ -170,9 +195,9 @@ class ConformanceCorpus:
             if kind == "grid":
                 return idg.grid(
                     plan, obs.uvw_m, w["vis"],
-                    aterms=w["aterms"], flags=w["flags"],
+                    flags=w["flags"], **w["aterm_kwargs"],
                 )
-            return idg.degrid(plan, obs.uvw_m, w["model"], aterms=w["aterms"])
+            return idg.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
         if executor == "threads":
             from repro.parallel.executor import ParallelIDG
 
@@ -180,9 +205,9 @@ class ConformanceCorpus:
             if kind == "grid":
                 return engine.grid(
                     plan, obs.uvw_m, w["vis"],
-                    aterms=w["aterms"], flags=w["flags"],
+                    flags=w["flags"], **w["aterm_kwargs"],
                 )
-            return engine.degrid(plan, obs.uvw_m, w["model"], aterms=w["aterms"])
+            return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
         if executor == "streaming":
             from repro.runtime import RuntimeConfig, StreamingIDG
 
@@ -196,9 +221,9 @@ class ConformanceCorpus:
             if kind == "grid":
                 return engine.grid(
                     plan, obs.uvw_m, w["vis"],
-                    aterms=w["aterms"], flags=w["flags"],
+                    flags=w["flags"], **w["aterm_kwargs"],
                 )
-            return engine.degrid(plan, obs.uvw_m, w["model"], aterms=w["aterms"])
+            return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
         if executor == "processes":
             from repro.parallel.process import ProcessConfig, ProcessShardedIDG
 
@@ -208,13 +233,14 @@ class ConformanceCorpus:
             if kind == "grid":
                 return engine.grid(
                     plan, obs.uvw_m, w["vis"],
-                    aterms=w["aterms"], flags=w["flags"],
+                    flags=w["flags"], **w["aterm_kwargs"],
                 )
-            return engine.degrid(plan, obs.uvw_m, w["model"], aterms=w["aterms"])
+            return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
         raise ValueError(f"unknown executor {executor!r}")
 
 
 ConformanceCorpus.cases = CONFORMANCE_CASES
+ConformanceCorpus.stokes_i_cases = STOKES_I_CASES
 
 
 @pytest.fixture(scope="session")
@@ -224,4 +250,9 @@ def conformance():
 
 @pytest.fixture(params=CONFORMANCE_CASES, ids=lambda c: c.name)
 def conformance_case(request):
+    return request.param
+
+
+@pytest.fixture(params=STOKES_I_CASES, ids=lambda c: c.name)
+def stokes_i_case(request):
     return request.param

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.aterms.jones import identity_jones_field
 from repro.core.scratch import ScratchArena
 from repro.parallel.bucketing import (
     DEFAULT_BATCH_BYTES,
     bucket_work_items,
     degrid_work_group,
+    gather_aterm_fields,
     gather_rel_uvw,
     gather_scale0,
     gather_uvw,
@@ -81,6 +83,37 @@ def test_max_bucket_items_respects_budget():
     assert DEFAULT_BATCH_BYTES == 2**21
     for n_times, items in ((96, 2), (32, 4), (16, 7), (8, 9)):
         assert max_bucket_items(576, n_times) == items
+
+
+def test_max_bucket_items_counts_the_correlation_columns():
+    # one correlation: the four (576, K) complex128 buffers shrink from
+    # 147456 B to 36864 B per item, so more items fit the same 2 MiB
+    for n_times, items in ((96, 2), (32, 6), (16, 11), (8, 18)):
+        assert max_bucket_items(576, n_times, n_correlations=1) == items
+        assert max_bucket_items(576, n_times, n_correlations=4) == max_bucket_items(
+            576, n_times
+        )
+
+
+def test_gather_aterm_fields_rejects_a_field_of_other_correlations(small_plan):
+    """A 1x1 field must not broadcast into the 2x2 views of a
+    four-correlation call (nor a 2x2 one into 1x1 views)."""
+    n = small_plan.subgrid_size
+    row = small_plan.items[0]
+    key = (int(row["station_p"]), int(row["aterm_interval"]))
+    indices = np.arange(3)
+    for field_a, call_a in ((1, 2), (2, 1)):
+        fields = {key: identity_jones_field(n, a=field_a)}
+        with pytest.raises(ValueError, match="A-term field"):
+            gather_aterm_fields(
+                small_plan, indices, fields, identity_jones_field(n, a=call_a),
+                ScratchArena(),
+            )
+    a_p, a_q = gather_aterm_fields(
+        small_plan, indices, {key: identity_jones_field(n, a=1)},
+        identity_jones_field(n, a=1), ScratchArena(),
+    )
+    assert a_p.shape == a_q.shape == (3, n, n, 1, 1)
 
 
 def test_uniform_channel_step():

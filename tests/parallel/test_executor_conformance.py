@@ -48,3 +48,28 @@ def test_corpus_is_structurally_varied(conformance):
     assert not np.array_equal(
         unflagged, conformance.reference(by_name["flagged"])["grid"]
     )
+
+
+@pytest.mark.parametrize("executor", PARALLEL_EXECUTORS)
+@pytest.mark.parametrize("kind", ["grid", "degrid"])
+def test_one_correlation_bit_identical_to_serial(
+    conformance, stokes_i_case, executor, kind
+):
+    """The Stokes-I corpus — (..., 1, 1) visibilities, (1, G, G) grids,
+    1x1 scalar A-term fields — is bit-identical across executors too."""
+    reference = conformance.reference(stokes_i_case)[kind]
+    result = conformance.run(executor, stokes_i_case, kind)
+    assert result.dtype == reference.dtype
+    assert np.array_equal(result, reference)
+
+
+def test_one_correlation_cases_grid_one_plane(conformance):
+    """The Stokes-I cases really run one correlation: a (1, G, G) grid, a
+    (..., 1, 1) prediction, and 1x1 A-term fields in the A-term case."""
+    by_name = {c.name: c for c in conformance.stokes_i_cases}
+    for case in by_name.values():
+        reference = conformance.reference(case)
+        assert reference["grid"].shape[0] == 1
+        assert reference["degrid"].shape[-2:] == (1, 1)
+    fields = conformance.workload(by_name["stokes-i-aterms"])["aterm_kwargs"]["aterm_fields"]
+    assert fields and all(f.shape[-2:] == (1, 1) for f in fields.values())

@@ -87,6 +87,39 @@ def test_visibility_totals_match_plan(paper_like_plan):
     assert gridder_counts(paper_like_plan).visibilities == st.n_visibilities_gridded
 
 
+def test_one_correlation_counts(paper_like_plan):
+    """Stokes I alone: 5 FMAs per (pixel, visibility) — the phase plus one
+    complex multiply-add — instead of 17, the same sincos count, a quarter
+    of the visibility and subgrid bytes, one subgrid FFT per subgrid and one
+    grid plane in the adder."""
+    pixel_vis = _total_pixel_vis(paper_like_plan)
+    for counts in (gridder_counts, degridder_counts):
+        four, one = counts(paper_like_plan), counts(paper_like_plan, correlations=1)
+        assert one.sincos_evals == four.sincos_evals == pixel_vis
+        assert one.rho == pytest.approx(5, rel=0.01)
+        assert one.fmas < four.fmas / 3
+        assert one.bytes_device < four.bytes_device / 3
+        assert one.visibilities == four.visibilities
+        with_a = counts(paper_like_plan, with_aterms=True, correlations=1)
+        assert one.fmas < with_a.fmas < four.fmas
+    four_fft = subgrid_fft_counts(paper_like_plan)
+    one_fft = subgrid_fft_counts(paper_like_plan, correlations=1)
+    assert one_fft.flops == pytest.approx(four_fft.flops / 4)
+    assert one_fft.bytes_device == pytest.approx(four_fft.bytes_device / 4)
+    four_add = adder_counts(paper_like_plan)
+    one_add = adder_counts(paper_like_plan, correlations=1)
+    assert one_add.fmas == pytest.approx(four_add.fmas / 4)
+    assert one_add.bytes_device == pytest.approx(four_add.bytes_device / 4)
+
+
+@pytest.mark.parametrize(
+    "counts", [gridder_counts, degridder_counts, subgrid_fft_counts, adder_counts]
+)
+def test_correlations_must_be_one_or_four(paper_like_plan, counts):
+    with pytest.raises(ValueError, match="correlations"):
+        counts(paper_like_plan, correlations=2)
+
+
 def test_wprojection_counts_quadratic_in_support():
     small = wprojection_counts(1000, support=8)
     large = wprojection_counts(1000, support=16)

@@ -5,8 +5,10 @@ Snapshots are written by the call's ``WorkGroupProgram``, so the run tests
 are parametrized over the four executors.  The invariant they pin: every
 snapshot on disk holds exactly the plan-order sum of its completed set,
 ``n_retired`` counts every retired group (resumed ones included), and an add
-that raised part-way stops all further snapshots for the call.
+that raised part-way fails the call and stops all further snapshots for it.
 """
+
+import zipfile
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.runtime import (
     plan_signature,
     save_checkpoint,
 )
+from repro.runtime.checkpoint import CHECKPOINT_VERSION
 
 WORK_GROUP_SIZE = 5
 EXECUTORS = ("serial", "threads", "streaming", "processes")
@@ -188,9 +191,9 @@ def test_torn_add_leaves_last_good_snapshot(
     clean_grid, n_groups, tmp_path,
 ):
     """An add that raises after adding part of group k leaves the grid
-    holding part of a group: the snapshot on disk must stay the last good
-    one (the plan-order sum of its completed set), which then resumes
-    bit-exactly."""
+    holding part of a group: the run raises, tolerant or not, and the
+    snapshot on disk must stay the last good one (the plan-order sum of its
+    completed set), which then resumes bit-exactly."""
     k = 2
     tear = list(small_plan.work_groups(WORK_GROUP_SIZE))[k][0]
     tearing = idg.with_config(max_retries=max_retries, retry_backoff_s=0.0)
@@ -198,15 +201,9 @@ def test_torn_add_leaves_last_good_snapshot(
     ckpt = tmp_path / "torn.npz"
     checkpoint = CheckpointConfig(path=str(ckpt), interval=1)
     uvw_m = small_obs.uvw_m
-    if max_retries == 0:
-        with pytest.raises(WorkGroupError, match="adder"):
-            run_grid(executor, tearing, small_plan, uvw_m, single_source_vis,
-                     checkpoint=checkpoint)
-    else:
-        _, engine = run_grid(executor, tearing, small_plan, uvw_m,
-                             single_source_vis, checkpoint=checkpoint)
-        letters = engine.last_fault_report.dead_letters
-        assert [(d.stage, d.group) for d in letters] == [("adder", k)]
+    with pytest.raises(WorkGroupError, match="adder"):
+        run_grid(executor, tearing, small_plan, uvw_m, single_source_vis,
+                 checkpoint=checkpoint)
 
     snap = load_checkpoint(ckpt)
     assert snap.completed_set == frozenset(range(k))
@@ -220,6 +217,53 @@ def test_torn_add_leaves_last_good_snapshot(
         checkpoint=CheckpointConfig(resume_from=str(ckpt)),
     )
     assert np.array_equal(resumed, clean_grid)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_torn_add_is_fatal_in_tolerant_mode(
+    executor, small_idg, small_plan, small_obs, single_source_vis, tmp_path,
+):
+    """A tolerant run (``max_retries=1``, groups of 4) whose adder adds one
+    subgrid of group 3 and then raises must not return a grid: a retry
+    would add that part again, and quarantining the group would return a
+    grid holding parts of it.  ``retire`` raises a WorkGroupError naming
+    the adder stage and the group, and the snapshot before the tear stays
+    on disk."""
+    size = 4
+    tearing = small_idg.with_config(
+        work_group_size=size, max_retries=1, retry_backoff_s=0.0
+    )
+    tearing.backend = TearingBackend(list(small_plan.work_groups(size))[3][0])
+    ckpt = tmp_path / "torn.npz"
+    with pytest.raises(WorkGroupError) as raised:
+        run_grid(
+            executor, tearing, small_plan, small_obs.uvw_m, single_source_vis,
+            checkpoint=CheckpointConfig(path=str(ckpt), interval=1),
+        )
+    assert (raised.value.stage, raised.value.group) == ("adder", 3)
+    assert "torn add" in str(raised.value)
+    snap = load_checkpoint(ckpt, signature=plan_signature(small_plan, size))
+    assert snap.completed_set == frozenset(range(3))
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_resume_rejects_a_different_plane_count(
+    executor, idg, small_plan, small_obs, single_source_vis, tmp_path,
+):
+    """A four-correlation snapshot cannot seed a one-correlation grid: the
+    resume raises instead of broadcasting one grid into the other."""
+    ckpt = tmp_path / "four.npz"
+    run_grid(
+        executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(path=str(ckpt), interval=1000),
+    )
+    stokes_i = 0.5 * (single_source_vis[..., 0, 0] + single_source_vis[..., 1, 1])
+    with pytest.raises(ValueError, match="correlations"):
+        run_grid(
+            executor, idg, small_plan, small_obs.uvw_m,
+            stokes_i[..., np.newaxis, np.newaxis].astype(COMPLEX_DTYPE),
+            checkpoint=CheckpointConfig(resume_from=str(ckpt)),
+        )
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -345,7 +389,7 @@ def test_checkpoint_write_is_atomic(tmp_path, small_plan, monkeypatch):
         fh.write(b"partial")
         raise OSError("power loss")
 
-    monkeypatch.setattr(atomicio.np, "savez_compressed", dying_savez)
+    monkeypatch.setattr(atomicio.np, "savez", dying_savez)
     with pytest.raises(OSError):
         save_checkpoint(path, grid, [0, 1, 2], sig)
     monkeypatch.undo()
@@ -353,6 +397,34 @@ def test_checkpoint_write_is_atomic(tmp_path, small_plan, monkeypatch):
     snap = load_checkpoint(path, signature=sig)
     assert snap.completed_set == frozenset({0, 1})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz"]
+
+
+def test_snapshots_are_uncompressed_and_compressed_ones_still_load(
+    tmp_path, small_plan
+):
+    """Snapshots are stored, not deflated; an archive compressed by an
+    earlier build still loads."""
+    sig = plan_signature(small_plan, 5)
+    rng = np.random.default_rng(3)
+    grid = (rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))).astype(
+        np.complex64
+    )
+    path = save_checkpoint(tmp_path / "plain", grid, [0, 1], sig, n_retired=3)
+    with zipfile.ZipFile(path) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+    compressed = tmp_path / "compressed.npz"
+    np.savez_compressed(
+        compressed, checkpoint_version=np.int64(CHECKPOINT_VERSION),
+        signature=np.str_(sig), grid=grid, completed=np.array([0, 1]),
+        n_retired=np.int64(3),
+    )
+    with zipfile.ZipFile(compressed) as archive:
+        assert zipfile.ZIP_DEFLATED in {i.compress_type for i in archive.infolist()}
+    for archive_path in (path, compressed):
+        snap = load_checkpoint(archive_path, signature=sig)
+        assert np.array_equal(snap.grid, grid)
+        assert snap.completed_set == frozenset({0, 1})
+        assert snap.n_retired == 3
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
