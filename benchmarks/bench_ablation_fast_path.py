@@ -14,8 +14,11 @@ dashed bounds) the model says this recovers most of the gap to the FMA
 peak; this bench times the two production gridder kernels —
 ``gridder_bucket_fast`` (recurrence) against ``gridder_bucket`` (direct
 sum) — on the same gathered bucket of work items, and pins the accuracy.
+Each kernel's time is the median of :data:`REPEATS` interleaved calls: one
+call is too noisy on a shared host to hold a bound.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -36,6 +39,15 @@ from repro.perfmodel.architectures import FIJI, HASWELL
 from repro.perfmodel.opcount import FMAS_PER_PIXEL_VIS
 from repro.perfmodel.sincos import mixed_throughput_ops
 from repro.runtime.blas import single_threaded_blas
+
+#: Timed calls per kernel; the reported time is their median.
+REPEATS = 9
+
+#: The recurrence must beat the direct sum by this factor.  The float64
+#: kernels measured 2-3x; in single precision sin/cos is ~10x cheaper, so
+#: the direct sum gained more.  Eight runs of the median-of-9 timing on the
+#: 2-vCPU KVM host measured 1.85-2.02x, median 1.90x (EXPERIMENTS.md).
+MIN_SPEEDUP = 1.5
 
 
 def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis,
@@ -64,13 +76,16 @@ def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis
     }
 
     def measure():
-        results = {}
         grids = {}
         for name, kernel in kernels.items():
-            kernel()  # warm the arena so the timed call allocates nothing
-            t0 = time.perf_counter()
-            grids[name] = kernel().copy()  # the result is an arena view
-            results[name] = time.perf_counter() - t0
+            grids[name] = kernel().copy()  # warms the arena; result is a view
+        seconds = {name: [] for name in kernels}
+        for _ in range(REPEATS):
+            for name, kernel in kernels.items():
+                t0 = time.perf_counter()
+                kernel()
+                seconds[name].append(time.perf_counter() - t0)
+        results = {name: statistics.median(t) for name, t in seconds.items()}
         scale = float(np.abs(grids["direct"]).max())
         results["max_diff"] = float(
             np.abs(grids["recurrence"] - grids["direct"]).max()
@@ -103,7 +118,7 @@ def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis
     )
 
     assert results["max_diff"] < 1e-5
-    assert speedup > 2.0  # the measured win on this host
+    assert speedup > MIN_SPEEDUP  # the measured win on this host
     # the model agrees the win is biggest for software-sincos architectures
     assert mixed_throughput_ops(HASWELL, rho_fast) > 2 * mixed_throughput_ops(
         HASWELL, 17.0

@@ -33,6 +33,7 @@ from repro.aterms.generators import GainATerm
 from repro.aterms.schedule import ATermSchedule
 from repro.calibration.gains import corrupt_with_gains
 from repro.calibration.stefcal import stefcal
+from repro.constants import FLOAT_DTYPE
 from repro.imaging.clean import (
     CleanResult,
     check_loop_gain,
@@ -330,7 +331,7 @@ def self_calibrate(
     gains = np.ones((n_intervals, n_stations), dtype=np.complex128)
     model = np.zeros((g, g), dtype=np.float64)
     model_vis = np.zeros_like(visibilities)
-    residual_image = np.zeros((g, g), dtype=np.float64)
+    residual_image = np.zeros((g, g), dtype=FLOAT_DTYPE)
     history: list[SelfCalIteration] = []
     converged = False
 

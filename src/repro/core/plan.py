@@ -310,6 +310,9 @@ class Plan:
         # the coverage window by up to half a cell each way, hence the -2.
         usable = subgrid_size - 2
         grid_size = gridspec.grid_size
+        intervals = np.broadcast_to(
+            schedule.interval_of(np.arange(n_times)), (n_times,)
+        ).tolist()
 
         rows: list[tuple] = []
         flagged = np.zeros((n_bl, n_times, n_chan), dtype=bool)
@@ -319,6 +322,9 @@ class Plan:
             # (T, C) pixel coordinates of this baseline's visibilities.
             bu = uvw_m[b, :, 0, np.newaxis] * scale * gridspec.image_size + half_grid
             bv = uvw_m[b, :, 1, np.newaxis] * scale * gridspec.image_size + half_grid
+            # per-timestep (u_min, u_max, v_min, v_max) lists of each channel
+            # range, reduced once: the greedy walk below runs on floats
+            extremes: dict[tuple[int, int], tuple[list[float], ...]] = {}
 
             # work queue of (t_start, c0, c1) segments, LIFO order is fine
             segments = [(0, 0, n_chan)]
@@ -326,20 +332,20 @@ class Plan:
                 t0, c0, c1 = segments.pop()
                 if t0 >= n_times:
                     continue
-                interval = int(schedule.interval_of(t0))
-
-                def span_ok(umin, umax, vmin, vmax):
-                    return (
-                        umax - umin + kernel_support <= usable
-                        and vmax - vmin + kernel_support <= usable
+                interval = intervals[t0]
+                if (c0, c1) not in extremes:
+                    u, v = bu[:, c0:c1], bv[:, c0:c1]
+                    extremes[c0, c1] = (
+                        u.min(axis=1).tolist(), u.max(axis=1).tolist(),
+                        v.min(axis=1).tolist(), v.max(axis=1).tolist(),
                     )
+                u_lo, u_hi, v_lo, v_hi = extremes[c0, c1]
+                umin, umax, vmin, vmax = u_lo[t0], u_hi[t0], v_lo[t0], v_hi[t0]
 
-                u_slice = bu[t0, c0:c1]
-                v_slice = bv[t0, c0:c1]
-                umin, umax = float(u_slice.min()), float(u_slice.max())
-                vmin, vmax = float(v_slice.min()), float(v_slice.max())
-
-                if not span_ok(umin, umax, vmin, vmax):
+                if not (
+                    umax - umin + kernel_support <= usable
+                    and vmax - vmin + kernel_support <= usable
+                ):
                     if c1 - c0 == 1:
                         # A single visibility's footprint exceeds the subgrid
                         # (can only happen with tiny subgrids): flag it.
@@ -353,18 +359,16 @@ class Plan:
 
                 # Greedily extend in time.
                 t1 = t0 + 1
-                while (
-                    t1 < n_times
-                    and (t1 - t0) < time_max
-                    and int(schedule.interval_of(t1)) == interval
-                ):
-                    u_next = bu[t1, c0:c1]
-                    v_next = bv[t1, c0:c1]
-                    numin = min(umin, float(u_next.min()))
-                    numax = max(umax, float(u_next.max()))
-                    nvmin = min(vmin, float(v_next.min()))
-                    nvmax = max(vmax, float(v_next.max()))
-                    if not span_ok(numin, numax, nvmin, nvmax):
+                t_end = min(n_times, t0 + time_max)
+                while t1 < t_end and intervals[t1] == interval:
+                    numin = min(umin, u_lo[t1])
+                    numax = max(umax, u_hi[t1])
+                    nvmin = min(vmin, v_lo[t1])
+                    nvmax = max(vmax, v_hi[t1])
+                    if not (
+                        numax - numin + kernel_support <= usable
+                        and nvmax - nvmin + kernel_support <= usable
+                    ):
                         break
                     umin, umax, vmin, vmax = numin, numax, nvmin, nvmax
                     t1 += 1
@@ -372,7 +376,7 @@ class Plan:
                 # Place the subgrid: centre the *coverage window* (cells
                 # corner + support/2 .. corner + N-1 - support/2, whose
                 # midpoint is corner + (N-1)/2) on the bbox centre, then
-                # clamp to the grid.  With the -2 slack in span_ok this
+                # clamp to the grid.  With the -2 slack in the span test this
                 # placement provably covers the bbox for interior subgrids.
                 cu = int(np.rint((umin + umax) / 2.0 - (subgrid_size - 1) / 2.0))
                 cv = int(np.rint((vmin + vmax) / 2.0 - (subgrid_size - 1) / 2.0))

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.constants import COMPLEX_DTYPE
+from repro.constants import COMPLEX_DTYPE, FLOAT_DTYPE
 
 
 @dataclass
@@ -31,11 +31,12 @@ class CleanResult:
     Attributes
     ----------
     components:
-        ``(n_components, 3)`` array of (row, col, flux).
+        ``(n_components, 3)`` float64 array of (row, col, flux).
     model_image:
-        Component image (same shape as the input dirty image).
+        float64 component image (same shape as the input dirty image).
     residual:
-        Residual dirty image after subtraction.
+        Residual dirty image after subtraction, in the dirty image's
+        precision.
     n_iterations:
         Number of minor-cycle iterations performed.
     converged:
@@ -62,6 +63,10 @@ def hogbom_clean(
     window: np.ndarray | None = None,
 ) -> CleanResult:
     """Hogbom CLEAN of a real dirty image.
+
+    The residual, the PSF and the peak search run in the dirty image's
+    precision (``FLOAT_DTYPE`` from every FT processor; a float64 image
+    stays float64); the components and the component image are float64.
 
     Parameters
     ----------
@@ -115,11 +120,13 @@ def hogbom_clean(
         if not outside.any():
             outside = None
 
-    residual = dirty.astype(np.float64).copy()
-    model = np.zeros_like(residual)
+    dtype = np.result_type(dirty.dtype, FLOAT_DTYPE)
+    residual = dirty.astype(dtype)
+    psf = np.asarray(psf, dtype=dtype)
+    model = np.zeros(residual.shape, dtype=np.float64)
     comps: list[tuple[int, int, float]] = []
     box = residual[row0:row1, col0:col1]
-    search = np.empty(box.shape)
+    search = np.empty(box.shape, dtype=dtype)
 
     converged = False
     iteration = 0
@@ -202,9 +209,10 @@ def clean_window(grid_size: int, fraction: float) -> np.ndarray | None:
 
 
 def windowed_rms(image: np.ndarray, window: np.ndarray | None) -> float:
-    """RMS of ``image`` inside ``window`` (everywhere when ``None``)."""
+    """RMS of ``image`` inside ``window`` (everywhere when ``None``),
+    accumulated in float64."""
     values = image[window] if window is not None else image
-    return float(np.sqrt((values**2).mean()))
+    return float(np.sqrt(np.mean(np.square(values), dtype=np.float64)))
 
 
 def windowed_peak(image: np.ndarray, window: np.ndarray | None) -> float:
@@ -218,7 +226,7 @@ def peak_normalised_psf(
 ) -> np.ndarray:
     """PSF: ``dirty_image`` of unpolarised unit visibilities (``XX = YY =
     1``) of ``(n_bl, T, C)`` layout ``vis_shape``, normalised to 1 at the
-    image centre."""
+    image centre, in the image's precision."""
     unit = np.zeros(vis_shape + (2, 2), dtype=COMPLEX_DTYPE)
     unit[..., 0, 0] = 1.0
     unit[..., 1, 1] = 1.0

@@ -24,9 +24,10 @@ result is ``np.array_equal`` across executors.
 
 Normalisation contract: everything here is Stokes I.  ``invert`` returns an
 :class:`InvertResult` whose ``image`` is the real, taper-corrected
-``(G, G)`` Stokes-I dirty image in flux units; ``predict`` takes a real
-``(G, G)`` Stokes-I model (any other shape raises ``ValueError``) and
-returns ``(n_bl, T, C, 2, 2)`` visibilities with ``XX = YY = I``.
+``(G, G)`` Stokes-I dirty image in flux units, in ``FLOAT_DTYPE``;
+``predict`` takes a real ``(G, G)`` Stokes-I model (any other shape raises
+``ValueError``) and returns ``(n_bl, T, C, 2, 2)`` visibilities with
+``XX = YY = I``.
 
 Stokes I is also all that is gridded, whenever the A-terms allow it.  With
 no A-terms, or with fields that are each a scalar times the identity at
@@ -55,7 +56,7 @@ import numpy as np
 from repro.aterms.generators import ATermGenerator
 from repro.aterms.jones import scalar_jones_fields
 from repro.aterms.schedule import ATermSchedule
-from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE
+from repro.constants import COMPLEX_DTYPE, FLOAT_DTYPE
 from repro.core.pipeline import IDG
 from repro.core.plan import Plan
 from repro.core.wstack import WLayer, split_plan_by_w
@@ -69,10 +70,14 @@ from repro.imaging.facets import (
     facet_shifted_uvw,
     plan_facets,
 )
-from repro.imaging.image import dirty_image_from_grid, model_image_to_grid
+from repro.imaging.image import (
+    apply_grid_correction,
+    dirty_image_from_grid,
+    model_image_to_grid,
+)
 from repro.imaging.weighting import apply_weights
 from repro.kernels.fft import centered_fft2, centered_ifft2
-from repro.kernels.spheroidal import grid_correction
+from repro.kernels.spheroidal import grid_correction_window
 from repro.kernels.wkernel import n_term
 
 __all__ = [
@@ -209,7 +214,7 @@ class ImagingContext:
 class InvertResult:
     """Normalised dirty image plus the weight that normalised it."""
 
-    image: np.ndarray  # (G, G) real Stokes I, taper-corrected, flux units
+    image: np.ndarray  # (G, G) FLOAT_DTYPE Stokes I, taper-corrected, flux units
     weight_sum: float
 
     @property
@@ -333,7 +338,8 @@ class _Field:
     w screen ``exp(+2πi w_p n(l, m))`` divided by the taper — is built for
     all layers at once on first use and kept: ``invert`` multiplies each
     layer's image by its screen, ``predict`` multiplies the model by the
-    conjugate.
+    conjugate.  Both run at the precision of the ``COMPLEX_DTYPE`` grids
+    (:mod:`repro.imaging.image`).
     """
 
     def __init__(
@@ -360,19 +366,29 @@ class _Field:
         self._screens: np.ndarray | None = None
 
     def _layer_screens(self) -> np.ndarray:
-        """``(P, g, g)`` screens ``exp(+2πi w_p n(l, m)) / taper`` of the
-        P w-layers (built by one ``np.exp`` on first use)."""
+        """``(P, g, g)`` ``COMPLEX_DTYPE`` screens ``exp(+2πi w_p n(l, m)) /
+        taper`` of the P w-layers, built on first use: each phase is formed
+        in float64 and reduced to one cycle, then rounded once, so the
+        single-precision sin/cos sees an argument in ``[-π, π]``."""
         if self._screens is None:
             gs = self.idg.gridspec
             g = gs.grid_size
             coords = (np.arange(g) - g // 2) * (gs.image_size / g)
             n = n_term(coords[np.newaxis, :], coords[:, np.newaxis])
             w = np.array([layer.w_centre for layer in self.layers])
-            screens = np.exp(2.0j * np.pi * w[:, np.newaxis, np.newaxis] * n)
-            screens /= grid_correction(
-                g, taper=self.idg.config.taper, beta=self.idg.config.taper_beta
+            phase = w[:, np.newaxis, np.newaxis] * n  # in turns
+            phase -= np.rint(phase)
+            phase *= 2.0 * np.pi
+            phase = phase.astype(FLOAT_DTYPE)
+            screens = np.empty(phase.shape, dtype=COMPLEX_DTYPE)
+            np.cos(phase, out=screens.real)
+            np.sin(phase, out=screens.imag)
+            self._screens = apply_grid_correction(
+                screens,
+                grid_correction_window(
+                    g, taper=self.idg.config.taper, beta=self.idg.config.taper_beta
+                ),
             )
-            self._screens = screens
         return self._screens
 
     def _resolve_aterms(
@@ -433,16 +449,19 @@ class _Field:
                     taper=self.idg.config.taper,
                     taper_beta=self.idg.config.taper_beta,
                 )
-            ).copy()
+            ).astype(FLOAT_DTYPE)
         g = self.idg.gridspec.grid_size
-        accum = np.zeros((g, g), dtype=ACCUM_DTYPE)
+        image = np.zeros((g, g), dtype=FLOAT_DTYPE)
         for layer, screen in zip(self.layers, self._layer_screens()):
             grid = self.engine.grid(
                 layer.plan, self.uvw_m, visibilities, flags=flags,
                 aterm_fields=fields,
             )
-            accum += centered_ifft2(_stokes_i_plane(grid)) * screen
-        return accum.real * (g * g / weight_sum)
+            layer_image = centered_ifft2(_stokes_i_plane(grid))
+            layer_image *= screen
+            image += layer_image.real
+        image *= g * g / weight_sum
+        return image
 
     def predict(
         self, model: np.ndarray, aterms: ATermGenerator | None
@@ -470,9 +489,16 @@ class _Field:
         out = np.zeros(
             (n_bl, n_times, self.plan.n_channels, a, a), dtype=COMPLEX_DTYPE
         )
+        # rounded once and scaled by G**2, which the forward-normalised
+        # transform (numpy's fast complex64 path) divides out again
+        scaled = model.astype(FLOAT_DTYPE)
+        scaled *= g * g
+        screened = np.empty((g, g), dtype=COMPLEX_DTYPE)
         grid = np.zeros((a * a, g, g), dtype=COMPLEX_DTYPE)  # reused by every layer
         for layer, screen in zip(self.layers, self._layer_screens()):
-            _set_stokes_i(grid, centered_fft2(model * np.conj(screen)))
+            np.conjugate(screen, out=screened)
+            screened *= scaled
+            _set_stokes_i(grid, centered_fft2(screened, norm="forward"))
             # the layers' work items cover disjoint visibility blocks
             out += self.engine.degrid(
                 layer.plan, self.uvw_m, grid, aterm_fields=fields
@@ -669,7 +695,7 @@ class _FacetedProcessor:
         weighted = _weighted(visibilities, weights)
         aterms_ = self._aterms(aterms)
         g = self.scheme.master.grid_size
-        mosaic = np.zeros((g, g), dtype=np.float64)
+        mosaic = np.zeros((g, g), dtype=FLOAT_DTYPE)
         # each facet normalises by its own gridded weight (the uv shift can
         # move samples on/off the grid edge per facet)
         for index in range(len(self.scheme.facets)):

@@ -93,12 +93,16 @@ def kaiser_bessel_taper(n_pixels: int, beta: float = 9.0) -> np.ndarray:
     strictly positive on the open interval, which avoids divide-by-zero in the
     grid correction everywhere except the exact image edge.
     """
+    window = _kaiser_bessel_window(n_pixels, beta)
+    return np.outer(window, window)
+
+
+def _kaiser_bessel_window(n_pixels: int, beta: float) -> np.ndarray:
     from numpy import i0
 
     xi = _normalised_coordinates(n_pixels)
     arg = np.clip(1.0 - xi * xi, 0.0, None)
-    window = i0(beta * np.sqrt(arg)) / i0(beta)
-    return np.outer(window, window)
+    return i0(beta * np.sqrt(arg)) / i0(beta)
 
 
 def _normalised_coordinates(n_pixels: int) -> np.ndarray:
@@ -119,6 +123,33 @@ def spheroidal_taper(n_pixels: int) -> np.ndarray:
     return np.outer(window, window)
 
 
+def taper_window(n_pixels: int, taper: str = "spheroidal", beta: float = 9.0) -> np.ndarray:
+    """The ``(n,)`` 1-D window whose outer product with itself is the 2-D
+    taper (:func:`spheroidal_taper`, :func:`kaiser_bessel_taper`)."""
+    if taper == "spheroidal":
+        return evaluate_prolate_spheroidal(_normalised_coordinates(n_pixels))
+    if taper == "kaiser-bessel":
+        return _kaiser_bessel_window(n_pixels, beta)
+    raise ValueError(f"unknown taper {taper!r}; expected 'spheroidal' or 'kaiser-bessel'")
+
+
+def grid_correction_window(
+    n_pixels: int, taper: str = "spheroidal", beta: float = 9.0
+) -> np.ndarray:
+    """The ``(n,)`` 1-D factor of the grid correction.
+
+    Both tapers are separable, so :func:`grid_correction` is the outer
+    product of this window with itself, and dividing an image by the window
+    along its rows and then along its columns applies the correction without
+    building the ``(n, n)`` array.  Zero entries become ``inf``, as in
+    :func:`grid_correction`, so dividing zeroes their row and column instead
+    of emitting NaNs.
+    """
+    window = taper_window(n_pixels, taper, beta)
+    window[window == 0.0] = np.inf
+    return window
+
+
 def grid_correction(n_pixels: int, taper: str = "spheroidal", beta: float = 9.0) -> np.ndarray:
     """Image-domain correction: the taper evaluated on the *fine* image raster.
 
@@ -126,17 +157,11 @@ def grid_correction(n_pixels: int, taper: str = "spheroidal", beta: float = 9.0)
     a model image must be divided by it before the forward FFT used in
     degridding.  Pixels where the taper is exactly zero (the extreme edge row
     and column of the spheroidal) are returned as ``inf`` so that dividing by
-    the correction cleanly zeroes them instead of emitting NaNs.
+    the correction cleanly zeroes them instead of emitting NaNs.  The imaging
+    path divides by :func:`grid_correction_window` twice instead.
     """
-    if taper == "spheroidal":
-        arr = spheroidal_taper(n_pixels)
-    elif taper == "kaiser-bessel":
-        arr = kaiser_bessel_taper(n_pixels, beta=beta)
-    else:
-        raise ValueError(f"unknown taper {taper!r}; expected 'spheroidal' or 'kaiser-bessel'")
-    out = arr.copy()
-    out[out == 0.0] = np.inf
-    return out
+    window = grid_correction_window(n_pixels, taper, beta)
+    return np.outer(window, window)
 
 
 #: Content-hash keyed cache behind :func:`taper_for` (the PR 4 ``lru_cache``
@@ -148,14 +173,8 @@ _TAPER_CACHE = ArtifactCache(max_bytes=64 * 1024 * 1024, name="kernels.taper")
 
 
 def _compute_taper(n_pixels: int, taper: str, beta: float) -> np.ndarray:
-    if taper == "spheroidal":
-        arr = spheroidal_taper(n_pixels)
-    elif taper == "kaiser-bessel":
-        arr = kaiser_bessel_taper(n_pixels, beta=beta)
-    else:
-        raise ValueError(
-            f"unknown taper {taper!r}; expected 'spheroidal' or 'kaiser-bessel'"
-        )
+    window = taper_window(n_pixels, taper, beta)
+    arr = np.outer(window, window)
     arr.setflags(write=False)
     return arr
 

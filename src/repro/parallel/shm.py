@@ -24,6 +24,10 @@ Lifecycle rules (the part that goes wrong in practice):
 * Segment names carry a per-arena prefix (``idgshm-<pid>-<token>``), so a
   leak is attributable to its run and the tests can scan ``/dev/shm`` for
   exactly this executor's segments.
+* ``close`` unmaps a segment at once unless a caller still holds its array
+  or a view of it; that segment is unmapped when the last one dies, so a
+  view that outlives ``close`` stays readable (``unlink`` still removes
+  the name at once).
 
 The class-level :meth:`live_segments` registry records every segment this
 process has created and not yet unlinked — the leak regression tests assert
@@ -35,6 +39,7 @@ from __future__ import annotations
 import os
 import secrets
 import threading
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import ClassVar, Mapping
@@ -164,13 +169,22 @@ class SharedArena:
         return tuple(self._arrays)
 
     def close(self) -> None:
-        """Drop this process's mappings (does not unlink)."""
+        """Drop this process's mappings (does not unlink).
+
+        A segment whose array is still alive, held by a caller or by one of
+        its views, is unmapped when that array dies instead.
+        """
+        arrays = {key: weakref.ref(array) for key, array in self._arrays.items()}
         self._arrays.clear()
-        for segment in self._segments.values():
-            try:
+        for key, ref in arrays.items():
+            segment, array = self._segments[key], ref()
+            if array is None:
                 segment.close()
-            except BufferError:  # a caller still holds a view; mapping leaks
-                pass             # until then, but the segment is still owned
+            else:
+                # the array holds no buffer export of the segment (so
+                # ``SharedMemory.close`` would not refuse): closing now
+                # would unmap pages its views still read
+                weakref.finalize(array, segment.close)
 
     def unlink(self) -> None:
         """Remove the segments from the system (owner only; idempotent)."""

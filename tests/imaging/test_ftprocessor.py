@@ -8,6 +8,7 @@ import pytest
 import repro.imaging.pipeline as pipeline
 from repro.aterms.generators import GainATerm, GaussianBeamATerm, LeakageATerm
 from repro.aterms.schedule import ATermSchedule
+from repro.constants import FLOAT_DTYPE
 from repro.core.pipeline import IDG, IDGConfig
 from repro.imaging.cycle import ImagingCycle
 from repro.imaging.image import dirty_image_from_grid, model_image_to_grid
@@ -89,9 +90,10 @@ PREDICTS = {
 def test_invert_recovers_source_flux(setup, kind):
     ctx = _context(setup)
     result = INVERTS[kind](ctx, setup[4])
-    # every kind returns the real (G, G) Stokes-I image; stokes_i aliases it
+    # every kind returns the real (G, G) Stokes-I image at the grids'
+    # single precision; stokes_i aliases it
     assert result.image.shape == (GRID, GRID)
-    assert result.image.dtype == np.float64
+    assert result.image.dtype == FLOAT_DTYPE
     assert result.stokes_i is result.image
     image = result.stokes_i
     row, col = _source_pixel(setup)

@@ -11,6 +11,11 @@ owner-side paths and the attach protocol.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -78,6 +83,46 @@ def test_unlink_is_idempotent():
     arena.close_and_unlink()
     arena.close_and_unlink()  # second teardown is a no-op
     _assert_no_leaks(arena.prefix)
+
+
+_VIEW_OUTLIVES_CLOSE = textwrap.dedent(
+    """
+    import os
+    import numpy as np
+    from repro.parallel.shm import SharedArena, shm_dir_entries
+
+    def mapped(prefix):
+        if not os.path.exists("/proc/self/maps"):
+            return False
+        with open("/proc/self/maps") as maps:
+            return prefix in maps.read()
+
+    arena = SharedArena()
+    view = arena.allocate("x", (1024, 1024), "complex64")[10:20]
+    view[:] = 3.0 + 4.0j
+    arena.close_and_unlink()
+    assert shm_dir_entries(arena.prefix) == ()  # the name is gone at once
+    assert SharedArena.live_segments() == frozenset()
+    assert abs(view).sum() == 5.0 * view.size
+    del view  # the last view: the pages are unmapped now
+    assert not mapped(arena.prefix)
+    """
+)
+
+
+def test_a_view_outliving_close_stays_readable():
+    """A view read after ``close_and_unlink`` used to read unmapped pages
+    and kill the process with SIGSEGV; run it in a child so a regression
+    fails this test instead of the suite."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _VIEW_OUTLIVES_CLOSE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""  # no "Exception ignored" from a failed close
 
 
 # ------------------------------------------------------------- executor level
