@@ -30,6 +30,8 @@ while the parent process keeps the instance that runs the adder.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.core.adder import add_subgrids as _add_subgrids
@@ -53,6 +55,24 @@ class KernelBackend:
     #: Registry name; subclasses override.
     name: str = "abstract"
 
+    # ----------------------------------------------------------- per call
+
+    def call_tables(
+        self,
+        plan: Plan,
+        lmn: np.ndarray | None,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None,
+        n_correlations: int,
+    ) -> Any:
+        """What this backend's kernels share across the work groups of one
+        call on ``plan``, derived once per call and passed back to every
+        :meth:`grid_work_group`/:meth:`degrid_work_group` call as
+        ``tables``, in place of ``lmn`` and ``aterm_fields``; ``None`` (the
+        default) when they share nothing, and the kernels take ``lmn`` and
+        ``aterm_fields`` instead.  The result is read-only: worker threads
+        share it."""
+        return None
+
     # ------------------------------------------------------------- gridder
 
     def grid_work_group(
@@ -65,6 +85,7 @@ class KernelBackend:
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        tables: Any = None,
     ) -> np.ndarray:
         """Grid work items ``start .. stop-1`` (Algorithm 1).
 
@@ -72,6 +93,8 @@ class KernelBackend:
         :func:`repro.parallel.bucketing.grid_work_group`; returns
         the ``(stop - start, N, N, a, a)`` image-domain subgrids of the
         ``(..., a, a)`` visibilities' ``a**2`` correlations (``a`` 1 or 2).
+        ``tables`` is this call's :meth:`call_tables`, when the caller
+        derived them, and then comes without ``lmn`` and ``aterm_fields``.
         """
         raise NotImplementedError
 
@@ -88,6 +111,7 @@ class KernelBackend:
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        tables: Any = None,
     ) -> None:
         """Degrid work items ``start .. stop-1`` (Algorithm 2).
 

@@ -11,6 +11,8 @@ than ``vectorized``; the test corpus keeps its work items tiny.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.backends.base import KernelBackend
@@ -38,6 +40,7 @@ class ReferenceBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        tables: Any = None,
     ) -> np.ndarray:
         n, a = plan.subgrid_size, visibilities.shape[-1]
         image_size = plan.gridspec.image_size
@@ -72,6 +75,7 @@ class ReferenceBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        tables: Any = None,
     ) -> None:
         image_size = plan.gridspec.image_size
         for k, index in enumerate(range(start, stop)):

@@ -21,6 +21,8 @@ import numpy as np
 
 from repro.backends.base import KernelBackend
 from repro.core.plan import Plan
+from repro.parallel.bucketing import CallTables
+from repro.parallel.bucketing import call_tables as _call_tables
 from repro.parallel.bucketing import degrid_work_group as _degrid_work_group
 from repro.parallel.bucketing import grid_work_group as _grid_work_group
 
@@ -29,6 +31,18 @@ class VectorizedBackend(KernelBackend):
     """BLAS-dispatched NumPy kernels (the paper's SIMD reduction, in gemm)."""
 
     name = "vectorized"
+
+    def call_tables(
+        self,
+        plan: Plan,
+        lmn: np.ndarray | None,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None,
+        n_correlations: int,
+    ) -> CallTables:
+        """The channel step, raster factors and stacked A-term table every
+        bucket chunk of the call reads
+        (:func:`repro.parallel.bucketing.call_tables`)."""
+        return _call_tables(plan, lmn, aterm_fields, n_correlations)
 
     def grid_work_group(
         self,
@@ -40,10 +54,11 @@ class VectorizedBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        tables: CallTables | None = None,
     ) -> np.ndarray:
         return _grid_work_group(
             plan, start, stop, uvw_m, visibilities, taper,
-            lmn=lmn, aterm_fields=aterm_fields,
+            lmn=lmn, aterm_fields=aterm_fields, tables=tables,
         )
 
     def degrid_work_group(
@@ -57,8 +72,9 @@ class VectorizedBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        tables: CallTables | None = None,
     ) -> None:
         _degrid_work_group(
             plan, start, stop, subgrid_images, uvw_m, visibilities_out,
-            taper, lmn=lmn, aterm_fields=aterm_fields,
+            taper, lmn=lmn, aterm_fields=aterm_fields, tables=tables,
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from math import isqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.analysis.contracts import shape_checked
 from repro.core.plan import Plan
@@ -94,12 +95,24 @@ def split_subgrids(
 ) -> np.ndarray:
     """Extract the ``(stop-start, N, N, a, a)`` uv-domain subgrids of an
     ``(a**2, G, G)`` grid for a work-item range (read-only on the grid; safe
-    to run concurrently)."""
+    to run concurrently), with one index of the grid's window view at the
+    items' corners.
+
+    Raises
+    ------
+    ValueError
+        When an item's window runs off the grid.
+    """
     n = plan.subgrid_size
     _check_grid(grid, plan)
-    out_pol = np.empty((stop - start, grid.shape[0], n, n), dtype=grid.dtype)
-    for k, index in enumerate(range(start, stop)):
-        row = plan.items[index]
-        cu, cv = int(row["corner_u"]), int(row["corner_v"])
-        out_pol[k] = grid[:, cv : cv + n, cu : cu + n]
-    return _pol_minor(out_pol)
+    g = grid.shape[-1]
+    rows = plan.items[start:stop]
+    corner_u, corner_v = rows["corner_u"], rows["corner_v"]
+    if len(rows) and (
+        min(corner_u.min(), corner_v.min()) < 0
+        or max(corner_u.max(), corner_v.max()) > g - n
+    ):
+        raise ValueError(f"a subgrid window of items {start}..{stop - 1} is off the grid")
+    # (G-N+1, G-N+1, a**2, N, N): every window of the grid, as a view
+    windows = np.moveaxis(sliding_window_view(grid, (n, n), axis=(1, 2)), 0, 2)
+    return _pol_minor(windows[corner_v, corner_u])

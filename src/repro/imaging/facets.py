@@ -172,7 +172,11 @@ def facet_rotation_phasor(
         + uvw_m[:, :, 1, np.newaxis] * m0
         + uvw_m[:, :, 2, np.newaxis] * n0
     ) * scale
-    return np.exp(sign * 2.0j * np.pi * path)
+    # exp(sign * 2j * pi * path), its phase and exponential formed in one
+    # complex128 buffer instead of two
+    phasor = np.multiply(sign * 2.0j * np.pi, path)
+    del path
+    return np.exp(phasor, out=phasor)
 
 
 def facet_shifted_uvw(uvw_m: np.ndarray, facet: Facet) -> np.ndarray:

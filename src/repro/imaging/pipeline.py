@@ -135,13 +135,7 @@ def make_engine(
         from repro.runtime import RuntimeConfig, StreamingIDG
 
         return StreamingIDG(
-            idg,
-            RuntimeConfig(
-                n_buffers=n_buffers,
-                gridder_workers=n_workers,
-                fft_workers=n_workers,
-                degridder_workers=n_workers,
-            ),
+            idg, RuntimeConfig(n_buffers=n_buffers, workers=n_workers)
         )
     if executor == "processes":
         from repro.parallel.process import ProcessConfig, ProcessShardedIDG
@@ -312,6 +306,26 @@ def _four_correlations(predicted: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rotate_visibilities(
+    visibilities: np.ndarray,
+    uvw_m: np.ndarray,
+    frequencies_hz: np.ndarray,
+    facet: Facet,
+    sign: float,
+) -> np.ndarray:
+    """Phase-rotate ``(n_bl, T, C, a, a)`` visibilities to (+1) / from (-1)
+    a facet centre (:func:`~repro.imaging.facets.facet_rotation_phasor`),
+    into a ``COMPLEX_DTYPE`` array: the complex128 product is rounded as it
+    is written, never held whole."""
+    phasor = facet_rotation_phasor(uvw_m, frequencies_hz, facet.l0, facet.m0, sign)
+    out = np.empty(visibilities.shape, dtype=COMPLEX_DTYPE)
+    np.multiply(
+        visibilities, phasor[..., np.newaxis, np.newaxis], out=out,
+        casting="same_kind",
+    )
+    return out
+
+
 def _weighted(
     visibilities: np.ndarray, weights: np.ndarray | None
 ) -> np.ndarray:
@@ -422,17 +436,21 @@ class _Field:
         aterms: ATermGenerator | None,
         flags: np.ndarray | None,
         weight_sum: float,
+        resolved: tuple[int, dict[tuple[int, int], np.ndarray] | None] | None = None,
     ) -> np.ndarray:
         """Normalised, taper-corrected real ``(g, g)`` Stokes-I image of
         this field, from a ``(1, g, g)`` grid of ``0.5 (XX + YY)`` when the
-        A-terms allow it (:meth:`_resolve_aterms`)."""
+        A-terms allow it (:meth:`_resolve_aterms`, or ``resolved`` when the
+        caller already resolved them).  ``visibilities`` are ``(..., 2, 2)``
+        or, when one correlation is gridded, already the ``(..., 1, 1)``
+        Stokes-I sample."""
         if weight_sum <= 0:
             raise ValueError(
                 "weight_sum must be positive — no unflagged visibility was "
                 "covered by the plan (or the imaging weights sum to zero)"
             )
-        a, fields = self._resolve_aterms(aterms)
-        if a == 1:
+        a, fields = resolved if resolved is not None else self._resolve_aterms(aterms)
+        if a == 1 and visibilities.shape[-1] == 2:
             visibilities = _stokes_i_visibilities(visibilities)
         if self.layers is None:
             grid = self.engine.grid(
@@ -466,10 +484,11 @@ class _Field:
     def predict(
         self, model: np.ndarray, aterms: ATermGenerator | None
     ) -> np.ndarray:
-        """Predicted ``(n_bl, T, C, 2, 2)`` visibilities of a ``(g, g)``
-        Stokes-I model on this field's raster (``XX = YY = I``), degridded
-        from one ``(1, g, g)`` plane when the A-terms allow it
-        (:meth:`_resolve_aterms`)."""
+        """Predicted ``(n_bl, T, C, a, a)`` visibilities of a ``(g, g)``
+        Stokes-I model on this field's raster, degridded from one ``(1, g,
+        g)`` plane (``a = 1``, the Stokes-I sample) when the A-terms allow it
+        (:meth:`_resolve_aterms`); :func:`_four_correlations` expands them
+        to ``XX = YY = I``."""
         g = self.idg.gridspec.grid_size
         a, fields = self._resolve_aterms(aterms)
         if self.layers is None:
@@ -482,9 +501,7 @@ class _Field:
             # allocated after the transform: its temporaries are freed by now
             grid = np.zeros((a * a, g, g), dtype=COMPLEX_DTYPE)
             _set_stokes_i(grid, plane)
-            return _four_correlations(
-                self.engine.degrid(self.plan, self.uvw_m, grid, aterm_fields=fields)
-            )
+            return self.engine.degrid(self.plan, self.uvw_m, grid, aterm_fields=fields)
         n_bl, n_times, _ = self.uvw_m.shape
         out = np.zeros(
             (n_bl, n_times, self.plan.n_channels, a, a), dtype=COMPLEX_DTYPE
@@ -503,7 +520,7 @@ class _Field:
             out += self.engine.degrid(
                 layer.plan, self.uvw_m, grid, aterm_fields=fields
             )
-        return _four_correlations(out)
+        return out
 
 
 # -------------------------------------------------------------- processors
@@ -569,7 +586,7 @@ class _SingleFieldProcessor:
         aterms: ATermGenerator | None = _UNSET,
     ) -> np.ndarray:
         model = _stokes_i_model(model_image, self.ctx.idg.gridspec.grid_size)
-        return self._field.predict(model, self._aterms(aterms))
+        return _four_correlations(self._field.predict(model, self._aterms(aterms)))
 
 
 class TwoDimFTProcessor(_SingleFieldProcessor):
@@ -643,15 +660,6 @@ class _FacetedProcessor:
 
     # -- per-facet helpers (loop bodies live here, not in the loop) --------
 
-    def _rotate(self, visibilities: np.ndarray, facet: Facet, sign: float) -> np.ndarray:
-        """Phase-rotate a visibility set to (+1) / from (-1) a facet centre."""
-        phasor = facet_rotation_phasor(
-            self.ctx.uvw_m, self.ctx.frequencies_hz, facet.l0, facet.m0, sign
-        )
-        return (visibilities * phasor[..., np.newaxis, np.newaxis]).astype(
-            COMPLEX_DTYPE
-        )
-
     def _facet_invert_into(
         self,
         mosaic: np.ndarray,
@@ -661,12 +669,18 @@ class _FacetedProcessor:
         flags: np.ndarray | None,
         weights: np.ndarray | None,
     ) -> None:
-        """Image one facet and place its central tile into the mosaic."""
+        """Image one facet and place its central tile into the mosaic.  A
+        field that grids one correlation rotates the Stokes-I sample alone."""
         facet = self.scheme.facets[index]
         field = self._fields[index]
-        rotated = self._rotate(visibilities, facet, sign=+1.0)
+        resolved = field._resolve_aterms(aterms)
+        if resolved[0] == 1:
+            visibilities = _stokes_i_visibilities(visibilities)
+        rotated = _rotate_visibilities(
+            visibilities, self.ctx.uvw_m, self.ctx.frequencies_hz, facet, sign=+1.0
+        )
         weight_sum = field.weight_sum(weights, flags)
-        image = field.invert(rotated, aterms, flags, weight_sum)
+        image = field.invert(rotated, aterms, flags, weight_sum, resolved=resolved)
         tile = extract_tile(image, self.scheme, facet)
         t = self.scheme.tile_size
         mosaic[facet.row0 : facet.row0 + t, facet.col0 : facet.col0 + t] = tile
@@ -677,11 +691,15 @@ class _FacetedProcessor:
         index: int,
         aterms: ATermGenerator | None,
     ) -> np.ndarray:
-        """One facet's (de-rotated) contribution to the predicted set."""
+        """One facet's (de-rotated) ``(..., a, a)`` contribution to the
+        predicted set: a one-correlation prediction is rotated before it is
+        expanded to XX and YY."""
         facet = self.scheme.facets[index]
         facet_model = embed_tile(model, self.scheme, facet)
         predicted = self._fields[index].predict(facet_model, aterms)
-        return self._rotate(predicted, facet, sign=-1.0)
+        return _rotate_visibilities(
+            predicted, self.ctx.uvw_m, self.ctx.frequencies_hz, facet, sign=-1.0
+        )
 
     # -- the two directions ------------------------------------------------
 
@@ -722,7 +740,12 @@ class _FacetedProcessor:
         # every sky component lives in exactly one facet's tile, so the
         # per-facet predictions add to the full-model prediction.
         for index in range(len(self.scheme.facets)):
-            out += self._facet_predict(model, index, aterms_)
+            predicted = self._facet_predict(model, index, aterms_)
+            if predicted.shape[-1] == 1:
+                out[..., 0, 0] += predicted[..., 0, 0]
+                out[..., 1, 1] += predicted[..., 0, 0]
+            else:
+                out += predicted
         return out
 
 

@@ -14,10 +14,14 @@ This module owns the bucketing pass and the gather/scatter between the
 observation-shaped arrays (``(n_baselines, n_times, n_channels, ...)``) and
 the stacked bucket tensors (``(G, T, 3)`` uvw, ``(G, T, C, K)``
 visibilities, ``(G, 3)`` subgrid offsets, ``(G, N, N, a, a)`` A-term
-fields).  Gathers write into :class:`~repro.core.scratch.ScratchArena`
-views so the steady state allocates nothing; the batched kernels in
+fields).  Each gather is one ``np.take`` of a C-contiguous array at linear
+indices built from the chunk's ``plan.items`` columns (and each scatter one
+indexed store), written into :class:`~repro.core.scratch.ScratchArena` views
+so the steady state allocates nothing; the batched kernels in
 :mod:`repro.core.gridder` / :mod:`repro.core.degridder` consume the stacked
-tensors directly.
+tensors directly.  What every chunk of a call shares — the channel step, the
+raster factors and the stacked A-term table — is derived once per call
+(:func:`call_tables`) and handed to the drivers.
 
 The correlation count comes from the data: ``(n_bl, T, C, a, a)``
 visibilities, or ``(k, N, N, a, a)`` subgrids for the degridder, give
@@ -37,6 +41,7 @@ from repro.aterms.jones import identity_jones_field
 from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, SPEED_OF_LIGHT
 from repro.core.degridder import degridder_bucket, degridder_bucket_fast
 from repro.core.gridder import (
+    RasterFactors,
     gridder_bucket,
     gridder_bucket_fast,
     raster_factors,
@@ -46,7 +51,11 @@ from repro.core.plan import Plan
 from repro.core.scratch import ScratchArena, thread_arena
 
 __all__ = [
+    "ATermTable",
     "Bucket",
+    "CallTables",
+    "aterm_table",
+    "call_tables",
     "bucket_work_items",
     "iter_bucket_chunks",
     "max_bucket_items",
@@ -55,7 +64,7 @@ __all__ = [
     "gather_scale0",
     "gather_rel_uvw",
     "gather_visibilities",
-    "gather_aterm_fields",
+    "gather_aterm_table",
     "scatter_visibilities",
     "grid_work_group",
     "degrid_work_group",
@@ -114,13 +123,15 @@ def bucket_work_items(plan: Plan, start: int, stop: int) -> tuple[Bucket, ...]:
     sorting round-trips to ``range(start, stop)``.
     """
     rows = plan.items[start:stop]
-    n_times = rows["time_end"] - rows["time_start"]
-    n_channels = rows["channel_end"] - rows["channel_start"]
+    shapes = zip(
+        (rows["time_end"] - rows["time_start"]).tolist(),
+        (rows["channel_end"] - rows["channel_start"]).tolist(),
+    )
     grouped: dict[tuple[int, int], list[int]] = {}
-    for k in range(len(rows)):
-        grouped.setdefault((int(n_times[k]), int(n_channels[k])), []).append(start + k)
+    for index, shape in enumerate(shapes, start):
+        grouped.setdefault(shape, []).append(index)
     return tuple(
-        Bucket(t, c, np.asarray(indices, dtype=np.int64))
+        Bucket(t, c, np.array(indices, dtype=np.int64))
         for (t, c), indices in grouped.items()
     )
 
@@ -157,6 +168,58 @@ def iter_bucket_chunks(bucket: Bucket, max_items: int) -> Iterator[np.ndarray]:
 # ------------------------------------------------------------------ gathers
 
 
+def _chunk(plan: Plan, indices: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The chunk's ``plan.items`` rows and their ``(n_times, n_channels)``
+    block shape, which every item must share (one bucket chunk)."""
+    rows = plan.items[indices]
+    if not len(rows):
+        return rows, 0, 0
+    n_times = rows["time_end"] - rows["time_start"]
+    n_channels = rows["channel_end"] - rows["channel_start"]
+    t, c = int(n_times[0]), int(n_channels[0])
+    if (n_times != t).any() or (n_channels != c).any():
+        raise ValueError("a bucket chunk's items must share one block shape")
+    return rows, t, c
+
+
+def _first_short_block(rows: np.ndarray, shape: tuple[int, ...]) -> int | None:
+    """Position of the first item whose ``[baseline, t0:t1, c0:c1]`` slice
+    of an array of leading shape ``shape`` would come out short (or whose
+    baseline is out of range), else ``None``."""
+    bad = (rows["baseline"] >= shape[0]) | (rows["time_end"] > shape[1])
+    if len(shape) > 2:
+        bad |= rows["channel_end"] > shape[2]
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _time_index(rows: np.ndarray, t: int, n_times: int) -> np.ndarray:
+    """``(G, t)`` linear indices of the items' ``(baseline, time)`` rows in
+    a C-ordered ``(n_bl, n_times)`` array."""
+    first = rows["baseline"].astype(np.intp) * n_times + rows["time_start"]
+    return first[:, np.newaxis] + np.arange(t)
+
+
+def _block_index(
+    rows: np.ndarray, t: int, c: int, n_times: int, n_channels: int
+) -> np.ndarray:
+    """``(G, t, c)`` linear indices of the items' ``(t, c)`` blocks' samples
+    in a C-ordered ``(n_bl, n_times, n_channels)`` array."""
+    times = _time_index(rows, t, n_times) * n_channels
+    channels = rows["channel_start"][:, np.newaxis] + np.arange(c)
+    return times[:, :, np.newaxis] + channels[:, np.newaxis, :]
+
+
+def _check_uvw(rows: np.ndarray, uvw_m: np.ndarray) -> None:
+    short = _first_short_block(rows, uvw_m.shape[:2])
+    if short is not None:
+        row = rows[short]
+        block = uvw_m[int(row["baseline"]), int(row["time_start"]) : int(row["time_end"])]
+        raise ValueError(
+            f"uvw block {block.shape} does not match the plan's work-item "
+            f"shape {(int(row['time_end'] - row['time_start']), 3)}"
+        )
+
+
 def gather_uvw(
     plan: Plan,
     indices: np.ndarray,
@@ -165,12 +228,11 @@ def gather_uvw(
     key: str = "gather.uvw",
 ) -> np.ndarray:
     """Stack the items' uvw blocks into a ``(G, T, 3)`` float64 arena view."""
-    rows = plan.items[indices]
-    n_times = int(rows["time_end"][0] - rows["time_start"][0])
-    out = arena.take(key, (len(rows), n_times, 3), np.float64)
-    for g in range(len(rows)):
-        row = rows[g]
-        out[g] = uvw_m[int(row["baseline"]), int(row["time_start"]) : int(row["time_end"])]
+    rows, t, _ = _chunk(plan, indices)
+    out = arena.take(key, (len(rows), t, 3), np.float64)
+    _check_uvw(rows, uvw_m)
+    uvw = np.ascontiguousarray(uvw_m).reshape(-1, 3)
+    np.take(uvw, _time_index(rows, t, uvw_m.shape[1]), axis=0, out=out, mode="clip")
     return out
 
 
@@ -180,13 +242,16 @@ def gather_offsets(
     arena: ScratchArena,
     key: str = "gather.offsets",
 ) -> np.ndarray:
-    """``(G, 3)`` per-item ``(u_mid, v_mid, w_offset)`` in wavelengths."""
-    out = arena.take(key, (int(indices.size), 3), np.float64)
-    for g in range(indices.size):
-        u_mid, v_mid = plan.subgrid_centre_uv(int(indices[g]))
-        out[g, 0] = u_mid
-        out[g, 1] = v_mid
-        out[g, 2] = plan.w_offset
+    """``(G, 3)`` per-item ``(u_mid, v_mid, w_offset)`` in wavelengths, bit
+    for bit :meth:`~repro.core.plan.Plan.subgrid_centre_uv` and
+    ``plan.w_offset``."""
+    rows = plan.items[indices]
+    out = arena.take(key, (len(rows), 3), np.float64)
+    shift = plan.subgrid_size // 2 - plan.gridspec.grid_size // 2
+    du = plan.gridspec.cell_size
+    np.multiply(rows["corner_u"].astype(np.int64) + shift, du, out=out[:, 0])
+    np.multiply(rows["corner_v"].astype(np.int64) + shift, du, out=out[:, 1])
+    out[:, 2] = plan.w_offset
     return out
 
 
@@ -210,25 +275,19 @@ def gather_rel_uvw(
     :func:`repro.core.reference.relative_uvw_wavelengths`: time-major,
     channel fastest, ``(u - u_mid, v - v_mid, w - w_offset)`` per visibility.
     """
-    rows = plan.items[indices]
-    n_times = int(rows["time_end"][0] - rows["time_start"][0])
-    n_channels = int(rows["channel_end"][0] - rows["channel_start"][0])
+    rows, n_times, n_channels = _chunk(plan, indices)
     out = arena.take(key, (len(rows), n_times * n_channels, 3), np.float64)
     by_channel = out.reshape(len(rows), n_times, n_channels, 3)
-    for g in range(len(rows)):
-        row = rows[g]
-        scale = (
-            plan.frequencies_hz[int(row["channel_start"]) : int(row["channel_end"])]
-            / SPEED_OF_LIGHT
-        )
-        block = uvw_m[int(row["baseline"]), int(row["time_start"]) : int(row["time_end"])]
-        np.multiply(
-            block[:, np.newaxis, :], scale[np.newaxis, :, np.newaxis], out=by_channel[g]
-        )
-        u_mid, v_mid = plan.subgrid_centre_uv(int(indices[g]))
-        by_channel[g, :, :, 0] -= u_mid
-        by_channel[g, :, :, 1] -= v_mid
-        by_channel[g, :, :, 2] -= plan.w_offset
+    channels = rows["channel_start"][:, np.newaxis] + np.arange(n_channels)
+    scale = plan.frequencies_hz[channels] / SPEED_OF_LIGHT
+    np.multiply(
+        gather_uvw(plan, indices, uvw_m, arena, key=f"{key}.uvw")[:, :, np.newaxis, :],
+        scale[:, np.newaxis, :, np.newaxis],
+        out=by_channel,
+    )
+    by_channel -= gather_offsets(plan, indices, arena, key=f"{key}.offsets")[
+        :, np.newaxis, np.newaxis, :
+    ]
     return out
 
 
@@ -241,45 +300,74 @@ def gather_visibilities(
 ) -> np.ndarray:
     """Stack the items' ``(n_bl, T, C, a, a)`` visibility blocks into a
     ``(G, T, C, a**2)`` ``COMPLEX_DTYPE`` arena view, the operand dtype of
-    the kernels' single-precision products."""
-    rows = plan.items[indices]
-    n_times = int(rows["time_end"][0] - rows["time_start"][0])
-    n_channels = int(rows["channel_end"][0] - rows["channel_start"][0])
+    the kernels' single-precision products.
+
+    A C-contiguous array is read with one ``np.take``; an out-of-core
+    source, a prefetched group or a strided array serves each item's block
+    on its own.
+
+    Raises
+    ------
+    ValueError
+        When an item's block runs past the array's times or channels (an
+        input shorter than the plan's observation).
+    """
+    rows, n_times, n_channels = _chunk(plan, indices)
     k = visibilities.shape[3] * visibilities.shape[4]
     out = arena.take(key, (len(rows), n_times, n_channels, k), COMPLEX_DTYPE)
     flat = visibilities.reshape(*visibilities.shape[:3], k)
-    for g in range(len(rows)):
-        row = rows[g]
-        block = flat[
-            int(row["baseline"]),
-            int(row["time_start"]) : int(row["time_end"]),
-            int(row["channel_start"]) : int(row["channel_end"]),
-        ]
-        if block.shape != out.shape[1:]:
-            # plain assignment would broadcast a short block silently
-            raise ValueError(
-                f"visibility block {block.shape} does not match the plan's "
-                f"work-item shape {out.shape[1:]}"
-            )
-        out[g] = block
+    if not (isinstance(flat, np.ndarray) and flat.flags.c_contiguous):
+        for g in range(len(rows)):
+            out[g] = _item_block(flat, rows[g], out.shape[1:], "visibility block")
+        return out
+    short = _first_short_block(rows, flat.shape)
+    if short is not None:
+        _item_block(flat, rows[short], out.shape[1:], "visibility block")
+    index = _block_index(rows, n_times, n_channels, *flat.shape[1:3])
+    np.take(flat.reshape(-1, k), index, axis=0, out=out, mode="clip")
     return out
 
 
-def gather_aterm_fields(
+def _item_block(
+    flat: np.ndarray, row: np.ndarray, shape: tuple[int, ...], what: str
+) -> np.ndarray:
+    """``flat[baseline, t0:t1, c0:c1]`` of one item, checked against the
+    chunk's block ``shape`` (a plain assignment would broadcast a short
+    block silently)."""
+    block = flat[
+        int(row["baseline"]),
+        int(row["time_start"]) : int(row["time_end"]),
+        int(row["channel_start"]) : int(row["channel_end"]),
+    ]
+    if block.shape != shape:
+        raise ValueError(
+            f"{what} {block.shape} does not match the plan's work-item "
+            f"shape {shape}"
+        )
+    return block
+
+
+@dataclass(frozen=True, eq=False)
+class ATermTable:
+    """A call's station Jones fields stacked into one read-only table.
+
+    ``fields`` is ``(n_fields + 1, N, N, a, a)`` with the identity in row 0;
+    ``rows[station, interval]`` is the row of that station's field in that
+    A-term interval, 0 where the call has none.
+    """
+
+    fields: np.ndarray
+    rows: np.ndarray
+
+
+def aterm_table(
     plan: Plan,
-    indices: np.ndarray,
     aterm_fields: dict[tuple[int, int], np.ndarray] | None,
     identity: np.ndarray | None,
-    arena: ScratchArena,
-    key_p: str = "gather.aterm_p",
-    key_q: str = "gather.aterm_q",
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Stack per-item station Jones fields into ``(G, N, N, a, a)`` views.
-
-    Returns ``(None, None)`` when ``aterm_fields`` is ``None`` or no item in
-    the chunk has a field (all-identity buckets skip the sandwich entirely);
-    missing fields are filled with ``identity``, whose ``(N, N, a, a)``
-    shape sizes the views.
+) -> ATermTable | None:
+    """The :class:`ATermTable` of ``aterm_fields`` over ``plan``'s stations
+    and intervals, in ``identity``'s dtype; ``None`` when there are no
+    fields.
 
     Raises
     ------
@@ -287,36 +375,61 @@ def gather_aterm_fields(
         When a field's shape differs from ``identity``'s (a 1x1 field
         would otherwise broadcast into a 2x2 view silently).
     """
-    if aterm_fields is None:
-        return None, None
-    rows = plan.items[indices]
-    any_field = False
-    for g in range(len(rows)):
-        row = rows[g]
-        interval = int(row["aterm_interval"])
-        if (int(row["station_p"]), interval) in aterm_fields or (
-            int(row["station_q"]),
-            interval,
-        ) in aterm_fields:
-            any_field = True
-            break
-    if not any_field:
-        return None, None
+    if not aterm_fields:
+        return None
     if identity is None:
         raise ValueError("identity field required when any item has an A-term")
-    a_p = arena.take(key_p, (len(rows), *identity.shape), identity.dtype)
-    a_q = arena.take(key_q, (len(rows), *identity.shape), identity.dtype)
-    for g in range(len(rows)):
-        row = rows[g]
-        interval = int(row["aterm_interval"])
-        for out, station in ((a_p, row["station_p"]), (a_q, row["station_q"])):
-            field = aterm_fields.get((int(station), interval), identity)
-            if field.shape != identity.shape:
-                raise ValueError(
-                    f"A-term field {field.shape} does not match the "
-                    f"{identity.shape} fields of this call's correlations"
-                )
-            out[g] = field
+    items = plan.items
+    stations = max(
+        max(int(station) for station, _ in aterm_fields),
+        int(items["station_p"].max(initial=0)), int(items["station_q"].max(initial=0)),
+    )
+    intervals = max(
+        max(int(interval) for _, interval in aterm_fields),
+        int(items["aterm_interval"].max(initial=0)),
+    )
+    fields = np.empty((len(aterm_fields) + 1, *identity.shape), dtype=identity.dtype)
+    fields[0] = identity
+    rows = np.zeros((stations + 1, intervals + 1), dtype=np.intp)
+    for row, (key, field) in enumerate(aterm_fields.items(), start=1):
+        if field.shape != identity.shape:
+            raise ValueError(
+                f"A-term field {field.shape} does not match the "
+                f"{identity.shape} fields of this call's correlations"
+            )
+        fields[row] = field
+        rows[key] = row
+    fields.setflags(write=False)
+    rows.setflags(write=False)
+    return ATermTable(fields, rows)
+
+
+def gather_aterm_table(
+    plan: Plan,
+    indices: np.ndarray,
+    table: ATermTable | None,
+    arena: ScratchArena,
+    key_p: str = "gather.aterm_p",
+    key_q: str = "gather.aterm_q",
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Stack per-item station Jones fields from ``table`` into ``(G, N, N,
+    a, a)`` views, one ``np.take`` per station of the pair.
+
+    Returns ``(None, None)`` when there is no table or no item in the chunk
+    has a field (all-identity buckets skip the sandwich entirely).
+    """
+    if table is None:
+        return None, None
+    rows = plan.items[indices]
+    row_p = table.rows[rows["station_p"], rows["aterm_interval"]]
+    row_q = table.rows[rows["station_q"], rows["aterm_interval"]]
+    if not (row_p.any() or row_q.any()):
+        return None, None
+    shape = (len(rows), *table.fields.shape[1:])
+    a_p = arena.take(key_p, shape, table.fields.dtype)
+    a_q = arena.take(key_q, shape, table.fields.dtype)
+    np.take(table.fields, row_p, axis=0, out=a_p, mode="clip")
+    np.take(table.fields, row_q, axis=0, out=a_q, mode="clip")
     return a_p, a_q
 
 
@@ -330,24 +443,35 @@ def scatter_visibilities(
     visibilities_out: np.ndarray,
 ) -> None:
     """Write a ``(G, T, C, ...)`` predicted block back into the items'
-    ``(baseline, time, channel)`` slices of ``visibilities_out``."""
-    rows = plan.items[indices]
+    ``(baseline, time, channel)`` slices of ``visibilities_out``, with one
+    indexed store into a C-contiguous output (item by item into a strided
+    one).
+
+    Raises
+    ------
+    ValueError
+        When an item's slice of ``visibilities_out`` is short of the
+        predicted block (a plain assignment would broadcast into it).
+    """
+    rows, t, c = _chunk(plan, indices)
     out = visibilities_out.reshape(*visibilities_out.shape[:3], -1)
     flat = block.reshape(*block.shape[:3], -1)
-    for g in range(len(rows)):
-        row = rows[g]
+    short = _first_short_block(rows, out.shape)
+    if short is not None:
         target = out[
-            int(row["baseline"]),
-            int(row["time_start"]) : int(row["time_end"]),
-            int(row["channel_start"]) : int(row["channel_end"]),
+            int(rows[short]["baseline"]),
+            int(rows[short]["time_start"]) : int(rows[short]["time_end"]),
+            int(rows[short]["channel_start"]) : int(rows[short]["channel_end"]),
         ]
-        if target.shape != flat.shape[1:]:
-            # plain assignment would broadcast into a short slice silently
-            raise ValueError(
-                f"output block {target.shape} does not match the predicted "
-                f"block shape {flat.shape[1:]}"
-            )
-        target[...] = flat[g]
+        raise ValueError(
+            f"output block {target.shape} does not match the predicted "
+            f"block shape {flat.shape[1:]}"
+        )
+    if not out.flags.c_contiguous:
+        for g in range(len(rows)):
+            _item_block(out, rows[g], flat.shape[1:], "output block")[...] = flat[g]
+        return
+    out.reshape(-1, out.shape[-1])[_block_index(rows, t, c, *out.shape[1:3])] = flat
 
 
 # ------------------------------------------------------ work-group drivers
@@ -377,6 +501,69 @@ def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
     return float(steps[0])
 
 
+@dataclass(frozen=True, eq=False)
+class CallTables:
+    """What every work group of one grid or degrid call shares, derived
+    once per call (:func:`call_tables`) and read by every bucket chunk.
+
+    Attributes
+    ----------
+    lmn:
+        The ``(N**2, 3)`` raster (:func:`~repro.core.gridder.subgrid_lmn`).
+    factors:
+        Its :func:`~repro.core.gridder.raster_factors`.
+    channel_step:
+        :func:`uniform_channel_step` of the plan's channels: the
+        recurrence's ``ds``, or ``None`` for the direct-sum kernels.
+    aterms:
+        The call's :class:`ATermTable`, ``None`` without A-terms.
+    """
+
+    lmn: np.ndarray
+    factors: RasterFactors
+    channel_step: float | None
+    aterms: ATermTable | None
+
+
+def call_tables(
+    plan: Plan,
+    lmn: np.ndarray | None,
+    aterm_fields: dict[tuple[int, int], np.ndarray] | None,
+    n_correlations: int,
+) -> CallTables:
+    """The :class:`CallTables` of a call on ``plan`` gridding or degridding
+    ``n_correlations`` correlations (1 or 4); ``lmn`` defaults to the plan's
+    raster.  ``aterm_fields`` maps ``(station, interval)`` to an ``(N, N,
+    a, a)`` Jones field; ``None`` or missing keys mean identity."""
+    n = plan.subgrid_size
+    if lmn is None:
+        lmn = subgrid_lmn(n, plan.gridspec.image_size)
+    a = 1 if n_correlations == 1 else 2
+    identity = identity_jones_field(n, a=a) if aterm_fields else None
+    return CallTables(
+        lmn=lmn,
+        factors=raster_factors(lmn),
+        channel_step=uniform_channel_step(plan.frequencies_hz),
+        aterms=aterm_table(plan, aterm_fields, identity),
+    )
+
+
+def _tables(
+    plan: Plan,
+    lmn: np.ndarray | None,
+    aterm_fields: dict[tuple[int, int], np.ndarray] | None,
+    tables: CallTables | None,
+    n_correlations: int,
+) -> CallTables:
+    """A driver's :class:`CallTables`: ``tables`` as given, or derived from
+    ``lmn`` and ``aterm_fields`` — one route, never both."""
+    if tables is None:
+        return call_tables(plan, lmn, aterm_fields, n_correlations)
+    if lmn is not None or aterm_fields is not None:
+        raise ValueError("pass the call's tables or its lmn and aterm_fields, not both")
+    return tables
+
+
 def grid_work_group(
     plan: Plan,
     start: int,
@@ -388,6 +575,7 @@ def grid_work_group(
     aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
+    tables: CallTables | None = None,
 ) -> np.ndarray:
     """Run the gridder over work items ``start .. stop-1``.
 
@@ -411,33 +599,37 @@ def grid_work_group(
         ``(N, N)`` taper.
     lmn:
         Optional precomputed :func:`~repro.core.gridder.subgrid_lmn`
-        (computed if omitted).  Its
-        :func:`~repro.core.gridder.raster_factors` are looked up once per
-        call and shared by every bucket chunk.
+        (computed if omitted).
     aterm_fields:
         Maps ``(station, interval)`` to an ``(N, N, a, a)`` Jones field;
         ``None`` or missing keys mean identity.
+    tables:
+        The call's :func:`call_tables`, when the caller derived them once
+        for all its work groups, in place of ``lmn`` and ``aterm_fields``.
+        Derived from those two when omitted.
 
     Returns
     -------
     ``(stop - start, N, N, a, a)`` complex64 image-domain subgrids.
+
+    Raises
+    ------
+    ValueError
+        When ``tables`` comes with ``lmn`` or ``aterm_fields``.
     """
     n = plan.subgrid_size
-    if lmn is None:
-        lmn = subgrid_lmn(n, plan.gridspec.image_size)
-    factors = raster_factors(lmn)
+    a = visibilities.shape[-1]
+    tables = _tables(plan, lmn, aterm_fields, tables, a * a)
+    lmn, factors, ds = tables.lmn, tables.factors, tables.channel_step
     if arena is None:
         arena = thread_arena()
-    a = visibilities.shape[-1]
-    identity = identity_jones_field(n, a=a) if aterm_fields else None
-    ds = uniform_channel_step(plan.frequencies_hz)
     out = np.empty((stop - start, n, n, a, a), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             vis = gather_visibilities(plan, indices, visibilities, arena)
-            a_p, a_q = gather_aterm_fields(plan, indices, aterm_fields, identity, arena)
+            a_p, a_q = gather_aterm_table(plan, indices, tables.aterms, arena)
             if ds is not None:
                 subgrids = gridder_bucket_fast(
                     vis,
@@ -469,6 +661,7 @@ def degrid_work_group(
     aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
+    tables: CallTables | None = None,
 ) -> None:
     """Run the degridder over work items ``start .. stop-1``, writing into
     ``visibilities_out`` (shape ``(n_baselines, n_times, n_channels, a, a)``)
@@ -480,14 +673,11 @@ def degrid_work_group(
     choice are as in :func:`grid_work_group`.
     """
     n = plan.subgrid_size
-    if lmn is None:
-        lmn = subgrid_lmn(n, plan.gridspec.image_size)
-    factors = raster_factors(lmn)
+    a = subgrid_images.shape[-1]
+    tables = _tables(plan, lmn, aterm_fields, tables, a * a)
+    lmn, factors, ds = tables.lmn, tables.factors, tables.channel_step
     if arena is None:
         arena = thread_arena()
-    a = subgrid_images.shape[-1]
-    identity = identity_jones_field(n, a=a) if aterm_fields else None
-    ds = uniform_channel_step(plan.frequencies_hz)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes, a * a)
@@ -495,8 +685,8 @@ def degrid_work_group(
             images = arena.take(
                 "gather.subgrids", (len(indices), n, n, a, a), subgrid_images.dtype
             )
-            np.take(subgrid_images, indices - start, axis=0, out=images)
-            a_p, a_q = gather_aterm_fields(plan, indices, aterm_fields, identity, arena)
+            np.take(subgrid_images, indices - start, axis=0, out=images, mode="clip")
+            a_p, a_q = gather_aterm_table(plan, indices, tables.aterms, arena)
             if ds is not None:
                 block = degridder_bucket_fast(
                     images,

@@ -33,18 +33,17 @@ on budget exhaustion, quarantined per work group — see DESIGN.md §11.
 
 .. note::
    This is the simple data-parallel executor kept for the Section V-B CPU
-   comparison.  The pipelined successor — overlapping gridder, FFT and adder
-   stages through bounded buffers, with telemetry — is
-   :class:`repro.runtime.StreamingIDG`; the multi-process successor is
-   :class:`repro.parallel.process.ProcessShardedIDG`.
+   comparison.  The pipelined successor — the same retirement loop
+   (:func:`repro.runtime.program.retire_in_order`) under a window of
+   ``n_buffers`` groups whose emulated transfers overlap compute, with
+   telemetry — is :class:`repro.runtime.StreamingIDG`; the multi-process
+   successor is :class:`repro.parallel.process.ProcessShardedIDG`.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from repro.core.pipeline import IDG
 from repro.core.plan import Plan
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
-from repro.runtime.program import WorkGroupProgram
+from repro.runtime.program import WorkGroupProgram, retire_in_order
 from repro.runtime.recovery import FaultReport, WorkGroupError
 
 __all__ = ["ParallelIDG", "WorkGroupError"]
@@ -99,45 +98,6 @@ class ParallelIDG:
         self.faults = faults
         self.last_fault_report: FaultReport | None = None
 
-    # ------------------------------------------------------------- internal
-
-    def _run_in_order(
-        self,
-        groups: Sequence[int],
-        compute: Callable[[int], Any],
-        retire: Callable[[int, Any], None] | None = None,
-    ) -> None:
-        """``compute(group)`` for every group of ``groups`` (ascending) on
-        the pool, then ``retire(group, result)`` on this thread in order.
-
-        The first failure sets an abort flag (groups not started yet skip
-        their work), cancels the queued futures and is re-raised.
-        """
-        abort = threading.Event()
-        skipped = object()
-
-        def task(group: int) -> Any:
-            if abort.is_set():
-                return skipped  # the run is doomed; don't touch the backend
-            try:
-                return compute(group)
-            except BaseException:
-                abort.set()
-                raise
-
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = [pool.submit(task, group) for group in groups]
-            try:
-                for group, future in zip(groups, futures):
-                    result = future.result()
-                    if retire is not None and result is not skipped:
-                        retire(group, result)
-            except BaseException:  # noqa: B036 — incl. KeyboardInterrupt
-                abort.set()
-                for future in futures:
-                    future.cancel()
-                raise
-
     # ------------------------------------------------------------- gridding
 
     def grid(
@@ -173,10 +133,11 @@ class ParallelIDG:
             program.retire(group, fourier)
 
         with program.retiring() as pending:
-            self._run_in_order(
+            retire_in_order(
                 pending,
                 lambda group: program.subgrid_fft(group, program.gridder(group)),
                 retire,
+                threads=self.n_workers,
             )
         return program.finish()
 
@@ -206,10 +167,11 @@ class ParallelIDG:
             aterm_fields=aterm_fields, out=out, faults=self.faults,
         )
         self.last_fault_report = program.fault_report
-        self._run_in_order(
+        retire_in_order(
             range(program.n_groups),
             lambda group: program.degridder(
                 group, program.subgrid_ifft(group, program.subgrid_split(group))
             ),
+            threads=self.n_workers,
         )
         return program.finish()

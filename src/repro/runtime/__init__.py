@@ -1,13 +1,15 @@
 """Streaming pipeline runtime (executable Fig 7).
 
-An executable stage-graph runtime for the IDG pipeline: producer/consumer
-stages connected by bounded channels with real backpressure, a credit gate
-bounding the work groups in flight (``n_buffers``), built-in telemetry with a
+An executable runtime for the IDG pipeline: a credit gate bounding the work
+groups in flight (``n_buffers``), each group's stage chain on one pool
+worker, in-order retirement on the calling thread, built-in telemetry with a
 Chrome-trace exporter, and graceful error propagation.
 
 * :class:`StreamingIDG` / :class:`RuntimeConfig` — the drop-in pipelined
   ``grid``/``degrid``;
-* :class:`StageGraph` — the generic pipeline executor;
+* :class:`StageGraph` — a generic thread-per-stage pipeline executor over
+  bounded channels (the sanitizer corpus exercises it; ``StreamingIDG``
+  does not use it);
 * :class:`Channel` / :class:`CreditGate` — the bounded-buffer primitives;
 * :class:`Telemetry` — spans, gauges, counters, ``chrome://tracing`` export.
 

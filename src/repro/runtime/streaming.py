@@ -1,48 +1,58 @@
-"""Streaming IDG: the pipeline of Fig 4 run as an executable stage graph.
+"""Streaming IDG: the paper's per-work-group stage chains (Fig 4) under the
+triple-buffered window of Fig 7.
 
 ``StreamingIDG`` is a drop-in equivalent of :class:`repro.core.IDG`'s
 ``grid``/``degrid`` that executes the paper's schedule for real instead of
 simulating it (:mod:`repro.perfmodel.streams`):
 
-* gridding:    plan splitter -> gridder worker(s) -> subgrid FFT -> adder,
-* degridding:  plan splitter -> subgrid splitter -> subgrid iFFT ->
-  degridder worker(s),
+* gridding:    ``reader`` (out-of-core) -> ``htod`` -> ``gridder`` ->
+  ``subgrid_fft`` -> ``dtoh``, then the adder,
+* degridding:  ``subgrid_split`` -> ``htod`` -> ``subgrid_ifft`` ->
+  ``degridder`` -> ``dtoh``,
 
-with every hop a bounded channel and a global credit gate holding at most
-``n_buffers`` work groups in flight — ``n_buffers=1`` degenerates to the
-serial schedule, ``n_buffers=3`` is the paper's triple buffering (Fig 7).
-Each stage runs the matching stage of the call's
+with ``htod``/``dtoh`` present only when the device link is emulated.  The
+calling thread admits up to ``n_buffers`` work groups (the ``splitter``
+stage) and retires them in plan order
+(:func:`repro.runtime.program.retire_in_order`, whose loop is the window's
+one bound; the ``in_flight`` gate only records its occupancy); each
+admitted group runs its whole chain back to back on one pool worker, and a
+semaphore of ``workers`` permits bounds the groups inside their compute
+stages (``gridder`` + ``subgrid_fft``, ``subgrid_ifft`` + ``degridder``), so
+the emulated link time of the other groups in flight overlaps compute.
+``n_buffers=1`` degenerates to the serial schedule, ``n_buffers=3`` is the
+paper's triple buffering.  Each stage runs the matching stage of the call's
 :class:`~repro.runtime.program.WorkGroupProgram` — the *same* stage bodies
 the serial pipeline runs — so results are bit-identical to ``IDG``: the
-adder stage applies batches in plan order (a reorder buffer absorbs
-out-of-order completion when ``gridder_workers > 1``), and degridding work
-items write disjoint visibility blocks.
+calling thread hands each grid group to the serial adder
+(:meth:`~repro.runtime.program.WorkGroupProgram.retire`) in plan order, and
+degridding work items write disjoint visibility blocks.
 
 Fault tolerance (DESIGN.md §11) is the program's: fail-fast by default (the
-first failing stage raises :class:`~repro.runtime.recovery.WorkGroupError`
-out of the graph), and with ``IDGConfig.max_retries > 0`` (or a
-:class:`~repro.runtime.faults.FaultPlan`) transient failures are retried
-and a work group that exhausts its budget is quarantined: a
-:class:`~repro.runtime.recovery.Quarantined` sentinel flows through the
-remaining stages so sequencing and credit accounting stay exact, and the
-:class:`~repro.runtime.recovery.FaultReport` on ``last_fault_report``
-records what was lost.  The adder stage hands each group to the program's
-:meth:`~repro.runtime.program.WorkGroupProgram.retire`, which also keeps the
-call's checkpoints (:mod:`repro.runtime.checkpoint`), so a streaming ``grid``
-checkpoints and resumes like every other executor's.
+first failing group in plan order raises
+:class:`~repro.runtime.recovery.WorkGroupError` on the calling thread, which
+stops admitting and cancels the queued groups), and with
+``IDGConfig.max_retries > 0`` (or a :class:`~repro.runtime.faults.FaultPlan`)
+transient failures are retried and a work group that exhausts its budget is
+quarantined: a :class:`~repro.runtime.recovery.Quarantined` sentinel flows
+down the remaining stages so sequencing and credit accounting stay exact,
+and the :class:`~repro.runtime.recovery.FaultReport` on
+``last_fault_report`` records what was lost.  ``retire`` also keeps the
+call's checkpoints (:mod:`repro.runtime.checkpoint`), so a streaming
+``grid`` checkpoints and resumes like every other executor's.
 
-Every run produces a :class:`~repro.runtime.telemetry.Telemetry` (span
-timings, queue occupancy, retry/dead-letter/checkpoint counters,
-visibilities/sec) exportable as a Chrome trace — see
-``benchmarks/bench_runtime_overlap.py`` and
-``benchmarks/bench_fault_recovery.py``.
+Every run produces a :class:`~repro.runtime.telemetry.Telemetry` — one span
+per (stage, work group), the ``in_flight`` gauge, retry/dead-letter/
+checkpoint counters and visibilities/sec — exportable as a Chrome trace;
+see ``benchmarks/bench_runtime_overlap.py`` and
+``benchmarks/bench_fault_recovery.py``.  The pool lives for one call.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -52,12 +62,11 @@ from repro.core.pipeline import IDG
 from repro.core.plan import Plan
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
-from repro.runtime.graph import StageGraph
 from repro.runtime.memory import record_memory_gauges
-from repro.runtime.program import WorkGroupProgram
+from repro.runtime.program import WorkGroupProgram, retire_in_order
 from repro.runtime.queues import CreditGate
 from repro.runtime.recovery import FaultReport, Quarantined
-from repro.runtime.telemetry import Telemetry
+from repro.runtime.telemetry import Telemetry, monotonic
 
 
 @dataclass(frozen=True)
@@ -67,16 +76,11 @@ class RuntimeConfig:
     Attributes
     ----------
     n_buffers:
-        Work groups allowed in flight end to end, and the capacity of every
-        inter-stage channel (1 = serial schedule, 3 = the paper's triple
-        buffering).
-    gridder_workers:
-        Threads in the gridder stage (its BLAS products release the GIL).
-    fft_workers:
-        Threads in the subgrid FFT/iFFT stage.
-    degridder_workers:
-        Threads in the degridder stage (work items write disjoint blocks,
-        so no synchronisation is needed).
+        Work groups allowed in flight, admitted and not yet retired (1 =
+        serial schedule, 3 = the paper's triple buffering).
+    workers:
+        Work groups allowed in their compute stages at once (the BLAS
+        products and FFTs inside release the GIL).
     emulate_pcie_gbs:
         When set, insert ``htod``/``dtoh`` transfer stages that occupy the
         link for ``bytes / bandwidth`` seconds of real wall time without
@@ -87,15 +91,11 @@ class RuntimeConfig:
     """
 
     n_buffers: int = 3
-    gridder_workers: int = 1
-    fft_workers: int = 1
-    degridder_workers: int = 1
+    workers: int = 1
     emulate_pcie_gbs: float | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_buffers", "gridder_workers", "fft_workers", "degridder_workers",
-        ):
+        for name in ("n_buffers", "workers"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.emulate_pcie_gbs is not None and self.emulate_pcie_gbs <= 0:
@@ -117,8 +117,70 @@ def chunk_transfer_bytes(
     return bytes_in, bytes_out
 
 
+class _Schedule:
+    """One call's admission window, compute permits and stage spans.
+
+    The pool has one thread per admitted group when a chain has stages that
+    wait without computing (an emulated link, or ``reads`` from an
+    out-of-core source), so those waits overlap the other groups' compute;
+    otherwise every stage computes and the pool has ``workers`` threads (a
+    thread parked on the compute permits only adds hand-offs).
+    """
+
+    def __init__(
+        self, config: RuntimeConfig, telemetry: Telemetry, reads: bool = False
+    ) -> None:
+        self.config = config
+        self.telemetry = telemetry
+        #: The ``in_flight`` gauge: a credit taken per admission and given
+        #: back per retirement.  The admission loop keeps at most
+        #: ``n_buffers`` groups in flight, so ``acquire`` never waits.
+        self.gate = CreditGate(config.n_buffers, telemetry=telemetry, name="in_flight")
+        #: Held across a group's compute stages only.
+        self.compute = threading.Semaphore(config.workers)
+        waits = reads or config.emulate_pcie_gbs is not None
+        self.threads = config.n_buffers if waits else min(config.workers, config.n_buffers)
+
+    def timed(self, stage: str, group: int, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` recorded as one ``stage`` span of ``group``."""
+        t0 = monotonic()
+        result = fn(*args)
+        self.telemetry.record_span(
+            stage, group, t0, monotonic(), threading.current_thread().name
+        )
+        return result
+
+    def admit(self, group: int) -> None:
+        """The ``splitter`` stage: count ``group`` in flight."""
+        self.timed("splitter", group, self.gate.acquire)
+
+    def transfer(self, stage: str, group: int, data: Any, nbytes: Callable[[], float]) -> None:
+        """An emulated device-link stage: occupies the link for ``nbytes()``
+        bytes of wall time without holding the CPU (the DMA analogue); a
+        quarantined group moves nothing.  No-op without link emulation."""
+        gbs = self.config.emulate_pcie_gbs
+        if gbs is not None:
+            seconds = 0.0 if isinstance(data, Quarantined) else nbytes() / (gbs * 1e9)
+            self.timed(stage, group, time.sleep, seconds)
+
+    def run(
+        self,
+        groups: Sequence[int],
+        chain: Callable[[int], Any],
+        retire: Callable[[int, Any], None],
+        name: str,
+    ) -> None:
+        """Admit ``groups`` through the window, run each one's ``chain`` on
+        a pool worker and ``retire`` them in order on this thread."""
+        retire_in_order(
+            groups, chain, retire, threads=self.threads,
+            window=self.config.n_buffers, admit=self.admit, name=name,
+        )
+
+
 class StreamingIDG:
-    """Pipelined gridding/degridding over a bounded stage graph.
+    """Pipelined gridding/degridding: an admission window of work groups,
+    each running its stage chain on one pool worker.
 
     Parameters
     ----------
@@ -127,8 +189,8 @@ class StreamingIDG:
         geometry and the retry policy (``IDGConfig.max_retries`` /
         ``retry_backoff_s``).
     config:
-        Runtime parameters (buffer count, per-stage worker counts, emulated
-        device link).
+        Runtime parameters (buffer count, compute workers, emulated device
+        link).
     faults:
         Optional deterministic fault-injection plan (tests, benchmarks).
 
@@ -148,35 +210,6 @@ class StreamingIDG:
         self.faults = faults
         self.last_telemetry: Telemetry | None = None
         self.last_fault_report: FaultReport | None = None
-
-    # ------------------------------------------------------------- internal
-
-    @staticmethod
-    def _gated_groups(
-        groups: Iterable[int], gate: CreditGate
-    ) -> Iterator[tuple[int, None]]:
-        """Plan-chunk splitter: one credit per emitted work group.  Payloads
-        are ``(group, data)`` pairs from here on, ``group`` being the work
-        group's plan-order index (stable across resume filtering)."""
-        for group in groups:
-            gate.acquire()
-            yield group, None
-
-    def _link(
-        self, nbytes: Callable[[int, Any], float]
-    ) -> Callable[[int, tuple[int, Any]], tuple[int, Any]]:
-        """An emulated device-link stage: occupies the link for
-        ``nbytes(group, data)`` bytes of wall time without holding the CPU
-        (the DMA analogue); a quarantined group moves nothing."""
-        gbs = self.config.emulate_pcie_gbs
-
-        def stage(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
-            group, data = payload
-            if not isinstance(data, Quarantined):
-                time.sleep(nbytes(group, data) / (gbs * 1e9))
-            return payload
-
-        return stage
 
     # ------------------------------------------------------------- gridding
 
@@ -210,76 +243,54 @@ class StreamingIDG:
         )
         self.last_fault_report = program.fault_report
         source = program.source
-        gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
-        reorder: dict[int, tuple[int, Any]] = {}
-        next_seq = 0
+        schedule = _Schedule(self.config, tm, reads=source is not None)
+        planes = program.grid.shape[0]
+        n_retired = 0
 
-        def do_read(seq: int, payload: tuple[int, None]) -> tuple[int, Any]:
-            # Out-of-core reader stage: materialise exactly the visibility
-            # blocks this work group needs (masked, copied off the memory
-            # map).  Downstream stages never touch the map, and the credit
-            # gate bounds the prefetched groups resident to `n_buffers`.
-            group, _ = payload
+        def chain(group: int) -> Any:
             start, stop = program.groups[group]
-            return group, program.run(
-                "reader", group, lambda: source.prefetch_group(plan, start, stop)
+            vis_in = None
+            if source is not None:
+                # Out-of-core: materialise exactly the visibility blocks this
+                # group needs (masked, copied off the memory map); with at
+                # most `n_buffers` groups admitted, at most that many
+                # prefetched groups are resident — the out-of-core RSS bound.
+                vis_in = schedule.timed(
+                    "reader", group, program.run, "reader", group,
+                    lambda: source.prefetch_group(plan, start, stop),
+                )
+            schedule.transfer(
+                "htod", group, vis_in,
+                lambda: chunk_transfer_bytes(plan, start, stop, planes)[0],
             )
+            with schedule.compute:
+                subgrids = schedule.timed("gridder", group, program.gridder, group, vis_in)
+                fourier = schedule.timed("subgrid_fft", group, program.subgrid_fft, group, subgrids)
+            schedule.transfer("dtoh", group, fourier, lambda: fourier.nbytes)
+            return fourier
 
-        def do_grid(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
-            group, vis_in = payload
-            return group, program.gridder(group, vis_in)
-
-        def do_fft(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
-            group, subgrids = payload
-            return group, program.subgrid_fft(group, subgrids)
-
-        def do_add(seq: int, payload: tuple[int, Any]) -> None:
-            # Apply batches in plan order so the floating-point accumulation
-            # order — and hence the result — is bit-identical to the serial
-            # adder, even when gridder workers complete out of order.  A
-            # group dead-lettered upstream adds nothing, but still releases
-            # its credit and advances the sequence.
-            nonlocal next_seq
-            reorder[seq] = payload
-            while next_seq in reorder:
-                program.retire(*reorder.pop(next_seq))
-                gate.release()
-                next_seq += 1
-                if source is not None and next_seq % 8 == 0:
-                    # Retired groups' file pages are dead weight: evict them
-                    # and snapshot the memory gauges so the trace shows RSS
-                    # staying flat as data streams through.  Every 8th group
-                    # is often enough — each madvise sweep walks the whole
-                    # mapping's page tables, and the un-evicted residue is
-                    # bounded by 8 groups' worth of file pages.
-                    source.drop_caches()
-                    record_memory_gauges(tm)
+        def retire(group: int, fourier: Any) -> None:
+            # The serial adder in plan order: the grid accumulates exactly
+            # as the serial executor's does.  A group dead-lettered upstream
+            # adds nothing, but still returns its credit.
+            nonlocal n_retired
+            schedule.timed("adder", group, program.retire, group, fourier)
+            schedule.gate.release()
+            n_retired += 1
+            if source is not None and n_retired % 8 == 0:
+                # Retired groups' file pages are dead weight: evict them and
+                # snapshot the memory gauges so the trace shows RSS staying
+                # flat as data streams through.  Every 8th group is often
+                # enough — each madvise sweep walks the whole mapping's page
+                # tables, and the un-evicted residue is bounded by 8 groups'
+                # worth of file pages.
+                source.drop_caches()
+                record_memory_gauges(tm)
 
         tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
         tm.add_counter("work_groups", plan.n_subgrids)
-        emulate = self.config.emulate_pcie_gbs is not None
         with program.retiring() as pending:
-            graph = StageGraph("grid", n_buffers=self.config.n_buffers, telemetry=tm)
-            graph.add_abortable(gate)
-            graph.add_source("splitter", self._gated_groups(pending, gate))
-            if source is not None:
-                # Disk-read stage ahead of the (emulated) device upload: with
-                # the credit gate upstream, at most `n_buffers` prefetched
-                # groups exist at once — the RSS bound of the out-of-core path.
-                graph.add_stage("reader", do_read)
-            if emulate:
-                planes = program.grid.shape[0]
-                graph.add_stage("htod", self._link(
-                    lambda group, _: chunk_transfer_bytes(
-                        plan, *program.groups[group], planes
-                    )[0]
-                ))
-            graph.add_stage("gridder", do_grid, workers=self.config.gridder_workers)
-            graph.add_stage("subgrid_fft", do_fft, workers=self.config.fft_workers)
-            if emulate:
-                graph.add_stage("dtoh", self._link(lambda _, fourier: fourier.nbytes))
-            graph.add_sink("adder", do_add)
-            graph.run()
+            schedule.run(pending, chain, retire, name="streaming-grid")
         record_memory_gauges(tm)
         self.last_telemetry = tm
         return program.finish()
@@ -313,50 +324,27 @@ class StreamingIDG:
             telemetry=tm,
         )
         self.last_fault_report = program.fault_report
-        gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
-        emulate = self.config.emulate_pcie_gbs is not None
+        schedule = _Schedule(self.config, tm)
 
-        def do_split(seq: int, payload: tuple[int, None]) -> tuple[int, Any]:
-            group, _ = payload
-            return group, program.subgrid_split(group)
+        def chain(group: int) -> Any:
+            start, stop = program.groups[group]
+            patches = schedule.timed("subgrid_split", group, program.subgrid_split, group)
+            schedule.transfer("htod", group, patches, lambda: patches.nbytes)
+            with schedule.compute:
+                images = schedule.timed("subgrid_ifft", group, program.subgrid_ifft, group, patches)
+                result = schedule.timed("degridder", group, program.degridder, group, images)
+            schedule.transfer(
+                "dtoh", group, result,
+                lambda: chunk_transfer_bytes(plan, start, stop, grid.shape[0])[0],
+            )
+            return result
 
-        def do_ifft(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
-            group, patches = payload
-            return group, program.subgrid_ifft(group, patches)
-
-        def do_degrid(seq: int, payload: tuple[int, Any]) -> tuple[int, Any]:
-            group, images = payload
-            result = program.degridder(group, images)
-            if not emulate:
-                gate.release()
-            return group, result
-
-        vis_to_host = self._link(
-            lambda group, _: chunk_transfer_bytes(
-                plan, *program.groups[group], grid.shape[0]
-            )[0]
-        )
-
-        def do_dtoh(seq: int, payload: tuple[int, Any]) -> None:
-            vis_to_host(seq, payload)
-            gate.release()
-
-        graph = StageGraph("degrid", n_buffers=self.config.n_buffers, telemetry=tm)
-        graph.add_abortable(gate)
-        graph.add_source("splitter", self._gated_groups(range(program.n_groups), gate))
-        graph.add_stage("subgrid_split", do_split)
-        if emulate:
-            graph.add_stage("htod", self._link(lambda _, patches: patches.nbytes))
-        graph.add_stage("subgrid_ifft", do_ifft, workers=self.config.fft_workers)
-        if emulate:
-            graph.add_stage("degridder", do_degrid,
-                            workers=self.config.degridder_workers)
-            graph.add_sink("dtoh", do_dtoh)
-        else:
-            graph.add_sink("degridder", do_degrid, workers=self.config.degridder_workers)
         tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
         tm.add_counter("work_groups", plan.n_subgrids)
-        graph.run()
+        schedule.run(
+            range(program.n_groups), chain,
+            lambda group, result: schedule.gate.release(), name="streaming-degrid",
+        )
         record_memory_gauges(tm)
         self.last_telemetry = tm
         return program.finish()

@@ -136,3 +136,74 @@ def test_shifted_uvw_applies_tangent_slope():
     eps = 1e-7
     slope = (n_term(l0 + eps, m0) - n_term(l0 - eps, m0)) / (2 * eps)
     assert l0 / s0 == pytest.approx(float(slope), rel=1e-5)
+
+
+# ------------------------------------------------- rotation memory footprint
+
+#: Peak traced bytes of the former rotation, ``(visibilities *
+#: phasor).astype(complex64)``, on the set below: a complex128 phasor, a
+#: complex128 product and the complex64 result.
+COMPLEX128_ROTATION_PEAK = 62.3 * 2**20
+
+
+@pytest.fixture(scope="module")
+def rotation_set():
+    """190 baselines x 96 times x 32 channels x 2 x 2 complex64 (17.8 MiB)."""
+    rng = np.random.default_rng(3)
+    uvw = rng.uniform(-2000.0, 2000.0, (190, 96, 3))
+    freqs = 1.2e8 + 2e5 * np.arange(32)
+    shape = (190, 96, 32, 2, 2)
+    vis = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+        np.complex64
+    )
+    facet = Facet(index=(0, 1), l0=0.02, m0=-0.03, row0=0, col0=64)
+    return uvw, freqs, vis, facet
+
+
+def _traced_peak(fn):
+    """``(fn(), peak bytes allocated while it ran)`` under tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_rotation_rounds_as_it_writes(rotation_set):
+    """Four correlations rotate bit-identically to the complex128 product,
+    without ever holding that product."""
+    from repro.imaging.pipeline import _rotate_visibilities
+
+    uvw, freqs, vis, facet = rotation_set
+    rotated, peak = _traced_peak(
+        lambda: _rotate_visibilities(vis, uvw, freqs, facet, +1.0)
+    )
+    phasor = facet_rotation_phasor(uvw, freqs, facet.l0, facet.m0, +1.0)
+    expected = (vis * phasor[..., np.newaxis, np.newaxis]).astype(np.complex64)
+    assert np.array_equal(rotated, expected)
+    assert peak < COMPLEX128_ROTATION_PEAK / 2
+
+
+def test_stokes_i_rotation_peak_under_a_third(rotation_set):
+    """A facet that grids one correlation reduces to ``0.5 (XX + YY)``
+    before rotating: its peak stays under a third of the complex128 path's,
+    and it agrees with reducing the rotated correlations to float32
+    rounding."""
+    from repro.imaging.pipeline import _rotate_visibilities, _stokes_i_visibilities
+
+    uvw, freqs, vis, facet = rotation_set
+    rotated, peak = _traced_peak(
+        lambda: _rotate_visibilities(
+            _stokes_i_visibilities(vis), uvw, freqs, facet, +1.0
+        )
+    )
+    assert peak < COMPLEX128_ROTATION_PEAK / 3
+    reference = _stokes_i_visibilities(
+        _rotate_visibilities(vis, uvw, freqs, facet, +1.0)
+    )
+    scale = np.abs(reference).max()
+    assert np.abs(rotated - reference).max() <= 1e-6 * scale

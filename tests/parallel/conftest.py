@@ -211,13 +211,7 @@ class ConformanceCorpus:
         if executor == "streaming":
             from repro.runtime import RuntimeConfig, StreamingIDG
 
-            engine = StreamingIDG(
-                idg,
-                RuntimeConfig(
-                    n_buffers=3, gridder_workers=2, fft_workers=2,
-                    degridder_workers=2,
-                ),
-            )
+            engine = StreamingIDG(idg, RuntimeConfig(n_buffers=3, workers=2))
             if kind == "grid":
                 return engine.grid(
                     plan, obs.uvw_m, w["vis"],

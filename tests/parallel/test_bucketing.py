@@ -7,9 +7,11 @@ from repro.aterms.jones import identity_jones_field
 from repro.core.scratch import ScratchArena
 from repro.parallel.bucketing import (
     DEFAULT_BATCH_BYTES,
+    aterm_table,
     bucket_work_items,
+    call_tables,
     degrid_work_group,
-    gather_aterm_fields,
+    gather_aterm_table,
     gather_rel_uvw,
     gather_scale0,
     gather_uvw,
@@ -105,15 +107,33 @@ def test_gather_aterm_fields_rejects_a_field_of_other_correlations(small_plan):
     for field_a, call_a in ((1, 2), (2, 1)):
         fields = {key: identity_jones_field(n, a=field_a)}
         with pytest.raises(ValueError, match="A-term field"):
-            gather_aterm_fields(
-                small_plan, indices, fields, identity_jones_field(n, a=call_a),
-                ScratchArena(),
-            )
-    a_p, a_q = gather_aterm_fields(
-        small_plan, indices, {key: identity_jones_field(n, a=1)},
-        identity_jones_field(n, a=1), ScratchArena(),
+            aterm_table(small_plan, fields, identity_jones_field(n, a=call_a))
+    table = aterm_table(
+        small_plan, {key: identity_jones_field(n, a=1)}, identity_jones_field(n, a=1)
     )
+    a_p, a_q = gather_aterm_table(small_plan, indices, table, ScratchArena())
     assert a_p.shape == a_q.shape == (3, n, n, 1, 1)
+
+
+def test_drivers_take_tables_or_their_inputs_not_both(
+    small_plan, small_idg, small_obs, single_source_vis
+):
+    """The call's tables replace ``lmn`` and ``aterm_fields``; a driver
+    given both would have to pick one silently."""
+    tables = call_tables(small_plan, small_idg.lmn, None, 4)
+    n = small_plan.subgrid_size
+    uvw = small_obs.uvw_m
+    with pytest.raises(ValueError, match="not both"):
+        grid_work_group(
+            small_plan, 0, 2, uvw, single_source_vis, small_idg.taper,
+            lmn=small_idg.lmn, tables=tables,
+        )
+    with pytest.raises(ValueError, match="not both"):
+        degrid_work_group(
+            small_plan, 0, 2, np.zeros((2, n, n, 2, 2), np.complex64), uvw,
+            np.zeros_like(single_source_vis), small_idg.taper,
+            aterm_fields={}, tables=tables,
+        )
 
 
 def test_uniform_channel_step():

@@ -72,10 +72,7 @@ def _engine(executor, idg):
 
         return ParallelIDG(idg, n_workers=2)
     if executor == "streaming":
-        return StreamingIDG(
-            idg, RuntimeConfig(n_buffers=3, gridder_workers=2, fft_workers=2,
-                               degridder_workers=2),
-        )
+        return StreamingIDG(idg, RuntimeConfig(n_buffers=3, workers=2))
     from repro.parallel.process import ProcessConfig, ProcessShardedIDG
 
     return ProcessShardedIDG(idg, ProcessConfig(n_procs=2, start_method="fork"))
