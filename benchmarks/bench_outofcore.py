@@ -12,8 +12,8 @@ mark that one pass must not inherit from another):
 ``grid-chunked``
     Opens the store read-only and grids through ``store.source()`` on the
     streaming executor: the reader stage prefetches work-group-aligned
-    slices from the memory map under the credit gate, retired groups'
-    pages are returned with ``madvise(MADV_DONTNEED)``.  **The acceptance
+    slices from the memory map for at most ``n_buffers`` admitted groups,
+    and retired groups' pages are returned with ``madvise(MADV_DONTNEED)``.  **The acceptance
     gates live here**: peak RSS below ``RSS_BUDGET_BYTES`` while gridding
     >= 4x that many visibility bytes, bit-identical grid (sha256) to the
     in-memory pass, and throughput >= ``THROUGHPUT_GATE`` of in-memory.

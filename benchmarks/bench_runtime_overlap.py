@@ -13,8 +13,8 @@ for ``bytes / bandwidth`` of real wall time without holding the CPU
 (``RuntimeConfig.emulate_pcie_gbs``).  The link speed is calibrated from a
 probe run so each one-way transfer costs ~40% of a work group's compute —
 the compute:transfer ratio regime where Fig 7's buffering ablation is
-visible.  ``n_buffers=1`` forces the serial copy-compute-copy schedule
-through the credit gate; three buffers overlap the streams.
+visible.  ``n_buffers=1`` admits one work group at a time, the serial
+copy-compute-copy schedule; three buffers overlap the streams.
 """
 
 import json

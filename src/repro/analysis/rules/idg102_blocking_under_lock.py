@@ -3,8 +3,8 @@
 Holding a lock across a blocking operation turns local contention into
 pipeline-wide stalls (every thread that needs the lock queues behind the
 sleeper) and is one half of most real deadlocks: the classic failure is a
-stage thread blocking on ``Channel.put`` while holding the lock its consumer
-needs to drain the channel.  This rule flags, inside any ``with <lock>:``
+producer thread blocking on a bounded ``queue.Queue.put`` while holding the
+lock its consumer needs to drain the queue.  This rule flags, inside any ``with <lock>:``
 region (or a ``# idglint: requires-lock`` function, whose whole body runs
 locked):
 

@@ -13,9 +13,9 @@ This rule flags construction of a ``threading`` primitive:
 * anywhere in a function whose name marks it as a per-work-group hot path
   (``hot_path_markers`` in :class:`~repro.analysis.engine.LintConfig`).
 
-Bounded startup loops (spawning one worker thread per stage) are legitimate
-— suppress those sites with ``# idglint: disable=IDG105`` and a
-justification, as :meth:`StageGraph.run` does.
+Bounded startup loops (spawning a fixed pool of worker threads) are
+legitimate — suppress those sites with ``# idglint: disable=IDG105`` and a
+justification, as :meth:`GriddingService.start`'s worker start-up loop does.
 """
 
 from __future__ import annotations

@@ -2,28 +2,27 @@
 
 The static IDG1xx rules (:mod:`repro.analysis.rules`) catch lock-discipline
 violations visible in the source; this module catches the ones that only
-exist at runtime — a stage callable mutating shared state it received through
-a channel, an arena view crossing threads through a closure, an AB/BA
-inversion between locks the AST cannot connect.  It is the dynamic half of
-the same contract, and like :mod:`repro.analysis.contracts` it is a **true
-no-op unless enabled**: importing this module patches nothing; only
-:func:`install` (or ``IDG_SANITIZE=1`` + :func:`maybe_install_from_env`)
-monkeypatches the runtime classes, and :func:`uninstall` restores them
-byte-for-byte.
+exist at runtime — a kernel writing shared state from a pool worker, an
+arena view crossing threads through a closure, an AB/BA inversion between
+locks the AST cannot connect.  It is the dynamic half of the same contract,
+and like :mod:`repro.analysis.contracts` it is a **true no-op unless
+enabled**: importing this module patches nothing; only :func:`install` (or
+``IDG_SANITIZE=1`` + :func:`maybe_install_from_env`) monkeypatches the
+runtime classes, and :func:`uninstall` restores them byte-for-byte.
 
 What it does while installed:
 
 * **Lockset race detection** (Eraser-style, write-write).  Attribute writes
-  on tracked classes (:class:`~repro.runtime.queues.Channel`,
-  :class:`~repro.runtime.queues.CreditGate`,
-  :class:`~repro.runtime.telemetry.Telemetry`,
-  :class:`~repro.runtime.graph.StageGraph`, plus anything registered with
-  :meth:`Sanitizer.track_class`) are intercepted via ``__setattr__``.  Each
-  field starts *exclusive* to its constructing thread; the first write from
-  a second thread makes it *shared* and seeds its candidate lockset with the
-  locks held at that write; every later write intersects.  An empty
-  intersection means no single lock protects the field — a data race is
-  reported (once per field) with the writing thread and stage.
+  on tracked classes (:class:`~repro.runtime.telemetry.Telemetry`, plus
+  anything registered with :func:`track_class`) are intercepted via
+  ``__setattr__``.  Each field starts *exclusive* to its constructing
+  thread; the first write from a second thread makes it *shared* and seeds
+  its candidate lockset with the locks held at that write; every later
+  write intersects.  An empty intersection means no single lock protects
+  the field — a data race is reported (once per field) with the writing
+  thread and stage.  The stage is the one
+  :meth:`~repro.runtime.program.WorkGroupProgram.run` is running on that
+  thread, so reports from every executor's stage bodies name it.
 
 * **Arena ownership**.  :class:`~repro.core.scratch.ScratchArena` views are
   single-thread by contract; ``take``/``zeros`` record the first toucher as
@@ -31,20 +30,18 @@ What it does while installed:
   and any other thread allocating from the same arena is reported.
 
 * **Deadlock watchdog**.  A daemon thread snapshots the wait-for graph —
-  which thread waits on which tracked lock, who owns it, who is parked in
-  ``Channel.put``/``get`` (via the :meth:`Channel.waiters` introspection
-  API) — and on a lock cycle, or on a global stall (every channel quiet and
-  some thread blocked longer than ``stall_timeout``), records a report with
-  per-thread stack traces and *aborts* the run: tracked locks and condition
-  waits poll in short slices and raise ``PipelineAborted`` once the abort
-  flag is set, so CI fails with a diagnosis instead of hanging.
+  which thread waits on which tracked lock, and who owns it — and on a
+  cycle records a report with per-thread stack traces and *aborts* the run:
+  tracked locks acquire in short slices and raise :class:`PipelineAborted`
+  once the abort flag is set, so CI fails with a diagnosis instead of
+  hanging.
 
 Typical use::
 
     from repro.analysis.sanitizer import sanitized
 
     with sanitized() as san:
-        graph.run()
+        engine.grid(plan, uvw_m, visibilities)
     san.raise_if_reports()
 
 or, for a whole test session, ``IDG_SANITIZE=1 pytest`` (the suite's
@@ -58,16 +55,15 @@ import os
 import sys
 import threading
 import traceback
-import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 __all__ = [
+    "PipelineAborted",
     "Sanitizer",
     "SanitizerError",
     "SanitizerReport",
-    "TrackedCondition",
     "TrackedLock",
     "current",
     "enable_sanitizer",
@@ -87,7 +83,7 @@ _forced: bool | None = None
 #: The installed sanitizer (None while uninstalled).
 CURRENT: "Sanitizer | None" = None
 
-#: Poll slice for abortable lock acquisition / condition waits (seconds).
+#: Poll slice for abortable lock acquisition (seconds).
 _WAIT_SLICE = 0.05
 
 _tls = threading.local()
@@ -112,6 +108,11 @@ def current() -> "Sanitizer | None":
 
 class SanitizerError(RuntimeError):
     """Raised by :meth:`Sanitizer.raise_if_reports` when violations exist."""
+
+
+class PipelineAborted(RuntimeError):
+    """Raised by a blocked :class:`TrackedLock` acquisition once the
+    watchdog has aborted the run."""
 
 
 @dataclass(frozen=True)
@@ -159,18 +160,11 @@ class Sanitizer:
 
     Parameters
     ----------
-    stall_timeout:
-        Seconds a thread may stay blocked on a channel/gate with zero global
-        progress before the watchdog declares the run wedged.  Keep it well
-        above the longest single stage-body computation.
     watchdog_interval:
         Seconds between watchdog sweeps.
     """
 
-    def __init__(
-        self, stall_timeout: float = 30.0, watchdog_interval: float = 0.25
-    ) -> None:
-        self.stall_timeout = stall_timeout
+    def __init__(self, watchdog_interval: float = 0.25) -> None:
         self.watchdog_interval = watchdog_interval
         self.reports: list[SanitizerReport] = []
         self._reports_lock = threading.Lock()
@@ -178,11 +172,6 @@ class Sanitizer:
         self._abort = threading.Event()
         #: thread ident -> tracked lock it is currently blocked acquiring.
         self._lock_waiting: dict[int, Any] = {}
-        self._channels: "weakref.WeakSet[Any]" = weakref.WeakSet()
-        self._gates: "weakref.WeakSet[Any]" = weakref.WeakSet()
-        self._tracked_classes: list[type] = []
-        self._last_ops = -1
-        self._last_progress = 0.0
         self._deadlock_reported = False
 
     # -------------------------------------------------------------- reports
@@ -224,10 +213,8 @@ class Sanitizer:
             held.remove(lock)
 
     def check_abort(self) -> None:
-        """Raise ``PipelineAborted`` when the watchdog aborted the run."""
+        """Raise :class:`PipelineAborted` when the watchdog aborted the run."""
         if self._abort.is_set():
-            from repro.runtime.queues import PipelineAborted
-
             raise PipelineAborted(
                 "idgsan: deadlock watchdog aborted the run (see reports)"
             )
@@ -301,13 +288,6 @@ class Sanitizer:
             parts.append(f"--- thread {names.get(ident, ident)} ---\n{stack}")
         return "".join(parts)
 
-    def _force_abort(self) -> None:
-        self._abort.set()
-        for channel in list(self._channels):
-            channel.abort()
-        for gate in list(self._gates):
-            gate.abort()
-
     def _find_lock_cycle(self) -> list[tuple[int, Any, int]] | None:
         """A cycle in the thread->lock->owner wait-for graph, if any."""
         edges: dict[int, tuple[Any, int]] = {}
@@ -328,61 +308,25 @@ class Sanitizer:
                 return chain[position[node]:]
         return None
 
-    def _watchdog_sweep(self, now: float) -> None:
+    def _watchdog_sweep(self) -> None:
         if self._deadlock_reported:
             return
         cycle = self._find_lock_cycle()
-        if cycle is not None:
-            names = self._thread_names()
-            desc = " -> ".join(
-                f"{names.get(ident, ident)} waits {lock.label} "
-                f"(held by {names.get(owner, owner)})"
-                for ident, lock, owner in cycle
-            )
-            self._deadlock_reported = True
-            self.report(
-                "deadlock",
-                f"lock-order deadlock: {desc}",
-                details=self._format_stacks({i for i, _, _ in cycle}),
-            )
-            self._force_abort()
+        if cycle is None:
             return
-        # global stall: no channel/gate op completed for stall_timeout while
-        # at least one thread is blocked that long on a channel or gate
-        ops = 0
-        blocked: list[tuple[str, Any]] = []
-        for channel in list(self._channels):
-            ops += channel._n_put + channel._n_get
-            snapshot = channel.waiters()
-            for info in snapshot.put:
-                blocked.append((f"put({channel.name})", info))
-            for info in snapshot.get:
-                blocked.append((f"get({channel.name})", info))
-        for gate in list(self._gates):
-            ops += gate.credits - gate._available
-            for info in gate.waiters():
-                blocked.append((f"acquire({gate.name})", info))
-        if ops != self._last_ops:
-            self._last_ops = ops
-            self._last_progress = now
-            return
-        stalled = [
-            (op, info)
-            for op, info in blocked
-            if now - info.since > self.stall_timeout
-        ]
-        if stalled and now - self._last_progress > self.stall_timeout:
-            desc = "; ".join(
-                f"{info.name} blocked {now - info.since:.1f}s in {op}"
-                for op, info in stalled
-            )
-            self._deadlock_reported = True
-            self.report(
-                "deadlock",
-                f"pipeline stalled with zero progress: {desc}",
-                details=self._format_stacks({info.ident for _, info in stalled}),
-            )
-            self._force_abort()
+        names = self._thread_names()
+        desc = " -> ".join(
+            f"{names.get(ident, ident)} waits {lock.label} "
+            f"(held by {names.get(owner, owner)})"
+            for ident, lock, owner in cycle
+        )
+        self._deadlock_reported = True
+        self.report(
+            "deadlock",
+            f"lock-order deadlock: {desc}",
+            details=self._format_stacks({i for i, _, _ in cycle}),
+        )
+        self._abort.set()
 
 
 class _Watchdog(threading.Thread):
@@ -392,10 +336,8 @@ class _Watchdog(threading.Thread):
         self._halt = threading.Event()  # Thread reserves the name _stop
 
     def run(self) -> None:
-        from repro.runtime.telemetry import monotonic
-
         while not self._halt.wait(self._sanitizer.watchdog_interval):
-            self._sanitizer._watchdog_sweep(monotonic())
+            self._sanitizer._watchdog_sweep()
 
     def stop(self) -> None:
         self._halt.set()
@@ -449,74 +391,6 @@ class TrackedLock:
         self.release()
 
 
-class TrackedCondition:
-    """A ``threading.Condition`` wrapper with the same tracking contract as
-    :class:`TrackedLock` (lockset maintenance through ``wait``'s release/
-    re-acquire included)."""
-
-    def __init__(self, sanitizer: Sanitizer, label: str) -> None:
-        self._cond = threading.Condition()
-        self._sanitizer = sanitizer
-        self.label = label
-        self.owner: int | None = None
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        sanitizer = self._sanitizer
-        ident = threading.get_ident()
-        if not blocking or timeout != -1:
-            acquired = self._cond.acquire(blocking, timeout)
-        else:
-            sanitizer._lock_waiting[ident] = self
-            try:
-                while not self._cond.acquire(timeout=_WAIT_SLICE):
-                    sanitizer.check_abort()
-            finally:
-                sanitizer._lock_waiting.pop(ident, None)
-            acquired = True
-        if acquired:
-            self.owner = ident
-            sanitizer._push(self)
-        return acquired
-
-    def release(self) -> None:
-        self._sanitizer._pop(self)
-        self.owner = None
-        self._cond.release()
-
-    def __enter__(self) -> "TrackedCondition":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        sanitizer = self._sanitizer
-        sanitizer._pop(self)
-        self.owner = None
-        try:
-            if timeout is not None:
-                return self._cond.wait(timeout)
-            # One bounded slice, then return as a spurious wakeup.  Callers
-            # re-check their predicate in a while loop (the Condition
-            # contract), so this stays correct — whereas looping here until
-            # a notify is *observed* would lose any notify_all that lands
-            # between two slices (notify only wakes threads parked in wait),
-            # deadlocking an otherwise-healthy pipeline.
-            notified = self._cond.wait(_WAIT_SLICE)
-            sanitizer.check_abort()
-            return notified
-        finally:
-            self.owner = threading.get_ident()
-            sanitizer._push(self)
-
-    def notify(self, n: int = 1) -> None:
-        self._cond.notify(n)
-
-    def notify_all(self) -> None:
-        self._cond.notify_all()
-
-
 # ------------------------------------------------------------- installation
 
 #: (cls, attr) -> original callable, for uninstall.  Necessarily mutable
@@ -544,34 +418,6 @@ def _tracking_setattr(cls: type) -> Callable[[Any, str, Any], None]:
     return __setattr__
 
 
-def _wrap_stage_fn(name: str, fn: Callable[[int, Any], Any]) -> Callable[[int, Any], Any]:
-    def wrapped(seq: int, payload: Any) -> Any:
-        previous = getattr(_tls, "stage", None)
-        _tls.stage = name
-        try:
-            return fn(seq, payload)
-        finally:
-            _tls.stage = previous
-
-    wrapped.__name__ = getattr(fn, "__name__", "stage")
-    return wrapped
-
-
-def _wrap_source(name: str, items: Any) -> Iterator[Any]:
-    iterator = iter(items)
-    while True:
-        previous = getattr(_tls, "stage", None)
-        _tls.stage = name
-        try:
-            try:
-                item = next(iterator)
-            except StopIteration:
-                return
-        finally:
-            _tls.stage = previous
-        yield item
-
-
 def install(sanitizer: Sanitizer | None = None) -> Sanitizer:
     """Patch the runtime classes and start the watchdog.
 
@@ -581,30 +427,11 @@ def install(sanitizer: Sanitizer | None = None) -> Sanitizer:
     """
     global CURRENT, _watchdog
     from repro.core.scratch import ScratchArena
-    from repro.runtime.graph import StageGraph
-    from repro.runtime.queues import Channel, CreditGate
+    from repro.runtime.program import WorkGroupProgram
     from repro.runtime.telemetry import Telemetry
 
     sanitizer = sanitizer if sanitizer is not None else Sanitizer()
     CURRENT = sanitizer
-
-    channel_init = Channel.__init__
-
-    def patched_channel_init(self: Any, *args: Any, **kwargs: Any) -> None:
-        channel_init(self, *args, **kwargs)
-        active = CURRENT
-        if active is not None:
-            self._cond = TrackedCondition(active, f"Channel({self.name})._cond")
-            active._channels.add(self)
-
-    gate_init = CreditGate.__init__
-
-    def patched_gate_init(self: Any, *args: Any, **kwargs: Any) -> None:
-        gate_init(self, *args, **kwargs)
-        active = CURRENT
-        if active is not None:
-            self._cond = TrackedCondition(active, f"CreditGate({self.name})._cond")
-            active._gates.add(self)
 
     telemetry_init = Telemetry.__init__
 
@@ -614,27 +441,22 @@ def install(sanitizer: Sanitizer | None = None) -> Sanitizer:
         if active is not None:
             self._lock = TrackedLock(active, "Telemetry._lock")
 
-    graph_init = StageGraph.__init__
+    program_run = WorkGroupProgram.run
 
-    def patched_graph_init(self: Any, *args: Any, **kwargs: Any) -> None:
-        graph_init(self, *args, **kwargs)
-        active = CURRENT
-        if active is not None:
-            self._error_lock = TrackedLock(
-                active, f"StageGraph({self.name})._error_lock"
-            )
+    def patched_run(
+        self: Any, stage: str, group: int, fn: Callable[[], Any]
+    ) -> Any:
+        # Label this thread with the stage while its body runs, so a report
+        # raised inside names it; every executor's stage bodies pass here.
+        def labelled() -> Any:
+            previous = _stage_label()
+            _tls.stage = stage
+            try:
+                return fn()
+            finally:
+                _tls.stage = previous
 
-    add_stage = StageGraph.add_stage
-
-    def patched_add_stage(
-        self: Any, name: str, fn: Callable[[int, Any], Any], workers: int = 1
-    ) -> None:
-        add_stage(self, name, _wrap_stage_fn(name, fn), workers=workers)
-
-    add_source = StageGraph.add_source
-
-    def patched_add_source(self: Any, name: str, items: Any) -> None:
-        add_source(self, name, _wrap_source(name, items))
+        return program_run(self, stage, group, labelled)
 
     arena_take = ScratchArena.take
 
@@ -660,20 +482,14 @@ def install(sanitizer: Sanitizer | None = None) -> Sanitizer:
             active.note_arena_reset(self)
         return arena_release(self)
 
-    _patch(Channel, "__init__", patched_channel_init)
-    _patch(CreditGate, "__init__", patched_gate_init)
     _patch(Telemetry, "__init__", patched_telemetry_init)
-    _patch(StageGraph, "__init__", patched_graph_init)
-    _patch(StageGraph, "add_stage", patched_add_stage)
-    _patch(StageGraph, "add_source", patched_add_source)
+    _patch(Telemetry, "__setattr__", _tracking_setattr(Telemetry))
+    _patch(WorkGroupProgram, "run", patched_run)
     _patch(ScratchArena, "take", patched_take)
     _patch(ScratchArena, "trim", patched_trim)
     _patch(ScratchArena, "release", patched_release)
     # ``zeros`` calls the (patched) ``take``, so it needs no wrapper of its
     # own; a second one would double-check ownership per allocation.
-    for cls in (Channel, CreditGate, Telemetry, StageGraph):
-        _patch(cls, "__setattr__", _tracking_setattr(cls))
-    sanitizer._tracked_classes = [Channel, CreditGate, Telemetry, StageGraph]
 
     if _watchdog is None:
         _watchdog = _Watchdog(sanitizer)
@@ -714,16 +530,12 @@ def maybe_install_from_env() -> Sanitizer | None:
 
 
 @contextmanager
-def sanitized(
-    stall_timeout: float = 30.0, watchdog_interval: float = 0.25
-) -> Iterator[Sanitizer]:
+def sanitized(watchdog_interval: float = 0.25) -> Iterator[Sanitizer]:
     """Context manager: install a fresh sanitizer, restore the previous
     state on exit (the previous sanitizer is reinstated if one was active)."""
     global CURRENT
     previous = CURRENT
-    sanitizer = install(
-        Sanitizer(stall_timeout=stall_timeout, watchdog_interval=watchdog_interval)
-    )
+    sanitizer = install(Sanitizer(watchdog_interval=watchdog_interval))
     try:
         yield sanitizer
     finally:

@@ -38,8 +38,8 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=["serial", "threads", "streaming", "processes"],
         default="serial",
-        help="serial IDG, flat thread pool (ParallelIDG), the streaming "
-        "stage-graph runtime (StreamingIDG), or shared-memory worker "
+        help="serial IDG, flat thread pool (ParallelIDG), a window of "
+        "work groups in flight (StreamingIDG), or shared-memory worker "
         "processes (ProcessShardedIDG)",
     )
     parser.add_argument(
@@ -50,9 +50,9 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker threads / processes (threads and processes executors; "
-        "default: the cores this process may run on for threads, 2 for "
-        "processes)",
+        help="worker threads / processes (threads, streaming and processes "
+        "executors; default: the cores this process may run on for threads "
+        "and streaming, 2 for processes)",
     )
     parser.add_argument(
         "--n-buffers", type=int, default=3,
@@ -461,21 +461,16 @@ def _make_idg(dataset, grid_size, subgrid_size, backend=None,
 
 def _make_executor(idg, args):
     """The gridding/degridding engine selected by ``--executor``."""
-    if args.executor == "threads":
-        from repro.parallel.executor import ParallelIDG
+    from repro.imaging.pipeline import make_engine
+    from repro.parallel.executor import usable_cores
 
-        return ParallelIDG(idg, n_workers=args.workers)
-    if args.executor == "streaming":
-        from repro.runtime import RuntimeConfig, StreamingIDG
-
-        return StreamingIDG(idg, RuntimeConfig(n_buffers=args.n_buffers))
-    if args.executor == "processes":
-        from repro.parallel.process import ProcessConfig, ProcessShardedIDG
-
-        return ProcessShardedIDG(
-            idg, ProcessConfig(n_procs=args.workers if args.workers else 2)
-        )
-    return idg
+    workers = args.workers
+    if workers is None:
+        workers = 2 if args.executor == "processes" else usable_cores()
+    return make_engine(
+        idg, args.executor, n_workers=workers, n_buffers=args.n_buffers,
+        start_method="spawn",
+    )
 
 
 def _report_run(engine, args) -> None:

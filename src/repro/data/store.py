@@ -750,8 +750,8 @@ class ChunkedVisibilitySource:
 
         The returned :class:`PrefetchedGroup` serves the same indexing
         grammar from memory, so the gridder stage never touches the map —
-        with the streaming credit gate bounding groups in flight, at most
-        ``n_buffers`` groups' blocks are ever resident.
+        with the streaming executor's window bounding groups in flight, at
+        most ``n_buffers`` groups' blocks are ever resident.
         """
         blocks: dict[tuple[int, int, int, int, int], np.ndarray] = {}
         rows = plan.items[start:stop]

@@ -55,7 +55,15 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.program import WorkGroupProgram, retire_in_order
 from repro.runtime.recovery import FaultReport, WorkGroupError
 
-__all__ = ["ParallelIDG", "WorkGroupError"]
+__all__ = ["ParallelIDG", "WorkGroupError", "usable_cores"]
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity mask (cpusets,
+    taskset) where the OS has one, else every logical core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class ParallelIDG:
@@ -69,8 +77,7 @@ class ParallelIDG:
         ``retry_backoff_s``).
     n_workers:
         Worker threads; defaults to every core this process may run on
-        (its CPU affinity mask where the OS has one, else every logical
-        core; the paper uses all of them).
+        (:func:`usable_cores`; the paper uses all of them).
     faults:
         Optional deterministic fault-injection plan (tests, benchmarks).
 
@@ -85,12 +92,7 @@ class ParallelIDG:
         faults: FaultPlan | None = None,
     ):
         if n_workers is None:
-            # The cores this process may run on (cpusets, taskset), not
-            # every core the host has.
-            n_workers = (
-                len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1
-            )
+            n_workers = usable_cores()
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self.idg = idg

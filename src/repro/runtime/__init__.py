@@ -1,16 +1,12 @@
 """Streaming pipeline runtime (executable Fig 7).
 
-An executable runtime for the IDG pipeline: a credit gate bounding the work
-groups in flight (``n_buffers``), each group's stage chain on one pool
-worker, in-order retirement on the calling thread, built-in telemetry with a
+An executable runtime for the IDG pipeline: an admission window of
+``n_buffers`` work groups, each group's stage chain on one pool worker,
+in-order retirement on the calling thread, built-in telemetry with a
 Chrome-trace exporter, and graceful error propagation.
 
 * :class:`StreamingIDG` / :class:`RuntimeConfig` — the drop-in pipelined
   ``grid``/``degrid``;
-* :class:`StageGraph` — a generic thread-per-stage pipeline executor over
-  bounded channels (the sanitizer corpus exercises it; ``StreamingIDG``
-  does not use it);
-* :class:`Channel` / :class:`CreditGate` — the bounded-buffer primitives;
 * :class:`Telemetry` — spans, gauges, counters, ``chrome://tracing`` export.
 
 Fault tolerance (DESIGN.md §11):
@@ -41,9 +37,7 @@ from repro.runtime.faults import (
     InjectedCrash,
     InjectedFault,
 )
-from repro.runtime.graph import StageGraph
 from repro.runtime.memory import peak_rss_bytes, record_memory_gauges, rss_bytes
-from repro.runtime.queues import Channel, ChannelClosed, CreditGate, PipelineAborted
 from repro.runtime.recovery import (
     DeadLetter,
     FaultReport,
@@ -54,14 +48,11 @@ from repro.runtime.recovery import (
     group_visibility_count,
 )
 from repro.runtime.streaming import RuntimeConfig, StreamingIDG, modeled_schedule_jobs
-from repro.runtime.telemetry import GaugeSample, QueueStats, Span, Telemetry
+from repro.runtime.telemetry import GaugeSample, Span, Telemetry
 
 __all__ = [
-    "Channel",
-    "ChannelClosed",
     "CheckpointConfig",
     "CorruptDataError",
-    "CreditGate",
     "DeadLetter",
     "FaultPlan",
     "FaultReport",
@@ -70,13 +61,10 @@ __all__ = [
     "GridCheckpoint",
     "InjectedCrash",
     "InjectedFault",
-    "PipelineAborted",
-    "QueueStats",
     "Quarantined",
     "RetryPolicy",
     "RuntimeConfig",
     "Span",
-    "StageGraph",
     "StreamingIDG",
     "Telemetry",
     "WorkGroupError",

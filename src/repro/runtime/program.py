@@ -99,10 +99,11 @@ def retire_in_order(
     The first failure in the order of ``groups`` is re-raised here.  A
     failing ``compute`` sets an abort flag, so groups not started yet skip
     their work and are never retired; once the flag is set this thread
-    admits nothing more (``admit`` may wait on something only ``retire``
-    gives back) and drains the groups in flight to the failure.  The pool
-    is shut down, every thread joined, before this returns or raises, so no
-    thread outlives the call.
+    admits nothing more — a group admitted then would be skipped and never
+    retired, so whatever ``admit`` counted for it would never be given back
+    — and drains the groups in flight to the failure.  The pool is shut
+    down, every thread joined, before this returns or raises, so no thread
+    outlives the call.
     """
     abort = threading.Event()
     skipped = object()

@@ -154,8 +154,8 @@ class DeadLetter:
 class Quarantined:
     """Sentinel stage result standing in for a dead-lettered work group.
 
-    Flows through downstream stages (keeping sequence ordering and credit
-    accounting intact) instead of the group's real payload.
+    Flows through downstream stages (keeping sequence ordering and the
+    in-flight count intact) instead of the group's real payload.
     """
 
     group: int

@@ -14,8 +14,8 @@ with ``htod``/``dtoh`` present only when the device link is emulated.  The
 calling thread admits up to ``n_buffers`` work groups (the ``splitter``
 stage) and retires them in plan order
 (:func:`repro.runtime.program.retire_in_order`, whose loop is the window's
-one bound; the ``in_flight`` gate only records its occupancy); each
-admitted group runs its whole chain back to back on one pool worker, and a
+one bound; the ``in_flight`` gauge records its occupancy); each admitted
+group runs its whole chain back to back on one pool worker, and a
 semaphore of ``workers`` permits bounds the groups inside their compute
 stages (``gridder`` + ``subgrid_fft``, ``subgrid_ifft`` + ``degridder``), so
 the emulated link time of the other groups in flight overlaps compute.
@@ -34,8 +34,8 @@ stops admitting and cancels the queued groups), and with
 ``IDGConfig.max_retries > 0`` (or a :class:`~repro.runtime.faults.FaultPlan`)
 transient failures are retried and a work group that exhausts its budget is
 quarantined: a :class:`~repro.runtime.recovery.Quarantined` sentinel flows
-down the remaining stages so sequencing and credit accounting stay exact,
-and the :class:`~repro.runtime.recovery.FaultReport` on
+down the remaining stages so sequencing and the in-flight count stay
+exact, and the :class:`~repro.runtime.recovery.FaultReport` on
 ``last_fault_report`` records what was lost.  ``retire`` also keeps the
 call's checkpoints (:mod:`repro.runtime.checkpoint`), so a streaming
 ``grid`` checkpoints and resumes like every other executor's.
@@ -64,7 +64,6 @@ from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.memory import record_memory_gauges
 from repro.runtime.program import WorkGroupProgram, retire_in_order
-from repro.runtime.queues import CreditGate
 from repro.runtime.recovery import FaultReport, Quarantined
 from repro.runtime.telemetry import Telemetry, monotonic
 
@@ -132,10 +131,10 @@ class _Schedule:
     ) -> None:
         self.config = config
         self.telemetry = telemetry
-        #: The ``in_flight`` gauge: a credit taken per admission and given
-        #: back per retirement.  The admission loop keeps at most
-        #: ``n_buffers`` groups in flight, so ``acquire`` never waits.
-        self.gate = CreditGate(config.n_buffers, telemetry=telemetry, name="in_flight")
+        #: Work groups admitted and not yet retired (the ``in_flight``
+        #: gauge).  Admission and retirement both run on the calling
+        #: thread, so the count needs no lock.
+        self.in_flight = 0
         #: Held across a group's compute stages only.
         self.compute = threading.Semaphore(config.workers)
         waits = reads or config.emulate_pcie_gbs is not None
@@ -152,7 +151,13 @@ class _Schedule:
 
     def admit(self, group: int) -> None:
         """The ``splitter`` stage: count ``group`` in flight."""
-        self.timed("splitter", group, self.gate.acquire)
+        self.timed("splitter", group, self.count, 1)
+
+    def count(self, delta: int) -> None:
+        """Move the in-flight count by ``delta`` (+1 admitted, -1 retired)
+        and record the ``in_flight`` gauge."""
+        self.in_flight += delta
+        self.telemetry.record_gauge("in_flight", self.in_flight)
 
     def transfer(self, stage: str, group: int, data: Any, nbytes: Callable[[], float]) -> None:
         """An emulated device-link stage: occupies the link for ``nbytes()``
@@ -272,10 +277,10 @@ class StreamingIDG:
         def retire(group: int, fourier: Any) -> None:
             # The serial adder in plan order: the grid accumulates exactly
             # as the serial executor's does.  A group dead-lettered upstream
-            # adds nothing, but still returns its credit.
+            # adds nothing, but still leaves the window.
             nonlocal n_retired
             schedule.timed("adder", group, program.retire, group, fourier)
-            schedule.gate.release()
+            schedule.count(-1)
             n_retired += 1
             if source is not None and n_retired % 8 == 0:
                 # Retired groups' file pages are dead weight: evict them and
@@ -343,7 +348,7 @@ class StreamingIDG:
         tm.add_counter("work_groups", plan.n_subgrids)
         schedule.run(
             range(program.n_groups), chain,
-            lambda group, result: schedule.gate.release(), name="streaming-degrid",
+            lambda group, result: schedule.count(-1), name="streaming-degrid",
         )
         record_memory_gauges(tm)
         self.last_telemetry = tm

@@ -1,8 +1,9 @@
 """Built-in telemetry for the streaming runtime (spans, gauges, counters).
 
-Every stage worker records a :class:`Span` per work item; channels and the
-credit gate record depth/occupancy gauges; the pipeline records throughput
-counters (visibilities gridded).  The collected events export to the Chrome
+The thread that runs a stage records a :class:`Span` per work group; the
+streaming executor records its ``in_flight`` gauge (work groups admitted and
+not yet retired) and memory gauges; the pipeline records throughput counters
+(visibilities gridded).  The collected events export to the Chrome
 trace-event JSON format, so a measured run opens directly in
 ``chrome://tracing`` / Perfetto next to the *predicted* schedule from
 :mod:`repro.perfmodel.streams` — the Fig 7 comparison, but with real time on
@@ -43,25 +44,11 @@ class Span:
 
 @dataclass(frozen=True)
 class GaugeSample:
-    """An instantaneous value of a named gauge (queue depth, in-flight)."""
+    """An instantaneous value of a named gauge (in-flight, RSS)."""
 
     name: str
     time: float
     value: float
-
-
-@dataclass(frozen=True)
-class QueueStats:
-    """Lifetime statistics of one bounded channel."""
-
-    name: str
-    capacity: int
-    n_put: int
-    n_get: int
-    max_depth: int
-    blocked_put_seconds: float
-    blocked_get_seconds: float
-    occupancy: float  # time-averaged depth / capacity over the channel's life
 
 
 class Telemetry:
@@ -72,7 +59,6 @@ class Telemetry:
         self._spans: list[Span] = []
         self._gauges: list[GaugeSample] = []
         self._counters: dict[str, float] = {}
-        self._queues: list[QueueStats] = []
         self._stage_order: list[str] = []
         self.t0 = monotonic()
 
@@ -94,10 +80,6 @@ class Telemetry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + delta
 
-    def record_queue(self, stats: QueueStats) -> None:
-        with self._lock:
-            self._queues.append(stats)
-
     # ------------------------------------------------------------- querying
 
     @property
@@ -110,11 +92,6 @@ class Telemetry:
     def counters(self) -> dict[str, float]:
         with self._lock:
             return dict(self._counters)
-
-    @property
-    def queues(self) -> tuple[QueueStats, ...]:
-        with self._lock:
-            return tuple(self._queues)
 
     def spans(self, stage: str | None = None) -> tuple[Span, ...]:
         with self._lock:
@@ -157,7 +134,6 @@ class Telemetry:
             spans = list(self._spans)
             gauges = list(self._gauges)
             counters = dict(self._counters)
-            queues = list(self._queues)
         workers = sorted({s.worker for s in spans})
         tids = {worker: tid for tid, worker in enumerate(workers)}
         events: list[dict[str, Any]] = [
@@ -198,20 +174,7 @@ class Telemetry:
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "otherData": {
-                "counters": counters,
-                "queues": [
-                    {
-                        "name": q.name,
-                        "capacity": q.capacity,
-                        "occupancy": q.occupancy,
-                        "max_depth": q.max_depth,
-                        "blocked_put_seconds": q.blocked_put_seconds,
-                        "blocked_get_seconds": q.blocked_get_seconds,
-                    }
-                    for q in queues
-                ],
-            },
+            "otherData": {"counters": counters},
         }
 
     def write_chrome_trace(self, path: str) -> None:
@@ -220,7 +183,7 @@ class Telemetry:
             json.dump(self.chrome_trace(), fh)
 
     def summary(self) -> str:
-        """Human-readable per-stage/per-queue digest of the run."""
+        """Human-readable per-stage digest of the run."""
         lines = [f"makespan {self.makespan() * 1e3:9.2f} ms"]
         rate = self.throughput()
         if rate > 0.0:
@@ -232,12 +195,5 @@ class Telemetry:
             lines.append(
                 f"  {stage:<14} {len(spans):4d} items  busy {busy * 1e3:9.2f} ms"
                 f"  ({100.0 * busy / makespan:5.1f}% of makespan)"
-            )
-        for q in self.queues:
-            lines.append(
-                f"  queue {q.name:<20} cap {q.capacity}  occupancy "
-                f"{100.0 * q.occupancy:5.1f}%  max depth {q.max_depth}  "
-                f"blocked put/get {q.blocked_put_seconds * 1e3:.1f}/"
-                f"{q.blocked_get_seconds * 1e3:.1f} ms"
             )
         return "\n".join(lines)

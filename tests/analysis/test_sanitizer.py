@@ -10,19 +10,18 @@ zero reports — the false-positive budget of the dynamic half is zero.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.analysis import sanitizer
 from repro.analysis.sanitizer import (
+    PipelineAborted,
     Sanitizer,
     SanitizerError,
     TrackedLock,
     sanitized,
     track_class,
 )
-from repro.runtime.queues import Channel, CreditGate, PipelineAborted
 
 
 class Toy:
@@ -104,7 +103,7 @@ def test_single_thread_writes_never_race() -> None:
 
 
 def test_ab_ba_deadlock_is_reported_and_aborted() -> None:
-    with sanitized(stall_timeout=10.0, watchdog_interval=0.05) as san:
+    with sanitized(watchdog_interval=0.05) as san:
         a = TrackedLock(san, "lock_a")
         b = TrackedLock(san, "lock_b")
         barrier = threading.Barrier(2)
@@ -134,43 +133,6 @@ def test_ab_ba_deadlock_is_reported_and_aborted() -> None:
         assert "--- thread" in deadlocks[0].details
         # at least one of the two threads was unblocked by force
         assert errors
-
-
-def test_channel_stall_is_reported_and_aborted() -> None:
-    with sanitized(stall_timeout=0.3, watchdog_interval=0.05) as san:
-        chan = Channel(name="stalled", capacity=1)
-        chan.put(0)  # fills the channel; nobody will ever get()
-
-        errors = _in_thread(lambda: chan.put(1), name="blocked-producer")
-
-        assert len(errors) == 1 and isinstance(errors[0], PipelineAborted)
-        stalls = [r for r in san.reports if r.kind == "deadlock"]
-        assert len(stalls) == 1
-        assert "blocked-producer" in stalls[0].details
-
-
-def test_draining_pipeline_does_not_trip_the_watchdog() -> None:
-    """Steady progress resets the stall clock even per-op slower than the
-    timeout window would allow a single blocked thread."""
-    with sanitized(stall_timeout=0.5, watchdog_interval=0.05) as san:
-        chan = Channel(name="slow", capacity=1)
-        done = threading.Event()
-
-        def consumer() -> None:
-            for _ in range(8):
-                chan.get()
-                time.sleep(0.1)
-            done.set()
-
-        errors_c = []
-        t = threading.Thread(target=consumer, name="slow-consumer", daemon=True)
-        t.start()
-        for i in range(8):
-            chan.put(i)
-        assert done.wait(timeout=10.0)
-        t.join(timeout=10.0)
-        assert san.reports == []
-        assert not errors_c
 
 
 # ------------------------------------------------------------- arena policy
@@ -206,81 +168,65 @@ def test_thread_arena_is_clean_by_construction() -> None:
         assert san.reports == []
 
 
-# ------------------------------------------------- clean runtime, no blame
+# ------------------------------------------------------ stage attribution
 
 
-def test_clean_stage_graph_produces_no_reports() -> None:
-    from repro.runtime.graph import StageGraph
+def test_stage_label_attached_to_reports(small_idg, small_plan, small_obs,
+                                         single_source_vis) -> None:
+    """A backend whose ``grid_work_group`` writes a tracked object without a
+    lock races on the pool workers of both thread executors; the one report
+    names the ``gridder`` stage, which ``WorkGroupProgram.run`` labels."""
+    from repro.backends.vectorized import VectorizedBackend
+    from repro.parallel.executor import ParallelIDG
+    from repro.runtime import RuntimeConfig, StreamingIDG
 
-    with sanitized() as san:
-        graph = StageGraph(name="sanitized-smoke", n_buffers=2)
-        graph.add_source("src", range(16))
-        graph.add_stage("square", lambda seq, x: x * x, workers=2)
-        out: list[int] = []
-        out_lock = threading.Lock()
+    class RacyBackend(VectorizedBackend):
+        def __init__(self, toy: Toy) -> None:
+            self.toy = toy
 
-        def sink(seq: int, x: int) -> int:
-            with out_lock:
-                out.append(x)
-            return x
+        def grid_work_group(self, plan, start, stop, *args, **kwargs):
+            self.toy.counter = start  # unlocked, from a pool worker
+            return super().grid_work_group(plan, start, stop, *args, **kwargs)
 
-        graph.add_sink("sink", sink)
-        graph.run()
-        assert sorted(out) == [i * i for i in range(16)]
-        assert san.reports == []
-        san.raise_if_reports()
-
-
-def test_credit_gate_round_trip_is_clean() -> None:
-    with sanitized() as san:
-        gate = CreditGate(credits=2)
-        gate.acquire()
-        gate.acquire()
-        _in_thread(gate.release)
-        gate.release()
-        assert san.reports == []
-
-
-def test_stage_label_attached_to_reports() -> None:
-    from repro.runtime.graph import StageGraph
-
-    with sanitized() as san:
-        track_class(Toy)
-        toy = Toy()
-        toy.counter = 1  # main thread takes ownership
-
-        def racy_stage(seq: int, x: int) -> int:
-            toy.counter = x
-            return x
-
-        graph = StageGraph(name="blamed", n_buffers=2)
-        graph.add_source("src", range(4))
-        graph.add_sink("racer", racy_stage)
-        graph.run()
-        races = [r for r in san.reports if r.kind == "race"]
-        assert len(races) == 1
-        assert races[0].stage == "racer"
+    idg = small_idg.with_config(work_group_size=16)
+    engines = {
+        "threads": lambda: ParallelIDG(idg, n_workers=2),
+        "streaming": lambda: StreamingIDG(idg, RuntimeConfig(workers=2)),
+    }
+    for name, make_engine in engines.items():
+        with sanitized() as san:
+            track_class(Toy)
+            toy = Toy()
+            toy.counter = 1  # main thread takes ownership
+            idg.backend = RacyBackend(toy)
+            make_engine().grid(small_plan, small_obs.uvw_m, single_source_vis)
+            assert [(r.kind, r.stage) for r in san.reports] == [
+                ("race", "gridder")
+            ], name
 
 
 # --------------------------------------------------------------- lifecycle
 
 
 def test_install_patches_and_uninstall_restores() -> None:
-    before = Channel.__init__
+    from repro.runtime.program import WorkGroupProgram
+    from repro.runtime.telemetry import Telemetry
+
+    before = (Telemetry.__init__, WorkGroupProgram.run)
     had_session = sanitizer.current() is not None
     with sanitized():
+        patched = (Telemetry.__init__, WorkGroupProgram.run)
         if had_session:
             # patches are idempotent: a nested install must not double-wrap
-            assert Channel.__init__ is before
+            assert patched == before
         else:
-            assert Channel.__init__ is not before
-        chan = Channel(name="tracked", capacity=1)
-        assert type(chan._cond).__name__ == "TrackedCondition"
+            assert all(p is not b for p, b in zip(patched, before))
+        assert type(Telemetry()._lock).__name__ == "TrackedLock"
     if had_session:
         # the session sanitizer (IDG_SANITIZE=1) keeps the patches installed
         assert sanitizer.current() is not None
     else:
-        assert Channel.__init__ is before
+        assert (Telemetry.__init__, WorkGroupProgram.run) == before
         assert sanitizer.current() is None
 
 

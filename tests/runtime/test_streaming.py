@@ -156,9 +156,7 @@ def test_telemetry_spans_and_trace(small_idg, small_plan, small_obs,
         assert len(telemetry.spans(stage)) == n_groups
     assert telemetry.counters["visibilities"] > 0
     assert telemetry.throughput() > 0
-    # no inter-stage channels: the credit gate's gauge is the only
-    # occupancy record, and it stays within the admission window
-    assert telemetry.queues == ()
+    # the in-flight gauge stays within the admission window
     assert 0 < max(in_flight_samples(telemetry)) <= engine.config.n_buffers
     trace = json.loads(json.dumps(telemetry.chrome_trace()))
     span_names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
@@ -298,7 +296,7 @@ def test_skipped_oldest_group_stops_admission(monkeypatch):
             return self.wait(timeout=10)
 
     monkeypatch.setattr(program_module, "threading", SimpleNamespace(Event=HeldEvent))
-    credits = threading.Semaphore(2)  # StreamingIDG's gate: retire gives back
+    credits = threading.Semaphore(2)  # taken by admit, given back by retire
     admitted, retired = [], []
 
     def admit(group):

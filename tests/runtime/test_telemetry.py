@@ -2,7 +2,7 @@
 
 import json
 
-from repro.runtime.telemetry import QueueStats, Telemetry
+from repro.runtime.telemetry import Telemetry
 
 
 def _stocked() -> Telemetry:
@@ -11,12 +11,8 @@ def _stocked() -> Telemetry:
     tm.record_span("gridder", 0, t0 + 0.00, t0 + 0.10, "gridder-0")
     tm.record_span("gridder", 1, t0 + 0.10, t0 + 0.25, "gridder-0")
     tm.record_span("fft", 0, t0 + 0.10, t0 + 0.12, "fft-0")
-    tm.record_gauge("queue:g->f", 1)
+    tm.record_gauge("in_flight", 1)
     tm.add_counter("visibilities", 1000)
-    tm.record_queue(QueueStats(
-        name="g->f", capacity=3, n_put=2, n_get=2, max_depth=1,
-        blocked_put_seconds=0.0, blocked_get_seconds=0.01, occupancy=0.2,
-    ))
     return tm
 
 
@@ -49,11 +45,10 @@ def test_chrome_trace_round_trips():
     first = min(spans, key=lambda e: e["ts"])
     assert abs(first["ts"]) < 1.0
     counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-    assert counters and counters[0]["name"] == "queue:g->f"
+    assert counters and counters[0]["name"] == "in_flight"
     metadata = [e for e in doc["traceEvents"] if e["ph"] == "M"]
     assert {e["args"]["name"] for e in metadata} == {"gridder-0", "fft-0"}
-    assert doc["otherData"]["counters"]["visibilities"] == 1000
-    assert doc["otherData"]["queues"][0]["occupancy"] == 0.2
+    assert doc["otherData"] == {"counters": {"visibilities": 1000}}
 
 
 def test_write_chrome_trace(tmp_path):
@@ -65,11 +60,10 @@ def test_write_chrome_trace(tmp_path):
     assert doc["traceEvents"]
 
 
-def test_summary_mentions_stages_and_queues():
+def test_summary_mentions_stages():
     text = _stocked().summary()
     assert "gridder" in text
     assert "fft" in text
-    assert "queue g->f" in text
     assert "MVis/s" in text
 
 

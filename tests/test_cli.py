@@ -104,6 +104,30 @@ def test_image_streaming_matches_serial(sim_dataset, tmp_path, capsys):
     assert {"splitter", "gridder", "subgrid_fft", "adder"} <= span_names
 
 
+def test_image_streaming_honours_workers(sim_dataset, tmp_path, monkeypatch):
+    """--workers sizes the streaming executor's compute workers, and without
+    it streaming uses every core the process may run on, as threads does."""
+    import argparse
+
+    from repro import cli
+    from repro.parallel.executor import usable_cores
+
+    engines = []
+    make_executor = cli._make_executor
+
+    def recording(idg, args):
+        engines.append(make_executor(idg, args))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "_make_executor", recording)
+    assert main(["image", str(sim_dataset), str(tmp_path / "w2.npz"),
+                 "--grid-size", "256", "--executor", "streaming",
+                 "--workers", "2"]) == 0
+    assert engines[0].config.workers == 2
+    defaults = argparse.Namespace(executor="streaming", workers=None, n_buffers=3)
+    assert make_executor(engines[0].idg, defaults).config.workers == usable_cores()
+
+
 def test_image_backend_flag(sim_dataset, tmp_path, monkeypatch):
     """--backend and IDG_BACKEND select the kernel backend; unknown names
     exit with the registry's helpful message instead of a traceback."""
