@@ -15,14 +15,19 @@ What it does while installed:
 * **Lockset race detection** (Eraser-style, write-write).  Attribute writes
   on tracked classes (:class:`~repro.runtime.telemetry.Telemetry`, plus
   anything registered with :func:`track_class`) are intercepted via
-  ``__setattr__``.  Each field starts *exclusive* to its constructing
-  thread; the first write from a second thread makes it *shared* and seeds
-  its candidate lockset with the locks held at that write; every later
-  write intersects.  An empty intersection means no single lock protects
-  the field — a data race is reported (once per field) with the writing
-  thread and stage.  The stage is the one
-  :meth:`~repro.runtime.program.WorkGroupProgram.run` is running on that
-  thread, so reports from every executor's stage bodies name it.
+  ``__setattr__``.  A ``Telemetry`` built while installed also gets watched
+  copies of its list and dict fields (spans, gauges, counters, stage
+  order), whose in-place mutators — ``append``, item assignment and the
+  like — count as writes of the field: the recorder fills them from the
+  calling thread and from every pool worker, under its lock.  Each field
+  starts *exclusive* to its constructing thread; the first write from a
+  second thread makes it *shared* and seeds its candidate lockset with the
+  locks held at that write; every later write intersects.  An empty
+  intersection means no single lock protects the field — a data race is
+  reported (once per field) with the writing thread and stage.  The stage
+  is the one :meth:`~repro.runtime.program.WorkGroupProgram.run` is
+  running on that thread, so reports from every executor's stage bodies
+  name it.
 
 * **Arena ownership**.  :class:`~repro.core.scratch.ScratchArena` views are
   single-thread by contract; ``take``/``zeros`` record the first toucher as
@@ -406,6 +411,57 @@ def _patch(cls: type, attr: str, wrapper: Any) -> None:
         setattr(cls, attr, wrapper)
 
 
+def _reporting(mutator: Callable[..., Any]) -> Callable[..., Any]:
+    """``mutator`` of a watched container, reporting a write of the field
+    that holds the container before it runs."""
+
+    def method(self: Any, *args: Any, **kwargs: Any) -> Any:
+        sanitizer = CURRENT
+        if sanitizer is not None:
+            sanitizer.record_write(self.owner, self.field)
+        return mutator(self, *args, **kwargs)
+
+    return method
+
+
+class _WatchedList(list):
+    """A list field whose in-place writes reach the lockset check."""
+
+    __slots__ = ("owner", "field")
+    append = _reporting(list.append)
+    extend = _reporting(list.extend)
+    insert = _reporting(list.insert)
+    pop = _reporting(list.pop)
+    remove = _reporting(list.remove)
+    clear = _reporting(list.clear)
+    __setitem__ = _reporting(list.__setitem__)
+    __delitem__ = _reporting(list.__delitem__)
+    __iadd__ = _reporting(list.__iadd__)
+
+
+class _WatchedDict(dict):
+    """A dict field whose in-place writes reach the lockset check."""
+
+    __slots__ = ("owner", "field")
+    __setitem__ = _reporting(dict.__setitem__)
+    __delitem__ = _reporting(dict.__delitem__)
+    pop = _reporting(dict.pop)
+    popitem = _reporting(dict.popitem)
+    clear = _reporting(dict.clear)
+    update = _reporting(dict.update)
+    setdefault = _reporting(dict.setdefault)
+
+
+def _watch_containers(obj: Any) -> None:
+    """Swap every list and dict field of ``obj`` for a watched copy, so
+    mutating one in place is a write of that field."""
+    for field, value in list(vars(obj).items()):
+        if type(value) in (list, dict):
+            watched = (_WatchedList if type(value) is list else _WatchedDict)(value)
+            watched.owner, watched.field = obj, field
+            setattr(obj, field, watched)
+
+
 def _tracking_setattr(cls: type) -> Callable[[Any, str, Any], None]:
     original = cls.__setattr__
 
@@ -440,6 +496,9 @@ def install(sanitizer: Sanitizer | None = None) -> Sanitizer:
         active = CURRENT
         if active is not None:
             self._lock = TrackedLock(active, "Telemetry._lock")
+            # The recorder fills its span, gauge, counter and stage
+            # containers in place, which __setattr__ never sees.
+            _watch_containers(self)
 
     program_run = WorkGroupProgram.run
 

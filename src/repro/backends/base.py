@@ -12,7 +12,8 @@ points of the pipeline (Fig 4) —
 * **adder/splitter** — master-grid accumulation and extraction —
 
 and all four executors (:class:`repro.core.IDG`,
-:class:`repro.parallel.ParallelIDG`, :class:`repro.runtime.StreamingIDG`,
+:class:`repro.runtime.StreamingIDG`, its ``threads`` configuration
+:class:`repro.parallel.ParallelIDG`, and
 :class:`repro.parallel.ProcessShardedIDG`) dispatch through whichever
 backend the :class:`~repro.core.pipeline.IDG` was configured with.  The equivalence contract — all registered backends
 agree pairwise to ``rtol = 1e-5`` on a shared corpus of plans, and each is
@@ -23,7 +24,8 @@ visibilities with ``(4, G, G)`` grids, and the one-correlation Stokes-I
 sample as ``(..., 1, 1)`` visibilities with ``(1, G, G)`` grids.
 
 Backends must be stateless after construction (no per-call mutable members):
-``ParallelIDG`` and ``StreamingIDG`` call one instance from many threads, and
+``StreamingIDG`` (``ParallelIDG`` included) calls one instance from its pool
+threads, and
 ``ProcessShardedIDG``'s workers rebuild the backend from its registry name
 while the parent process keeps the instance that runs the adder.
 """

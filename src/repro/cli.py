@@ -38,9 +38,10 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor", choices=["serial", "threads", "streaming", "processes"],
         default="serial",
-        help="serial IDG, flat thread pool (ParallelIDG), a window of "
-        "work groups in flight (StreamingIDG), or shared-memory worker "
-        "processes (ProcessShardedIDG)",
+        help="serial IDG, threads (StreamingIDG with two work groups in "
+        "flight per worker), streaming (StreamingIDG with --n-buffers work "
+        "groups in flight), or shared-memory worker processes "
+        "(ProcessShardedIDG)",
     )
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
@@ -61,7 +62,8 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="streaming executor: write a chrome://tracing JSON of the run",
+        help="threads, streaming and processes executors: write a "
+        "chrome://tracing JSON of the run",
     )
     parser.add_argument(
         "--max-retries", type=int, default=0,

@@ -216,12 +216,12 @@ class IDG:
         plan: Plan,
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
+        *,
         aterms: ATermGenerator | None = None,
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
         faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        *,
         checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Grid a visibility set onto the master grid.
@@ -291,6 +291,7 @@ class IDG:
         plan: Plan,
         uvw_m: np.ndarray,
         grid: np.ndarray,
+        *,
         aterms: ATermGenerator | None = None,
         faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,

@@ -24,9 +24,9 @@ current working set instead of the historical peak.
 Arenas are **not** thread-safe and must never be shared between threads —
 two gridder workers writing phase tensors into the same buffer would corrupt
 each other's work items.  Kernels therefore obtain their arena through
-:func:`thread_arena`, which keeps one arena per thread (the executors —
-``ParallelIDG`` workers, ``StreamingIDG`` stage threads — each see their
-own), while the backends themselves stay stateless as the backend contract
+:func:`thread_arena`, which keeps one arena per thread (each pool worker
+of ``StreamingIDG``, and so of ``ParallelIDG``, sees its own), while the
+backends themselves stay stateless as the backend contract
 requires.  :func:`trim_thread_arenas` touches every thread's arena and must
 only run at quiescent points (between imaging cycles, after executor pools
 have retired their work), never concurrently with kernel execution.

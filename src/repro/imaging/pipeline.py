@@ -120,10 +120,12 @@ def make_engine(
 ) -> Any:
     """Wrap an IDG facade in one of the four executors.
 
-    All executors share the ``grid(plan, uvw, vis, aterms=..., flags=...)``
-    / ``degrid(plan, uvw, grid, aterms=...)`` surface and produce
-    bit-identical results, so callers can treat the return value as an
-    opaque gridding engine.
+    All executors share the ``grid(plan, uvw, vis, *, aterms=..., flags=...)``
+    / ``degrid(plan, uvw, grid, *, aterms=...)`` surface, everything after
+    the data keyword-only, and produce bit-identical results, so callers can
+    treat the return value as an opaque gridding engine.  ``n_buffers``
+    sizes the streaming window; ``threads`` keeps ``2 * n_workers`` work
+    groups in flight.
     """
     if executor == "serial":
         return idg

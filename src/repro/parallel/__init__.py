@@ -4,8 +4,9 @@ The paper's CPU implementation distributes work items over cores with OpenMP
 and parallelises the adder over grid *rows* (subgrids overlap, so per-subgrid
 parallel adds would race — Section V-B-d).  The Python analogues parallelise
 the gridder, FFT and degridder stages only: a thread pool
-(:class:`ParallelIDG` — the BLAS/FFT calls inside each work group release the
-GIL) or worker processes over shared memory (:class:`ProcessShardedIDG`).
+(:class:`ParallelIDG`, the streaming executor with two work groups in flight
+per worker — the BLAS/FFT calls inside each work group release the GIL) or
+worker processes over shared memory (:class:`ProcessShardedIDG`).
 Both retire every work group through the call's one serial adder in plan
 order (:meth:`repro.runtime.program.WorkGroupProgram.retire`), so their grids
 are bit-identical to the serial executor's.

@@ -70,7 +70,6 @@ from repro.runtime.recovery import (
     FaultReport,
     Quarantined,
     WorkGroupError,
-    group_visibility_count,
 )
 from repro.runtime.telemetry import Telemetry, monotonic
 
@@ -342,7 +341,7 @@ class _ShardSupervisor:
                 stop=stop,
                 attempts=int(arena["attempts"][group]),
                 error=_read_text(arena["errors"][group]),
-                n_visibilities=group_visibility_count(self.program.plan, start, stop),
+                n_visibilities=self.program.group_visibilities[group],
             )
         self.program.runner.absorb(int(arena["retries"][group]), letter)
         return lost if letter is not None else None
@@ -435,7 +434,7 @@ class _ShardSupervisor:
         )
         quarantined = self.program.runner.fail_external(
             "worker", active, start=start, stop=stop,
-            n_visibilities=group_visibility_count(self.program.plan, start, stop),
+            n_visibilities=self.program.group_visibilities[active],
             attempts=self.death_counts[active], error=death,
         )
         if quarantined is not None:
@@ -541,10 +540,10 @@ class ProcessShardedIDG:
         plan: Plan,
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
+        *,
         aterms: ATermGenerator | None = None,
         flags: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        *,
         checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Process-parallel equivalent of :meth:`repro.core.IDG.grid`.
@@ -609,7 +608,7 @@ class ProcessShardedIDG:
                     self._record_group_spans(telemetry, arena, assignment, group, t0)
                     if not isinstance(outcome, Quarantined):
                         telemetry.add_counter(
-                            "visibilities", group_visibility_count(plan, start, stop)
+                            "visibilities", program.group_visibilities[group]
                         )
             finally:
                 supervisor.shutdown()
@@ -622,6 +621,7 @@ class ProcessShardedIDG:
         plan: Plan,
         uvw_m: np.ndarray,
         grid: np.ndarray,
+        *,
         aterms: ATermGenerator | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
@@ -654,13 +654,13 @@ class ProcessShardedIDG:
             )
             try:
                 supervisor.start()
-                for group, (start, stop) in enumerate(program.groups):
+                for group in range(program.n_groups):
                     if supervisor.collect(group) is None:
                         self._record_group_spans(
                             telemetry, arena, assignment, group, monotonic()
                         )
                         telemetry.add_counter(
-                            "visibilities", group_visibility_count(plan, start, stop)
+                            "visibilities", program.group_visibilities[group]
                         )
                 np.copyto(program.out, visout)
             finally:

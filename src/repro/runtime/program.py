@@ -8,11 +8,11 @@ runs its kernel through :meth:`WorkGroupProgram.run` under the program's
 :class:`~repro.runtime.recovery.WorkGroupRunner` (fail-fast by default,
 retry-and-quarantine when fault tolerance is on) and passes a
 :class:`~repro.runtime.recovery.Quarantined` input straight on.  The
-executors keep only their scheduling — an inline loop (``IDG``), a thread
-pool with in-order retirement (``ParallelIDG``), a window of stage chains
-retired in order (``StreamingIDG``; both thread executors share
-:func:`retire_in_order`) or worker-process shards (``ProcessShardedIDG``) —
-so they all run the same stage bodies on the same groups, bit-identically.
+executors keep only their scheduling — an inline loop (``IDG``), a window
+of stage chains on a thread pool retired in order (``StreamingIDG``, whose
+``threads`` configuration is ``ParallelIDG``) or worker-process shards
+(``ProcessShardedIDG``) — so they all run the same stage bodies on the same
+groups, bit-identically.
 
 A grid work group is retired in one place, :meth:`WorkGroupProgram.retire`:
 the serial adder in plan order, then the checkpoint bookkeeping of
@@ -34,10 +34,7 @@ correlations) or ``a = 1`` (the Stokes-I sample alone).
 from __future__ import annotations
 
 import contextlib
-import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -63,7 +60,7 @@ from repro.runtime.recovery import (
 )
 from repro.runtime.telemetry import Telemetry
 
-__all__ = ["WorkGroupProgram", "retire_in_order"]
+__all__ = ["WorkGroupProgram"]
 
 
 def _group_visibility_counts(plan: Plan, groups: list[tuple[int, int]]) -> list[int]:
@@ -75,73 +72,6 @@ def _group_visibility_counts(plan: Plan, groups: list[tuple[int, int]]) -> list[
     )
     bounds = np.concatenate(([0], np.cumsum(per_item)))
     return [int(bounds[stop] - bounds[start]) for start, stop in groups]
-
-
-def retire_in_order(
-    groups: Sequence[int],
-    compute: Callable[[int], Any],
-    retire: Callable[[int, Any], None] | None = None,
-    *,
-    threads: int,
-    window: int | None = None,
-    admit: Callable[[int], None] | None = None,
-    name: str = "",
-) -> None:
-    """``compute(group)`` for every group of ``groups`` on a pool of
-    ``threads`` threads, and ``retire(group, result)`` on this thread in the
-    order of ``groups`` — the one retirement loop of the thread executors.
-
-    ``window=None`` submits every group up front.  Otherwise at most
-    ``window`` groups are admitted and not yet retired: this thread admits
-    the next group (``admit(group)``, then submits it) only after retiring
-    the oldest one.
-
-    The first failure in the order of ``groups`` is re-raised here.  A
-    failing ``compute`` sets an abort flag, so groups not started yet skip
-    their work and are never retired; once the flag is set this thread
-    admits nothing more — a group admitted then would be skipped and never
-    retired, so whatever ``admit`` counted for it would never be given back
-    — and drains the groups in flight to the failure.  The pool is shut
-    down, every thread joined, before this returns or raises, so no thread
-    outlives the call.
-    """
-    abort = threading.Event()
-    skipped = object()
-
-    def task(group: int) -> Any:
-        if abort.is_set():
-            return skipped  # the run is doomed; don't touch the backend
-        try:
-            return compute(group)
-        except BaseException:
-            abort.set()
-            raise
-
-    in_flight: deque[tuple[int, Future[Any]]] = deque()
-
-    def retire_oldest() -> None:
-        group, future = in_flight.popleft()
-        result = future.result()
-        if retire is not None and result is not skipped:
-            retire(group, result)
-
-    with ThreadPoolExecutor(max_workers=threads, thread_name_prefix=name) as pool:
-        try:
-            for group in groups:
-                if window is not None and len(in_flight) >= window:
-                    retire_oldest()
-                if abort.is_set():
-                    break  # a group in flight failed: drain to it
-                if admit is not None:
-                    admit(group)
-                in_flight.append((group, pool.submit(task, group)))
-            while in_flight:
-                retire_oldest()
-        except BaseException:  # noqa: B036 — incl. KeyboardInterrupt
-            abort.set()
-            for _, future in in_flight:
-                future.cancel()
-            raise
 
 
 class WorkGroupProgram:
@@ -196,7 +126,7 @@ class WorkGroupProgram:
         self.groups = list(plan.work_groups(idg.config.work_group_size))
         self.n_groups = len(self.groups)
         #: Covered visibilities of every work group (the runner's dead
-        #: letters count them).
+        #: letters and the executors' ``visibilities`` counters count them).
         self.group_visibilities = _group_visibility_counts(plan, self.groups)
         #: What the backend's kernels share across this call's groups
         #: (:meth:`~repro.backends.base.KernelBackend.call_tables`), derived

@@ -1,8 +1,8 @@
 """Retry, dead-letter quarantine and fault reporting for work groups.
 
 The failure contract shared by every executor (serial :class:`~repro.core.IDG`,
+:class:`~repro.runtime.StreamingIDG` and its ``threads`` configuration
 :class:`~repro.parallel.executor.ParallelIDG`,
-:class:`~repro.runtime.StreamingIDG`,
 :class:`~repro.parallel.process.ProcessShardedIDG`): each per-work-group
 stage call of a :class:`~repro.runtime.program.WorkGroupProgram` runs
 through its :class:`WorkGroupRunner`, which is always built.

@@ -12,18 +12,20 @@ simulating it (:mod:`repro.perfmodel.streams`):
 
 with ``htod``/``dtoh`` present only when the device link is emulated.  The
 calling thread admits up to ``n_buffers`` work groups (the ``splitter``
-stage) and retires them in plan order
-(:func:`repro.runtime.program.retire_in_order`, whose loop is the window's
-one bound; the ``in_flight`` gauge records its occupancy); each admitted
-group runs its whole chain back to back on one pool worker, and a
-semaphore of ``workers`` permits bounds the groups inside their compute
-stages (``gridder`` + ``subgrid_fft``, ``subgrid_ifft`` + ``degridder``), so
-the emulated link time of the other groups in flight overlaps compute.
-``n_buffers=1`` degenerates to the serial schedule, ``n_buffers=3`` is the
-paper's triple buffering.  Each stage runs the matching stage of the call's
-:class:`~repro.runtime.program.WorkGroupProgram` — the *same* stage bodies
-the serial pipeline runs — so results are bit-identical to ``IDG``: the
-calling thread hands each grid group to the serial adder
+stage) and retires them in plan order (:func:`retire_in_order`, whose loop
+is the window's one bound; the ``in_flight`` gauge records its occupancy);
+each admitted group runs its whole chain back to back on one pool worker,
+and a semaphore of ``workers`` permits bounds the groups inside their
+compute stages (``gridder`` + ``subgrid_fft``, ``subgrid_ifft`` +
+``degridder``), so the emulated link time of the other groups in flight
+overlaps compute.  ``n_buffers=1`` degenerates to the serial schedule,
+``n_buffers=3`` is the paper's triple buffering, and
+``n_buffers = 2 * workers`` is the ``threads`` executor
+(:class:`~repro.parallel.executor.ParallelIDG`, the paper's CPU gridder:
+one group running and one queued per worker).  Each stage runs the matching
+stage of the call's :class:`~repro.runtime.program.WorkGroupProgram` — the
+*same* stage bodies the serial pipeline runs — so results are bit-identical
+to ``IDG``: the calling thread hands each grid group to the serial adder
 (:meth:`~repro.runtime.program.WorkGroupProgram.retire`) in plan order, and
 degridding work items write disjoint visibility blocks.
 
@@ -42,7 +44,9 @@ call's checkpoints (:mod:`repro.runtime.checkpoint`), so a streaming
 
 Every run produces a :class:`~repro.runtime.telemetry.Telemetry` — one span
 per (stage, work group), the ``in_flight`` gauge, retry/dead-letter/
-checkpoint counters and visibilities/sec — exportable as a Chrome trace;
+checkpoint counters and the ``visibilities`` counter, which each retired
+group adds unless it was quarantined (so a resumed grid counts only the
+groups it grids) — exportable as a Chrome trace;
 see ``benchmarks/bench_runtime_overlap.py`` and
 ``benchmarks/bench_fault_recovery.py``.  The pool lives for one call.
 """
@@ -51,6 +55,8 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -63,7 +69,7 @@ from repro.core.plan import Plan
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.memory import record_memory_gauges
-from repro.runtime.program import WorkGroupProgram, retire_in_order
+from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import FaultReport, Quarantined
 from repro.runtime.telemetry import Telemetry, monotonic
 
@@ -116,6 +122,71 @@ def chunk_transfer_bytes(
     return bytes_in, bytes_out
 
 
+def retire_in_order(
+    groups: Sequence[int],
+    compute: Callable[[int], Any],
+    retire: Callable[[int, Any], None],
+    *,
+    threads: int,
+    window: int,
+    admit: Callable[[int], None],
+    name: str = "",
+) -> None:
+    """``compute(group)`` for every group of ``groups`` on a pool of
+    ``threads`` threads, and ``retire(group, result)`` on this thread in the
+    order of ``groups`` — the retirement loop of the thread executors.
+
+    At most ``window`` groups are admitted and not yet retired: this thread
+    admits the next group (``admit(group)``, then submits it) only after
+    retiring the oldest one.
+
+    The first failure in the order of ``groups`` is re-raised here.  A
+    failing ``compute`` sets an abort flag, so groups not started yet skip
+    their work and are never retired; once the flag is set this thread
+    admits nothing more — a group admitted then would be skipped and never
+    retired, so whatever ``admit`` counted for it would never be given back
+    — and drains the groups in flight to the failure.  The pool is shut
+    down, every thread joined, before this returns or raises, so no thread
+    outlives the call.
+    """
+    abort = threading.Event()
+    skipped = object()
+
+    def task(group: int) -> Any:
+        if abort.is_set():
+            return skipped  # the run is doomed; don't touch the backend
+        try:
+            return compute(group)
+        except BaseException:
+            abort.set()
+            raise
+
+    in_flight: deque[tuple[int, Future[Any]]] = deque()
+
+    def retire_oldest() -> None:
+        group, future = in_flight.popleft()
+        result = future.result()
+        if result is not skipped:
+            retire(group, result)
+
+    with ThreadPoolExecutor(max_workers=threads, thread_name_prefix=name) as pool:
+        try:
+            for group in groups:
+                if len(in_flight) >= window:
+                    retire_oldest()
+                if abort.is_set():
+                    break  # a group in flight failed: drain to it
+                admit(group)
+                in_flight.append((group, pool.submit(task, group)))
+            while in_flight:
+                retire_oldest()
+        except BaseException:  # noqa: B036 — incl. KeyboardInterrupt
+            abort.set()
+            for _, future in in_flight:
+                future.cancel()
+            raise
+
+
 class _Schedule:
     """One call's admission window, compute permits and stage spans.
 
@@ -127,10 +198,11 @@ class _Schedule:
     """
 
     def __init__(
-        self, config: RuntimeConfig, telemetry: Telemetry, reads: bool = False
+        self, config: RuntimeConfig, program: WorkGroupProgram, reads: bool = False
     ) -> None:
         self.config = config
-        self.telemetry = telemetry
+        self.program = program
+        self.telemetry: Telemetry = program.telemetry
         #: Work groups admitted and not yet retired (the ``in_flight``
         #: gauge).  Admission and retirement both run on the calling
         #: thread, so the count needs no lock.
@@ -158,6 +230,15 @@ class _Schedule:
         and record the ``in_flight`` gauge."""
         self.in_flight += delta
         self.telemetry.record_gauge("in_flight", self.in_flight)
+
+    def retired(self, group: int, outcome: Any) -> None:
+        """Count ``group`` out of flight and, unless it was quarantined, its
+        visibilities into the ``visibilities`` counter."""
+        if not isinstance(outcome, Quarantined):
+            self.telemetry.add_counter(
+                "visibilities", self.program.group_visibilities[group]
+            )
+        self.count(-1)
 
     def transfer(self, stage: str, group: int, data: Any, nbytes: Callable[[], float]) -> None:
         """An emulated device-link stage: occupies the link for ``nbytes()``
@@ -223,18 +304,19 @@ class StreamingIDG:
         plan: Plan,
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
+        *,
         aterms: ATermGenerator | None = None,
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
         telemetry: Telemetry | None = None,
-        *,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         checkpoint: CheckpointConfig | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.grid`.
 
-        Identical signature and bit-identical result; accepts an optional
-        ``telemetry`` recorder (also stored on ``last_telemetry``).  With
+        The same positional arguments and a bit-identical result; takes an
+        optional ``telemetry`` recorder (also stored on ``last_telemetry``)
+        where the serial executor takes ``faults``.  With
         fault tolerance active, quarantined work groups are excluded and
         reported on ``last_fault_report`` instead of raising;
         ``aterm_fields`` and ``checkpoint`` behave as on the serial
@@ -248,7 +330,7 @@ class StreamingIDG:
         )
         self.last_fault_report = program.fault_report
         source = program.source
-        schedule = _Schedule(self.config, tm, reads=source is not None)
+        schedule = _Schedule(self.config, program, reads=source is not None)
         planes = program.grid.shape[0]
         n_retired = 0
 
@@ -279,8 +361,8 @@ class StreamingIDG:
             # as the serial executor's does.  A group dead-lettered upstream
             # adds nothing, but still leaves the window.
             nonlocal n_retired
-            schedule.timed("adder", group, program.retire, group, fourier)
-            schedule.count(-1)
+            outcome = schedule.timed("adder", group, program.retire, group, fourier)
+            schedule.retired(group, outcome)
             n_retired += 1
             if source is not None and n_retired % 8 == 0:
                 # Retired groups' file pages are dead weight: evict them and
@@ -292,8 +374,6 @@ class StreamingIDG:
                 source.drop_caches()
                 record_memory_gauges(tm)
 
-        tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
-        tm.add_counter("work_groups", plan.n_subgrids)
         with program.retiring() as pending:
             schedule.run(pending, chain, retire, name="streaming-grid")
         record_memory_gauges(tm)
@@ -307,10 +387,10 @@ class StreamingIDG:
         plan: Plan,
         uvw_m: np.ndarray,
         grid: np.ndarray,
+        *,
         aterms: ATermGenerator | None = None,
         telemetry: Telemetry | None = None,
         out: np.ndarray | None = None,
-        *,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.degrid`.
@@ -329,7 +409,7 @@ class StreamingIDG:
             telemetry=tm,
         )
         self.last_fault_report = program.fault_report
-        schedule = _Schedule(self.config, tm)
+        schedule = _Schedule(self.config, program)
 
         def chain(group: int) -> Any:
             start, stop = program.groups[group]
@@ -344,11 +424,8 @@ class StreamingIDG:
             )
             return result
 
-        tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
-        tm.add_counter("work_groups", plan.n_subgrids)
         schedule.run(
-            range(program.n_groups), chain,
-            lambda group, result: schedule.count(-1), name="streaming-degrid",
+            range(program.n_groups), chain, schedule.retired, name="streaming-degrid"
         )
         record_memory_gauges(tm)
         self.last_telemetry = tm

@@ -94,7 +94,9 @@ class ServiceConfig:
     executor:
         How each job executes once dispatched: ``"serial"`` (the plain
         :class:`~repro.core.IDG` facade), ``"threads"``
-        (:class:`~repro.parallel.ParallelIDG`), or ``"processes"``
+        (:class:`~repro.parallel.ParallelIDG`: the streaming executor with
+        ``executor_workers`` compute workers and twice that many work
+        groups in flight), or ``"processes"``
         (:class:`~repro.parallel.process.ProcessShardedIDG`).  All three
         produce bit-identical grids, so coalesced results stay valid
         across a config change — but ``executor`` is part of the service

@@ -205,6 +205,45 @@ def test_stage_label_attached_to_reports(small_idg, small_plan, small_obs,
             ], name
 
 
+# ------------------------------------------------------------ telemetry
+
+
+@pytest.mark.parametrize("executor", ["threads", "streaming"])
+def test_thread_executor_telemetry_is_shared_under_its_lock(
+    executor, small_idg, small_plan, small_obs, single_source_vis
+) -> None:
+    """The caller and the pool workers both append spans; every append holds
+    the telemetry's lock, so ``_spans`` turns shared with that lock in its
+    lockset and no race is reported."""
+    from repro.imaging.pipeline import make_engine
+
+    engine = make_engine(
+        small_idg.with_config(work_group_size=16), executor, n_workers=2
+    )
+    with sanitized() as san:
+        engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+        telemetry = engine.last_telemetry
+        spans = telemetry._idgsan_fields["_spans"]
+        assert spans.shared
+        assert id(telemetry._lock) in spans.lockset
+        assert san.reports == []
+
+
+def test_unlocked_telemetry_appends_are_a_race() -> None:
+    """Appending to a sanitized telemetry's spans from two threads without
+    its lock is one race on ``_spans``."""
+    from repro.runtime.telemetry import Span, Telemetry
+
+    with sanitized() as san:
+        telemetry = Telemetry()
+        span = Span("gridder", 0, "worker", 0.0, 1.0)
+        _in_thread(lambda: telemetry._spans.append(span), name="first")
+        _in_thread(lambda: telemetry._spans.append(span), name="second")
+        races = [r for r in san.reports if r.kind == "race"]
+        assert len(races) == 1
+        assert "Telemetry._spans" in races[0].message
+
+
 # --------------------------------------------------------------- lifecycle
 
 

@@ -1,8 +1,8 @@
 """The shared corpus for the cross-executor conformance harness.
 
-Every executor — serial :class:`~repro.core.IDG`, thread-parallel
-:class:`~repro.parallel.ParallelIDG`, pipelined
-:class:`~repro.runtime.StreamingIDG`, process-sharded
+Every executor — serial :class:`~repro.core.IDG`, pipelined
+:class:`~repro.runtime.StreamingIDG` and its thread-parallel configuration
+:class:`~repro.parallel.ParallelIDG`, process-sharded
 :class:`~repro.parallel.process.ProcessShardedIDG` — runs the same corpus of
 small but structurally varied plans (plain, w-offset, A-term schedule,
 wideband C = 512, flagged visibilities, and the one-correlation Stokes-I
@@ -14,8 +14,10 @@ used to live in ``tests/runtime/test_streaming.py`` and
 
 Workloads and serial references are computed once per case and cached for
 the whole session in :class:`ConformanceCorpus` (synthesising the wideband
-case is the expensive part).  The process executor runs with the ``fork``
-start method so the harness stays fast on single-core CI hosts.
+case is the expensive part).  Engines are built the way callers build them,
+with ``make_engine`` (two workers, three streaming buffers); the process
+executor runs with the ``fork`` start method so the harness stays fast on
+single-core CI hosts.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.aterms.generators import GaussianBeamATerm
 from repro.aterms.jones import scalar_jones_fields
 from repro.aterms.schedule import ATermSchedule
 from repro.core.pipeline import IDG, IDGConfig
+from repro.imaging.pipeline import make_engine
 from repro.telescope.observation import ska1_low_observation
 
 #: Executors held to bit-identical agreement with ``serial``.
@@ -191,46 +194,14 @@ class ConformanceCorpus:
         """One (executor, case, kind) execution; returns the value array."""
         w = self.workload(case)
         idg, plan, obs = w["idg"], w["plan"], w["obs"]
-        if executor == "serial":
-            if kind == "grid":
-                return idg.grid(
-                    plan, obs.uvw_m, w["vis"],
-                    flags=w["flags"], **w["aterm_kwargs"],
-                )
-            return idg.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
-        if executor == "threads":
-            from repro.parallel.executor import ParallelIDG
-
-            engine = ParallelIDG(idg, n_workers=2)
-            if kind == "grid":
-                return engine.grid(
-                    plan, obs.uvw_m, w["vis"],
-                    flags=w["flags"], **w["aterm_kwargs"],
-                )
-            return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
-        if executor == "streaming":
-            from repro.runtime import RuntimeConfig, StreamingIDG
-
-            engine = StreamingIDG(idg, RuntimeConfig(n_buffers=3, workers=2))
-            if kind == "grid":
-                return engine.grid(
-                    plan, obs.uvw_m, w["vis"],
-                    flags=w["flags"], **w["aterm_kwargs"],
-                )
-            return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
-        if executor == "processes":
-            from repro.parallel.process import ProcessConfig, ProcessShardedIDG
-
-            engine = ProcessShardedIDG(
-                idg, ProcessConfig(n_procs=2, start_method="fork")
+        engine = make_engine(
+            idg, executor, n_workers=2, n_buffers=3, start_method="fork"
+        )
+        if kind == "grid":
+            return engine.grid(
+                plan, obs.uvw_m, w["vis"], flags=w["flags"], **w["aterm_kwargs"]
             )
-            if kind == "grid":
-                return engine.grid(
-                    plan, obs.uvw_m, w["vis"],
-                    flags=w["flags"], **w["aterm_kwargs"],
-                )
-            return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
-        raise ValueError(f"unknown executor {executor!r}")
+        return engine.degrid(plan, obs.uvw_m, w["model"], **w["aterm_kwargs"])
 
 
 ConformanceCorpus.cases = CONFORMANCE_CASES

@@ -1,15 +1,21 @@
-"""ParallelIDG failure semantics and configuration.
+"""The threads executor (ParallelIDG): configuration, failure semantics and
+telemetry, plus the call surface every executor shares.
 
 Serial-equivalence (now bit-exact, not allclose) is pinned for every
 executor by ``test_executor_conformance.py``; this module keeps the
-thread-executor-specific behaviours — early cancellation, fault-report
-plumbing — plus the fail-fast error attribution and ``out=`` validation
-every executor shares.
+thread-executor-specific behaviours — its window, early cancellation,
+fault-report plumbing, telemetry, and the contract the benchmark tracer
+relies on — plus the fail-fast error attribution, ``out=`` validation and
+keyword-only arguments every executor shares.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.parallel.executor import ParallelIDG
+
+EXECUTORS = ["serial", "threads", "streaming", "processes"]
 
 
 def test_n_workers_validation(small_idg):
@@ -24,7 +30,7 @@ def test_n_workers_defaults_to_cpu_count(small_idg):
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1
     )
-    assert ParallelIDG(small_idg).n_workers == usable
+    assert ParallelIDG(small_idg).config.workers == usable
 
 
 def test_n_workers_default_follows_the_affinity_mask(small_idg, monkeypatch):
@@ -33,7 +39,51 @@ def test_n_workers_default_follows_the_affinity_mask(small_idg, monkeypatch):
     import os
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert ParallelIDG(small_idg).n_workers == 1
+    assert ParallelIDG(small_idg).config.workers == 1
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_threads_is_streaming_with_two_groups_per_worker(n_workers, small_idg):
+    """The threads executor is the streaming executor with a window of two
+    work groups per worker, and defines no grid/degrid of its own."""
+    from repro.imaging.pipeline import make_engine
+    from repro.runtime import RuntimeConfig
+
+    engine = make_engine(small_idg, "threads", n_workers=n_workers)
+    assert isinstance(engine, ParallelIDG)
+    assert engine.config == RuntimeConfig(n_buffers=2 * n_workers, workers=n_workers)
+
+
+@pytest.mark.parametrize("kind", ["grid", "degrid"])
+def test_threads_executor_records_telemetry(kind, small_idg, small_plan,
+                                            small_obs, single_source_vis):
+    """A threads run records one span per (stage, work group) and an
+    ``in_flight`` gauge that never exceeds ``2 * n_workers``."""
+    idg = small_idg.with_config(work_group_size=5)
+    engine = ParallelIDG(idg, n_workers=2)
+    if kind == "grid":
+        engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+        stages = ("splitter", "gridder", "subgrid_fft", "adder")
+    else:
+        grid = idg.grid(small_plan, small_obs.uvw_m, single_source_vis)
+        engine.degrid(small_plan, small_obs.uvw_m, grid)
+        stages = ("splitter", "subgrid_split", "subgrid_ifft", "degridder")
+    telemetry = engine.last_telemetry
+    groups = list(range(len(list(small_plan.work_groups(5)))))
+    assert telemetry.stages == stages
+    for stage in stages:
+        assert sorted(s.item for s in telemetry.spans(stage)) == groups, stage
+    samples = [
+        event["args"]["value"]
+        for event in telemetry.chrome_trace()["traceEvents"]
+        if event["ph"] == "C" and event["name"] == "in_flight"
+    ]
+    assert len(samples) == 2 * len(groups)
+    assert max(samples) == 4 and samples[-1] == 0
+    assert (
+        telemetry.counters["visibilities"]
+        == small_plan.statistics.n_visibilities_gridded
+    )
 
 
 def test_worker_exceptions_surface(small_idg, small_plan, small_obs,
@@ -125,7 +175,7 @@ def test_tolerant_mode_reports_on_last_fault_report(small_idg, small_plan,
     assert par_plain.last_fault_report is None
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "streaming", "processes"])
+@pytest.mark.parametrize("executor", EXECUTORS)
 def test_degrid_rejects_a_wrong_shaped_out(executor, small_idg, small_plan,
                                            small_obs):
     """Every executor validates ``out=`` against the plan's visibility
@@ -144,3 +194,42 @@ def test_degrid_rejects_a_wrong_shaped_out(executor, small_idg, small_plan,
     engine = make_engine(small_idg, executor, n_workers=2)
     with pytest.raises(ValueError, match="out shape"):
         engine.degrid(small_plan, small_obs.uvw_m, model, out=out)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_arguments_after_the_data_are_keyword_only(executor, small_idg,
+                                                   small_plan, small_obs,
+                                                   single_source_vis):
+    """Every executor takes ``(plan, uvw_m, visibilities)`` and
+    ``(plan, uvw_m, grid)`` by position and nothing more, so an argument
+    cannot land in a parameter that differs between executors."""
+    import numpy as np
+
+    from repro.imaging.pipeline import make_engine
+
+    engine = make_engine(small_idg, executor, n_workers=2)
+    flags = np.zeros(single_source_vis.shape[:3], dtype=bool)
+    with pytest.raises(TypeError):
+        engine.grid(small_plan, small_obs.uvw_m, single_source_vis, flags)
+    grid = small_idg.gridspec.allocate_grid(4)
+    with pytest.raises(TypeError):
+        engine.degrid(small_plan, small_obs.uvw_m, grid, None)
+
+
+def test_benchmark_tracer_wraps_threads_grid_once(small_idg, small_plan,
+                                                  small_obs, single_source_vis,
+                                                  monkeypatch):
+    """The benchmark suite's tracer wraps ``grid``/``degrid`` on ``IDG``,
+    ``ParallelIDG``, ``StreamingIDG`` and ``ProcessShardedIDG``.  Because
+    ``ParallelIDG`` inherits them from ``StreamingIDG`` instead of defining
+    its own, a traced threads grid records exactly one ``executor`` span."""
+    suite = Path(__file__).resolve().parents[2] / "benchmarks" / "suite"
+    monkeypatch.syspath_prepend(str(suite))
+    from tracing import Tracer, instrument
+
+    assert "grid" not in vars(ParallelIDG)
+    assert "degrid" not in vars(ParallelIDG)
+    engine = ParallelIDG(small_idg, n_workers=2)
+    with instrument(Tracer()) as tracer:
+        engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    assert [s.name for s in tracer.spans].count("executor") == 1

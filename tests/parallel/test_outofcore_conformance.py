@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.data.store import DatasetWriter, write_store
+from repro.imaging.pipeline import make_engine
 from repro.runtime import (
     CheckpointConfig,
     FaultPlan,
@@ -65,17 +66,7 @@ def store_for(conformance, tmp_path_factory):
 
 
 def _engine(executor, idg):
-    if executor == "serial":
-        return idg
-    if executor == "threads":
-        from repro.parallel.executor import ParallelIDG
-
-        return ParallelIDG(idg, n_workers=2)
-    if executor == "streaming":
-        return StreamingIDG(idg, RuntimeConfig(n_buffers=3, workers=2))
-    from repro.parallel.process import ProcessConfig, ProcessShardedIDG
-
-    return ProcessShardedIDG(idg, ProcessConfig(n_procs=2, start_method="fork"))
+    return make_engine(idg, executor, n_workers=2, n_buffers=3, start_method="fork")
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

@@ -15,8 +15,8 @@ import pytest
 
 from repro.aterms.generators import GaussianBeamATerm
 from repro.runtime import RuntimeConfig, StreamingIDG, modeled_schedule_jobs
-from repro.runtime import program as program_module
-from repro.runtime.program import retire_in_order
+from repro.runtime import streaming as streaming_module
+from repro.runtime.streaming import retire_in_order
 
 GRID_STAGES = ("splitter", "gridder", "subgrid_fft", "adder")
 DEGRID_STAGES = ("splitter", "subgrid_split", "subgrid_ifft", "degridder")
@@ -295,7 +295,7 @@ def test_skipped_oldest_group_stops_admission(monkeypatch):
             oldest_checking.set()
             return self.wait(timeout=10)
 
-    monkeypatch.setattr(program_module, "threading", SimpleNamespace(Event=HeldEvent))
+    monkeypatch.setattr(streaming_module, "threading", SimpleNamespace(Event=HeldEvent))
     credits = threading.Semaphore(2)  # taken by admit, given back by retire
     admitted, retired = [], []
 

@@ -94,6 +94,39 @@ def test_visibility_counter_matches_plan(grid_run, small_plan):
     )
 
 
+@pytest.mark.parametrize("executor", ["threads", "streaming", "processes"])
+def test_resumed_grid_counts_only_the_groups_it_grids(
+    executor, small_idg, small_plan, small_obs, single_source_vis, tmp_path
+):
+    """A grid resumed from a snapshot of the first groups counts the
+    visibilities of the groups it grids, not the whole plan's, so its
+    throughput is that of the work it did."""
+    from repro.imaging.pipeline import make_engine
+    from repro.runtime import (
+        CheckpointConfig,
+        group_visibility_count,
+        plan_signature,
+        save_checkpoint,
+    )
+
+    idg = small_idg.with_config(work_group_size=GROUP)
+    groups = list(small_plan.work_groups(GROUP))
+    resumed = 3
+    snapshot = save_checkpoint(
+        tmp_path / "prefix.npz", idg.gridspec.allocate_grid(), range(resumed),
+        plan_signature(small_plan, GROUP),
+    )
+    engine = make_engine(idg, executor, n_workers=2)
+    engine.grid(
+        small_plan, small_obs.uvw_m, single_source_vis,
+        checkpoint=CheckpointConfig(resume_from=str(snapshot)),
+    )
+    assert engine.last_telemetry.counters["visibilities"] == sum(
+        group_visibility_count(small_plan, start, stop)
+        for start, stop in groups[resumed:]
+    )
+
+
 def test_throughput_consistent_with_counter_and_makespan(grid_run):
     assert grid_run.throughput() == pytest.approx(
         grid_run.counters["visibilities"] / grid_run.makespan()

@@ -81,9 +81,16 @@ def test_clean_command(sim_dataset, tmp_path, capsys):
     assert psf[128, 128] == pytest.approx(1.0)
 
 
-def test_image_streaming_matches_serial(sim_dataset, tmp_path, capsys):
-    """--executor streaming produces the identical image and writes a valid
-    chrome trace with spans for every pipeline stage."""
+@pytest.mark.parametrize(
+    ("executor", "sizing"),
+    [("streaming", ["--n-buffers", "3"]), ("threads", ["--workers", "3"])],
+    ids=["streaming", "threads"],
+)
+def test_image_streaming_matches_serial(executor, sizing, sim_dataset, tmp_path,
+                                        capsys):
+    """--executor streaming and threads produce the identical image (in-order
+    retirement makes both bit-exact) and write a valid chrome trace with
+    spans for every pipeline stage."""
     import json
 
     serial_path = tmp_path / "serial.npz"
@@ -92,8 +99,8 @@ def test_image_streaming_matches_serial(sim_dataset, tmp_path, capsys):
     assert main(["image", str(sim_dataset), str(serial_path),
                  "--grid-size", "256"]) == 0
     assert main(["image", str(sim_dataset), str(stream_path),
-                 "--grid-size", "256", "--executor", "streaming",
-                 "--n-buffers", "3", "--trace", str(trace_path)]) == 0
+                 "--grid-size", "256", "--executor", executor, *sizing,
+                 "--trace", str(trace_path)]) == 0
     out = capsys.readouterr().out
     assert "makespan" in out and "chrome trace written" in out
     with np.load(serial_path) as a, np.load(stream_path) as b:
@@ -148,19 +155,6 @@ def test_image_backend_flag(sim_dataset, tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="unknown kernel backend"):
         main(["image", str(sim_dataset), str(tmp_path / "x.npz"),
               "--grid-size", "256", "--backend", "cuda"])
-
-
-def test_image_threads_executor(sim_dataset, tmp_path):
-    serial_path = tmp_path / "serial.npz"
-    threads_path = tmp_path / "threads.npz"
-    assert main(["image", str(sim_dataset), str(serial_path),
-                 "--grid-size", "256"]) == 0
-    assert main(["image", str(sim_dataset), str(threads_path),
-                 "--grid-size", "256", "--executor", "threads",
-                 "--workers", "3"]) == 0
-    with np.load(serial_path) as a, np.load(threads_path) as b:
-        # in-order retirement makes the thread executor bit-exact
-        np.testing.assert_array_equal(a["image"], b["image"])
 
 
 def test_image_processes_executor(sim_dataset, tmp_path):
