@@ -79,21 +79,13 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
     )
     ckpt = tmp_path / "bench.ckpt.npz"
 
-    def run_disabled():
-        return StreamingIDG(plain, RuntimeConfig(n_buffers=N_BUFFERS))
-
-    def run_armed():
-        return StreamingIDG(tolerant, RuntimeConfig(n_buffers=N_BUFFERS))
-
-    def run_recovery():
-        return StreamingIDG(tolerant, RuntimeConfig(n_buffers=N_BUFFERS),
-                            faults=_transient_faults())
-
-    factories = {
-        "disabled": run_disabled,
-        "armed": run_armed,
-        "recovery": run_recovery,
-        "checkpointed": run_disabled,
+    # Each mode: the pipeline it runs and the per-call fault plan it grids
+    # with (built fresh per run).
+    modes = {
+        "disabled": (plain, lambda: None),
+        "armed": (tolerant, lambda: None),
+        "recovery": (tolerant, _transient_faults),
+        "checkpointed": (plain, lambda: None),
     }
     checkpoints = {"checkpointed": CheckpointConfig(path=str(ckpt), interval=2)}
 
@@ -101,9 +93,10 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
     grids = {}
 
     def measure(name):
-        engine = factories[name]()
+        idg, faults = modes[name]
+        engine = StreamingIDG(idg, RuntimeConfig(n_buffers=N_BUFFERS))
         grids[name] = engine.grid(bench_plan, bench_obs.uvw_m, bench_vis,
-                                  checkpoint=checkpoints.get(name))
+                                  checkpoint=checkpoints.get(name), faults=faults())
         engines[name] = engine
         return engine.last_telemetry.makespan()
 
@@ -111,11 +104,11 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
     # host (thermal, page cache) hits every mode equally.
     measure("disabled")
     samples = interleaved_rounds(
-        {name: lambda name=name: measure(name) for name in factories}, ROUNDS
+        {name: lambda name=name: measure(name) for name in modes}, ROUNDS
     )
     ratios = round_ratios(samples, "disabled")
     median = {name: statistics.median(vals) for name, vals in samples.items()}
-    overhead = {name: statistics.median(ratios[name]) for name in factories}
+    overhead = {name: statistics.median(ratios[name]) for name in modes}
 
     # The armed run retires work groups in plan order exactly like the
     # disabled run, so a clean pass through the retry layer is bit-exact.
@@ -154,7 +147,7 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
                 "ratio_all": ratios[name],
                 "overhead_vs_disabled": overhead[name],
             }
-            for name in factories
+            for name in modes
         },
         "recovery": {
             "n_retries": report.n_retries,
@@ -169,7 +162,7 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
     print_series(
         "Fault tolerance: makespan overhead vs plain streaming",
         ["mode", "median ms", "overhead"],
-        [(name, median[name] * 1e3, overhead[name]) for name in factories],
+        [(name, median[name] * 1e3, overhead[name]) for name in modes],
     )
 
     # Acceptance gate: even with the retry layer *armed* (strictly more work

@@ -34,7 +34,7 @@ from repro.calibration.selfcal import (
 )
 from repro.core.pipeline import IDG, IDGConfig
 from repro.imaging.metrics import dynamic_range
-from repro.imaging.pipeline import ImagingContext, invert_2d
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor
 from repro.sky.model import SkyModel
 from repro.sky.simulate import predict_visibilities
 from repro.telescope.observation import ska1_low_observation
@@ -76,7 +76,7 @@ def test_bench_selfcal():
         idg=idg, uvw_m=obs.uvw_m, frequencies_hz=obs.frequencies_hz,
         baselines=baselines,
     )
-    uncalibrated = invert_2d(context, corrupted).stokes_i
+    uncalibrated = make_ftprocessor(context, "2d").invert(corrupted).image
     uncalibrated_dr = float(dynamic_range(uncalibrated))
 
     start = time.perf_counter()

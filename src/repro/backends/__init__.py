@@ -9,8 +9,8 @@ and PASCAL.  Two backends register at import time:
   spaced and the direct sum otherwise;
 * ``reference``  — the loop-level Algorithm 1/2 oracle (slow, authoritative).
 
-Select a backend with ``IDGConfig(backend="reference")``, the CLI
-``--backend`` flag, or the ``IDG_BACKEND`` environment variable.  All
+Select a backend with ``IDGConfig(backend="reference")`` or the CLI
+``--backend`` flag.  All
 registered backends are held to pairwise ``rtol = 1e-5`` agreement and
 per-backend gridder/degridder adjointness by the differential harness in
 ``tests/backends/``.
@@ -20,7 +20,6 @@ from repro.backends.base import KernelBackend
 from repro.backends.reference import ReferenceBackend
 from repro.backends.registry import (
     DEFAULT_BACKEND,
-    IDG_BACKEND_ENV,
     available_backends,
     get_backend,
     register_backend,
@@ -36,7 +35,6 @@ __all__ = [
     "ReferenceBackend",
     "VectorizedBackend",
     "DEFAULT_BACKEND",
-    "IDG_BACKEND_ENV",
     "available_backends",
     "get_backend",
     "register_backend",

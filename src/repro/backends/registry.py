@@ -1,8 +1,8 @@
 """Backend registry: named kernel implementations, one dispatch point.
 
 Backends register once at import time; everything else — the ``IDG`` facade,
-the parallel and streaming executors, the CLI ``--backend`` flag and the
-``IDG_BACKEND`` environment variable — resolves names through this module.
+the parallel and streaming executors and the CLI ``--backend`` flag —
+resolves names through this module.
 Keeping the mapping in one place is what lets a future kernel PR add a
 faster backend without touching any executor: register it, and the
 differential harness in ``tests/backends/`` holds it to the equivalence
@@ -11,15 +11,11 @@ contract automatically.
 
 from __future__ import annotations
 
-import os
 from typing import Final
 
 from repro.backends.base import KernelBackend
 
-#: Environment variable consulted when no backend is named explicitly.
-IDG_BACKEND_ENV: Final = "IDG_BACKEND"
-
-#: Backend used when neither configuration nor environment names one.
+#: Backend used when the configuration names none.
 DEFAULT_BACKEND: Final = "vectorized"
 
 _REGISTRY: Final[dict[str, KernelBackend]] = {}
@@ -61,13 +57,11 @@ def get_backend(name: str) -> KernelBackend:
 def resolve_backend(spec: str | KernelBackend | None) -> KernelBackend:
     """Resolve a backend specification to an instance.
 
-    ``None`` falls back to the ``IDG_BACKEND`` environment variable, then to
-    :data:`DEFAULT_BACKEND`; a string is looked up in the registry; a
+    ``None`` is :data:`DEFAULT_BACKEND`; a string is looked up in the
+    registry; a
     :class:`KernelBackend` instance passes through (it need not be
     registered — useful for experiments).
     """
     if isinstance(spec, KernelBackend):
         return spec
-    if spec is None:
-        spec = os.environ.get(IDG_BACKEND_ENV) or DEFAULT_BACKEND
-    return get_backend(spec)
+    return get_backend(DEFAULT_BACKEND if spec is None else spec)

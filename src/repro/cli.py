@@ -46,8 +46,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
         help="kernel backend (vectorized, reference, or any registered "
-        "name); default: the IDG_BACKEND environment variable, then "
-        "'vectorized'",
+        "name; default: vectorized)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -62,8 +61,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="threads, streaming and processes executors: write a "
-        "chrome://tracing JSON of the run",
+        help="write a chrome://tracing JSON of the run (any executor)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=0,
@@ -278,8 +276,7 @@ def _add_service_args(parser) -> None:
     parser.add_argument("--no-coalesce", action="store_true",
                         help="disable request coalescing (caches still apply)")
     parser.add_argument("--backend", default=None,
-                        help="kernel backend name (default: IDG_BACKEND or "
-                        "'vectorized')")
+                        help="kernel backend name (default: vectorized)")
 
 
 # --------------------------------------------------------------- commands
@@ -456,7 +453,7 @@ def _make_idg(dataset, grid_size, subgrid_size, backend=None,
             IDGConfig(subgrid_size=subgrid_size, backend=backend,
                       max_retries=max_retries, retry_backoff_s=retry_backoff),
         )
-    except KeyError as exc:  # unknown --backend / IDG_BACKEND name
+    except KeyError as exc:  # unknown --backend name
         raise SystemExit(f"error: {exc.args[0]}") from exc
     return idg, gridspec
 
@@ -476,14 +473,12 @@ def _make_executor(idg, args):
 
 
 def _report_run(engine, args) -> None:
-    """After a tolerant/streaming run: print the fault report and telemetry
-    digest, export the trace."""
-    report = getattr(engine, "last_fault_report", None)
+    """After a run on any executor: print the fault report (tolerant runs)
+    and the telemetry digest, export the trace."""
+    report = engine.last_fault_report
     if report is not None and (report.n_retries or not report.ok):
         print(report.summary())
-    telemetry = getattr(engine, "last_telemetry", None)
-    if telemetry is None:
-        return
+    telemetry = engine.last_telemetry
     print(telemetry.summary())
     if args.trace:
         telemetry.write_chrome_trace(args.trace)
@@ -530,7 +525,7 @@ def _cmd_image(args) -> int:
     engine = _make_executor(idg, args)
     grid = engine.grid(plan, ds.uvw_m, vis, checkpoint=checkpoint)
     _report_run(engine, args)
-    report = getattr(engine, "last_fault_report", None)
+    report = engine.last_fault_report
     if report is not None and not report.ok and args.weighting == "natural":
         # Dead-lettered work groups never reached the grid; keep the image
         # normalisation consistent with what was actually accumulated.

@@ -9,8 +9,8 @@ processing the plan's work items in *work groups* (Fig 6) — the unit the
 parallel executors and the GPU stream scheduler of the performance model also
 operate on.  Each call builds one
 :class:`~repro.runtime.program.WorkGroupProgram` (the stage bodies, input
-checks, failure contract and group retirement every executor shares) and
-runs its groups in an inline loop.
+checks, failure contract, group retirement and telemetry every executor
+shares) and runs its groups in an inline loop.
 
 Typical use::
 
@@ -41,6 +41,7 @@ from repro.kernels.spheroidal import taper_for
 
 if TYPE_CHECKING:
     from repro.runtime.checkpoint import CheckpointConfig
+    from repro.runtime.faults import FaultPlan
 
 
 def mask_flagged(
@@ -105,9 +106,8 @@ class IDGConfig:
         Named kernel backend dispatching the gridder/degridder/subgrid-FFT/
         adder entry points (``"vectorized"``, the production path,
         ``"reference"``, the oracle, or any name registered with
-        :func:`repro.backends.register_backend`).  ``None`` (default)
-        consults the ``IDG_BACKEND`` environment variable, then falls back
-        to ``"vectorized"``.
+        :func:`repro.backends.register_backend`).  ``None`` (default) is
+        ``"vectorized"``.
     max_retries:
         Fault tolerance (DESIGN.md §11): retry attempts per work-group
         stage call before the group is quarantined to a dead letter.  The
@@ -160,6 +160,8 @@ class IDG:
         #: Fault report of the most recent tolerant grid/degrid call
         #: (``None`` when fail-fast).
         self.last_fault_report = None
+        #: Telemetry of the most recent grid/degrid call.
+        self.last_telemetry = None
 
     # ------------------------------------------------------------- planning
 
@@ -220,9 +222,9 @@ class IDG:
         aterms: ATermGenerator | None = None,
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
-        faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         checkpoint: CheckpointConfig | None = None,
+        faults: FaultPlan | None = None,
     ) -> np.ndarray:
         """Grid a visibility set onto the master grid.
 
@@ -246,9 +248,6 @@ class IDG:
             Optional ``(n_baselines, n_times, n_channels)`` data flags
             (RFI etc.); flagged samples are gridded as zeros — remember to
             subtract their count from the image's ``weight_sum``.
-        faults:
-            Optional :class:`~repro.runtime.faults.FaultPlan` for
-            deterministic fault injection (tests, benchmarks).
         aterm_fields:
             Pre-evaluated Jones fields (the :meth:`aterm_fields` mapping),
             overriding evaluation from ``aterms``.  The serving layer passes
@@ -256,8 +255,12 @@ class IDG:
         checkpoint:
             Optional :class:`~repro.runtime.checkpoint.CheckpointConfig`:
             snapshot this call's progress for a bit-exact resume, or resume
-            from an earlier call's snapshot over the same plan.  Every
-            executor's ``grid`` takes the same argument.
+            from an earlier call's snapshot over the same plan.
+        faults:
+            Optional :class:`~repro.runtime.faults.FaultPlan` for
+            deterministic fault injection (tests, benchmarks).
+
+        Every executor's ``grid`` takes these same arguments.
 
         Returns
         -------
@@ -265,23 +268,24 @@ class IDG:
         (``config.max_retries > 0`` or ``faults``), quarantined work groups
         are excluded from it and reported on ``last_fault_report`` instead
         of raising; otherwise the first failure raises
-        :class:`~repro.runtime.recovery.WorkGroupError`.
+        :class:`~repro.runtime.recovery.WorkGroupError`.  The call's
+        telemetry is kept on ``last_telemetry``.
         """
         # Imported here: repro.runtime imports this module.
         from repro.runtime.program import WorkGroupProgram
 
         program = WorkGroupProgram.for_grid(
             self, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
-            flags=flags, aterm_fields=aterm_fields, faults=faults,
-            checkpoint=checkpoint,
+            flags=flags, aterm_fields=aterm_fields, checkpoint=checkpoint,
+            faults=faults,
         )
+        self.last_telemetry = program.telemetry
         self.last_fault_report = program.fault_report
         with program.retiring() as pending:
             for group in pending:
                 program.retire(
                     group, program.subgrid_fft(group, program.gridder(group))
                 )
-                program.drop_caches()
         return program.finish()
 
     # ----------------------------------------------------------- degridding
@@ -293,9 +297,9 @@ class IDG:
         grid: np.ndarray,
         *,
         aterms: ATermGenerator | None = None,
-        faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
+        faults: FaultPlan | None = None,
     ) -> np.ndarray:
         """Predict visibilities from a model grid (degridding).
 
@@ -308,6 +312,7 @@ class IDG:
         (it must be zero-initialised — e.g. a fresh
         :class:`~repro.data.store.DatasetWriter` visibility map, which lets
         predictions stream to disk instead of RAM) and is returned.
+        ``faults`` injects faults as in :meth:`grid`.
         """
         # Imported here: repro.runtime imports this module.
         from repro.runtime.program import WorkGroupProgram
@@ -316,11 +321,12 @@ class IDG:
             self, plan, uvw_m, grid, aterms=aterms, aterm_fields=aterm_fields,
             out=out, faults=faults,
         )
+        self.last_telemetry = program.telemetry
         self.last_fault_report = program.fault_report
         for group in range(program.n_groups):
-            program.degridder(
+            program.retire(group, program.degridder(
                 group, program.subgrid_ifft(group, program.subgrid_split(group))
-            )
+            ))
         return program.finish()
 
     # ------------------------------------------------------------- utility

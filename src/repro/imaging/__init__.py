@@ -41,15 +41,7 @@ from repro.imaging.pipeline import (
     FTProcessor,
     ImagingContext,
     InvertResult,
-    invert_2d,
-    invert_facets,
-    invert_wstack,
-    invert_wstack_facets,
     make_ftprocessor,
-    predict_2d,
-    predict_facets,
-    predict_wstack,
-    predict_wstack_facets,
 )
 
 __all__ = [
@@ -82,13 +74,5 @@ __all__ = [
     "FTProcessor",
     "ImagingContext",
     "InvertResult",
-    "invert_2d",
-    "invert_facets",
-    "invert_wstack",
-    "invert_wstack_facets",
     "make_ftprocessor",
-    "predict_2d",
-    "predict_facets",
-    "predict_wstack",
-    "predict_wstack_facets",
 ]

@@ -5,15 +5,16 @@ This is the repo's equivalent of ARL's ``ftprocessor``: a single
 and ``predict`` (model image → visibilities) — with four interchangeable
 implementations:
 
-* :class:`TwoDimFTProcessor`      — plain IDG on the master grid
-  (``invert_2d`` / ``predict_2d``);
+* :class:`TwoDimFTProcessor`      — plain IDG on the master grid (``2d``);
 * :class:`WStackFTProcessor`      — IDG under w-stacking
-  (:func:`repro.core.wstack.split_plan_by_w` layers,
-  ``invert_wstack`` / ``predict_wstack``);
+  (:func:`repro.core.wstack.split_plan_by_w` layers, ``wstack``);
 * :class:`FacetsFTProcessor`      — phase-rotated facets, plain IDG per
-  facet (``invert_facets`` / ``predict_facets``);
+  facet (``facets``);
 * :class:`WStackFacetsFTProcessor`— w-stacking inside every facet
-  (``invert_wstack_facets`` / ``predict_wstack_facets``).
+  (``wstack_facets``).
+
+:func:`make_ftprocessor` builds one by name.  A processor plans once and
+serves any number of ``invert``/``predict`` calls.
 
 Every variant uses IDG as the inner gridder — through **any** of the four
 executors (serial / threads / streaming / processes), selected on the
@@ -89,18 +90,10 @@ __all__ = [
     "TwoDimFTProcessor",
     "WStackFTProcessor",
     "WStackFacetsFTProcessor",
-    "invert_2d",
-    "invert_facets",
-    "invert_wstack",
-    "invert_wstack_facets",
     "make_engine",
     "make_ftprocessor",
     "plan_coverage",
     "plan_weight_sum",
-    "predict_2d",
-    "predict_facets",
-    "predict_wstack",
-    "predict_wstack_facets",
 ]
 
 #: Executor names an :class:`ImagingContext` accepts.
@@ -212,11 +205,6 @@ class InvertResult:
 
     image: np.ndarray  # (G, G) FLOAT_DTYPE Stokes I, taper-corrected, flux units
     weight_sum: float
-
-    @property
-    def stokes_i(self) -> np.ndarray:
-        """Alias of ``image``."""
-        return self.image
 
 
 # --------------------------------------------------------------- weighting
@@ -801,89 +789,3 @@ def make_ftprocessor(ctx: ImagingContext, kind: str = "2d", **options: Any) -> F
         ) from None
     return cls(ctx, **options)
 
-
-# ------------------------------------------------- functional conveniences
-
-
-def invert_2d(ctx: ImagingContext, visibilities: np.ndarray, **kw: Any) -> InvertResult:
-    """One-shot plain-IDG invert (see :class:`TwoDimFTProcessor`)."""
-    return TwoDimFTProcessor(ctx).invert(visibilities, **kw)
-
-
-def predict_2d(ctx: ImagingContext, model_image: np.ndarray, **kw: Any) -> np.ndarray:
-    """One-shot plain-IDG predict."""
-    return TwoDimFTProcessor(ctx).predict(model_image, **kw)
-
-
-def invert_wstack(
-    ctx: ImagingContext,
-    visibilities: np.ndarray,
-    n_w_planes: int = 4,
-    **kw: Any,
-) -> InvertResult:
-    """One-shot w-stacked invert."""
-    return WStackFTProcessor(ctx, n_w_planes=n_w_planes).invert(visibilities, **kw)
-
-
-def predict_wstack(
-    ctx: ImagingContext,
-    model_image: np.ndarray,
-    n_w_planes: int = 4,
-    **kw: Any,
-) -> np.ndarray:
-    """One-shot w-stacked predict."""
-    return WStackFTProcessor(ctx, n_w_planes=n_w_planes).predict(model_image, **kw)
-
-
-def invert_facets(
-    ctx: ImagingContext,
-    visibilities: np.ndarray,
-    n_facets: int = 2,
-    padding: float = 1.5,
-    **kw: Any,
-) -> InvertResult:
-    """One-shot faceted invert."""
-    return FacetsFTProcessor(ctx, n_facets=n_facets, padding=padding).invert(
-        visibilities, **kw
-    )
-
-
-def predict_facets(
-    ctx: ImagingContext,
-    model_image: np.ndarray,
-    n_facets: int = 2,
-    padding: float = 1.5,
-    **kw: Any,
-) -> np.ndarray:
-    """One-shot faceted predict."""
-    return FacetsFTProcessor(ctx, n_facets=n_facets, padding=padding).predict(
-        model_image, **kw
-    )
-
-
-def invert_wstack_facets(
-    ctx: ImagingContext,
-    visibilities: np.ndarray,
-    n_facets: int = 2,
-    n_w_planes: int = 4,
-    padding: float = 1.5,
-    **kw: Any,
-) -> InvertResult:
-    """One-shot w-planes x facets invert."""
-    return WStackFacetsFTProcessor(
-        ctx, n_facets=n_facets, n_w_planes=n_w_planes, padding=padding
-    ).invert(visibilities, **kw)
-
-
-def predict_wstack_facets(
-    ctx: ImagingContext,
-    model_image: np.ndarray,
-    n_facets: int = 2,
-    n_w_planes: int = 4,
-    padding: float = 1.5,
-    **kw: Any,
-) -> np.ndarray:
-    """One-shot w-planes x facets predict."""
-    return WStackFacetsFTProcessor(
-        ctx, n_facets=n_facets, n_w_planes=n_w_planes, padding=padding
-    ).predict(model_image, **kw)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 
 from repro.core.pipeline import IDG
-from repro.runtime.faults import FaultPlan
 from repro.runtime.recovery import WorkGroupError
 from repro.runtime.streaming import RuntimeConfig, StreamingIDG
 
@@ -49,20 +48,11 @@ class ParallelIDG(StreamingIDG):
     n_workers:
         Worker threads; defaults to every core this process may run on
         (:func:`usable_cores`; the paper uses all of them).
-    faults:
-        Optional deterministic fault-injection plan (tests, benchmarks).
     """
 
-    def __init__(
-        self,
-        idg: IDG,
-        n_workers: int | None = None,
-        faults: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, idg: IDG, n_workers: int | None = None) -> None:
         if n_workers is None:
             n_workers = usable_cores()
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
-        super().__init__(
-            idg, RuntimeConfig(n_buffers=2 * n_workers, workers=n_workers), faults
-        )
+        super().__init__(idg, RuntimeConfig(n_buffers=2 * n_workers, workers=n_workers))

@@ -47,7 +47,7 @@ import multiprocessing as mp
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,7 +287,6 @@ class _ShardSupervisor:
         config: ProcessConfig,
         assignment: ShardAssignment,
         arena: SharedArena,
-        telemetry: Telemetry,
         faults: FaultPlan | None,
         groups: frozenset[int],
         store_path: str | None = None,
@@ -297,7 +296,6 @@ class _ShardSupervisor:
         self.config = config
         self.assignment = assignment
         self.arena = arena
-        self.telemetry = telemetry
         self.fault_specs = faults.specs if faults is not None else None
         self.groups = groups
         self.store_path = store_path
@@ -319,7 +317,11 @@ class _ShardSupervisor:
         """Wait for ``group`` and read its arena rows: the worker's retries
         and dead letter are folded into the program's report, a lost group
         returns its :class:`Quarantined` sentinel, and a fail-fast worker
-        failure raises :class:`WorkGroupError` naming the shard."""
+        failure raises :class:`WorkGroupError` naming the shard.  A group
+        its worker finished is recorded as a ``shard_compute`` span (the
+        worker's measured compute, emulated sleep included, placed to end
+        now on the parent clock) and counted in its shard's ``groups``
+        counter."""
         code = self.await_group(group)
         start, stop = self.program.groups[group]
         lost = Quarantined(group=group, start=start, stop=stop)
@@ -344,7 +346,18 @@ class _ShardSupervisor:
                 n_visibilities=self.program.group_visibilities[group],
             )
         self.program.runner.absorb(int(arena["retries"][group]), letter)
-        return lost if letter is not None else None
+        if letter is not None:
+            return lost
+        shard = self.assignment.shard_of[group]
+        telemetry = self.program.telemetry
+        duration = float(arena["durations"][group])
+        if duration > 0:
+            now = monotonic()
+            telemetry.record_span(
+                "shard_compute", group, now - duration, now, worker=f"shard{shard}"
+            )
+        telemetry.add_counter(f"shard{shard}.groups", 1)
+        return None
 
     def await_group(self, group: int) -> int:
         """Block until ``group`` leaves pending; returns its status byte.
@@ -442,7 +455,7 @@ class _ShardSupervisor:
             pending = pending[1:]
         if pending:
             self._spawn(shard, tuple(pending))
-            self.telemetry.add_counter("worker_respawns", 1)
+            self.program.telemetry.add_counter("worker_respawns", 1)
 
 
 class ProcessShardedIDG:
@@ -457,43 +470,31 @@ class ProcessShardedIDG:
     config:
         :class:`ProcessConfig`; defaults to two workers and the ``spawn``
         start method.
-    faults:
-        Optional deterministic fault-injection plan.  Worker-side stages
-        (``gridder``/``subgrid_fft``/``subgrid_split``/``subgrid_ifft``/
-        ``degridder``) fire inside the worker processes; ``adder`` faults
-        fire in the parent; ``crash`` faults kill the worker process for
-        real (SIGKILL).
-    n_procs:
-        Shorthand overriding ``config.n_procs``.
+
+    ``grid`` and ``degrid`` take a per-call ``faults`` plan like every
+    executor: worker-side stages (``gridder``/``subgrid_fft``/
+    ``subgrid_split``/``subgrid_ifft``/``degridder``) fire inside the worker
+    processes, ``adder`` faults fire in the parent, and ``crash`` faults
+    kill the worker process for real (SIGKILL).
 
     After each run ``last_fault_report`` (``None`` when fail-fast),
-    ``last_telemetry`` (per-shard spans and counters) and
-    ``last_assignment`` (the LPT shard map) describe what happened.
+    ``last_telemetry`` (the parent program's record plus per-shard spans and
+    counters) and ``last_assignment`` (the LPT shard map) describe what
+    happened.
     """
 
-    def __init__(
-        self,
-        idg: IDG,
-        config: ProcessConfig | None = None,
-        faults: FaultPlan | None = None,
-        n_procs: int | None = None,
-    ) -> None:
-        if config is None:
-            config = ProcessConfig()
-        if n_procs is not None:
-            config = replace(config, n_procs=n_procs)
+    def __init__(self, idg: IDG, config: ProcessConfig | None = None) -> None:
         self.idg = idg
-        self.config = config
-        self.faults = faults
+        self.config = config or ProcessConfig()
         self.last_fault_report: FaultReport | None = None
         self.last_telemetry: Telemetry | None = None
         self.last_assignment: ShardAssignment | None = None
 
     # ------------------------------------------------------------- internal
 
-    def _start(self, program: WorkGroupProgram, telemetry: Telemetry) -> ShardAssignment:
+    def _start(self, program: WorkGroupProgram) -> ShardAssignment:
         """Publish the run's records and return its LPT shard map."""
-        self.last_telemetry = telemetry
+        self.last_telemetry = program.telemetry
         self.last_fault_report = program.fault_report
         self.last_assignment = partition_work_groups(
             plan_group_weights(program.plan, self.idg.config.work_group_size),
@@ -514,25 +515,6 @@ class ProcessShardedIDG:
         arena.allocate("stages", (n_groups, _STAGE_BYTES), np.uint8)
         arena.allocate("durations", (n_groups,), np.float64)
 
-    def _record_group_spans(
-        self,
-        telemetry: Telemetry,
-        arena: SharedArena,
-        assignment: ShardAssignment,
-        group: int,
-        now: float,
-    ) -> None:
-        shard = assignment.shard_of[group]
-        duration = float(arena["durations"][group])
-        if duration > 0:
-            # Placed just-before-merge on the parent clock; the length is
-            # the worker's measured compute (including emulated sleep).
-            telemetry.record_span(
-                "shard_compute", group, now - duration, now,
-                worker=f"shard{shard}",
-            )
-        telemetry.add_counter(f"shard{shard}.groups", 1)
-
     # ------------------------------------------------------------- gridding
 
     def grid(
@@ -542,28 +524,34 @@ class ProcessShardedIDG:
         visibilities: np.ndarray,
         *,
         aterms: ATermGenerator | None = None,
+        grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         checkpoint: CheckpointConfig | None = None,
+        faults: FaultPlan | None = None,
     ) -> np.ndarray:
         """Process-parallel equivalent of :meth:`repro.core.IDG.grid`.
 
         The result is bit-identical to the serial executor (module
         docstring); quarantined work groups are excluded and reported on
-        ``last_fault_report`` and ``checkpoint`` behaves exactly as on the
-        other executors.  A store-backed
+        ``last_fault_report``, and ``grid``, ``checkpoint`` and ``faults``
+        behave exactly as on the other executors.  A store-backed
         :class:`~repro.data.store.ChunkedVisibilitySource` is passed to the
         workers *by path*: no "vis" slab is allocated, each worker maps the
         store's visibility file read-only itself (sharing the page cache),
         so out-of-core datasets never cross the process boundary.
+
+        The parent collects each pending group in ascending order (polling
+        its status byte) and hands its slab, or its :class:`Quarantined`
+        sentinel, to the program's
+        :meth:`~repro.runtime.program.WorkGroupProgram.retire`.
         """
-        telemetry = Telemetry()
         program = WorkGroupProgram.for_grid(
-            self.idg, plan, uvw_m, visibilities, aterms=aterms, flags=flags,
-            aterm_fields=aterm_fields, faults=self.faults, telemetry=telemetry,
-            checkpoint=checkpoint,
+            self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
+            flags=flags, aterm_fields=aterm_fields, checkpoint=checkpoint,
+            faults=faults,
         )
-        assignment = self._start(program, telemetry)
+        assignment = self._start(program)
         visibilities, store_path = program.visibilities, None
         if program.source is not None:
             store_path = program.source.store_path
@@ -588,28 +576,15 @@ class ProcessShardedIDG:
             )
             supervisor = _ShardSupervisor(
                 kind="grid", program=program, config=self.config,
-                assignment=assignment, arena=arena, telemetry=telemetry,
-                faults=self.faults, groups=frozenset(pending),
-                store_path=store_path,
+                assignment=assignment, arena=arena, faults=faults,
+                groups=frozenset(pending), store_path=store_path,
             )
             try:
                 supervisor.start()
                 for group in pending:
-                    start, stop = program.groups[group]
                     lost = supervisor.collect(group)
-                    if lost is not None:
-                        program.retire(group, lost)
-                        continue
-                    t0 = monotonic()
-                    outcome = program.retire(group, fourier[start:stop])
-                    telemetry.record_span(
-                        "adder", group, t0, monotonic(), worker="parent"
-                    )
-                    self._record_group_spans(telemetry, arena, assignment, group, t0)
-                    if not isinstance(outcome, Quarantined):
-                        telemetry.add_counter(
-                            "visibilities", program.group_visibilities[group]
-                        )
+                    start, stop = program.groups[group]
+                    program.retire(group, fourier[start:stop] if lost is None else lost)
             finally:
                 supervisor.shutdown()
         return program.finish()
@@ -625,6 +600,7 @@ class ProcessShardedIDG:
         aterms: ATermGenerator | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
+        faults: FaultPlan | None = None,
     ) -> np.ndarray:
         """Process-parallel equivalent of :meth:`repro.core.IDG.degrid`.
 
@@ -634,34 +610,27 @@ class ProcessShardedIDG:
         (zero-initialised, e.g. a writable dataset-store map) receives the
         prediction instead of a fresh copy — note the shared-memory
         ``visout`` slab itself remains O(dataset); streaming degrid output
-        without the slab is the StreamingIDG path's job.
+        without the slab is the StreamingIDG path's job.  The parent
+        retires the groups in ascending order as the grid path does.
         """
-        telemetry = Telemetry()
         program = WorkGroupProgram.for_degrid(
             self.idg, plan, uvw_m, grid, aterms=aterms,
-            aterm_fields=aterm_fields, out=out, faults=self.faults,
-            telemetry=telemetry,
+            aterm_fields=aterm_fields, out=out, faults=faults,
         )
-        assignment = self._start(program, telemetry)
+        assignment = self._start(program)
         with SharedArena() as arena:
             self._arena_inputs(arena, uvw_m, program.n_groups)
             np.copyto(arena.allocate("grid", grid.shape, grid.dtype), grid)
             visout = arena.allocate("visout", program.out.shape, COMPLEX_DTYPE)
             supervisor = _ShardSupervisor(
                 kind="degrid", program=program, config=self.config,
-                assignment=assignment, arena=arena, telemetry=telemetry,
-                faults=self.faults, groups=frozenset(range(program.n_groups)),
+                assignment=assignment, arena=arena, faults=faults,
+                groups=frozenset(range(program.n_groups)),
             )
             try:
                 supervisor.start()
                 for group in range(program.n_groups):
-                    if supervisor.collect(group) is None:
-                        self._record_group_spans(
-                            telemetry, arena, assignment, group, monotonic()
-                        )
-                        telemetry.add_counter(
-                            "visibilities", program.group_visibilities[group]
-                        )
+                    program.retire(group, supervisor.collect(group))
                 np.copyto(program.out, visout)
             finally:
                 supervisor.shutdown()

@@ -45,7 +45,6 @@ from repro.runtime.recovery import (
     RetryPolicy,
     WorkGroupError,
     WorkGroupRunner,
-    group_visibility_count,
 )
 from repro.runtime.streaming import RuntimeConfig, StreamingIDG, modeled_schedule_jobs
 from repro.runtime.telemetry import GaugeSample, Span, Telemetry
@@ -69,7 +68,6 @@ __all__ = [
     "Telemetry",
     "WorkGroupError",
     "WorkGroupRunner",
-    "group_visibility_count",
     "load_checkpoint",
     "modeled_schedule_jobs",
     "peak_rss_bytes",

@@ -14,9 +14,9 @@ of stage chains on a thread pool retired in order (``StreamingIDG``, whose
 (``ProcessShardedIDG``) — so they all run the same stage bodies on the same
 groups, bit-identically.
 
-A grid work group is retired in one place, :meth:`WorkGroupProgram.retire`:
-the serial adder in plan order, then the checkpoint bookkeeping of
-:mod:`repro.runtime.checkpoint` — the completed set, the retirement count
+Every work group is retired in one place, :meth:`WorkGroupProgram.retire`,
+in plan order: a grid group's serial adder, then the checkpoint bookkeeping
+of :mod:`repro.runtime.checkpoint` — the completed set, the retirement count
 and the snapshots.  :meth:`WorkGroupProgram.for_grid` loads a resume
 snapshot; :meth:`WorkGroupProgram.retiring` yields the groups still pending
 and writes the final snapshot when the executor's loop ends, completed or
@@ -29,11 +29,20 @@ The correlation count is the data's: ``(n_bl, T, C, a, a)`` visibilities
 grid onto an ``(a**2, G, G)`` grid, and an ``(a**2, G, G)`` grid degrids
 into ``(n_bl, T, C, a, a)`` visibilities, with ``a = 2`` (four
 correlations) or ``a = 1`` (the Stokes-I sample alone).
+
+The program also keeps the call's one record,
+:attr:`WorkGroupProgram.telemetry`, which every executor publishes on
+``last_telemetry``: one span per (stage, work group) from
+:meth:`~WorkGroupProgram.run`, the runner's retry and dead-letter counters,
+the ``checkpoints`` and ``visibilities`` counters and the memory gauges.
+Executors add only what their schedule has of its own (streaming's
+admission and link spans, the processes executor's shard spans).
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -51,6 +60,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.faults import FaultPlan
+from repro.runtime.memory import record_memory_gauges
 from repro.runtime.recovery import (
     FaultReport,
     Quarantined,
@@ -58,9 +68,14 @@ from repro.runtime.recovery import (
     WorkGroupError,
     WorkGroupRunner,
 )
-from repro.runtime.telemetry import Telemetry
+from repro.runtime.telemetry import Telemetry, monotonic
 
 __all__ = ["WorkGroupProgram"]
+
+#: Retirements between two evictions of an out-of-core source's pages.
+#: Each ``madvise`` sweep walks the whole mapping's page tables, and the
+#: un-evicted residue is bounded by this many groups' worth of file pages.
+_EVICT_EVERY = 8
 
 
 def _group_visibility_counts(plan: Plan, groups: list[tuple[int, int]]) -> list[int]:
@@ -80,10 +95,11 @@ class WorkGroupProgram:
     ``idg`` supplies the kernels, taper, work-group size and retry policy;
     ``visibilities`` is the gridding input (flags applied), ``grid`` the
     ``(a**2, G, G)`` grid the adder accumulates into or the splitter reads,
-    ``out`` the degridding output; ``faults`` and ``telemetry`` go to the
-    runner.  The constructor takes its inputs as given — :meth:`for_grid`
-    and :meth:`for_degrid` are the checking constructors executors use, and
-    only :meth:`for_grid` takes a checkpoint setting.
+    ``out`` the degridding output; ``faults`` goes to the runner, which
+    records into the program's own :attr:`telemetry`.  The constructor
+    takes its inputs as given — :meth:`for_grid` and :meth:`for_degrid` are
+    the checking constructors executors use, and only :meth:`for_grid`
+    takes a checkpoint setting.
 
     The constructor first calls
     :func:`~repro.runtime.blas.single_threaded_blas`: from the first grid or
@@ -104,7 +120,6 @@ class WorkGroupProgram:
         out: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         faults: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         single_threaded_blas()
         self.idg = idg
@@ -112,7 +127,7 @@ class WorkGroupProgram:
         self.plan = plan
         self.uvw_m = uvw_m
         self.visibilities = visibilities
-        #: The out-of-core input, when there is one (its pages are dropped
+        #: The out-of-core input, when there is one (its pages are evicted
         #: as groups retire).
         self.source = (
             visibilities
@@ -126,7 +141,7 @@ class WorkGroupProgram:
         self.groups = list(plan.work_groups(idg.config.work_group_size))
         self.n_groups = len(self.groups)
         #: Covered visibilities of every work group (the runner's dead
-        #: letters and the executors' ``visibilities`` counters count them).
+        #: letters and the ``visibilities`` counter count them).
         self.group_visibilities = _group_visibility_counts(plan, self.groups)
         #: What the backend's kernels share across this call's groups
         #: (:meth:`~repro.backends.base.KernelBackend.call_tables`), derived
@@ -142,16 +157,18 @@ class WorkGroupProgram:
             if self.tables is None
             else {"tables": self.tables}
         )
+        #: The call's record, published by every executor on
+        #: ``last_telemetry``.
+        self.telemetry = Telemetry()
         self.runner = WorkGroupRunner(
             RetryPolicy(
                 max_retries=idg.config.max_retries,
                 backoff_s=idg.config.retry_backoff_s,
             ),
             faults=faults,
-            telemetry=telemetry,
+            telemetry=self.telemetry,
         )
         self.report = self.runner.report
-        self.telemetry = telemetry
         #: The call's checkpoint setting (``None``: no snapshots, no resume).
         self.checkpoint: CheckpointConfig | None = None
         self.signature: str | None = None
@@ -180,9 +197,8 @@ class WorkGroupProgram:
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        faults: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
         checkpoint: CheckpointConfig | None = None,
+        faults: FaultPlan | None = None,
     ) -> "WorkGroupProgram":
         """The program of ``IDG.grid``'s arguments: shapes checked, flags
         masked, A-term fields resolved (``aterm_fields`` wins over
@@ -212,7 +228,7 @@ class WorkGroupProgram:
             aterm_fields = idg.aterm_fields(plan, aterms)
         program = cls(
             idg, plan, uvw_m, visibilities=visibilities, grid=grid,
-            aterm_fields=aterm_fields, faults=faults, telemetry=telemetry,
+            aterm_fields=aterm_fields, faults=faults,
         )
         if checkpoint is not None:
             program.checkpoint = checkpoint
@@ -244,7 +260,6 @@ class WorkGroupProgram:
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
         faults: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
     ) -> "WorkGroupProgram":
         """The program of ``IDG.degrid``'s arguments: A-term fields
         resolved, a zeroed ``(n_bl, T, C, a, a)`` output sized by the
@@ -265,7 +280,7 @@ class WorkGroupProgram:
             aterm_fields = idg.aterm_fields(plan, aterms)
         return cls(
             idg, plan, uvw_m, grid=grid, out=out,
-            aterm_fields=aterm_fields, faults=faults, telemetry=telemetry,
+            aterm_fields=aterm_fields, faults=faults,
         )
 
     # ----------------------------------------------------- failure contract
@@ -278,25 +293,33 @@ class WorkGroupProgram:
 
     def run(self, stage: str, group: int, fn: Callable[[], Any]) -> Any:
         """``fn()`` as stage ``stage`` of work group ``group`` under the
-        runner: its result, a :class:`Quarantined` sentinel, or a raised
-        :class:`~repro.runtime.recovery.WorkGroupError`."""
+        runner, recorded as one ``stage`` span of ``group`` on the calling
+        thread: its result, a :class:`Quarantined` sentinel, or a raised
+        :class:`~repro.runtime.recovery.WorkGroupError` (no span)."""
         start, stop = self.groups[group]
-        return self.runner.run(
+        t0 = monotonic()
+        outcome = self.runner.run(
             stage, group, fn, start=start, stop=stop,
             n_visibilities=self.group_visibilities[group],
         )
+        self.telemetry.record_span(
+            stage, group, t0, monotonic(), threading.current_thread().name
+        )
+        return outcome
 
     def finish(self) -> np.ndarray:
-        """Close the report's group counts and return the call's result
-        (the grid, or the degridded visibilities)."""
+        """Close the report's group counts, sample the memory gauges and
+        return the call's result (the grid, or the degridded
+        visibilities)."""
         self.report.n_groups = self.n_groups
         self.report.n_groups_completed = (
             self.n_groups - len(self.report.excluded_items())
         )
+        record_memory_gauges(self.telemetry)
         return self.grid if self.out is None else self.out
 
     def drop_caches(self) -> None:
-        """Evict the out-of-core input's retired pages (no-op in memory)."""
+        """Evict the out-of-core input's read pages (no-op in memory)."""
         if self.source is not None:
             self.source.drop_caches()
 
@@ -338,14 +361,22 @@ class WorkGroupProgram:
         finally:
             self._snapshot()
 
-    def retire(self, group: int, fourier: Any) -> Any:
-        """Retire ``group``: add its Fourier subgrids onto :attr:`grid` as
-        the ``adder`` stage, then mark it completed (unless it is
-        :class:`Quarantined`), count it and snapshot every
-        ``checkpoint.interval`` retirements.  Returns the adder's outcome.
+    def retire(self, group: int, outcome: Any) -> Any:
+        """Retire ``group`` with its last stage's ``outcome``.
 
-        Executors call this from one thread at a time, in plan order, so the
-        grid accumulates exactly as the serial executor's does.
+        A grid group's outcome is its Fourier subgrids: they are added onto
+        :attr:`grid` as the ``adder`` stage and the group is marked
+        completed.  A degrid group's outcome only says whether it was
+        :class:`Quarantined`.  A group that was not quarantined adds its
+        visibilities to the ``visibilities`` counter.  Every retirement is
+        counted; every 8th evicts an out-of-core source's read pages and
+        samples the memory gauges, so the trace shows RSS staying flat as
+        data streams through; every ``checkpoint.interval``-th writes a
+        snapshot.  Returns the adder's outcome (a degrid group's, unchanged).
+
+        Executors call this for every group, from one thread at a time, in
+        plan order, so the grid accumulates exactly as the serial
+        executor's does.
 
         Raises
         ------
@@ -357,8 +388,8 @@ class WorkGroupProgram:
             the last good one.  Injected adder faults fire before the add,
             so they stay retriable.
         """
-        outcome = fourier
-        if not isinstance(fourier, Quarantined):
+        if self.out is None and not isinstance(outcome, Quarantined):
+            fourier = outcome
             start, stop = self.groups[group]
             adds = 0
             error: Exception | None = None
@@ -389,8 +420,13 @@ class WorkGroupProgram:
                 ) from error
             if whole:
                 self.completed.add(group)
+        if not isinstance(outcome, Quarantined):
+            self.telemetry.add_counter("visibilities", self.group_visibilities[group])
         self.n_retired += 1
         self._unsaved += 1
+        if self.source is not None and self.n_retired % _EVICT_EVERY == 0:
+            self.drop_caches()
+            record_memory_gauges(self.telemetry)
         if self.checkpoint is not None and self._unsaved >= self.checkpoint.interval:
             self._snapshot()
         return outcome
@@ -406,8 +442,7 @@ class WorkGroupProgram:
         )
         self._unsaved = 0
         self.report.n_checkpoints += 1
-        if self.telemetry is not None:
-            self.telemetry.add_counter("checkpoints", 1)
+        self.telemetry.add_counter("checkpoints", 1)
 
     # ----------------------------------------------------- degrid stages
 

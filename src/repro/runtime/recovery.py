@@ -54,7 +54,6 @@ __all__ = [
     "RetryPolicy",
     "WorkGroupError",
     "WorkGroupRunner",
-    "group_visibility_count",
 ]
 
 
@@ -225,17 +224,6 @@ class FaultReport:
                 f"attempt(s): {d.error}"
             )
         return "\n".join(lines)
-
-
-def group_visibility_count(plan: Any, start: int, stop: int) -> int:
-    """Covered (time x channel) visibilities of plan items [start, stop)."""
-    rows = plan.items[start:stop]
-    return int(
-        (
-            (rows["time_end"] - rows["time_start"])
-            * (rows["channel_end"] - rows["channel_start"])
-        ).sum()
-    )
 
 
 class WorkGroupRunner:

@@ -42,11 +42,11 @@ exact, and the :class:`~repro.runtime.recovery.FaultReport` on
 call's checkpoints (:mod:`repro.runtime.checkpoint`), so a streaming
 ``grid`` checkpoints and resumes like every other executor's.
 
-Every run produces a :class:`~repro.runtime.telemetry.Telemetry` — one span
-per (stage, work group), the ``in_flight`` gauge, retry/dead-letter/
-checkpoint counters and the ``visibilities`` counter, which each retired
-group adds unless it was quarantined (so a resumed grid counts only the
-groups it grids) — exportable as a Chrome trace;
+Every run publishes its program's
+:class:`~repro.runtime.telemetry.Telemetry` on ``last_telemetry`` (DESIGN.md
+§8): the program records one span per (stage, work group), the counters and
+the memory gauges; the schedule adds its own ``splitter``, ``htod`` and
+``dtoh`` spans and the ``in_flight`` gauge.  It exports as a Chrome trace;
 see ``benchmarks/bench_runtime_overlap.py`` and
 ``benchmarks/bench_fault_recovery.py``.  The pool lives for one call.
 """
@@ -68,7 +68,6 @@ from repro.core.pipeline import IDG
 from repro.core.plan import Plan
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.faults import FaultPlan
-from repro.runtime.memory import record_memory_gauges
 from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import FaultReport, Quarantined
 from repro.runtime.telemetry import Telemetry, monotonic
@@ -188,7 +187,7 @@ def retire_in_order(
 
 
 class _Schedule:
-    """One call's admission window, compute permits and stage spans.
+    """One call's admission window, compute permits and link spans.
 
     The pool has one thread per admitted group when a chain has stages that
     wait without computing (an emulated link, or ``reads`` from an
@@ -213,7 +212,8 @@ class _Schedule:
         self.threads = config.n_buffers if waits else min(config.workers, config.n_buffers)
 
     def timed(self, stage: str, group: int, fn: Callable[..., Any], *args: Any) -> Any:
-        """``fn(*args)`` recorded as one ``stage`` span of ``group``."""
+        """``fn(*args)`` recorded as one ``stage`` span of ``group`` (the
+        schedule's own stages; the program records its stages itself)."""
         t0 = monotonic()
         result = fn(*args)
         self.telemetry.record_span(
@@ -231,13 +231,10 @@ class _Schedule:
         self.in_flight += delta
         self.telemetry.record_gauge("in_flight", self.in_flight)
 
-    def retired(self, group: int, outcome: Any) -> None:
-        """Count ``group`` out of flight and, unless it was quarantined, its
-        visibilities into the ``visibilities`` counter."""
-        if not isinstance(outcome, Quarantined):
-            self.telemetry.add_counter(
-                "visibilities", self.program.group_visibilities[group]
-            )
+    def retire(self, group: int, outcome: Any) -> None:
+        """Retire ``group`` through the program and count it out of
+        flight."""
+        self.program.retire(group, outcome)
         self.count(-1)
 
     def transfer(self, stage: str, group: int, data: Any, nbytes: Callable[[], float]) -> None:
@@ -249,17 +246,11 @@ class _Schedule:
             seconds = 0.0 if isinstance(data, Quarantined) else nbytes() / (gbs * 1e9)
             self.timed(stage, group, time.sleep, seconds)
 
-    def run(
-        self,
-        groups: Sequence[int],
-        chain: Callable[[int], Any],
-        retire: Callable[[int, Any], None],
-        name: str,
-    ) -> None:
+    def run(self, groups: Sequence[int], chain: Callable[[int], Any], name: str) -> None:
         """Admit ``groups`` through the window, run each one's ``chain`` on
-        a pool worker and ``retire`` them in order on this thread."""
+        a pool worker and retire them in order on this thread."""
         retire_in_order(
-            groups, chain, retire, threads=self.threads,
+            groups, chain, self.retire, threads=self.threads,
             window=self.config.n_buffers, admit=self.admit, name=name,
         )
 
@@ -277,23 +268,15 @@ class StreamingIDG:
     config:
         Runtime parameters (buffer count, compute workers, emulated device
         link).
-    faults:
-        Optional deterministic fault-injection plan (tests, benchmarks).
 
     The telemetry of the most recent run is kept on ``last_telemetry``; the
     fault report of the most recent *tolerant* run on ``last_fault_report``
     (``None`` when fail-fast).
     """
 
-    def __init__(
-        self,
-        idg: IDG,
-        config: RuntimeConfig | None = None,
-        faults: FaultPlan | None = None,
-    ) -> None:
+    def __init__(self, idg: IDG, config: RuntimeConfig | None = None) -> None:
         self.idg = idg
         self.config = config or RuntimeConfig()
-        self.faults = faults
         self.last_telemetry: Telemetry | None = None
         self.last_fault_report: FaultReport | None = None
 
@@ -308,31 +291,25 @@ class StreamingIDG:
         aterms: ATermGenerator | None = None,
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
-        telemetry: Telemetry | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         checkpoint: CheckpointConfig | None = None,
+        faults: FaultPlan | None = None,
     ) -> np.ndarray:
-        """Pipelined equivalent of :meth:`repro.core.IDG.grid`.
-
-        The same positional arguments and a bit-identical result; takes an
-        optional ``telemetry`` recorder (also stored on ``last_telemetry``)
-        where the serial executor takes ``faults``.  With
-        fault tolerance active, quarantined work groups are excluded and
-        reported on ``last_fault_report`` instead of raising;
-        ``aterm_fields`` and ``checkpoint`` behave as on the serial
-        executor.
+        """Pipelined equivalent of :meth:`repro.core.IDG.grid`: the same
+        arguments and a bit-identical result.  With fault tolerance
+        active, quarantined work groups are excluded and reported on
+        ``last_fault_report`` instead of raising.
         """
-        tm = telemetry if telemetry is not None else Telemetry()
         program = WorkGroupProgram.for_grid(
             self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
-            flags=flags, aterm_fields=aterm_fields, faults=self.faults,
-            telemetry=tm, checkpoint=checkpoint,
+            flags=flags, aterm_fields=aterm_fields, checkpoint=checkpoint,
+            faults=faults,
         )
+        self.last_telemetry = program.telemetry
         self.last_fault_report = program.fault_report
         source = program.source
         schedule = _Schedule(self.config, program, reads=source is not None)
         planes = program.grid.shape[0]
-        n_retired = 0
 
         def chain(group: int) -> Any:
             start, stop = program.groups[group]
@@ -342,42 +319,23 @@ class StreamingIDG:
                 # group needs (masked, copied off the memory map); with at
                 # most `n_buffers` groups admitted, at most that many
                 # prefetched groups are resident — the out-of-core RSS bound.
-                vis_in = schedule.timed(
-                    "reader", group, program.run, "reader", group,
-                    lambda: source.prefetch_group(plan, start, stop),
+                vis_in = program.run(
+                    "reader", group, lambda: source.prefetch_group(plan, start, stop)
                 )
             schedule.transfer(
                 "htod", group, vis_in,
                 lambda: chunk_transfer_bytes(plan, start, stop, planes)[0],
             )
             with schedule.compute:
-                subgrids = schedule.timed("gridder", group, program.gridder, group, vis_in)
-                fourier = schedule.timed("subgrid_fft", group, program.subgrid_fft, group, subgrids)
+                fourier = program.subgrid_fft(group, program.gridder(group, vis_in))
             schedule.transfer("dtoh", group, fourier, lambda: fourier.nbytes)
             return fourier
 
-        def retire(group: int, fourier: Any) -> None:
-            # The serial adder in plan order: the grid accumulates exactly
-            # as the serial executor's does.  A group dead-lettered upstream
-            # adds nothing, but still leaves the window.
-            nonlocal n_retired
-            outcome = schedule.timed("adder", group, program.retire, group, fourier)
-            schedule.retired(group, outcome)
-            n_retired += 1
-            if source is not None and n_retired % 8 == 0:
-                # Retired groups' file pages are dead weight: evict them and
-                # snapshot the memory gauges so the trace shows RSS staying
-                # flat as data streams through.  Every 8th group is often
-                # enough — each madvise sweep walks the whole mapping's page
-                # tables, and the un-evicted residue is bounded by 8 groups'
-                # worth of file pages.
-                source.drop_caches()
-                record_memory_gauges(tm)
-
+        # The serial adder in plan order: the grid accumulates exactly as the
+        # serial executor's does.  A group dead-lettered upstream adds
+        # nothing, but still leaves the window.
         with program.retiring() as pending:
-            schedule.run(pending, chain, retire, name="streaming-grid")
-        record_memory_gauges(tm)
-        self.last_telemetry = tm
+            schedule.run(pending, chain, name="streaming-grid")
         return program.finish()
 
     # ----------------------------------------------------------- degridding
@@ -389,9 +347,9 @@ class StreamingIDG:
         grid: np.ndarray,
         *,
         aterms: ATermGenerator | None = None,
-        telemetry: Telemetry | None = None,
-        out: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        out: np.ndarray | None = None,
+        faults: FaultPlan | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.degrid`.
 
@@ -402,33 +360,27 @@ class StreamingIDG:
         receives the prediction in place and ``aterm_fields`` overrides
         ``aterms``, as on the serial executor.
         """
-        tm = telemetry if telemetry is not None else Telemetry()
         program = WorkGroupProgram.for_degrid(
             self.idg, plan, uvw_m, grid, aterms=aterms,
-            aterm_fields=aterm_fields, out=out, faults=self.faults,
-            telemetry=tm,
+            aterm_fields=aterm_fields, out=out, faults=faults,
         )
+        self.last_telemetry = program.telemetry
         self.last_fault_report = program.fault_report
         schedule = _Schedule(self.config, program)
 
         def chain(group: int) -> Any:
             start, stop = program.groups[group]
-            patches = schedule.timed("subgrid_split", group, program.subgrid_split, group)
+            patches = program.subgrid_split(group)
             schedule.transfer("htod", group, patches, lambda: patches.nbytes)
             with schedule.compute:
-                images = schedule.timed("subgrid_ifft", group, program.subgrid_ifft, group, patches)
-                result = schedule.timed("degridder", group, program.degridder, group, images)
+                result = program.degridder(group, program.subgrid_ifft(group, patches))
             schedule.transfer(
                 "dtoh", group, result,
                 lambda: chunk_transfer_bytes(plan, start, stop, grid.shape[0])[0],
             )
             return result
 
-        schedule.run(
-            range(program.n_groups), chain, schedule.retired, name="streaming-degrid"
-        )
-        record_memory_gauges(tm)
-        self.last_telemetry = tm
+        schedule.run(range(program.n_groups), chain, name="streaming-degrid")
         return program.finish()
 
 

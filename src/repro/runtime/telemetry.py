@@ -1,11 +1,13 @@
-"""Built-in telemetry for the streaming runtime (spans, gauges, counters).
+"""Built-in telemetry for every executor (spans, gauges, counters).
 
-The thread that runs a stage records a :class:`Span` per work group; the
-streaming executor records its ``in_flight`` gauge (work groups admitted and
-not yet retired) and memory gauges; the pipeline records throughput counters
-(visibilities gridded).  The collected events export to the Chrome
-trace-event JSON format, so a measured run opens directly in
-``chrome://tracing`` / Perfetto next to the *predicted* schedule from
+Each grid or degrid call's :class:`~repro.runtime.program.WorkGroupProgram`
+owns one :class:`Telemetry`: the thread that runs a stage records a
+:class:`Span` per work group, and the program records the memory gauges and
+the throughput counter (visibilities retired).  The streaming executor adds
+its ``in_flight`` gauge (work groups admitted and not yet retired).  The
+collected events export to the Chrome trace-event JSON format, so a
+measured run opens directly in ``chrome://tracing`` / Perfetto next to the
+*predicted* schedule from
 :mod:`repro.perfmodel.streams` — the Fig 7 comparison, but with real time on
 the x axis.
 

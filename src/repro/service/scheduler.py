@@ -91,23 +91,10 @@ class ServiceConfig:
         (fault tolerance comes from its ``max_retries`` /
         ``retry_backoff_s``).  Part of the execution key: services with
         different configs never share results.
-    executor:
-        How each job executes once dispatched: ``"serial"`` (the plain
-        :class:`~repro.core.IDG` facade), ``"threads"``
-        (:class:`~repro.parallel.ParallelIDG`: the streaming executor with
-        ``executor_workers`` compute workers and twice that many work
-        groups in flight), or ``"processes"``
-        (:class:`~repro.parallel.process.ProcessShardedIDG`).  All three
-        produce bit-identical grids, so coalesced results stay valid
-        across a config change — but ``executor`` is part of the service
-        config, not the execution key, because it does not affect values.
-    executor_workers:
-        Threads (``"threads"``) or worker processes (``"processes"``)
-        per job.  Ignored by the serial executor.
-    executor_start_method:
-        ``multiprocessing`` start method for the processes executor
-        (``"fork"`` avoids interpreter start-up latency per job on
-        Linux; ``"spawn"`` is the portable default).
+
+    Each job runs on its own :class:`~repro.core.IDG` (the serial
+    executor) on the worker thread that claimed it; the service's
+    parallelism is its ``n_workers`` concurrent jobs.
     """
 
     n_workers: int = 2
@@ -119,9 +106,6 @@ class ServiceConfig:
     plan_cache_bytes: int = 256 * 1024 * 1024
     aterm_cache_bytes: int = 128 * 1024 * 1024
     idg: IDGConfig = field(default_factory=IDGConfig)
-    executor: str = "serial"
-    executor_workers: int = 2
-    executor_start_method: str = "spawn"
 
     def __post_init__(self) -> None:
         if self.n_workers <= 0:
@@ -130,13 +114,6 @@ class ServiceConfig:
             raise ValueError("max_queue_depth and tenant_quota must be positive")
         if self.tenant_backlog is not None and self.tenant_backlog <= 0:
             raise ValueError("tenant_backlog must be positive (or None)")
-        if self.executor not in ("serial", "threads", "processes"):
-            raise ValueError(
-                "executor must be one of 'serial', 'threads', 'processes', "
-                f"got {self.executor!r}"
-            )
-        if self.executor_workers <= 0:
-            raise ValueError("executor_workers must be positive")
 
 
 class JobHandle:
@@ -438,59 +415,24 @@ class GriddingService:
             nbytes=_plan_nbytes,
         )
         fields = self._fields_for(job, idg, plan)
-        if self.config.executor == "serial":
-            if spec.kind is JobKind.IMAGE:
-                value = idg.grid(
-                    plan,
-                    spec.uvw_m,
-                    spec.visibilities,
-                    flags=spec.flags,
-                    faults=spec.faults,
-                    aterm_fields=fields,
-                )
-            else:
-                value = idg.degrid(
-                    plan,
-                    spec.uvw_m,
-                    spec.model_grid,
-                    faults=spec.faults,
-                    aterm_fields=fields,
-                )
-            return value, idg.last_fault_report, {}
-        # The parallel executors take fault plans at construction, not per
-        # call; all executors produce bit-identical values (the conformance
-        # suite pins this), so the choice stays out of the execution key.
-        executor: Any
-        if self.config.executor == "threads":
-            from repro.parallel.executor import ParallelIDG
-
-            executor = ParallelIDG(
-                idg, n_workers=self.config.executor_workers, faults=spec.faults
-            )
-        else:
-            from repro.parallel.process import ProcessConfig, ProcessShardedIDG
-
-            executor = ProcessShardedIDG(
-                idg,
-                ProcessConfig(
-                    n_procs=self.config.executor_workers,
-                    start_method=self.config.executor_start_method,
-                ),
-                faults=spec.faults,
-            )
         if spec.kind is JobKind.IMAGE:
-            value = executor.grid(
+            value = idg.grid(
                 plan,
                 spec.uvw_m,
                 spec.visibilities,
                 flags=spec.flags,
                 aterm_fields=fields,
+                faults=spec.faults,
             )
         else:
-            value = executor.degrid(
-                plan, spec.uvw_m, spec.model_grid, aterm_fields=fields
+            value = idg.degrid(
+                plan,
+                spec.uvw_m,
+                spec.model_grid,
+                aterm_fields=fields,
+                faults=spec.faults,
             )
-        return value, executor.last_fault_report, {}
+        return value, idg.last_fault_report, {}
 
     def _run_selfcal(self, job: _Job) -> tuple[np.ndarray, Any, dict[str, Any]]:
         """Run a full self-calibration loop for one SELFCAL job.
@@ -509,9 +451,6 @@ class GriddingService:
             uvw_m=spec.uvw_m,
             frequencies_hz=spec.frequencies_hz,
             baselines=spec.baselines,
-            executor=self.config.executor,
-            executor_workers=self.config.executor_workers,
-            start_method=self.config.executor_start_method,
         )
         result = self_calibrate(
             context,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.backends import (
     DEFAULT_BACKEND,
-    IDG_BACKEND_ENV,
     KernelBackend,
     VectorizedBackend,
     available_backends,
@@ -45,23 +44,14 @@ def test_register_and_replace():
         del registry._REGISTRY["test-double"]
 
 
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv(IDG_BACKEND_ENV, raising=False)
+def test_resolve_backend_precedence():
     assert resolve_backend(None).name == DEFAULT_BACKEND
-    monkeypatch.setenv(IDG_BACKEND_ENV, "reference")
-    assert resolve_backend(None).name == "reference"
-    # an explicit name beats the environment
-    assert resolve_backend("vectorized").name == "vectorized"
+    assert resolve_backend("reference").name == "reference"
     # an instance passes through unregistered
     mine = VectorizedBackend()
     assert resolve_backend(mine) is mine
-
-
-def test_idg_config_consults_environment(monkeypatch):
+    # IDGConfig.backend is the one setting: unset means the default
     gridspec = GridSpec(grid_size=64, image_size=0.1)
-    monkeypatch.setenv(IDG_BACKEND_ENV, "reference")
-    assert IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2)).backend.name == "reference"
-    monkeypatch.delenv(IDG_BACKEND_ENV)
     assert IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2)).backend.name == DEFAULT_BACKEND
     named = IDG(gridspec, IDGConfig(subgrid_size=8, kernel_support=2, backend="reference"))
     assert named.backend.name == "reference"

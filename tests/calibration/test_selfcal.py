@@ -17,7 +17,7 @@ from repro.calibration.selfcal import (
 )
 from repro.core.pipeline import IDG, IDGConfig
 from repro.imaging.metrics import dynamic_range
-from repro.imaging.pipeline import ImagingContext, invert_2d
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor
 from repro.sky.model import SkyModel
 from repro.sky.simulate import predict_visibilities
 from repro.telescope.observation import ska1_low_observation
@@ -91,7 +91,7 @@ def test_telemetry_shows_contraction(result):
 
 def test_calibration_beats_uncalibrated_dynamic_range(result, harness):
     context, corrupted, _ = harness
-    uncalibrated = invert_2d(context, corrupted).stokes_i
+    uncalibrated = make_ftprocessor(context, "2d").invert(corrupted).image
     calibrated = result.model_image + result.residual_image
     assert dynamic_range(calibrated) > 3.0 * dynamic_range(uncalibrated)
 

@@ -123,7 +123,7 @@ def test_larger_subgrids_substitute_for_planes(wide_field):
 
 def test_image_recovers_source(wide_field):
     obs, gs, idg, bl, vis, model, (l0, m0) = wide_field
-    image = WStackFTProcessor(_context(idg, obs, bl), n_w_planes=8).invert(vis).stokes_i
+    image = WStackFTProcessor(_context(idg, obs, bl), n_w_planes=8).invert(vis).image
     row, col, value = find_peak(image)
     g, dl = gs.grid_size, gs.pixel_scale
     assert (row, col) == (round(m0 / dl) + g // 2, round(l0 / dl) + g // 2)
@@ -150,8 +150,8 @@ def test_single_plane_matches_plain_idg_when_w_small(small_idg, small_obs,
     2-D IDG: each layer's w shift is exactly undone by its image-domain
     correction."""
     ctx = _context(small_idg, small_obs, small_baselines)
-    stacked = WStackFTProcessor(ctx, n_w_planes=1).invert(single_source_vis).stokes_i
-    plain = TwoDimFTProcessor(ctx).invert(single_source_vis).stokes_i
+    stacked = WStackFTProcessor(ctx, n_w_planes=1).invert(single_source_vis).image
+    plain = TwoDimFTProcessor(ctx).invert(single_source_vis).image
     g = small_idg.gridspec.grid_size
     inner = slice(g // 8, -g // 8)
     np.testing.assert_allclose(stacked[inner, inner], plain[inner, inner], atol=5e-3)

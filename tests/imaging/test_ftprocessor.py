@@ -12,19 +12,7 @@ from repro.constants import FLOAT_DTYPE
 from repro.core.pipeline import IDG, IDGConfig
 from repro.imaging.cycle import ImagingCycle
 from repro.imaging.image import dirty_image_from_grid, model_image_to_grid
-from repro.imaging.pipeline import (
-    ImagingContext,
-    invert_2d,
-    invert_facets,
-    invert_wstack,
-    invert_wstack_facets,
-    make_ftprocessor,
-    plan_coverage,
-    predict_2d,
-    predict_facets,
-    predict_wstack,
-    predict_wstack_facets,
-)
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor, plan_coverage
 from repro.kernels.spheroidal import grid_correction
 from repro.kernels.wkernel import n_term
 from repro.sky.model import SkyModel
@@ -72,30 +60,15 @@ def _source_pixel(setup):
     return row, col
 
 
-INVERTS = {
-    "2d": invert_2d,
-    "wstack": invert_wstack,
-    "facets": invert_facets,
-    "wstack_facets": invert_wstack_facets,
-}
-PREDICTS = {
-    "2d": predict_2d,
-    "wstack": predict_wstack,
-    "facets": predict_facets,
-    "wstack_facets": predict_wstack_facets,
-}
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_invert_recovers_source_flux(setup, kind):
     ctx = _context(setup)
-    result = INVERTS[kind](ctx, setup[4])
+    result = make_ftprocessor(ctx, kind).invert(setup[4])
     # every kind returns the real (G, G) Stokes-I image at the grids'
-    # single precision; stokes_i aliases it
-    assert result.image.shape == (GRID, GRID)
-    assert result.image.dtype == FLOAT_DTYPE
-    assert result.stokes_i is result.image
-    image = result.stokes_i
+    # single precision
+    image = result.image
+    assert image.shape == (GRID, GRID)
+    assert image.dtype == FLOAT_DTYPE
     row, col = _source_pixel(setup)
     peak = image[row, col]
     assert peak == pytest.approx(5.0, rel=0.05)
@@ -114,8 +87,8 @@ def test_invert_agrees_with_2d_at_zero_w(setup, kind):
     the source and loose agreement globally.
     """
     ctx = _context(setup, zero_w=True)
-    reference = invert_2d(ctx, setup[4]).stokes_i
-    image = INVERTS[kind](ctx, setup[4]).stokes_i
+    reference = make_ftprocessor(ctx, "2d").invert(setup[4]).image
+    image = make_ftprocessor(ctx, kind).invert(setup[4]).image
     peak = float(np.abs(reference).max())
     difference = np.abs(image - reference)
     if kind == "wstack":
@@ -135,7 +108,7 @@ def test_predict_agrees_with_2d_at_zero_w(setup, kind):
     processor = make_ftprocessor(ctx, kind="2d")
     covered = plan_coverage(processor.plan)
     reference = processor.predict(model)[..., 0, 0][covered]
-    predicted = PREDICTS[kind](ctx, model)[..., 0, 0][covered]
+    predicted = make_ftprocessor(ctx, kind).predict(model)[..., 0, 0][covered]
     assert np.abs(predicted - reference).max() < 0.02 * np.abs(reference).max()
 
 
@@ -208,8 +181,8 @@ def test_invert_matches_imaging_cycle_dirty_path(setup):
     ctx = _context(setup)
     cycle = ImagingCycle(idg, obs.uvw_m, obs.frequencies_hz, baselines)
     direct = cycle.make_dirty_image(vis)
-    result = invert_2d(ctx, vis)
-    np.testing.assert_allclose(result.stokes_i, direct, atol=1e-6)
+    result = make_ftprocessor(ctx, "2d").invert(vis)
+    np.testing.assert_allclose(result.image, direct, atol=1e-6)
     assert result.weight_sum == pytest.approx(
         float(cycle.plan.statistics.n_visibilities_gridded)
     )
@@ -223,7 +196,7 @@ def test_imaging_cycle_delegates_to_processor(setup):
         idg, obs.uvw_m, obs.frequencies_hz, baselines, processor=processor
     )
     np.testing.assert_array_equal(
-        cycle.make_dirty_image(vis), processor.invert(vis).stokes_i
+        cycle.make_dirty_image(vis), processor.invert(vis).image
     )
     row, col = _source_pixel(setup)
     model = np.zeros((GRID, GRID))
@@ -234,12 +207,11 @@ def test_imaging_cycle_delegates_to_processor(setup):
 def test_uniform_weights_cancel_in_normalisation(setup):
     ctx = _context(setup)
     vis = setup[4]
-    plain = invert_2d(ctx, vis)
+    processor = make_ftprocessor(ctx, "2d")
+    plain = processor.invert(vis)
     weights = np.full(vis.shape[:3], 2.0)
-    weighted = invert_2d(ctx, vis, weights=weights)
-    np.testing.assert_allclose(
-        weighted.stokes_i, plain.stokes_i, atol=1e-6
-    )
+    weighted = processor.invert(vis, weights=weights)
+    np.testing.assert_allclose(weighted.image, plain.image, atol=1e-6)
     assert weighted.weight_sum == pytest.approx(2.0 * plain.weight_sum)
 
 
@@ -250,7 +222,7 @@ def test_flags_exclude_samples(setup):
     flags[0] = True
     # corrupt the flagged block: it must not leak into the image
     vis[0] = 1e6
-    image = invert_2d(ctx, vis, flags=flags).stokes_i
+    image = make_ftprocessor(ctx, "2d").invert(vis, flags=flags).image
     row, col = _source_pixel(setup)
     assert image[row, col] == pytest.approx(5.0, rel=0.05)
 

@@ -163,9 +163,9 @@ def test_tolerant_mode_reports_on_last_fault_report(small_idg, small_plan,
 
     idg = small_idg.with_config(work_group_size=5, max_retries=1,
                                 retry_backoff_s=0.0)
-    par = ParallelIDG(idg, n_workers=2,
-                      faults=FaultPlan.single("gridder", 0, times=-1))
-    par.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    par = ParallelIDG(idg, n_workers=2)
+    par.grid(small_plan, small_obs.uvw_m, single_source_vis,
+             faults=FaultPlan.single("gridder", 0, times=-1))
     report = par.last_fault_report
     assert report is not None and report.n_dead_letters == 1
     assert report.dead_letters[0].group == 0
@@ -201,8 +201,11 @@ def test_arguments_after_the_data_are_keyword_only(executor, small_idg,
                                                    small_plan, small_obs,
                                                    single_source_vis):
     """Every executor takes ``(plan, uvw_m, visibilities)`` and
-    ``(plan, uvw_m, grid)`` by position and nothing more, so an argument
-    cannot land in a parameter that differs between executors."""
+    ``(plan, uvw_m, grid)`` by position and nothing more, and the same
+    keyword-only arguments after them — fault plans and checkpoints
+    included — so a caller never branches on the executor."""
+    import inspect
+
     import numpy as np
 
     from repro.imaging.pipeline import make_engine
@@ -214,6 +217,38 @@ def test_arguments_after_the_data_are_keyword_only(executor, small_idg,
     grid = small_idg.gridspec.allocate_grid(4)
     with pytest.raises(TypeError):
         engine.degrid(small_plan, small_obs.uvw_m, grid, None)
+
+    def keyword_only(method):
+        return tuple(
+            name for name, p in inspect.signature(method).parameters.items()
+            if p.kind is p.KEYWORD_ONLY
+        )
+
+    assert keyword_only(engine.grid) == (
+        "aterms", "grid", "flags", "aterm_fields", "checkpoint", "faults"
+    )
+    assert keyword_only(engine.degrid) == ("aterms", "aterm_fields", "out", "faults")
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_grid_accumulates_into_the_given_grid(executor, small_idg, small_plan,
+                                              small_obs, single_source_vis):
+    """``grid=`` is accumulated into and returned on every executor, with
+    the serial executor's result."""
+    import numpy as np
+
+    from repro.imaging.pipeline import make_engine
+
+    idg = small_idg.with_config(work_group_size=5)
+    first = idg.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    expected = idg.grid(
+        small_plan, small_obs.uvw_m, single_source_vis, grid=first.copy()
+    )
+    target = first.copy()
+    engine = make_engine(idg, executor, n_workers=2)
+    result = engine.grid(small_plan, small_obs.uvw_m, single_source_vis, grid=target)
+    assert result is target
+    assert np.array_equal(result, expected)
 
 
 def test_benchmark_tracer_wraps_threads_grid_once(small_idg, small_plan,

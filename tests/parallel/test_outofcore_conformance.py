@@ -124,10 +124,11 @@ def test_streaming_kill_and_resume_from_store(conformance, store_for,
 
     ckpt = tmp_path / "oc-crash.npz"
     crash = FaultPlan.single("gridder", n_groups - 1, kind="crash")
-    engine = StreamingIDG(w["idg"], RuntimeConfig(n_buffers=2), faults=crash)
+    engine = StreamingIDG(w["idg"], RuntimeConfig(n_buffers=2))
     with pytest.raises(InjectedCrash):
         engine.grid(w["plan"], w["obs"].uvw_m, store.source(),
-                    checkpoint=CheckpointConfig(path=str(ckpt), interval=1))
+                    checkpoint=CheckpointConfig(path=str(ckpt), interval=1),
+                    faults=crash)
 
     snap = load_checkpoint(ckpt)
     assert 0 < len(snap.completed_set) < n_groups

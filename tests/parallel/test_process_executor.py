@@ -47,14 +47,6 @@ def test_config_validation():
         ProcessConfig(emulate_compute_s=-1.0)
 
 
-def test_n_procs_shorthand(baseline):
-    engine = ProcessShardedIDG(baseline["idg"], n_procs=3)
-    assert engine.config.n_procs == 3
-    # shorthand overrides an explicit config's shard count too
-    overridden = ProcessShardedIDG(baseline["idg"], ProcessConfig(), n_procs=3)
-    assert overridden.config.n_procs == 3
-
-
 # -------------------------------------------------------------- bit-exactness
 
 

@@ -15,8 +15,7 @@ import pytest
 
 from repro.backends.vectorized import VectorizedBackend
 from repro.constants import COMPLEX_DTYPE
-from repro.parallel import ParallelIDG
-from repro.parallel.process import ProcessConfig, ProcessShardedIDG
+from repro.imaging.pipeline import make_engine
 from repro.runtime import (
     CheckpointConfig,
     FaultPlan,
@@ -52,46 +51,26 @@ def n_groups(small_plan):
 
 
 def run_grid(executor, idg, plan, uvw_m, vis, checkpoint=None, faults=None):
-    """Grid on one executor with a per-call checkpoint setting; returns the
-    grid and the object carrying ``last_fault_report``."""
-    if executor == "serial":
-        grid = idg.grid(plan, uvw_m, vis, faults=faults, checkpoint=checkpoint)
-        return grid, idg
-    if executor == "threads":
-        engine = ParallelIDG(idg, n_workers=2, faults=faults)
-    elif executor == "streaming":
-        engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2), faults=faults)
-    else:
-        engine = ProcessShardedIDG(
-            idg, ProcessConfig(n_procs=2, start_method="fork"), faults=faults
+    """Grid on one executor with per-call checkpoint and fault settings;
+    returns the grid and the engine (its ``last_fault_report`` and
+    ``last_telemetry`` describe the call)."""
+    engine = make_engine(idg, executor, n_workers=2, n_buffers=2)
+    return engine.grid(plan, uvw_m, vis, checkpoint=checkpoint, faults=faults), engine
+
+
+@pytest.fixture
+def prefix_snapshot(idg, small_plan, small_obs, single_source_vis, plan_order_sum):
+    """``write(path, k)``: hand-build the mid-run snapshot of groups
+    ``0..k-1``."""
+    def write(path, k):
+        grid = plan_order_sum(
+            idg, small_plan, small_obs.uvw_m, single_source_vis, set(range(k))
         )
-    return engine.grid(plan, uvw_m, vis, checkpoint=checkpoint), engine
-
-
-def plan_order_sum(idg, plan, uvw_m, vis, groups):
-    """The serial adder's fold of exactly ``groups``, in plan order — what a
-    snapshot whose completed set is ``groups`` must hold."""
-    backend = idg.backend
-    grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
-    for group, (start, stop) in enumerate(plan.work_groups(WORK_GROUP_SIZE)):
-        if group not in groups:
-            continue
-        subgrids = backend.grid_work_group(
-            plan, start, stop, uvw_m, vis, idg.taper,
-            lmn=idg.lmn, aterm_fields=None,
+        return save_checkpoint(
+            path, grid, range(k), plan_signature(small_plan, WORK_GROUP_SIZE)
         )
-        backend.add_subgrids(
-            grid, plan, backend.subgrids_to_fourier(subgrids), start=start
-        )
-    return grid
 
-
-def prefix_snapshot(path, idg, plan, uvw_m, vis, k):
-    """Hand-build the mid-run snapshot of groups ``0..k-1``."""
-    grid = plan_order_sum(idg, plan, uvw_m, vis, set(range(k)))
-    return save_checkpoint(
-        path, grid, range(k), plan_signature(plan, WORK_GROUP_SIZE)
-    )
+    return write
 
 
 class TearingBackend(VectorizedBackend):
@@ -135,22 +114,17 @@ def test_completed_run_checkpoint_is_total(executor, idg, small_plan, small_obs,
     np.testing.assert_array_equal(snap.grid, clean_grid)
     # periodic snapshots actually happened along the way, then the final one
     assert writes == [*range(2, n_groups + 1, 2), n_groups]
-    telemetry = getattr(engine, "last_telemetry", None)
-    if telemetry is not None:
-        assert telemetry.counters["checkpoints"] == len(writes)
+    assert engine.last_telemetry.counters["checkpoints"] == len(writes)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_resume_from_partial_checkpoint_is_bit_exact(
     executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
-    n_groups, tmp_path,
+    n_groups, tmp_path, prefix_snapshot,
 ):
     """Hand-build a mid-run snapshot (the prefix sum of groups 0..k-1) and
     resume: the final grid must be bit-identical to the uninterrupted run."""
-    ckpt = prefix_snapshot(
-        tmp_path / "partial.npz", idg, small_plan, small_obs.uvw_m,
-        single_source_vis, n_groups // 2,
-    )
+    ckpt = prefix_snapshot(tmp_path / "partial.npz", n_groups // 2)
     resumed, _ = run_grid(
         executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
         checkpoint=CheckpointConfig(resume_from=str(ckpt)),
@@ -161,15 +135,12 @@ def test_resume_from_partial_checkpoint_is_bit_exact(
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_resumed_run_final_snapshot_counts_every_group(
     executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
-    n_groups, tmp_path,
+    n_groups, tmp_path, prefix_snapshot,
 ):
     """A run resumed from a prefix snapshot retires the rest; its final
     snapshot counts the resumed groups too."""
     k = 3
-    ckpt = prefix_snapshot(
-        tmp_path / "prefix.npz", idg, small_plan, small_obs.uvw_m,
-        single_source_vis, k,
-    )
+    ckpt = prefix_snapshot(tmp_path / "prefix.npz", k)
     final = tmp_path / "final.npz"
     resumed, _ = run_grid(
         executor, idg, small_plan, small_obs.uvw_m, single_source_vis,
@@ -188,7 +159,7 @@ def test_resumed_run_final_snapshot_counts_every_group(
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_torn_add_leaves_last_good_snapshot(
     executor, max_retries, idg, small_plan, small_obs, single_source_vis,
-    clean_grid, n_groups, tmp_path,
+    clean_grid, n_groups, tmp_path, plan_order_sum,
 ):
     """An add that raises after adding part of group k leaves the grid
     holding part of a group: the run raises, tolerant or not, and the
@@ -269,7 +240,7 @@ def test_resume_rejects_a_different_plane_count(
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_failfast_stage_failure_leaves_prefix_snapshot(
     executor, idg, small_plan, small_obs, single_source_vis, clean_grid,
-    n_groups, tmp_path, monkeypatch,
+    n_groups, tmp_path, monkeypatch, plan_order_sum,
 ):
     """A fail-fast gridder failure aborts the run before the first periodic
     snapshot is due; the abort snapshot still holds a plan-order prefix and
@@ -317,10 +288,11 @@ def test_kill_and_resume_round_trip(idg, small_plan, small_obs,
     assert n_groups >= 6, "fixture too small for a mid-run crash"
     ckpt = tmp_path / "crash.npz"
     crash = FaultPlan.single("gridder", n_groups - 2, kind="crash")
-    engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2), faults=crash)
+    engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2))
     with pytest.raises(InjectedCrash):
         engine.grid(small_plan, small_obs.uvw_m, single_source_vis,
-                    checkpoint=CheckpointConfig(path=str(ckpt), interval=1))
+                    checkpoint=CheckpointConfig(path=str(ckpt), interval=1),
+                    faults=crash)
 
     snap = load_checkpoint(ckpt)
     assert 0 < len(snap.completed_set) < n_groups

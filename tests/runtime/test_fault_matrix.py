@@ -28,15 +28,9 @@ import numpy as np
 import pytest
 
 from repro.constants import COMPLEX_DTYPE
-from repro.parallel import ParallelIDG
+from repro.imaging.pipeline import make_engine
 from repro.parallel.process import ProcessConfig, ProcessShardedIDG
-from repro.runtime import (
-    CheckpointConfig,
-    FaultPlan,
-    RuntimeConfig,
-    StreamingIDG,
-    group_visibility_count,
-)
+from repro.runtime import CheckpointConfig, FaultPlan
 from repro.runtime.checkpoint import load_checkpoint
 
 WORK_GROUP_SIZE = 5
@@ -60,49 +54,33 @@ def groups(tolerant_idg, small_plan):
     return list(small_plan.work_groups(WORK_GROUP_SIZE))
 
 
-def grid_excluding(idg, plan, uvw_m, vis, skip=()):
-    """Reference result: the plain serial accumulation with the given work
-    groups left out (what a run with those groups dead-lettered must equal)."""
-    backend = idg.backend
-    grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
-    for group, (start, stop) in enumerate(plan.work_groups(idg.config.work_group_size)):
-        if group in skip:
-            continue
-        subgrids = backend.grid_work_group(
-            plan, start, stop, uvw_m, vis, idg.taper,
-            lmn=idg.lmn, aterm_fields=None,
-        )
-        backend.add_subgrids(
-            grid, plan, backend.subgrids_to_fourier(subgrids), start=start
-        )
-    return grid
+@pytest.fixture
+def grid_without_fault_group(
+    tolerant_idg, small_plan, small_obs, single_source_vis, groups,
+    plan_order_sum,
+):
+    """The clean serial fold of every group but ``FAULT_GROUP``: what a run
+    that dead-lettered that group must return."""
+    return plan_order_sum(
+        tolerant_idg, small_plan, small_obs.uvw_m, single_source_vis,
+        set(range(len(groups))) - {FAULT_GROUP},
+    )
 
 
-def process_engine(idg, faults=None, **overrides):
-    overrides.setdefault("n_procs", 2)
-    overrides.setdefault("start_method", "fork")
-    return ProcessShardedIDG(idg, ProcessConfig(**overrides), faults=faults)
+def engine_for(executor, idg):
+    return make_engine(idg, executor, n_workers=2, n_buffers=2)
 
 
 def run_gridding(executor, idg, plan, uvw_m, vis, faults):
-    if executor == "serial":
-        grid = idg.grid(plan, uvw_m, vis, faults=faults)
-        return grid, idg.last_fault_report
-    if executor == "threads":
-        engine = ParallelIDG(idg, n_workers=2, faults=faults)
-        return engine.grid(plan, uvw_m, vis), engine.last_fault_report
-    if executor == "processes":
-        engine = process_engine(idg, faults=faults)
-        return engine.grid(plan, uvw_m, vis), engine.last_fault_report
-    engine = StreamingIDG(idg, RuntimeConfig(n_buffers=2), faults=faults)
-    return engine.grid(plan, uvw_m, vis), engine.last_fault_report
+    engine = engine_for(executor, idg)
+    return engine.grid(plan, uvw_m, vis, faults=faults), engine.last_fault_report
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("stage", STAGES)
 def test_matrix_dead_letter_accounting_and_surviving_output(
     executor, stage, tolerant_idg, small_plan, small_obs, single_source_vis,
-    groups,
+    groups, grid_without_fault_group, covered_visibilities,
 ):
     faults = FaultPlan.single(stage, FAULT_GROUP, times=-1)
     grid, report = run_gridding(
@@ -119,7 +97,7 @@ def test_matrix_dead_letter_accounting_and_surviving_output(
     assert letter.group == FAULT_GROUP
     assert (letter.start, letter.stop) == (start, stop)
     assert letter.attempts == 1 + MAX_RETRIES
-    assert letter.n_visibilities == group_visibility_count(small_plan, start, stop)
+    assert letter.n_visibilities == covered_visibilities(small_plan, start, stop)
     assert report.n_retries == MAX_RETRIES
     assert report.n_groups == len(groups)
     assert report.n_groups_completed == len(groups) - 1
@@ -131,11 +109,9 @@ def test_matrix_dead_letter_accounting_and_surviving_output(
 
     # surviving output == clean run over the unaffected work groups (every
     # executor retires groups in plan order, so the comparison is tight)
-    expected = grid_excluding(
-        tolerant_idg, small_plan, small_obs.uvw_m, single_source_vis,
-        skip={FAULT_GROUP},
+    np.testing.assert_allclose(
+        grid, grid_without_fault_group, rtol=1e-12, atol=0.0
     )
-    np.testing.assert_allclose(grid, expected, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -163,8 +139,8 @@ def test_corrupt_and_raise_kinds_both_quarantine(
     kind, tolerant_idg, small_plan, small_obs, single_source_vis, groups,
 ):
     faults = FaultPlan.single("subgrid_fft", 0, kind=kind, times=-1)
-    engine = StreamingIDG(tolerant_idg, RuntimeConfig(n_buffers=2), faults=faults)
-    engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    engine = engine_for("streaming", tolerant_idg)
+    engine.grid(small_plan, small_obs.uvw_m, single_source_vis, faults=faults)
     report = engine.last_fault_report
     assert report.n_dead_letters == 1
     expected_error = "CorruptDataError" if kind == "corrupt" else "InjectedFault"
@@ -194,23 +170,9 @@ def test_degrid_dead_letter_leaves_block_zero(
     clean = tolerant_idg.degrid(small_plan, small_obs.uvw_m, model_grid)
 
     faults = FaultPlan.single(stage, FAULT_GROUP, times=-1)
-    if executor == "serial":
-        predicted = tolerant_idg.degrid(
-            small_plan, small_obs.uvw_m, model_grid, faults=faults
-        )
-        report = tolerant_idg.last_fault_report
-    elif executor == "threads":
-        engine = ParallelIDG(tolerant_idg, n_workers=2, faults=faults)
-        predicted = engine.degrid(small_plan, small_obs.uvw_m, model_grid)
-        report = engine.last_fault_report
-    elif executor == "processes":
-        engine = process_engine(tolerant_idg, faults=faults)
-        predicted = engine.degrid(small_plan, small_obs.uvw_m, model_grid)
-        report = engine.last_fault_report
-    else:
-        engine = StreamingIDG(tolerant_idg, RuntimeConfig(n_buffers=2), faults=faults)
-        predicted = engine.degrid(small_plan, small_obs.uvw_m, model_grid)
-        report = engine.last_fault_report
+    engine = engine_for(executor, tolerant_idg)
+    predicted = engine.degrid(small_plan, small_obs.uvw_m, model_grid, faults=faults)
+    report = engine.last_fault_report
 
     assert report.n_dead_letters == 1
     assert report.dead_letters[0].stage == stage
@@ -239,8 +201,10 @@ def test_worker_sigkill_within_budget_respawns_to_bit_exact(
     re-runs the in-flight group, and the result is bit-identical to clean."""
     clean = tolerant_idg.grid(small_plan, small_obs.uvw_m, single_source_vis)
     faults = FaultPlan.single("gridder", FAULT_GROUP, kind="crash", times=1)
-    engine = process_engine(tolerant_idg, faults=faults)
-    recovered = engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    engine = engine_for("processes", tolerant_idg)
+    recovered = engine.grid(
+        small_plan, small_obs.uvw_m, single_source_vis, faults=faults
+    )
     report = engine.last_fault_report
     assert report is not None and report.ok
     assert report.n_retries >= 1  # the death charged one attempt
@@ -250,13 +214,14 @@ def test_worker_sigkill_within_budget_respawns_to_bit_exact(
 
 def test_worker_sigkill_budget_exhausted_dead_letters_exactly(
     tolerant_idg, small_plan, small_obs, single_source_vis, groups,
+    grid_without_fault_group, covered_visibilities,
 ):
     """A worker that dies on every attempt exhausts the budget: exactly one
     ``stage="worker"`` dead letter for the in-flight group, exact attempt
     accounting, and the survivors equal the clean run without that group."""
     faults = FaultPlan.single("gridder", FAULT_GROUP, kind="crash", times=-1)
-    engine = process_engine(tolerant_idg, faults=faults)
-    grid = engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
+    engine = engine_for("processes", tolerant_idg)
+    grid = engine.grid(small_plan, small_obs.uvw_m, single_source_vis, faults=faults)
     report = engine.last_fault_report
     assert report is not None
     assert report.n_dead_letters == 1
@@ -266,15 +231,11 @@ def test_worker_sigkill_budget_exhausted_dead_letters_exactly(
     assert letter.group == FAULT_GROUP
     assert (letter.start, letter.stop) == (start, stop)
     assert letter.attempts == 1 + MAX_RETRIES
-    assert letter.n_visibilities == group_visibility_count(small_plan, start, stop)
+    assert letter.n_visibilities == covered_visibilities(small_plan, start, stop)
     assert report.n_groups_completed == len(groups) - 1
     # every death respawned the shard: budgeted attempts, then quarantine
     assert engine.last_telemetry.counters["worker_respawns"] == 1 + MAX_RETRIES
-    expected = grid_excluding(
-        tolerant_idg, small_plan, small_obs.uvw_m, single_source_vis,
-        skip={FAULT_GROUP},
-    )
-    assert np.array_equal(grid, expected)
+    assert np.array_equal(grid, grid_without_fault_group)
 
 
 def test_external_kill_failfast_checkpoint_is_prefix_closed_and_resumes(
@@ -291,7 +252,9 @@ def test_external_kill_failfast_checkpoint_is_prefix_closed_and_resumes(
     clean = idg.grid(small_plan, small_obs.uvw_m, single_source_vis)
     n_groups = len(list(small_plan.work_groups(WORK_GROUP_SIZE)))
     path = str(tmp_path / "killed.npz")
-    engine = process_engine(idg, emulate_compute_s=0.15)
+    engine = ProcessShardedIDG(idg, ProcessConfig(
+        n_procs=2, start_method="fork", emulate_compute_s=0.15
+    ))
     before = set(mp.active_children())
     outcome = {}
 
@@ -326,7 +289,7 @@ def test_external_kill_failfast_checkpoint_is_prefix_closed_and_resumes(
     assert completed == set(range(len(completed))), "not prefix-closed"
     assert len(completed) < n_groups
 
-    resumed = process_engine(idg).grid(
+    resumed = engine_for("processes", idg).grid(
         small_plan, small_obs.uvw_m, single_source_vis,
         checkpoint=CheckpointConfig(resume_from=path),
     )
