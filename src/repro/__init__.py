@@ -52,7 +52,7 @@ from repro.aterms.schedule import ATermSchedule
 from repro.data.dataset import VisibilityDataset
 from repro.data.io import load_dataset, save_dataset
 from repro.data.noise import add_thermal_noise
-from repro.imaging.image import dirty_image_from_grid, model_image_to_grid, stokes_i_image, stokes_images
+from repro.imaging.image import dirty_image_from_grid, model_image_to_grid, stokes_i_image
 from repro.imaging.clean import hogbom_clean
 from repro.imaging.cycle import ImagingCycle
 from repro.imaging.restore import restore_image
@@ -96,7 +96,6 @@ __all__ = [
     "dirty_image_from_grid",
     "model_image_to_grid",
     "stokes_i_image",
-    "stokes_images",
     "hogbom_clean",
     "ImagingCycle",
     "restore_image",

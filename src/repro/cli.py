@@ -487,7 +487,7 @@ def _report_run(engine, args) -> None:
 
 
 def _cmd_image(args) -> int:
-    from repro.imaging.image import dirty_image_from_grid, stokes_i_image
+    from repro.imaging.image import dirty_image_from_grid
     from repro.imaging.weighting import apply_weights, uniform_weights
 
     ds, store = _open_input(args.dataset)
@@ -530,8 +530,9 @@ def _cmd_image(args) -> int:
         # Dead-lettered work groups never reached the grid; keep the image
         # normalisation consistent with what was actually accumulated.
         weight_sum = report.adjusted_weight_sum(weight_sum)
-    image = stokes_i_image(
-        dirty_image_from_grid(grid, gridspec, weight_sum=weight_sum)
+    # one real transform of the Stokes-I plane 0.5 (XX + YY)
+    image = dirty_image_from_grid(
+        0.5 * (grid[0] + grid[3]), gridspec, weight_sum=weight_sum
     )
     np.savez_compressed(args.output, image=image, image_size=gridspec.image_size)
     peak = float(np.abs(image).max())
@@ -563,6 +564,7 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from repro.constants import COMPLEX_DTYPE
     from repro.data.io import save_dataset
     from repro.data.store import DatasetWriter
     from repro.imaging.image import model_image_to_grid
@@ -575,11 +577,10 @@ def _cmd_predict(args) -> int:
         ds, g, args.subgrid_size, backend=args.backend,
         max_retries=args.max_retries, retry_backoff=args.retry_backoff,
     )
-    model4 = np.zeros((4, g, g), dtype=np.complex128)
-    model4[0] = model
-    model4[3] = model
     plan = idg.make_plan(ds.uvw_m, ds.frequencies_hz, ds.baselines)
-    grid = model_image_to_grid(model4, gridspec)
+    # the model transformed once, into the XX and YY planes (XX = YY = I)
+    grid = np.zeros((4, g, g), dtype=COMPLEX_DTYPE)
+    grid[0] = grid[3] = model_image_to_grid(model, gridspec)
     engine = _make_executor(idg, args)
     if args.format == "chunked":
         # Degrid straight into the output store's visibility map: the

@@ -17,6 +17,13 @@ exactly discrete sums over the *centered* phase
 which is what lets a subgrid FFT drop straight into the master grid at an
 integer pixel offset (Section IV of the paper, "the subgrid has to be
 Fourier-transformed before the result is added to the grid").
+
+For an even ``N`` the two shifts are a checkerboard:
+``fftshift(fft2(ifftshift(a))) == c * fft2(c * a)`` with
+``c = (-1)**(x + y)`` (DESIGN §3).  The 2-D grid transforms of
+:mod:`repro.imaging.image` use that identity and no longer call these
+helpers; the subgrid FFTs (:mod:`repro.core.subgrid_fft`) and the
+w-stacked processors' layer transforms still do.
 """
 
 from __future__ import annotations

@@ -46,9 +46,7 @@ def peak_rss_bytes() -> int:
 
 
 def record_memory_gauges(telemetry) -> None:
-    """Record rss / peak-rss / arena gauges into ``telemetry`` (if any)."""
-    if telemetry is None:
-        return
+    """Record rss / peak-rss / arena gauges into ``telemetry``."""
     telemetry.record_gauge("rss_bytes", float(rss_bytes()))
     telemetry.record_gauge("peak_rss_bytes", float(peak_rss_bytes()))
     telemetry.record_gauge("arena_bytes", float(total_arena_nbytes()))

@@ -238,24 +238,23 @@ class WorkGroupRunner:
         The retry budget/backoff.  With ``max_retries=0`` and no ``faults``
         the runner is fail-fast (module docstring); otherwise
         ``max_retries=0`` quarantines on the first failure.
+    telemetry:
+        The call's recorder, for ``retries``/``dead_letters`` counters and
+        per-retry backoff spans.
     faults:
         Optional deterministic injection plan (tests, benchmarks).
-    telemetry:
-        Optional recorder for ``retries``/``dead_letters`` counters and
-        per-retry backoff spans.
     """
 
     def __init__(
         self,
         policy: RetryPolicy,
+        telemetry: Telemetry,
         faults: FaultPlan | None = None,
-        telemetry: Telemetry | None = None,
-        report: FaultReport | None = None,
     ) -> None:
         self.policy = policy
-        self.faults = faults
         self.telemetry = telemetry
-        self.report = report if report is not None else FaultReport()
+        self.faults = faults
+        self.report = FaultReport()
         #: No retry budget and no fault plan: stage calls run directly and
         #: the first failure raises :class:`WorkGroupError`.
         self.fail_fast = not policy.enabled and faults is None
@@ -341,12 +340,10 @@ class WorkGroupRunner:
         worker's runner published through shared memory."""
         if retries:
             self.report.record_retry(retries)
-            if self.telemetry is not None:
-                self.telemetry.add_counter("retries", retries)
+            self.telemetry.add_counter("retries", retries)
         if letter is not None:
             self.report.record_dead_letter(letter)
-            if self.telemetry is not None:
-                self.telemetry.add_counter("dead_letters", 1)
+            self.telemetry.add_counter("dead_letters", 1)
 
     # ------------------------------------------------------------- internal
 
@@ -356,11 +353,9 @@ class WorkGroupRunner:
         t0 = monotonic()
         if pause > 0:
             time.sleep(pause)
-        if self.telemetry is not None:
-            self.telemetry.record_span(
-                f"{stage}:retry", group, t0, monotonic(),
-                worker=f"{stage}:retry",
-            )
+        self.telemetry.record_span(
+            f"{stage}:retry", group, t0, monotonic(), worker=f"{stage}:retry",
+        )
 
     def _quarantine(
         self,

@@ -95,52 +95,3 @@ def test_find_peak():
     assert (row, col) == (3, 12)
     assert val == -5.0
 
-
-def test_stokes_images_recover_polarized_source(small_obs, small_baselines,
-                                                small_gridspec, small_idg):
-    """A linearly polarised source's I, Q, U are all recovered at its pixel."""
-    from repro.imaging.image import stokes_images
-    from repro.sky.model import SkyModel, brightness_from_stokes
-    from repro.sky.simulate import predict_visibilities
-
-    gsp = small_gridspec
-    dl = gsp.pixel_scale
-    l0 = round(0.1 * gsp.image_size / dl) * dl
-    m0 = round(0.05 * gsp.image_size / dl) * dl
-    i_true, q_true, u_true, v_true = 4.0, 1.0, -0.6, 0.2
-    sky = SkyModel(
-        l=np.array([l0]), m=np.array([m0]),
-        brightness=brightness_from_stokes(i_true, q_true, u_true, v_true)[None],
-    )
-    vis = predict_visibilities(small_obs.uvw_m, small_obs.frequencies_hz, sky,
-                               baselines=small_baselines)
-    plan = small_idg.make_plan(small_obs.uvw_m, small_obs.frequencies_hz,
-                               small_baselines)
-    grid = small_idg.grid(plan, small_obs.uvw_m, vis)
-    image4 = dirty_image_from_grid(
-        grid, gsp, weight_sum=plan.statistics.n_visibilities_gridded
-    )
-    stokes = stokes_images(image4)
-    gsize = gsp.grid_size
-    row, col = round(m0 / dl) + gsize // 2, round(l0 / dl) + gsize // 2
-    assert stokes["I"][row, col] == pytest.approx(i_true, rel=0.02)
-    assert stokes["Q"][row, col] == pytest.approx(q_true, rel=0.05)
-    assert stokes["U"][row, col] == pytest.approx(u_true, rel=0.05)
-    assert stokes["V"][row, col] == pytest.approx(v_true, abs=0.05)
-
-
-def test_stokes_images_validation():
-    from repro.imaging.image import stokes_images
-
-    with pytest.raises(ValueError):
-        stokes_images(np.zeros((2, 8, 8)))
-
-
-def test_stokes_i_consistent_with_full_stokes():
-    from repro.imaging.image import stokes_images
-
-    rng = np.random.default_rng(0)
-    img = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
-    np.testing.assert_allclose(
-        stokes_images(img)["I"], 2.0 * stokes_i_image(img), atol=1e-12
-    )

@@ -173,7 +173,7 @@ def test_runner_quarantines_real_exceptions_too():
         calls.append(1)
         raise ValueError("genuine bug")
 
-    runner = WorkGroupRunner(_fast_policy(1))
+    runner = WorkGroupRunner(_fast_policy(1), telemetry=Telemetry())
     result = runner.run("adder", 0, flaky, start=0, stop=2, n_visibilities=8)
     assert isinstance(result, Quarantined)
     assert len(calls) == 2
@@ -182,7 +182,7 @@ def test_runner_quarantines_real_exceptions_too():
 
 def test_runner_never_swallows_crash():
     faults = FaultPlan.single("gridder", 0, kind="crash")
-    runner = WorkGroupRunner(_fast_policy(5), faults=faults)
+    runner = WorkGroupRunner(_fast_policy(5), faults=faults, telemetry=Telemetry())
     with pytest.raises(InjectedCrash):
         runner.run("gridder", 0, lambda: "ok", start=0, stop=1,
                    n_visibilities=4)
@@ -191,7 +191,7 @@ def test_runner_never_swallows_crash():
 
 def test_report_weight_adjustment_and_summary():
     faults = FaultPlan.single("degridder", 0, times=-1)
-    runner = WorkGroupRunner(_fast_policy(1), faults=faults)
+    runner = WorkGroupRunner(_fast_policy(1), faults=faults, telemetry=Telemetry())
     runner.run("degridder", 0, lambda: None, start=0, stop=3, n_visibilities=100)
     report = runner.report
     assert report.adjusted_weight_sum(1000.0) == pytest.approx(900.0)
