@@ -5,17 +5,21 @@ batch sincos precomputation: with evenly spaced channels, the phasor
 factorises as ``exp(i s_0 A) * exp(i ds A)**c``, trading one phasor per
 (pixel, visibility) for one phasor and one step per (pixel, timestep) plus
 a complex multiply per channel step — a ~C-fold cut in transcendental work.
-Both kernels build their phasors from separable l-, m- and n-factor rows
-(``repro.core.gridder.raster_phasor``): the direct sum evaluates ``2N + R``
-sincos pairs per visibility, the recurrence ``2(2N + R)`` per timestep
-(``R = 83`` distinct n values for ``N = 24``), so the ratio between them is
-still ~C/2.  On sincos-*limited* architectures (HASWELL, FIJI — the Fig 11
-dashed bounds) the model says this recovers most of the gap to the FMA
-peak; this bench times the two production gridder kernels —
-``gridder_bucket_fast`` (recurrence) against ``gridder_bucket`` (direct
-sum) — on the same gathered bucket of work items, and pins the accuracy.
-Each kernel's time is the median of :data:`REPEATS` interleaved calls: one
-call is too noisy on a shared host to hold a bound.
+The production gridder, ``repro.core.gridder.gridder_bucket``, runs the
+recurrence over the channels of each row it is given.  The work-group
+drivers give it a row per timestep on an evenly spaced channel ladder and a
+row per (timestep, channel) sample with one channel, the direct sum, on any
+other.  Both layouts build their phasors from separable l-, m- and n-factor
+rows (``repro.core.gridder.raster_phasor``): one channel per row evaluates
+``2N + R`` sincos pairs per visibility, the recurrence ``2(2N + R)`` per
+timestep (``R = 83`` distinct n values for ``N = 24``), so the ratio
+between them is still ~C/2.  On sincos-*limited* architectures (HASWELL,
+FIJI — the Fig 11 dashed bounds) the model says this recovers most of the
+gap to the FMA peak; this bench times the kernel in its two layouts — a row
+per timestep (recurrence) against a row per sample (direct sum) — on the
+same gathered bucket of work items, and pins the accuracy.  Each layout's
+time is the median of :data:`REPEATS` interleaved calls: one call is too
+noisy on a shared host to hold a bound.
 """
 
 import statistics
@@ -24,13 +28,11 @@ import time
 import numpy as np
 from _util import print_series
 
-from repro.core.gridder import gridder_bucket, gridder_bucket_fast
+from repro.core.gridder import gridder_bucket
 from repro.core.scratch import ScratchArena
 from repro.parallel.bucketing import (
     bucket_work_items,
-    gather_offsets,
-    gather_rel_uvw,
-    gather_scale0,
+    gather_coordinates,
     gather_uvw,
     gather_visibilities,
     uniform_channel_step,
@@ -40,13 +42,14 @@ from repro.perfmodel.opcount import FMAS_PER_PIXEL_VIS
 from repro.perfmodel.sincos import mixed_throughput_ops
 from repro.runtime.blas import single_threaded_blas
 
-#: Timed calls per kernel; the reported time is their median.
+#: Timed calls per layout; the reported time is their median.
 REPEATS = 9
 
-#: The recurrence must beat the direct sum by this factor.  The float64
+#: A row per timestep must beat a row per sample by this factor.  The float64
 #: kernels measured 2-3x; in single precision sin/cos is ~10x cheaper, so
 #: the direct sum gained more.  Eight runs of the median-of-9 timing on the
-#: 2-vCPU KVM host measured 1.85-2.02x, median 1.90x (EXPERIMENTS.md).
+#: 2-vCPU KVM host measured 1.85-2.02x, median 1.90x, and eight later runs
+#: 2.36-2.44x, median 2.39x (EXPERIMENTS.md).
 MIN_SPEEDUP = 1.5
 
 
@@ -60,18 +63,16 @@ def test_ablation_channel_recurrence(benchmark, bench_plan, bench_obs, bench_vis
     arena = ScratchArena()
     vis = gather_visibilities(bench_plan, indices, bench_vis, arena).copy()
     uvw = gather_uvw(bench_plan, indices, bench_obs.uvw_m, arena).copy()
-    rel_uvw = gather_rel_uvw(bench_plan, indices, bench_obs.uvw_m, arena).copy()
-    offsets = gather_offsets(bench_plan, indices, arena).copy()
-    scale0 = gather_scale0(bench_plan, indices)
-    ds = uniform_channel_step(bench_plan.frequencies_hz)
+    rel_uvw = gather_coordinates(bench_plan, indices, uvw, bucket.n_channels, arena).copy()
+    start = gather_coordinates(bench_plan, indices, uvw, 1, arena).copy()
+    step = uvw * uniform_channel_step(bench_plan.frequencies_hz)
     kernels = {
         "direct": lambda: gridder_bucket(
-            vis.reshape(len(indices), -1, 4), rel_uvw,
+            vis.reshape(len(indices), -1, 1, 4), rel_uvw, None,
             bench_idg.lmn, bench_idg.taper, arena=arena,
         ),
-        "recurrence": lambda: gridder_bucket_fast(
-            vis, uvw, scale0, ds, offsets, bench_idg.lmn, bench_idg.taper,
-            arena=arena,
+        "recurrence": lambda: gridder_bucket(
+            vis, start, step, bench_idg.lmn, bench_idg.taper, arena=arena,
         ),
     }
 

@@ -36,11 +36,11 @@ def test_fig10_measured_python_gridding(benchmark, bench_plan, bench_obs, bench_
     """Measured NumPy gridder throughput over a slice of the plan."""
     single_threaded_blas()  # the BLAS threading production kernels run with
     stop = min(24, bench_plan.n_subgrids)
+    tables = bench_idg.backend.call_tables(bench_plan, bench_idg.lmn, None, 4)
 
     def run():
         return bench_idg.backend.grid_work_group(
-            bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
-            lmn=bench_idg.lmn,
+            bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper, tables
         )
 
     benchmark(run)

@@ -84,11 +84,11 @@ def test_fig16_measured_python_sweep(benchmark, bench_plan, bench_obs, bench_vis
     single_threaded_blas()  # the BLAS threading production kernels run with
     stop = min(12, bench_plan.n_subgrids)
     n_vis_idg = sum(bench_plan.work_item(i).n_visibilities for i in range(stop))
+    tables = bench_idg.backend.call_tables(bench_plan, bench_idg.lmn, None, 4)
 
     def idg_run():
         bench_idg.backend.grid_work_group(
-            bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
-            lmn=bench_idg.lmn,
+            bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper, tables
         )
 
     benchmark(idg_run)

@@ -40,7 +40,7 @@ def test_bench_gridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
     out = benchmark(
         bench_idg.backend.grid_work_group,
         bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
-        bench_idg.lmn,
+        bench_idg.backend.call_tables(bench_plan, bench_idg.lmn, None, 4),
     )
     assert out.shape[0] == stop
 
@@ -48,9 +48,9 @@ def test_bench_gridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
 def test_bench_degridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
                                     bench_idg):
     stop = min(GROUP, bench_plan.n_subgrids)
+    tables = bench_idg.backend.call_tables(bench_plan, bench_idg.lmn, None, 4)
     subgrids = bench_idg.backend.grid_work_group(
-        bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
-        lmn=bench_idg.lmn,
+        bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper, tables
     )
     images = subgrids_to_image(subgrids_to_fourier(subgrids))
     out = np.zeros_like(bench_vis)
@@ -58,7 +58,7 @@ def test_bench_degridder_work_group(benchmark, bench_plan, bench_obs, bench_vis,
     def run():
         bench_idg.backend.degrid_work_group(
             bench_plan, 0, stop, images, bench_obs.uvw_m, out, bench_idg.taper,
-            lmn=bench_idg.lmn,
+            tables,
         )
 
     benchmark(run)

@@ -6,13 +6,14 @@ validates every array argument and the return value against it, with symbol
 bindings shared across the whole call::
 
     @shape_checked(
-        visibilities="(G, M, 4)",
-        uvw_rel_wl="(G, M, 3)",
+        visibilities="(G, M, C, a**2)",
+        start="(G, M, 3)",
+        step="(G, M, 3)",
         lmn="(N**2, 3)",
         taper="(N, N)",
-        returns="(G, N, N, 2, 2)",
+        returns="(G, N, N, a, a)",
     )
-    def gridder_bucket(visibilities, uvw_rel_wl, lmn, taper, ...): ...
+    def gridder_bucket(visibilities, start, step, lmn, taper, ...): ...
 
 Checking is off by default and the decorator is then a *zero-cost no-op*: it
 only records the spec on ``fn.__shape_spec__`` (for tooling) and returns the

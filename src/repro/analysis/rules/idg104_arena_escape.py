@@ -11,7 +11,7 @@ that numpy cannot detect.  This rule flags view expressions that escape:
   thread and has no way to know the buffer is borrowed.  Functions that
   accept an ``arena`` parameter are exempt for plain returns: the caller
   supplied the arena, so the caller owns the view's lifetime (that is the
-  documented ``gridder_bucket_fast`` contract).
+  documented ``gridder_bucket`` contract).
 * ``yield`` of an arena view — generators suspend arbitrarily long, so the
   view outlives any reasonable arena epoch regardless of who owns it.
 * storing an arena view on ``self``/a module global — object attributes

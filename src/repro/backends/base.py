@@ -46,9 +46,9 @@ from repro.core.subgrid_fft import subgrids_to_image as _subgrids_to_image
 class KernelBackend:
     """Base class of all kernel backends.
 
-    Subclasses must implement :meth:`grid_work_group` and
-    :meth:`degrid_work_group` (the two compute-dominant kernels the paper
-    specialises per architecture) and may override the subgrid FFT and
+    Subclasses must implement :meth:`call_tables`, :meth:`grid_work_group`
+    and :meth:`degrid_work_group` (the two compute-dominant kernels the
+    paper specialises per architecture) and may override the subgrid FFT and
     adder/splitter entry points; the defaults delegate to the shared NumPy
     implementations, matching the paper's use of vendor FFT libraries
     (MKL/cuFFT/clFFT) across all three architectures.
@@ -67,13 +67,12 @@ class KernelBackend:
         n_correlations: int,
     ) -> Any:
         """What this backend's kernels share across the work groups of one
-        call on ``plan``, derived once per call and passed back to every
-        :meth:`grid_work_group`/:meth:`degrid_work_group` call as
-        ``tables``, in place of ``lmn`` and ``aterm_fields``; ``None`` (the
-        default) when they share nothing, and the kernels take ``lmn`` and
-        ``aterm_fields`` instead.  The result is read-only: worker threads
-        share it."""
-        return None
+        call on ``plan`` gridding or degridding ``n_correlations``
+        correlations, derived once per call from the raster ``lmn`` (the
+        plan's when ``None``) and the A-term fields, and passed back to
+        every :meth:`grid_work_group`/:meth:`degrid_work_group` call as
+        ``tables``.  The result is read-only: worker threads share it."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------- gridder
 
@@ -85,9 +84,7 @@ class KernelBackend:
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
         taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        tables: Any = None,
+        tables: Any,
     ) -> np.ndarray:
         """Grid work items ``start .. stop-1`` (Algorithm 1).
 
@@ -95,8 +92,7 @@ class KernelBackend:
         :func:`repro.parallel.bucketing.grid_work_group`; returns
         the ``(stop - start, N, N, a, a)`` image-domain subgrids of the
         ``(..., a, a)`` visibilities' ``a**2`` correlations (``a`` 1 or 2).
-        ``tables`` is this call's :meth:`call_tables`, when the caller
-        derived them, and then comes without ``lmn`` and ``aterm_fields``.
+        ``tables`` is this call's :meth:`call_tables`.
         """
         raise NotImplementedError
 
@@ -111,9 +107,7 @@ class KernelBackend:
         uvw_m: np.ndarray,
         visibilities_out: np.ndarray,
         taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        tables: Any = None,
+        tables: Any,
     ) -> None:
         """Degrid work items ``start .. stop-1`` (Algorithm 2).
 

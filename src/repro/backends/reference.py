@@ -11,8 +11,6 @@ than ``vectorized``; the test corpus keeps its work items tiny.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.backends.base import KernelBackend
@@ -30,6 +28,18 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
 
+    def call_tables(
+        self,
+        plan: Plan,
+        lmn: np.ndarray | None,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None,
+        n_correlations: int,
+    ) -> dict[tuple[int, int], np.ndarray] | None:
+        """The call's A-term fields unchanged: the oracle derives its own
+        phases per visibility and shares no table code with the kernels it
+        checks."""
+        return aterm_fields
+
     def grid_work_group(
         self,
         plan: Plan,
@@ -38,9 +48,7 @@ class ReferenceBackend(KernelBackend):
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
         taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        tables: Any = None,
+        tables: dict[tuple[int, int], np.ndarray] | None,
     ) -> np.ndarray:
         n, a = plan.subgrid_size, visibilities.shape[-1]
         image_size = plan.gridspec.image_size
@@ -50,7 +58,7 @@ class ReferenceBackend(KernelBackend):
             u_mid, v_mid = plan.subgrid_centre_uv(index)
             freqs = plan.frequencies_hz[item.channel_start : item.channel_end]
             uvw_block = uvw_m[item.baseline, item.time_start : item.time_end]
-            a_p, a_q = _fields_for(aterm_fields, item)
+            a_p, a_q = _fields_for(tables, item)
             vis_flat = visibilities[
                 item.baseline,
                 item.time_start : item.time_end,
@@ -73,9 +81,7 @@ class ReferenceBackend(KernelBackend):
         uvw_m: np.ndarray,
         visibilities_out: np.ndarray,
         taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        tables: Any = None,
+        tables: dict[tuple[int, int], np.ndarray] | None,
     ) -> None:
         image_size = plan.gridspec.image_size
         for k, index in enumerate(range(start, stop)):
@@ -83,7 +89,7 @@ class ReferenceBackend(KernelBackend):
             u_mid, v_mid = plan.subgrid_centre_uv(index)
             freqs = plan.frequencies_hz[item.channel_start : item.channel_end]
             uvw_block = uvw_m[item.baseline, item.time_start : item.time_end]
-            a_p, a_q = _fields_for(aterm_fields, item)
+            a_p, a_q = _fields_for(tables, item)
             rel = relative_uvw_wavelengths(
                 uvw_block, freqs, u_mid, v_mid, plan.w_offset
             )

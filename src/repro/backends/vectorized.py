@@ -7,12 +7,12 @@ gathered into stacked tensors and evaluated with one stacked complex64
 data's correlation count, 4 or 1), dispatched
 to BLAS ``cgemm`` (the paper's single precision), with all scratch drawn
 from the calling thread's :class:`~repro.core.scratch.ScratchArena`.
-Evenly spaced channels take the channel-phasor recurrence
-(:func:`repro.core.gridder.gridder_bucket_fast`), which trades sine/cosine
+The kernels run the channel-phasor recurrence
+(:func:`repro.core.gridder.gridder_bucket`), which trades sine/cosine
 evaluations for FMAs exactly as the paper's Section V-B optimisation 2
-does; any other channel ladder takes the direct sum
-(:func:`repro.core.gridder.gridder_bucket`).  The data makes that choice.
-It is the default backend.
+does, over a row per timestep when the channels are evenly spaced; any
+other channel ladder gets a row per sample with one channel, the direct
+sum.  The data makes that choice.  It is the default backend.
 """
 
 from __future__ import annotations
@@ -52,14 +52,9 @@ class VectorizedBackend(KernelBackend):
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
         taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        tables: CallTables | None = None,
+        tables: CallTables,
     ) -> np.ndarray:
-        return _grid_work_group(
-            plan, start, stop, uvw_m, visibilities, taper,
-            lmn=lmn, aterm_fields=aterm_fields, tables=tables,
-        )
+        return _grid_work_group(plan, start, stop, uvw_m, visibilities, taper, tables)
 
     def degrid_work_group(
         self,
@@ -70,11 +65,8 @@ class VectorizedBackend(KernelBackend):
         uvw_m: np.ndarray,
         visibilities_out: np.ndarray,
         taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        tables: CallTables | None = None,
+        tables: CallTables,
     ) -> None:
         _degrid_work_group(
-            plan, start, stop, subgrid_images, uvw_m, visibilities_out,
-            taper, lmn=lmn, aterm_fields=aterm_fields, tables=tables,
+            plan, start, stop, subgrid_images, uvw_m, visibilities_out, taper, tables
         )

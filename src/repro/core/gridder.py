@@ -48,12 +48,15 @@ values and ``R`` distinct n values (``n`` depends on ``l**2 + m**2`` only;
 sine/cosine on ``2N + R`` *factor rows* per (item, timestep) and assembles
 the ``N**2`` pixel phasors in place: gather the n-factors by pixel, then
 multiply in the m-factor of each raster row and the l-factor of each raster
-column.  The recurrence kernels need a phasor and a channel step, so a
-(item, timestep) costs ``2(2N + R)`` sine/cosine pairs — 262 for ``N = 24``
-— instead of ``2N**2`` (1152).
+column.  On an evenly spaced channel ladder the kernel needs a phasor and a
+channel step per (item, timestep), so it costs ``2(2N + R)`` sine/cosine
+pairs — 262 for ``N = 24`` — instead of ``2N**2`` (1152).
 
-:func:`gridder_bucket_fast` uses the channel-phasor recurrence (evenly
-spaced channels); :func:`gridder_bucket` is the direct sum.
+:func:`gridder_bucket` is the one gridder kernel.  It runs the channel
+phasor recurrence over the channels of each row of its input, and the
+work-group drivers choose the rows: a row per timestep on an evenly spaced
+channel ladder, a row per (timestep, channel) sample on any other, where
+one channel per row makes the recurrence the direct sum.
 """
 
 from __future__ import annotations
@@ -85,10 +88,9 @@ PHASOR_RENORM_INTERVAL = 64
 
 #: Content-hash keyed cache behind :func:`subgrid_lmn` and
 #: :func:`raster_factors`, on the shared artifact-cache layer.  Every call
-#: site with the same (subgrid size, image size) — the ``IDG`` facade,
-#: work-group kernels called without a precomputed ``lmn``, w-stack layers,
-#: service jobs, tests — shares one immutable matrix and one set of its
-#: factors.
+#: site with the same (subgrid size, image size) — the ``IDG`` facade, the
+#: call tables of the work-group drivers, w-stack layers, service jobs,
+#: tests — shares one immutable matrix and one set of its factors.
 _LMN_CACHE = ArtifactCache(max_bytes=64 * 1024 * 1024, name="core.subgrid_lmn")
 
 
@@ -247,22 +249,19 @@ def raster_phasor(
 
 
 @shape_checked(
-    visibilities="(G, T, C, a**2)",
-    uvw_m="(G, T, 3)",
-    scale0="(G,)",
-    offsets="(G, 3)",
+    visibilities="(G, M, C, a**2)",
+    start="(G, M, 3)",
+    step="(G, M, 3)",
     lmn="(N**2, 3)",
     taper="(N, N)",
     aterm_p="(G, N, N, a, a)",
     aterm_q="(G, N, N, a, a)",
     returns="(G, N, N, a, a)",
 )
-def gridder_bucket_fast(
+def gridder_bucket(
     visibilities: np.ndarray,
-    uvw_m: np.ndarray,
-    scale0: np.ndarray,
-    ds: float,
-    offsets: np.ndarray,
+    start: np.ndarray,
+    step: np.ndarray | None,
     lmn: np.ndarray,
     taper: np.ndarray,
     aterm_p: np.ndarray | None = None,
@@ -270,28 +269,33 @@ def gridder_bucket_fast(
     arena: ScratchArena | None = None,
     factors: RasterFactors | None = None,
 ) -> np.ndarray:
-    """Algorithm 1 with the channel phasor recurrence, over a whole bucket.
+    """Algorithm 1 over a whole bucket, with the channel phasor recurrence.
 
-    The phase of channel ``c`` separates as ``phi(x, t, c) = 2 pi lmn_x .
-    (s_c uvw_m[t] - offset)`` with ``s_c = f_c / c_light``.  For evenly
-    spaced channels ``s_c = s_0 + c * ds``, so
+    Each of an item's ``M`` rows holds ``C`` channels whose coordinates
+    step evenly: ``start + c * step`` for channel ``c``.  The phase of a
+    pixel then separates as
 
-    ``exp(i phi(x, t, c)) = exp(2 pi i lmn_x . (s_0 uvw_m[t] - offset))
-    * exp(2 pi i lmn_x . (ds uvw_m[t]))**c``
+    ``exp(2 pi i lmn_x . (start + c step)) = exp(2 pi i lmn_x . start)
+    * exp(2 pi i lmn_x . step)**c``
 
-    — one phasor and one step per (pixel, timestep) plus one complex
-    multiply per channel step, instead of one exponential per (pixel,
-    timestep, channel).  This is the image-domain analogue of the paper's
-    batch sincos precomputation (Section V-B, optimisation 2): it reduces
-    the sine/cosine count by a factor ~n_channels at the cost of extra
-    FMAs, which both CPUs and GPUs have to spare (rho = 17 leaves the FMA
-    pipes underused on sincos-limited architectures).  Both the phasor and
-    the step come from :func:`raster_phasor`, so a (item, timestep) costs
-    ``2(2N + R)`` sine/cosine pairs.
+    — one phasor and one step per (pixel, row) plus one complex multiply
+    per channel, instead of one exponential per (pixel, row, channel).
+    This is the image-domain analogue of the paper's batch sincos
+    precomputation (Section V-B, optimisation 2): it reduces the
+    sine/cosine count by a factor ~C at the cost of extra FMAs, which both
+    CPUs and GPUs have to spare (rho = 17 leaves the FMA pipes underused
+    on sincos-limited architectures).  Both the phasor and the step come
+    from :func:`raster_phasor`, so a (item, row) costs ``2N + R``
+    sine/cosine pairs for its phasor and as many again for a step.
+
+    The work-group drivers pick the rows: a row per timestep with ``step
+    = uvw_m * ds`` when the channel ladder is evenly spaced, else a row
+    per (timestep, channel) sample with ``C = 1`` and no step, which makes
+    the kernel the direct sum.
 
     ``G`` identically shaped work items are evaluated together — one
     batched phasor and step build and one stacked complex64
-    ``(G, N**2, T) @ (G, T, K)`` matrix product per channel step, with the
+    ``(G, N**2, M) @ (G, M, K)`` matrix product per channel, with the
     recurrence multiply and its renormalisation applied in place.  Each
     channel's product is added into a complex128 accumulator.  All working
     memory comes from the scratch arena, so a steady stream of equal-shape
@@ -300,18 +304,15 @@ def gridder_bucket_fast(
     Parameters
     ----------
     visibilities:
-        ``(G, T, C, a**2)`` stacked ``COMPLEX_DTYPE`` visibility blocks of
+        ``(G, M, C, a**2)`` stacked ``COMPLEX_DTYPE`` visibility blocks of
         ``K = a**2`` correlations (4, or 1 for Stokes I alone).
-    uvw_m:
-        ``(G, T, 3)`` stacked uvw in metres.
-    scale0:
-        ``(G,)`` first-channel ``f/c`` per item (items of one shape bucket
-        may cover different channel windows).
-    ds:
-        Shared channel step of the ``f/c`` ladder (0 for one channel).
-    offsets:
-        ``(G, 3)`` per-item subgrid offsets ``u_mid, v_mid, w_offset`` in
-        wavelengths.
+    start:
+        ``(G, M, 3)`` first-channel coordinates ``uvw * f/c - offset`` of
+        every row in wavelengths, relative to the item's subgrid centre
+        and w offset.
+    step:
+        ``(G, M, 3)`` per-channel coordinate step of every row in
+        wavelengths; ``None`` for one channel per row.
     lmn:
         ``(N**2, 3)`` pixel directions (:func:`subgrid_lmn`).
     taper:
@@ -332,119 +333,36 @@ def gridder_bucket_fast(
     it into their output array) before the next batched call on this
     thread.
     """
-    g_total, t_total, c_total, k_total = visibilities.shape
+    g_total, m_total, c_total, k_total = visibilities.shape
     n_pixels2 = lmn.shape[0]
-    n = isqrt(n_pixels2)
-    if arena is None:
-        arena = thread_arena()
-    if factors is None:
-        factors = raster_factors(lmn)
-
-    coords = arena.take("bucket.coords", (g_total, t_total, 3), np.float64)
-    np.multiply(uvw_m, scale0[:, np.newaxis, np.newaxis], out=coords)
-    coords -= offsets[:, np.newaxis, :]
-    phasor = arena.take("bucket.phasor", (g_total, n_pixels2, t_total), COMPLEX_DTYPE)
-    raster_phasor(factors, coords, 1.0, phasor, arena)
-    if c_total > 1:
-        step = arena.take("bucket.step", (g_total, n_pixels2, t_total), COMPLEX_DTYPE)
-        np.multiply(uvw_m, ds, out=coords)
-        raster_phasor(factors, coords, 1.0, step, arena)
-
-    acc = arena.take("gridder.acc", (g_total, n_pixels2, k_total), ACCUM_DTYPE)
-    prod = arena.take("gridder.prod", (g_total, n_pixels2, k_total), COMPLEX_DTYPE)
-    np.matmul(phasor, visibilities[:, :, 0], out=prod)
-    acc[...] = prod
-    for c in range(1, c_total):
-        np.multiply(phasor, step, out=phasor)
-        if c % PHASOR_RENORM_INTERVAL == 0:
-            # the recurrence drifts off the unit circle multiplicatively;
-            # pull it back before the error reaches single precision
-            magnitude = arena.take(
-                "bucket.magnitude", (g_total, n_pixels2, t_total), FLOAT_DTYPE
-            )
-            np.abs(phasor, out=magnitude)
-            phasor /= magnitude
-        np.matmul(phasor, visibilities[:, :, c], out=prod)
-        acc += prod
-    return _corrected_subgrids(acc, n, taper, aterm_p, aterm_q)
-
-
-def _corrected_subgrids(
-    acc: np.ndarray,
-    n: int,
-    taper: np.ndarray,
-    aterm_p: np.ndarray | None,
-    aterm_q: np.ndarray | None,
-) -> np.ndarray:
-    """The ``(G, N**2, K)`` accumulator as ``(G, N, N, a, a)`` subgrids with
-    the adjoint A-term sandwich and the taper applied (the shared epilogue
-    of both gridder kernels)."""
-    a = isqrt(acc.shape[2])
-    subgrids = acc.reshape(acc.shape[0], n, n, a, a)
-    if aterm_p is not None or aterm_q is not None:
-        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
-    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
-    return subgrids
-
-
-@shape_checked(
-    visibilities="(G, M, a**2)",
-    uvw_rel_wl="(G, M, 3)",
-    lmn="(N**2, 3)",
-    taper="(N, N)",
-    aterm_p="(G, N, N, a, a)",
-    aterm_q="(G, N, N, a, a)",
-    returns="(G, N, N, a, a)",
-)
-def gridder_bucket(
-    visibilities: np.ndarray,
-    uvw_rel_wl: np.ndarray,
-    lmn: np.ndarray,
-    taper: np.ndarray,
-    aterm_p: np.ndarray | None = None,
-    aterm_q: np.ndarray | None = None,
-    arena: ScratchArena | None = None,
-    factors: RasterFactors | None = None,
-) -> np.ndarray:
-    """Algorithm 1 as a direct sum, over a whole bucket.
-
-    One :func:`raster_phasor` build of the stacked complex64
-    ``(G, N**2, M)`` phasor from the relative uvw, and one stacked
-    complex64 ``(G, N**2, M) @ (G, M, K)`` matrix product, widened to
-    ``ACCUM_DTYPE`` for the A-term sandwich and taper.  The work-group
-    drivers use it when the channel recurrence is inapplicable (unevenly
-    spaced channels).
-
-    Parameters
-    ----------
-    visibilities:
-        ``(G, M, a**2)`` stacked flattened ``COMPLEX_DTYPE`` visibility
-        blocks.
-    uvw_rel_wl:
-        ``(G, M, 3)`` stacked relative uvw in wavelengths.
-    lmn, taper, aterm_p, aterm_q, factors:
-        As in :func:`gridder_bucket_fast`.
-    arena:
-        Scratch arena (defaults to the calling thread's).
-
-    Returns
-    -------
-    ``(G, N, N, a, a)`` ``ACCUM_DTYPE`` subgrids (an arena view — see
-    :func:`gridder_bucket_fast`).
-    """
-    g_total, m_total, k_total = visibilities.shape
-    n_pixels2 = lmn.shape[0]
-    n = isqrt(n_pixels2)
+    n, a = isqrt(n_pixels2), isqrt(k_total)
     if arena is None:
         arena = thread_arena()
     if factors is None:
         factors = raster_factors(lmn)
 
     phasor = arena.take("bucket.phasor", (g_total, n_pixels2, m_total), COMPLEX_DTYPE)
-    raster_phasor(factors, uvw_rel_wl, 1.0, phasor, arena)
+    raster_phasor(factors, start, 1.0, phasor, arena)
+    if c_total > 1:
+        step_phasor = arena.take("bucket.step", phasor.shape, COMPLEX_DTYPE)
+        raster_phasor(factors, step, 1.0, step_phasor, arena)
 
-    prod = arena.take("gridder.prod", (g_total, n_pixels2, k_total), COMPLEX_DTYPE)
-    np.matmul(phasor, visibilities, out=prod)
     acc = arena.take("gridder.acc", (g_total, n_pixels2, k_total), ACCUM_DTYPE)
+    prod = arena.take("gridder.prod", (g_total, n_pixels2, k_total), COMPLEX_DTYPE)
+    np.matmul(phasor, visibilities[:, :, 0], out=prod)
     acc[...] = prod
-    return _corrected_subgrids(acc, n, taper, aterm_p, aterm_q)
+    for c in range(1, c_total):
+        np.multiply(phasor, step_phasor, out=phasor)
+        if c % PHASOR_RENORM_INTERVAL == 0:
+            # the recurrence drifts off the unit circle multiplicatively;
+            # pull it back before the error reaches single precision
+            magnitude = arena.take("bucket.magnitude", phasor.shape, FLOAT_DTYPE)
+            np.abs(phasor, out=magnitude)
+            phasor /= magnitude
+        np.matmul(phasor, visibilities[:, :, c], out=prod)
+        acc += prod
+    subgrids = acc.reshape(g_total, n, n, a, a)
+    if aterm_p is not None or aterm_q is not None:
+        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
+    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
+    return subgrids

@@ -1,12 +1,13 @@
 """Scratch-buffer arenas: reusable workspace for the batched kernels.
 
-The batched gridder/degridder (:func:`repro.core.gridder.gridder_bucket_fast`
-and friends) work on stacked ``(G, N**2, T)`` phase/phasor tensors whose
-shapes repeat for every bucket of identically-shaped work items.  Allocating
-those tensors per bucket would put hundreds of megabytes per gridding pass
-through the allocator — the Python-level analogue of the device-buffer churn
-the paper's CUDA/OpenCL implementations avoid by reusing one set of device
-buffers across kernel launches.  A :class:`ScratchArena` keeps one growable
+The batched gridder/degridder (:func:`repro.core.gridder.gridder_bucket`
+and :func:`repro.core.degridder.degridder_bucket`) work on stacked
+``(G, N**2, M)`` phase/phasor tensors whose shapes repeat for every bucket
+of identically-shaped work items.  Allocating those tensors per bucket
+would put hundreds of megabytes per gridding pass through the allocator —
+the Python-level analogue of the device-buffer churn the paper's
+CUDA/OpenCL implementations avoid by reusing one set of device buffers
+across kernel launches.  A :class:`ScratchArena` keeps one growable
 buffer per *key* (a short string naming the buffer's role) and hands out
 correctly-shaped views, so steady-state gridding performs zero large
 allocations: a bucket either fits the existing buffer or grows it once,

@@ -12,12 +12,13 @@ evaluate a whole bucket with a handful of large array operations.
 
 This module owns the bucketing pass and the gather/scatter between the
 observation-shaped arrays (``(n_baselines, n_times, n_channels, ...)``) and
-the stacked bucket tensors (``(G, T, 3)`` uvw, ``(G, T, C, K)``
-visibilities, ``(G, 3)`` subgrid offsets, ``(G, N, N, a, a)`` A-term
-fields).  Each gather is one ``np.take`` of a C-contiguous array at linear
-indices built from the chunk's ``plan.items`` columns (and each scatter one
-indexed store), written into :class:`~repro.core.scratch.ScratchArena` views
-so the steady state allocates nothing; the batched kernels in
+the stacked bucket tensors (``(G, T, 3)`` uvw, ``(G, M, 3)`` kernel
+coordinates, ``(G, T, C, K)`` visibilities, ``(G, 3)`` subgrid offsets,
+``(G, N, N, a, a)`` A-term fields).  Each array gather is one ``np.take``
+of a C-contiguous array at linear indices built from the chunk's
+``plan.items`` columns (and each scatter one indexed store), written into
+:class:`~repro.core.scratch.ScratchArena` views so the steady state
+allocates nothing; the batched kernels in
 :mod:`repro.core.gridder` / :mod:`repro.core.degridder` consume the stacked
 tensors directly.  What every chunk of a call shares — the channel step, the
 raster factors and the stacked A-term table — is derived once per call
@@ -39,11 +40,10 @@ import numpy as np
 
 from repro.aterms.jones import identity_jones_field
 from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, SPEED_OF_LIGHT
-from repro.core.degridder import degridder_bucket, degridder_bucket_fast
+from repro.core.degridder import degridder_bucket
 from repro.core.gridder import (
     RasterFactors,
     gridder_bucket,
-    gridder_bucket_fast,
     raster_factors,
     subgrid_lmn,
 )
@@ -61,8 +61,7 @@ __all__ = [
     "max_bucket_items",
     "gather_uvw",
     "gather_offsets",
-    "gather_scale0",
-    "gather_rel_uvw",
+    "gather_coordinates",
     "gather_visibilities",
     "gather_aterm_table",
     "scatter_visibilities",
@@ -138,21 +137,21 @@ def bucket_work_items(plan: Plan, start: int, stop: int) -> tuple[Bucket, ...]:
 
 def max_bucket_items(
     n_pixels2: int,
-    n_phase: int,
+    n_rows: int,
     budget_bytes: int = DEFAULT_BATCH_BYTES,
     n_correlations: int = 4,
 ) -> int:
     """Items per batched kernel call so their scratch working set stays
     under ``budget_bytes`` (always >= 1).
 
-    An item's working set is its ``(n_pixels2, n_phase)`` phasor and step
+    An item's working set is its ``(n_pixels2, n_rows)`` phasor and step
     at ``COMPLEX_DTYPE``, plus four ``(n_pixels2, K)`` ``ACCUM_DTYPE``
     buffers of ``K = n_correlations`` columns: the gridder's accumulator,
     the degridder's corrected pixels and the two stations' A-term fields.
-    ``n_phase`` is the phasor's trailing extent: ``n_times`` for the
-    channel-recurrence kernels, ``n_times * n_channels`` for the direct sum.
+    ``n_rows`` is the kernels' rows per item: ``n_times`` on an evenly
+    spaced channel ladder, ``n_times * n_channels`` on any other.
     """
-    phasors = 2 * n_pixels2 * n_phase * np.dtype(COMPLEX_DTYPE).itemsize
+    phasors = 2 * n_pixels2 * n_rows * np.dtype(COMPLEX_DTYPE).itemsize
     pixels = 4 * n_pixels2 * n_correlations * np.dtype(ACCUM_DTYPE).itemsize
     return max(int(budget_bytes // max(phasors + pixels, 1)), 1)
 
@@ -255,39 +254,33 @@ def gather_offsets(
     return out
 
 
-def gather_scale0(plan: Plan, indices: np.ndarray) -> np.ndarray:
-    """``(G,)`` first-channel ``f/c`` of every item (items may start at
-    different channel offsets within one shape bucket — wideband splits)."""
-    first_channel = plan.items["channel_start"][indices]
-    return plan.frequencies_hz[first_channel] / SPEED_OF_LIGHT
-
-
-def gather_rel_uvw(
+def gather_coordinates(
     plan: Plan,
     indices: np.ndarray,
-    uvw_m: np.ndarray,
+    uvw: np.ndarray,
+    n_channels: int,
     arena: ScratchArena,
-    key: str = "gather.rel_uvw",
+    key: str = "gather.coords",
 ) -> np.ndarray:
-    """Stack the items' relative uvw (wavelengths) into ``(G, T*C, 3)``.
+    """The coordinates ``uvw * f/c - offset`` (wavelengths) of each item's
+    first ``n_channels`` channels, stacked into ``(G, T * n_channels, 3)``:
+    time-major, channel fastest.
 
-    The batched analogue of
-    :func:`repro.core.reference.relative_uvw_wavelengths`: time-major,
-    channel fastest, ``(u - u_mid, v - v_mid, w - w_offset)`` per visibility.
+    ``uvw`` is the items' ``(G, T, 3)`` block (:func:`gather_uvw`) and the
+    offsets are :func:`gather_offsets`.  With all of an item's channels
+    this is the batched analogue of
+    :func:`repro.core.reference.relative_uvw_wavelengths`; with one it is
+    the coordinates of each timestep's first channel.
     """
-    rows, n_times, n_channels = _chunk(plan, indices)
-    out = arena.take(key, (len(rows), n_times * n_channels, 3), np.float64)
-    by_channel = out.reshape(len(rows), n_times, n_channels, 3)
-    channels = rows["channel_start"][:, np.newaxis] + np.arange(n_channels)
+    g_total, n_times = uvw.shape[:2]
+    out = arena.take(key, (g_total, n_times * n_channels, 3), np.float64)
+    by_channel = out.reshape(g_total, n_times, n_channels, 3)
+    channels = plan.items["channel_start"][indices][:, np.newaxis] + np.arange(n_channels)
     scale = plan.frequencies_hz[channels] / SPEED_OF_LIGHT
     np.multiply(
-        gather_uvw(plan, indices, uvw_m, arena, key=f"{key}.uvw")[:, :, np.newaxis, :],
-        scale[:, np.newaxis, :, np.newaxis],
-        out=by_channel,
+        uvw[:, :, np.newaxis, :], scale[:, np.newaxis, :, np.newaxis], out=by_channel
     )
-    by_channel -= gather_offsets(plan, indices, arena, key=f"{key}.offsets")[
-        :, np.newaxis, np.newaxis, :
-    ]
+    by_channel -= gather_offsets(plan, indices, arena)[:, np.newaxis, np.newaxis, :]
     return out
 
 
@@ -483,7 +476,7 @@ def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
     The recurrence shares one ``ds`` across a whole bucket whose items may
     start at different channels, so it needs the *global* ladder to be an
     arithmetic progression (every subband this package simulates is);
-    ``None`` sends the drivers down the direct-sum kernels instead.
+    on ``None`` the drivers give the kernels one channel per row instead.
 
     Steps must agree to ``1e-9`` relative, with an absolute floor of
     :data:`_STEP_ULPS` float64 ulps of the largest ``|f/c|`` for the
@@ -514,7 +507,7 @@ class CallTables:
         Its :func:`~repro.core.gridder.raster_factors`.
     channel_step:
         :func:`uniform_channel_step` of the plan's channels: the
-        recurrence's ``ds``, or ``None`` for the direct-sum kernels.
+        recurrence's ``ds``, or ``None`` for one channel per row.
     aterms:
         The call's :class:`ATermTable`, ``None`` without A-terms.
     """
@@ -548,20 +541,24 @@ def call_tables(
     )
 
 
-def _tables(
+def _coordinates(
     plan: Plan,
-    lmn: np.ndarray | None,
-    aterm_fields: dict[tuple[int, int], np.ndarray] | None,
-    tables: CallTables | None,
-    n_correlations: int,
-) -> CallTables:
-    """A driver's :class:`CallTables`: ``tables`` as given, or derived from
-    ``lmn`` and ``aterm_fields`` — one route, never both."""
-    if tables is None:
-        return call_tables(plan, lmn, aterm_fields, n_correlations)
-    if lmn is not None or aterm_fields is not None:
-        raise ValueError("pass the call's tables or its lmn and aterm_fields, not both")
-    return tables
+    indices: np.ndarray,
+    uvw_m: np.ndarray,
+    n_channels: int,
+    ds: float | None,
+    arena: ScratchArena,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A chunk's per-row start and step coordinates for the bucket
+    kernels: a row per timestep stepping by ``uvw * ds`` when the ladder
+    is evenly spaced (``ds`` set), else a row per (timestep, channel)
+    sample of the chunk's ``n_channels`` channels, with no step."""
+    uvw = gather_uvw(plan, indices, uvw_m, arena)
+    if ds is None:
+        return gather_coordinates(plan, indices, uvw, n_channels, arena), None
+    step = arena.take("gather.step", uvw.shape, np.float64)
+    np.multiply(uvw, ds, out=step)
+    return gather_coordinates(plan, indices, uvw, 1, arena), step
 
 
 def grid_work_group(
@@ -571,20 +568,19 @@ def grid_work_group(
     uvw_m: np.ndarray,
     visibilities: np.ndarray,
     taper: np.ndarray,
-    lmn: np.ndarray | None = None,
-    aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+    tables: CallTables,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
-    tables: CallTables | None = None,
 ) -> np.ndarray:
     """Run the gridder over work items ``start .. stop-1``.
 
     Buckets the work items by block shape, gathers each bucket into stacked
-    tensors and grids it with one batched kernel call (chunked so the
-    scratch working set stays under ``batch_bytes``, see
-    :func:`max_bucket_items`): :func:`gridder_bucket_fast` when
-    :func:`uniform_channel_step` finds evenly spaced channels,
-    :func:`gridder_bucket` otherwise.  The visibilities' trailing
+    tensors and grids it with one :func:`gridder_bucket` call (chunked so
+    the scratch working set stays under ``batch_bytes``, see
+    :func:`max_bucket_items`).  The channel ladder chooses the kernel's
+    rows: a row per timestep holding all the item's channels when
+    :func:`uniform_channel_step` finds them evenly spaced, a row per
+    (timestep, channel) sample otherwise.  The visibilities' trailing
     ``(a, a)`` shape sets the correlation count.
 
     Parameters
@@ -597,55 +593,31 @@ def grid_work_group(
         ``(n_baselines, n_times, n_channels, a, a)`` complex visibilities.
     taper:
         ``(N, N)`` taper.
-    lmn:
-        Optional precomputed :func:`~repro.core.gridder.subgrid_lmn`
-        (computed if omitted).
-    aterm_fields:
-        Maps ``(station, interval)`` to an ``(N, N, a, a)`` Jones field;
-        ``None`` or missing keys mean identity.
     tables:
-        The call's :func:`call_tables`, when the caller derived them once
-        for all its work groups, in place of ``lmn`` and ``aterm_fields``.
-        Derived from those two when omitted.
+        The call's :func:`call_tables`: the raster, its factors, the
+        channel step and the A-term table.
 
     Returns
     -------
     ``(stop - start, N, N, a, a)`` complex64 image-domain subgrids.
-
-    Raises
-    ------
-    ValueError
-        When ``tables`` comes with ``lmn`` or ``aterm_fields``.
     """
     n = plan.subgrid_size
     a = visibilities.shape[-1]
-    tables = _tables(plan, lmn, aterm_fields, tables, a * a)
     lmn, factors, ds = tables.lmn, tables.factors, tables.channel_step
     if arena is None:
         arena = thread_arena()
     out = np.empty((stop - start, n, n, a, a), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
-        n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
-        cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes, a * a)
+        n_rows = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
+        cap = max_bucket_items(lmn.shape[0], n_rows, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             vis = gather_visibilities(plan, indices, visibilities, arena)
+            first, step = _coordinates(plan, indices, uvw_m, bucket.n_channels, ds, arena)
             a_p, a_q = gather_aterm_table(plan, indices, tables.aterms, arena)
-            if ds is not None:
-                subgrids = gridder_bucket_fast(
-                    vis,
-                    gather_uvw(plan, indices, uvw_m, arena),
-                    gather_scale0(plan, indices),
-                    ds,
-                    gather_offsets(plan, indices, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
-                )
-            else:
-                subgrids = gridder_bucket(
-                    vis.reshape(len(indices), -1, a * a),
-                    gather_rel_uvw(plan, indices, uvw_m, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
-                )
-            out[indices - start] = subgrids
+            out[indices - start] = gridder_bucket(
+                vis.reshape(len(indices), n_rows, -1, a * a), first, step,
+                lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
+            )
     return out
 
 
@@ -657,50 +629,40 @@ def degrid_work_group(
     uvw_m: np.ndarray,
     visibilities_out: np.ndarray,
     taper: np.ndarray,
-    lmn: np.ndarray | None = None,
-    aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+    tables: CallTables,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
-    tables: CallTables | None = None,
 ) -> None:
     """Run the degridder over work items ``start .. stop-1``, writing into
     ``visibilities_out`` (shape ``(n_baselines, n_times, n_channels, a, a)``)
-    in place, one batched kernel call per bucket chunk.
+    in place, one :func:`degridder_bucket` call per bucket chunk.
 
     ``subgrid_images`` holds the ``(stop-start, N, N, a, a)`` image-domain
     subgrids produced by the splitter + inverse subgrid FFT, whose trailing
-    shape sets the correlation count; the other arguments and the kernel
-    choice are as in :func:`grid_work_group`.
+    shape sets the correlation count; the other arguments and the kernel's
+    rows are as in :func:`grid_work_group`.
     """
     n = plan.subgrid_size
     a = subgrid_images.shape[-1]
-    tables = _tables(plan, lmn, aterm_fields, tables, a * a)
     lmn, factors, ds = tables.lmn, tables.factors, tables.channel_step
     if arena is None:
         arena = thread_arena()
     for bucket in bucket_work_items(plan, start, stop):
-        n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
-        cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes, a * a)
+        n_rows = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
+        cap = max_bucket_items(lmn.shape[0], n_rows, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             images = arena.take(
                 "gather.subgrids", (len(indices), n, n, a, a), subgrid_images.dtype
             )
             np.take(subgrid_images, indices - start, axis=0, out=images, mode="clip")
+            first, step = _coordinates(plan, indices, uvw_m, bucket.n_channels, ds, arena)
             a_p, a_q = gather_aterm_table(plan, indices, tables.aterms, arena)
-            if ds is not None:
-                block = degridder_bucket_fast(
-                    images,
-                    gather_uvw(plan, indices, uvw_m, arena),
-                    gather_scale0(plan, indices),
-                    ds,
-                    bucket.n_channels,
-                    gather_offsets(plan, indices, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
-                )
-            else:
-                block = degridder_bucket(
-                    images,
-                    gather_rel_uvw(plan, indices, uvw_m, arena),
-                    lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
-                ).reshape(len(indices), bucket.n_times, bucket.n_channels, a * a)
-            scatter_visibilities(plan, indices, block, visibilities_out)
+            block = degridder_bucket(
+                images, first, step, bucket.n_channels if ds is not None else 1,
+                lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
+            )
+            scatter_visibilities(
+                plan, indices,
+                block.reshape(len(indices), bucket.n_times, bucket.n_channels, a * a),
+                visibilities_out,
+            )

@@ -150,13 +150,6 @@ class WorkGroupProgram:
             plan, idg.lmn, aterm_fields,
             visibilities.shape[-1] ** 2 if visibilities is not None else grid.shape[0],
         )
-        #: The kernels' per-call keyword inputs: the tables when the backend
-        #: derived them, else the raster and fields to work from.
-        self.kernel_inputs: dict[str, Any] = (
-            {"lmn": idg.lmn, "aterm_fields": aterm_fields}
-            if self.tables is None
-            else {"tables": self.tables}
-        )
         #: The call's record, published by every executor on
         #: ``last_telemetry``.
         self.telemetry = Telemetry()
@@ -334,7 +327,7 @@ class WorkGroupProgram:
         start, stop = self.groups[group]
         idg = self.idg
         return self.run("gridder", group, lambda: self.backend.grid_work_group(
-            self.plan, start, stop, self.uvw_m, vis, idg.taper, **self.kernel_inputs,
+            self.plan, start, stop, self.uvw_m, vis, idg.taper, self.tables,
         ))
 
     def subgrid_fft(self, group: int, subgrids: Any) -> Any:
@@ -470,5 +463,5 @@ class WorkGroupProgram:
         idg = self.idg
         return self.run("degridder", group, lambda: self.backend.degrid_work_group(
             self.plan, start, stop, images, self.uvw_m, self.out, idg.taper,
-            **self.kernel_inputs,
+            self.tables,
         ))

@@ -4,9 +4,10 @@ Every registered kernel backend runs the same corpus of small but
 structurally varied plans — a plain observation, a w-offset plan, an A-term
 schedule, a wideband (C = 512) subband exercising the channel-phasor
 recurrence, a degenerate single-visibility plan, a subband whose channels
-are not evenly spaced (which sends ``vectorized`` down its direct-sum
-kernels), and two one-correlation plans (``(..., 1, 1)`` visibilities and
-``(1, G, G)`` grids, one with scalar A-term fields) — and the tests in this
+are not evenly spaced and two evenly spaced subbands with a gap between
+them (both give ``vectorized``'s kernels one channel per row), and two
+one-correlation plans (``(..., 1, 1)`` visibilities and ``(1, G, G)``
+grids, one with scalar A-term fields) — and the tests in this
 directory hold all backends to pairwise agreement at ``rtol = 1e-5`` plus
 per-backend gridder/degridder adjointness.
 
@@ -51,6 +52,9 @@ class Case:
     #: Moves every channel off the evenly spaced ladder by up to this
     #: fraction of the channel width (0 keeps the ladder).
     channel_jitter: float = 0.0
+    #: Splits the channels into two evenly spaced halves, the second
+    #: starting this far above the first (0 keeps one ladder).
+    subband_offset_hz: float = 0.0
     #: Correlations per sample: 4 (``(..., 2, 2)``) or 1 (``(..., 1, 1)``,
     #: the Stokes-I sample alone, with the fields' scalar factors).
     n_correlations: int = 4
@@ -83,6 +87,17 @@ CASES = (
         seed=15,
     ),
     Case("uneven-channels", n_channels=5, channel_jitter=0.3, fill_factor=1.4, seed=16),
+    Case(
+        "two-subbands",
+        n_stations=6,
+        n_times=8,
+        n_channels=16,
+        grid_size=64,
+        subgrid_size=16,
+        n_correlations=1,
+        subband_offset_hz=10e6,
+        seed=19,
+    ),
     Case("one-correlation", n_correlations=1, seed=17),
     Case("one-correlation-aterms", n_correlations=1, aterm_interval=3, seed=18),
 )
@@ -115,6 +130,10 @@ class Corpus:
                     -case.channel_jitter, case.channel_jitter, case.n_channels
                 )
                 obs = replace(obs, frequencies_hz=obs.frequencies_hz + jitter * width)
+            if case.subband_offset_hz:
+                half = obs.frequencies_hz[: case.n_channels // 2]
+                freqs = np.concatenate([half, half + case.subband_offset_hz])
+                obs = replace(obs, frequencies_hz=freqs)
             gridspec = obs.fitting_gridspec(
                 case.grid_size, fill_factor=case.fill_factor
             )

@@ -70,10 +70,10 @@ def test_gridder_degridder_adjoint(case, corpus, backend_name):
     backend = idg.backend
     obs, vis = w["obs"], w["vis"]
     stop = min(8, plan.n_subgrids)
+    tables = backend.call_tables(plan, idg.lmn, fields, case.n_correlations)
 
     subgrids = backend.grid_work_group(
-        plan, 0, stop, obs.uvw_m, vis, idg.taper,
-        lmn=idg.lmn, aterm_fields=fields,
+        plan, 0, stop, obs.uvw_m, vis, idg.taper, tables
     )
     rng = np.random.default_rng(99)
     shape = subgrids.shape
@@ -82,8 +82,7 @@ def test_gridder_degridder_adjoint(case, corpus, backend_name):
     ).astype(np.complex64)
     predicted = np.zeros_like(vis)
     backend.degrid_work_group(
-        plan, 0, stop, probe, obs.uvw_m, predicted, idg.taper,
-        lmn=idg.lmn, aterm_fields=fields,
+        plan, 0, stop, probe, obs.uvw_m, predicted, idg.taper, tables
     )
     lhs = np.vdot(subgrids.astype(np.complex128), probe)
     rhs = np.vdot(vis, predicted.astype(np.complex128))

@@ -51,7 +51,7 @@ def _draw_outputs(backend_name, n_stations, n_times, n_channels, subgrid_size,
     stop = min(4, plan.n_subgrids)
     subgrids = idg.backend.grid_work_group(
         plan, 0, stop, obs.uvw_m, vis, idg.taper,
-        lmn=idg.lmn,
+        idg.backend.call_tables(plan, idg.lmn, None, 4),
     )
     grid = idg.grid(plan, obs.uvw_m, vis)
     degridded = idg.degrid(plan, obs.uvw_m, grid)

@@ -2,7 +2,9 @@
 
 The kernels degrid a bucket of ``G`` identically shaped work items at once;
 each test runs a single item (``G = 1``) and, where it checks a per-item
-property, a stacked bucket (``G > 1``) as well.
+property, a stacked bucket (``G > 1``) as well.  The kernels run with one
+channel per row (``C = 1``, no step): the direct sum over the item's
+relative uvw.
 """
 
 import numpy as np
@@ -41,9 +43,10 @@ def _random_uvw(m, seed=1, uv_scale=20.0):
 
 
 def _degrid(sub, uvw, lmn, taper, aterm_p=None, aterm_q=None):
-    """Degrid one subgrid as a bucket of one item: ``(M, 2, 2)``."""
+    """Degrid one subgrid as a bucket of one item, one channel per row:
+    ``(M, 2, 2)``."""
     out = degridder_bucket(
-        sub[np.newaxis], uvw[np.newaxis], lmn, taper,
+        sub[np.newaxis], uvw[np.newaxis], None, 1, lmn, taper,
         aterm_p=None if aterm_p is None else aterm_p[np.newaxis],
         aterm_q=None if aterm_q is None else aterm_q[np.newaxis],
     )
@@ -57,7 +60,7 @@ def test_degridder_matches_reference_no_aterms(lmn, taper):
     np.testing.assert_allclose(
         _degrid(subs[0], uvws[0], lmn, taper), slow[0], rtol=2e-4, atol=2e-4
     )
-    stacked = degridder_bucket(np.stack(subs), np.stack(uvws), lmn, taper)
+    stacked = degridder_bucket(np.stack(subs), np.stack(uvws), None, 1, lmn, taper)
     np.testing.assert_allclose(
         stacked.reshape(3, 10, 2, 2), np.stack(slow), rtol=2e-4, atol=2e-4
     )
@@ -79,7 +82,7 @@ def test_degridder_batching_invariance(lmn, taper):
     subs = [_random_subgrid(s) for s in (5, 15, 25)]
     uvws = [_random_uvw(29, seed=s) for s in (6, 16, 26)]
     alone = np.stack([_degrid(s, u, lmn, taper) for s, u in zip(subs, uvws)])
-    stacked = degridder_bucket(np.stack(subs), np.stack(uvws), lmn, taper)
+    stacked = degridder_bucket(np.stack(subs), np.stack(uvws), None, 1, lmn, taper)
     np.testing.assert_allclose(
         stacked.reshape(alone.shape), alone, rtol=1e-12, atol=1e-12
     )
@@ -108,14 +111,14 @@ def test_gridder_degridder_adjoint_identity(lmn, taper):
     over a bucket of three items with per-item A-terms."""
     rng = np.random.default_rng(11)
     g, m = 3, 9
-    vis = rng.standard_normal((g, m, 4)) + 1j * rng.standard_normal((g, m, 4))
+    vis = rng.standard_normal((g, m, 1, 4)) + 1j * rng.standard_normal((g, m, 1, 4))
     sub = rng.standard_normal((g, N, N, 2, 2)) + 1j * rng.standard_normal((g, N, N, 2, 2))
     a_p = rng.standard_normal((g, N, N, 2, 2)) + 1j * rng.standard_normal((g, N, N, 2, 2))
     a_q = rng.standard_normal((g, N, N, 2, 2)) + 1j * rng.standard_normal((g, N, N, 2, 2))
     uvw = np.stack([_random_uvw(m, seed=12 + k) for k in range(g)])
-    gridded = gridder_bucket(vis, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    gridded = gridder_bucket(vis, uvw, None, lmn, taper, aterm_p=a_p, aterm_q=a_q)
     lhs = np.vdot(gridded, sub)
-    degridded = degridder_bucket(sub, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    degridded = degridder_bucket(sub, uvw, None, 1, lmn, taper, aterm_p=a_p, aterm_q=a_q)
     rhs = np.vdot(vis, degridded)
     # the kernels' phasors and products are complex64 (paper Section VI-A),
     # so the two sides agree to single precision, not to float64 rounding:

@@ -2,7 +2,9 @@
 
 The kernels grid a bucket of ``G`` identically shaped work items at once;
 each test runs a single item (``G = 1``) and, where it checks a per-item
-property, a stacked bucket (``G > 1``) as well.
+property, a stacked bucket (``G > 1``) as well.  The kernel runs with one
+channel per row (``C = 1``, no step): the direct sum over the item's
+relative uvw, as the work-group drivers run it on an uneven channel ladder.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from repro.core.reference import reference_gridder, relative_uvw_wavelengths
 from repro.core.scratch import ScratchArena
 from repro.kernels.spheroidal import spheroidal_taper
 from repro.kernels.wkernel import n_term
-from repro.parallel.bucketing import grid_work_group
+from repro.parallel.bucketing import call_tables, grid_work_group
 
 
 N = 8
@@ -41,10 +43,12 @@ def _random_block(m, seed=0, uv_scale=20.0):
 
 
 def _grid(vis, uvw, lmn, taper, aterm_p=None, aterm_q=None):
-    """Grid one ``(M, 2, 2)`` block as a bucket of one item."""
+    """Grid one ``(M, 2, 2)`` block as a bucket of one item, one channel
+    per row."""
     m = uvw.shape[0]
     return gridder_bucket(
-        vis.reshape(1, m, 4).astype(np.complex128), uvw[np.newaxis], lmn, taper,
+        vis.reshape(1, m, 1, 4).astype(np.complex128), uvw[np.newaxis], None,
+        lmn, taper,
         aterm_p=None if aterm_p is None else aterm_p[np.newaxis],
         aterm_q=None if aterm_q is None else aterm_q[np.newaxis],
     )[0].copy()
@@ -128,8 +132,8 @@ def test_gridder_matches_reference_no_aterms(lmn, taper):
         _grid(*blocks[0], lmn, taper), slow[0], rtol=2e-4, atol=2e-4
     )
     stacked = gridder_bucket(
-        np.stack([vis.reshape(12, 4) for vis, _ in blocks]).astype(np.complex128),
-        np.stack([uvw for _, uvw in blocks]), lmn, taper,
+        np.stack([vis.reshape(12, 1, 4) for vis, _ in blocks]).astype(np.complex128),
+        np.stack([uvw for _, uvw in blocks]), None, lmn, taper,
     )
     np.testing.assert_allclose(stacked, np.stack(slow), rtol=2e-4, atol=2e-4)
 
@@ -149,8 +153,8 @@ def test_gridder_batching_invariance(lmn, taper):
     blocks = [_random_block(33, seed=s) for s in (4, 14, 24, 34)]
     alone = np.stack([_grid(vis, uvw, lmn, taper) for vis, uvw in blocks])
     stacked = gridder_bucket(
-        np.stack([vis.reshape(33, 4) for vis, _ in blocks]).astype(np.complex128),
-        np.stack([uvw for _, uvw in blocks]), lmn, taper,
+        np.stack([vis.reshape(33, 1, 4) for vis, _ in blocks]).astype(np.complex128),
+        np.stack([uvw for _, uvw in blocks]), None, lmn, taper,
     )
     np.testing.assert_allclose(stacked, alone, rtol=1e-12, atol=1e-12)
 
@@ -197,7 +201,7 @@ def test_grid_work_group_end_to_end(small_plan, small_obs, single_source_vis, sm
     """The work-group driver must agree with calling the kernel manually."""
     out = grid_work_group(
         small_plan, 0, 3, small_obs.uvw_m, single_source_vis, small_idg.taper,
-        lmn=small_idg.lmn,
+        call_tables(small_plan, small_idg.lmn, None, 4),
     )
     assert out.shape == (3, 24, 24, 2, 2)
     item = small_plan.work_item(1)
@@ -212,7 +216,7 @@ def test_grid_work_group_end_to_end(small_plan, small_obs, single_source_vis, sm
         item.channel_start : item.channel_end,
     ].reshape(-1, 2, 2)
     manual = _grid(vis_block, rel, small_idg.lmn, small_idg.taper)
-    # the driver's recurrence and the direct sum round differently in
+    # the driver's recurrence and one channel per row round differently in
     # complex64 (paper Section VI-A precision): the differential harness's
     # budget, 1e-5 of the peak
     np.testing.assert_allclose(out[1], manual, atol=1e-5 * np.abs(manual).max())

@@ -9,7 +9,9 @@ single precision (Section VI-A).  The literal loop kernels of
 Each case grids and degrids one bucket at one of the benchmark's ``(T, C)``
 bucket shapes, with and without A-terms, plus a ``C = 512`` bucket eight
 renormalisation intervals deep (without A-terms, which act on pixels, not on
-channels), through both the recurrence and the direct-sum kernels.  Every
+channels), through both layouts of the one kernel pair: a row per timestep
+with the channel recurrence, and a row per sample with one channel (the
+direct sum the drivers run on an uneven channel ladder).  Every
 output must be within ``1e-5`` of the oracle's peak: the differential
 harness's budget.  ``T`` is shrunk where the oracle's Python loops would
 take seconds; the errors are per visibility and do not grow with it.  The geometry is a plan's: coordinates relative to the subgrid
@@ -21,13 +23,8 @@ import pytest
 
 from repro.aterms.jones import apply_adjoint_sandwich, apply_sandwich
 from repro.constants import COMPLEX_DTYPE, SPEED_OF_LIGHT
-from repro.core.degridder import degridder_bucket, degridder_bucket_fast
-from repro.core.gridder import (
-    PHASOR_RENORM_INTERVAL,
-    gridder_bucket,
-    gridder_bucket_fast,
-    subgrid_lmn,
-)
+from repro.core.degridder import degridder_bucket
+from repro.core.gridder import PHASOR_RENORM_INTERVAL, gridder_bucket, subgrid_lmn
 from repro.core.reference import (
     reference_degridder,
     reference_gridder,
@@ -61,7 +58,8 @@ BUCKETS = [
 
 
 def _bucket(benchmark_shape, with_aterms):
-    """Inputs of one bucket, and each item's ``(T*C, 3)`` relative uvw."""
+    """Inputs of one bucket: each item's per-timestep start and step
+    coordinates, and its ``(T*C, 3)`` relative uvw."""
     n_times, g_total, channel_width = CASES[benchmark_shape]
     n_channels = benchmark_shape[1]
     rng = np.random.default_rng(sum(benchmark_shape))
@@ -85,10 +83,8 @@ def _bucket(benchmark_shape, with_aterms):
     return dict(
         vis=vis.astype(COMPLEX_DTYPE),
         sub=sub.astype(COMPLEX_DTYPE),
-        uvw_m=uvw_m,
-        scale0=np.full(g_total, scales[0]),
-        ds=float(scales[1] - scales[0]) if n_channels > 1 else 0.0,
-        offsets=offsets,
+        start=uvw_m * scales[0] - offsets[:, np.newaxis],
+        step=uvw_m * (scales[1] - scales[0]) if n_channels > 1 else None,
         rel=rel,
         aterms=aterms,
     )
@@ -121,16 +117,15 @@ def test_gridders_match_the_float64_oracle(raster, shape, with_aterms):
         )
         for g in range(g_total)
     ])
-    fast = gridder_bucket_fast(
-        b["vis"], b["uvw_m"], b["scale0"], b["ds"], b["offsets"], lmn, taper,
-        **b["aterms"],
+    fast = gridder_bucket(
+        b["vis"], b["start"], b["step"], lmn, taper, **b["aterms"]
     ).copy()
     _assert_within_budget(fast, oracle, "recurrence gridder")
     direct = gridder_bucket(
-        b["vis"].reshape(g_total, n_times * n_channels, 4), b["rel"], lmn, taper,
-        **b["aterms"],
+        b["vis"].reshape(g_total, n_times * n_channels, 1, 4), b["rel"], None,
+        lmn, taper, **b["aterms"],
     )
-    _assert_within_budget(direct, oracle, "direct gridder")
+    _assert_within_budget(direct, oracle, "one-channel gridder")
 
 
 @pytest.mark.parametrize("shape, with_aterms", BUCKETS)
@@ -144,16 +139,15 @@ def test_degridders_match_the_float64_oracle(raster, shape, with_aterms):
         )
         for g in range(g_total)
     ]).reshape(g_total, n_times, n_channels, 4)
-    fast = degridder_bucket_fast(
-        b["sub"], b["uvw_m"], b["scale0"], b["ds"], n_channels, b["offsets"], lmn,
-        taper, **b["aterms"],
+    fast = degridder_bucket(
+        b["sub"], b["start"], b["step"], n_channels, lmn, taper, **b["aterms"]
     )
     assert fast.dtype == COMPLEX_DTYPE
     _assert_within_budget(fast, oracle, "recurrence degridder")
-    direct = degridder_bucket(b["sub"], b["rel"], lmn, taper, **b["aterms"])
+    direct = degridder_bucket(b["sub"], b["rel"], None, 1, lmn, taper, **b["aterms"])
     assert direct.dtype == COMPLEX_DTYPE
     _assert_within_budget(
-        direct.reshape(g_total, n_times, n_channels, 4), oracle, "direct degridder"
+        direct.reshape(g_total, n_times, n_channels, 4), oracle, "one-channel degridder"
     )
 
 

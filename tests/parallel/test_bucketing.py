@@ -12,8 +12,7 @@ from repro.parallel.bucketing import (
     call_tables,
     degrid_work_group,
     gather_aterm_table,
-    gather_rel_uvw,
-    gather_scale0,
+    gather_coordinates,
     gather_uvw,
     gather_visibilities,
     grid_work_group,
@@ -115,27 +114,6 @@ def test_gather_aterm_fields_rejects_a_field_of_other_correlations(small_plan):
     assert a_p.shape == a_q.shape == (3, n, n, 1, 1)
 
 
-def test_drivers_take_tables_or_their_inputs_not_both(
-    small_plan, small_idg, small_obs, single_source_vis
-):
-    """The call's tables replace ``lmn`` and ``aterm_fields``; a driver
-    given both would have to pick one silently."""
-    tables = call_tables(small_plan, small_idg.lmn, None, 4)
-    n = small_plan.subgrid_size
-    uvw = small_obs.uvw_m
-    with pytest.raises(ValueError, match="not both"):
-        grid_work_group(
-            small_plan, 0, 2, uvw, single_source_vis, small_idg.taper,
-            lmn=small_idg.lmn, tables=tables,
-        )
-    with pytest.raises(ValueError, match="not both"):
-        degrid_work_group(
-            small_plan, 0, 2, np.zeros((2, n, n, 2, 2), np.complex64), uvw,
-            np.zeros_like(single_source_vis), small_idg.taper,
-            aterm_fields={}, tables=tables,
-        )
-
-
 def test_uniform_channel_step():
     uniform = np.array([1.0e8, 1.1e8, 1.2e8, 1.3e8])
     step = uniform_channel_step(uniform)
@@ -161,23 +139,20 @@ def test_uniform_channel_step():
 # ----------------------------------------------------------- gather/scatter
 
 
-def test_gather_uvw_and_scale0_match_plan_slices(small_plan, small_obs):
+def test_gather_uvw_and_first_channel_match_plan_slices(small_plan, small_obs):
     arena = ScratchArena()
     buckets = bucket_work_items(small_plan, 0, small_plan.n_subgrids)
     bucket = max(buckets, key=lambda b: b.n_items)
     stacked = gather_uvw(small_plan, bucket.indices, small_obs.uvw_m, arena)
-    scale0 = gather_scale0(small_plan, bucket.indices)
-    assert stacked.shape == (bucket.n_items, bucket.n_times, 3)
+    first = gather_coordinates(small_plan, bucket.indices, stacked, 1, arena)
+    assert stacked.shape == first.shape == (bucket.n_items, bucket.n_times, 3)
     for g, idx in enumerate(bucket.indices):
         row = small_plan.items[idx]
-        np.testing.assert_array_equal(
-            stacked[g],
-            small_obs.uvw_m[row["baseline"], row["time_start"]:row["time_end"]],
-        )
-        expected = (
-            small_plan.frequencies_hz[row["channel_start"]] / SPEED_OF_LIGHT
-        )
-        assert scale0[g] == pytest.approx(expected)
+        block = small_obs.uvw_m[row["baseline"], row["time_start"]:row["time_end"]]
+        np.testing.assert_array_equal(stacked[g], block)
+        scale0 = small_plan.frequencies_hz[row["channel_start"]] / SPEED_OF_LIGHT
+        centre = (*small_plan.subgrid_centre_uv(int(idx)), small_plan.w_offset)
+        np.testing.assert_array_equal(first[g], block * scale0 - np.array(centre))
 
 
 def test_gather_scatter_visibilities_round_trip(small_plan, single_source_vis):
@@ -211,12 +186,15 @@ def test_gather_visibilities_rejects_malformed_input(small_plan, single_source_v
         gather_visibilities(small_plan, bucket.indices, bad, arena)
 
 
-def test_gather_rel_uvw_matches_per_item(small_plan, small_obs):
+def test_gather_coordinates_match_per_item(small_plan, small_obs):
     from repro.core.reference import relative_uvw_wavelengths
 
     arena = ScratchArena()
     bucket = bucket_work_items(small_plan, 0, small_plan.n_subgrids)[0]
-    stacked = gather_rel_uvw(small_plan, bucket.indices, small_obs.uvw_m, arena)
+    uvw = gather_uvw(small_plan, bucket.indices, small_obs.uvw_m, arena)
+    stacked = gather_coordinates(
+        small_plan, bucket.indices, uvw, bucket.n_channels, arena
+    )
     for g, idx in enumerate(bucket.indices):
         row = small_plan.items[idx]
         u_mid, v_mid = small_plan.subgrid_centre_uv(int(idx))
@@ -233,9 +211,9 @@ def test_gather_rel_uvw_matches_per_item(small_plan, small_obs):
 
 @pytest.fixture(params=["direct", "recurrence"])
 def kernel_plan(request, small_idg, small_plan, small_obs, small_baselines):
-    """The small plan as is (evenly spaced channels: the recurrence kernels)
-    or rebuilt on a channel ladder nudged off its arithmetic progression
-    (the direct-sum kernels)."""
+    """The small plan as is (evenly spaced channels: a row per timestep,
+    the recurrence) or rebuilt on a channel ladder nudged off its
+    arithmetic progression (a row per sample, the direct sum)."""
     if request.param == "recurrence":
         return small_plan
     freqs = small_obs.frequencies_hz + np.array([0.0, 3e3, -2e3, 1e3])
@@ -250,11 +228,11 @@ def test_grid_batched_matches_per_item_driver(small_idg, kernel_plan, small_obs,
     stop = min(4, kernel_plan.n_subgrids)
     per_item = get_backend("reference").grid_work_group(
         kernel_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn,
+        small_idg.taper, None,
     )
     batched = grid_work_group(
         kernel_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn,
+        small_idg.taper, call_tables(kernel_plan, small_idg.lmn, None, 4),
     )
     scale = float(np.abs(per_item).max())
     np.testing.assert_allclose(
@@ -277,12 +255,12 @@ def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
     per_item = np.zeros_like(single_source_vis)
     get_backend("reference").degrid_work_group(
         small_plan, 0, stop, images, small_obs.uvw_m, per_item,
-        small_idg.taper, lmn=small_idg.lmn,
+        small_idg.taper, None,
     )
     batched = np.zeros_like(single_source_vis)
     degrid_work_group(
         small_plan, 0, stop, images, small_obs.uvw_m, batched,
-        small_idg.taper, lmn=small_idg.lmn,
+        small_idg.taper, call_tables(small_plan, small_idg.lmn, None, 4),
     )
     scale = float(np.abs(per_item).max())
     np.testing.assert_allclose(
@@ -295,12 +273,13 @@ def test_tiny_batch_budget_still_matches(small_idg, small_plan, small_obs,
     """Forcing one-item chunks exercises the chunk loop without changing
     results."""
     stop = min(12, small_plan.n_subgrids)
+    tables = call_tables(small_plan, small_idg.lmn, None, 4)
     roomy = grid_work_group(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn,
+        small_idg.taper, tables,
     )
     chunked = grid_work_group(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn, batch_bytes=1,
+        small_idg.taper, tables, batch_bytes=1,
     )
     np.testing.assert_allclose(chunked, roomy, rtol=1e-12)

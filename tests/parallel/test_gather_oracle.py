@@ -1,13 +1,15 @@
 """The index-array gathers against their original per-item loops.
 
-The bucket drivers gather uvw, subgrid offsets, relative uvw, visibilities
-and A-term fields, scatter predictions and split subgrids off the grid with
-one indexing operation each, at linear indices built from the chunk's
+The bucket drivers gather uvw, subgrid offsets, visibilities and A-term
+fields, scatter predictions and split subgrids off the grid with one
+indexing operation each, at linear indices built from the chunk's
 ``plan.items`` columns.  The loops they replaced walked the items one at a
-time.  This module keeps those loops as the oracle, and the property test
-asserts identical tensors on random work-item tables (any block shapes,
-channel splits, corners and A-term intervals), random A-term dicts (scalar
-and 2x2) and random flags.
+time.  This module keeps those loops as the oracle, together with the loop
+forming each item's relative uvw (the kernel coordinates of all its
+channels and, sliced to the first channel, of each timestep), and the
+property test asserts identical tensors on random work-item tables (any
+block shapes, channel splits, corners and A-term intervals), random A-term
+dicts (scalar and 2x2) and random flags.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from repro.parallel.bucketing import (
     aterm_table,
     bucket_work_items,
     gather_aterm_table,
+    gather_coordinates,
     gather_offsets,
-    gather_rel_uvw,
     gather_uvw,
     gather_visibilities,
     iter_bucket_chunks,
@@ -257,15 +259,16 @@ def test_gathers_match_the_per_item_oracle(
     expected = np.zeros(shape, dtype=COMPLEX_DTYPE)
     for bucket in buckets:
         for indices in iter_bucket_chunks(bucket, cap):
-            assert np.array_equal(
-                gather_uvw(plan, indices, uvw, arena), oracle_uvw(plan, indices, uvw)
-            )
+            block = gather_uvw(plan, indices, uvw, arena)
+            assert np.array_equal(block, oracle_uvw(plan, indices, uvw))
             offsets = gather_offsets(plan, indices, arena)
             assert np.array_equal(offsets, oracle_offsets(plan, indices))
+            rel = oracle_rel_uvw(plan, indices, uvw)
             assert np.array_equal(
-                gather_rel_uvw(plan, indices, uvw, arena),
-                oracle_rel_uvw(plan, indices, uvw),
+                gather_coordinates(plan, indices, block, bucket.n_channels, arena), rel
             )
+            first = rel.reshape(len(indices), bucket.n_times, bucket.n_channels, 3)[:, :, 0]
+            assert np.array_equal(gather_coordinates(plan, indices, block, 1, arena), first)
             assert np.array_equal(
                 gather_visibilities(plan, indices, vis, arena),
                 oracle_visibilities(plan, indices, vis),

@@ -27,10 +27,10 @@ def test_gridder_degridder_adjoint_property(n, g, m, seed):
     lmn = subgrid_lmn(n, 0.08)
     taper = spheroidal_taper(n)
     uvw = rng.standard_normal((g, m, 3)) * 15.0
-    vis = rng.standard_normal((g, m, 4)) + 1j * rng.standard_normal((g, m, 4))
+    vis = rng.standard_normal((g, m, 1, 4)) + 1j * rng.standard_normal((g, m, 1, 4))
     sub = rng.standard_normal((g, n, n, 2, 2)) + 1j * rng.standard_normal((g, n, n, 2, 2))
-    lhs = np.vdot(gridder_bucket(vis, uvw, lmn, taper), sub)
-    rhs = np.vdot(vis, degridder_bucket(sub, uvw, lmn, taper))
+    lhs = np.vdot(gridder_bucket(vis, uvw, None, lmn, taper), sub)
+    rhs = np.vdot(vis, degridder_bucket(sub, uvw, None, 1, lmn, taper))
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) / scale < 2e-3
 
@@ -93,10 +93,10 @@ def test_gridder_scaling_homogeneity(n, g, m, seed, scale):
     lmn = subgrid_lmn(n, 0.08)
     taper = spheroidal_taper(n)
     uvw = rng.standard_normal((g, m, 3)) * 10.0
-    vis = rng.standard_normal((g, m, 4)) + 1j * rng.standard_normal((g, m, 4))
+    vis = rng.standard_normal((g, m, 1, 4)) + 1j * rng.standard_normal((g, m, 1, 4))
     # the kernel returns a scratch-arena view: copy before the next call
-    a = gridder_bucket(scale * vis, uvw, lmn, taper).copy()
-    b = gridder_bucket(vis, uvw, lmn, taper)
+    a = gridder_bucket(scale * vis, uvw, None, lmn, taper).copy()
+    b = gridder_bucket(vis, uvw, None, lmn, taper)
     # each call rounds its complex64 products separately (paper Section
     # VI-A precision): the differential harness's budget, 1e-5 of the peak
     np.testing.assert_allclose(a, scale * b, rtol=1e-5, atol=1e-5 * np.abs(a).max())

@@ -8,12 +8,12 @@ from repro.constants import COMPLEX_DTYPE
 def _plan_order_sum(idg, plan, uvw_m, vis, groups):
     grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
     backend = idg.backend
+    tables = backend.call_tables(plan, idg.lmn, None, vis.shape[-1] ** 2)
     for group, (start, stop) in enumerate(plan.work_groups(idg.config.work_group_size)):
         if group not in groups:
             continue
         subgrids = backend.grid_work_group(
-            plan, start, stop, uvw_m, vis, idg.taper,
-            lmn=idg.lmn, aterm_fields=None,
+            plan, start, stop, uvw_m, vis, idg.taper, tables
         )
         backend.add_subgrids(
             grid, plan, backend.subgrids_to_fourier(subgrids), start=start
