@@ -18,9 +18,10 @@ over a long imaging run: one unusually large bucket (say, the first major
 cycle before flagging) pins its peak footprint forever.  Arenas therefore
 track a per-key *high-water mark* — the largest request since the last trim
 — and :meth:`ScratchArena.trim` shrinks every backing buffer down to it
-(dropping keys that went entirely unused).  The imaging major cycle calls
-:func:`trim_thread_arenas` between cycles, so steady-state memory tracks the
-current working set instead of the historical peak.
+(dropping keys that went entirely unused).  :meth:`ImagingCycle.run
+<repro.imaging.ImagingCycle.run>` calls :func:`trim_thread_arenas` at the
+end of each run, so steady-state memory tracks the current working set
+instead of the historical peak.
 
 Arenas are **not** thread-safe and must never be shared between threads —
 two gridder workers writing phase tensors into the same buffer would corrupt
@@ -29,7 +30,7 @@ each other's work items.  Kernels therefore obtain their arena through
 of ``StreamingIDG``, and so of ``ParallelIDG``, sees its own), while the
 backends themselves stay stateless as the backend contract
 requires.  :func:`trim_thread_arenas` touches every thread's arena and must
-only run at quiescent points (between imaging cycles, after executor pools
+only run at quiescent points (after an imaging run, once executor pools
 have retired their work), never concurrently with kernel execution.
 """
 
@@ -231,8 +232,9 @@ def trim_thread_arenas() -> int:
     """Trim *every* live arena (all threads) to its current high-water mark;
     returns the total bytes released.
 
-    Only safe at quiescent points — the imaging major cycle calls this
-    between cycles, after the executors' pools have retired all work.
+    Only safe at quiescent points — :meth:`repro.imaging.ImagingCycle.run`
+    calls this after its final image, once the executors' pools have
+    retired all work.
     """
     with ScratchArena._registry_lock:
         arenas = list(ScratchArena._registry)

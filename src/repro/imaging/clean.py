@@ -7,11 +7,12 @@ the PSF centred there, and record the subtracted flux as a *CLEAN component*.
 Components accumulate into the sky model that the predict step (FFT +
 degridding) turns back into visibilities.
 
-The helpers after :func:`hogbom_clean` are the parts of a CLEAN major-cycle
-loop that :class:`repro.imaging.ImagingCycle` and
-:func:`repro.calibration.self_calibrate` share: argument checks that run
-before the first grid pass, the central clean window, windowed statistics
-and the peak-normalised PSF.
+The helpers after :func:`hogbom_clean` serve the one major-cycle loop,
+:meth:`repro.imaging.ImagingCycle.major_rounds`, and its two callers,
+:meth:`~repro.imaging.ImagingCycle.run` and
+:func:`repro.calibration.self_calibrate`: argument checks that run before
+the first grid pass, the central clean window, windowed statistics and the
+peak-normalised PSF.
 """
 
 from __future__ import annotations

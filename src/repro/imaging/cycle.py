@@ -6,7 +6,8 @@ model back to visibilities (FFT + degridding) and subtract — revealing
 fainter structure for the next cycle.  The paper benchmarks exactly one such
 cycle (Fig 9/14: "Distribution of runtime/energy for one full imaging
 cycle"); this module also iterates it to convergence, since that is what a
-downstream user runs.
+downstream user runs.  That loop, :meth:`ImagingCycle.major_rounds`, also
+builds :func:`repro.calibration.self_calibrate`'s models.
 
 The gridder/degridder pair is pluggable: anything exposing the
 :class:`repro.core.IDG` interface (``make_plan``/``grid``/``degrid``) works,
@@ -19,10 +20,10 @@ unless another processor is passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.aterms.generators import ATermGenerator
 from repro.aterms.schedule import ATermSchedule
 from repro.core.pipeline import IDG
 from repro.core.scratch import trim_thread_arenas
@@ -89,10 +90,11 @@ class ImagingCycle:
     """Drives major cycles over a fixed observation with a given gridder.
 
     ``processor`` is the :class:`repro.imaging.pipeline.FTProcessor`
-    (w-stacked, faceted, ...) that every invert and predict goes through;
-    by default a :class:`~repro.imaging.pipeline.TwoDimFTProcessor` on
-    ``idg`` with the given A-term schedule.  The processors transform
-    Stokes I only: one ``G x G`` FFT per direction.
+    (w-stacked, faceted, ...) that every invert and predict goes through,
+    with its own A-terms; by default a
+    :class:`~repro.imaging.pipeline.TwoDimFTProcessor` on ``idg`` with the
+    given A-term schedule.  The processors transform Stokes I only: one
+    ``G x G`` FFT per direction.
     """
 
     def __init__(
@@ -101,7 +103,6 @@ class ImagingCycle:
         uvw_m: np.ndarray,
         frequencies_hz: np.ndarray,
         baselines: np.ndarray,
-        aterms: ATermGenerator | None = None,
         aterm_schedule: ATermSchedule | None = None,
         processor=None,
     ):
@@ -109,7 +110,6 @@ class ImagingCycle:
         self.uvw_m = np.asarray(uvw_m, dtype=np.float64)
         self.frequencies_hz = np.atleast_1d(np.asarray(frequencies_hz, dtype=np.float64))
         self.baselines = np.asarray(baselines)
-        self.aterms = aterms
         if processor is None:
             processor = TwoDimFTProcessor(
                 ImagingContext(
@@ -120,15 +120,10 @@ class ImagingCycle:
         self.processor = processor
         self.plan = processor.plan
 
-    def _aterm_override(self) -> dict:
-        # Only override the processor's own A-term default when this cycle
-        # was given one explicitly.
-        return {} if self.aterms is None else {"aterms": self.aterms}
-
     # ------------------------------------------------------------ building
     def make_dirty_image(self, visibilities: np.ndarray) -> np.ndarray:
         """Stokes-I dirty image of a visibility set (grid + IFFT + correct)."""
-        return self.processor.invert(visibilities, **self._aterm_override()).image
+        return self.processor.invert(visibilities).image
 
     def make_psf(self) -> np.ndarray:
         """PSF: the image of unit visibilities, normalised to peak 1."""
@@ -136,9 +131,52 @@ class ImagingCycle:
 
     def predict(self, model_image_stokes_i: np.ndarray) -> np.ndarray:
         """Predict visibilities of a Stokes-I model image (FFT + degrid)."""
-        return self.processor.predict(model_image_stokes_i, **self._aterm_override())
+        return self.processor.predict(model_image_stokes_i)
 
     # ------------------------------------------------------------- driving
+    def major_rounds(
+        self,
+        image_residual: Callable[[np.ndarray | None], np.ndarray],
+        psf: np.ndarray,
+        window: np.ndarray | None,
+        n_major: int,
+        *,
+        gain: float,
+        minor_iterations: int,
+        threshold_factor: float,
+        major_gain: float,
+    ) -> tuple[np.ndarray, np.ndarray | None, list[CleanResult], list[float]]:
+        """Run up to ``n_major`` image → CLEAN → predict rounds into a new model.
+
+        Each round images ``image_residual(predicted)``, the residual of the
+        latest prediction (``None`` before the first), CLEANs it inside
+        ``window`` down to ``max(threshold_factor * rms, (1 - major_gain) *
+        peak)``, adds the components to the model and predicts the model.
+        The rounds stop after a CLEAN that finds nothing; the caller images
+        the final residual.  Returns the float64 model, the latest prediction
+        (``None`` if none), each round's :class:`CleanResult` and the
+        windowed rms of each round's image.
+        """
+        model = np.zeros(psf.shape, dtype=np.float64)
+        predicted = None
+        cycles: list[CleanResult] = []
+        rms: list[float] = []
+        for _ in range(n_major):
+            image = image_residual(predicted)
+            rms.append(windowed_rms(image, window))
+            peak = windowed_peak(image, window)
+            threshold = max(threshold_factor * rms[-1], (1.0 - major_gain) * peak)
+            result = hogbom_clean(
+                image, psf, gain=gain, threshold=threshold,
+                max_iterations=minor_iterations, window=window,
+            )
+            cycles.append(result)
+            if len(result.components) == 0:
+                break
+            model += result.model_image
+            predicted = self.predict(model)
+        return model, predicted, cycles, rms
+
     def run(
         self,
         visibilities: np.ndarray,
@@ -149,7 +187,8 @@ class ImagingCycle:
         clean_window_fraction: float = 0.75,
         major_gain: float = 0.8,
     ) -> MajorCycleResult:
-        """Run up to ``n_major`` major cycles.
+        """Run up to ``n_major`` major cycles (:meth:`major_rounds`) on the
+        residual ``visibilities - predicted``, then image the final residual.
 
         ``threshold_factor`` sets each cycle's CLEAN stop threshold at
         ``factor * residual rms`` — a standard auto-threshold rule.
@@ -170,43 +209,38 @@ class ImagingCycle:
         check_loop_gain("major_gain", major_gain)
         check_clean_window(g, clean_window_fraction)
         psf = self.make_psf()
-        residual_vis = np.array(visibilities, copy=True)
-        model = np.zeros((g, g), dtype=np.float64)
         # built after the PSF: kept alive across the PSF's grid-sized
         # temporaries it pins the heap and raises the peak RSS
         window = clean_window(g, clean_window_fraction)
-        cycles: list[CleanResult] = []
-        rms_history: list[float] = []
-        residual_image = self.make_dirty_image(residual_vis)
+        visibilities = np.asarray(visibilities)
 
-        for _ in range(n_major):
-            rms = windowed_rms(residual_image, window)
-            peak = windowed_peak(residual_image, window)
-            threshold = max(threshold_factor * rms, (1.0 - major_gain) * peak)
-            result = hogbom_clean(
-                residual_image, psf, gain=gain,
-                threshold=threshold,
-                max_iterations=minor_iterations,
-                window=window,
+        def image_residual(predicted: np.ndarray | None) -> np.ndarray:
+            return self.make_dirty_image(
+                visibilities if predicted is None else visibilities - predicted
             )
-            cycles.append(result)
-            if len(result.components) == 0:
-                rms_history.append(rms)
-                break
-            model += result.model_image
-            predicted = self.predict(model)
-            residual_vis = np.asarray(visibilities) - predicted
-            residual_image = self.make_dirty_image(residual_vis)
-            rms_history.append(windowed_rms(residual_image, window))
-            # The gridding/degridding above is quiescent here; shrink the
-            # scratch arenas to this cycle's working set so one oversized
-            # early bucket doesn't pin its peak footprint for the whole run.
-            trim_thread_arenas()
 
+        model, predicted, cycles, rms = self.major_rounds(
+            image_residual, psf, window, n_major, gain=gain,
+            minor_iterations=minor_iterations, threshold_factor=threshold_factor,
+            major_gain=major_gain,
+        )
+        if cycles and len(cycles[-1].components) == 0:
+            # a CLEAN that found nothing left its round's image as it was
+            residual_image = cycles[-1].residual
+        else:
+            residual_image = image_residual(predicted)
+        # the residual after each round is the next round's image or the final one
+        rms.append(windowed_rms(residual_image, window))
+        # The gridding/degridding above is quiescent here; shrink the scratch
+        # arenas to this run's working set so one oversized early bucket
+        # doesn't pin its peak footprint.  Not in the rounds: the trim
+        # touches every thread's arena, and self-cal also runs as a gridding
+        # service job while other jobs' kernels use theirs.
+        trim_thread_arenas()
         return MajorCycleResult(
             model_image=model,
             residual_image=residual_image,
             psf=psf,
             cycles=cycles,
-            residual_rms_history=rms_history,
+            residual_rms_history=rms[1:],
         )

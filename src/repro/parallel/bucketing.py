@@ -78,7 +78,9 @@ __all__ = [
 #: channel step pays DRAM bandwidth: 2 MiB is one core's L2 on the reference
 #: host (2-vCPU KVM guest, Intel Xeon).  At N = 24 it gives G = 2, 4, 7 and
 #: 9 items at T = 96, 32, 16 and 8 with four correlations, and G = 2, 6, 11
-#: and 18 with one (its K-column buffers are a quarter the size).  Measured
+#: and 18 with one (its K-column buffers are a quarter the size).  Rows of
+#: one channel build no channel step, so 32 of them fit G = 7 and 11 items
+#: where 32 rows of several channels fit 4 and 6.  Measured
 #: on that host in three runs each, with four correlations: a 1 MiB budget
 #: counting the phasor alone (G = 2, 7, 14, 28) raised the streaming
 #: ``selfcal-wstack`` benchmark's peak RSS from 156 to 189 MB, since every
@@ -138,20 +140,26 @@ def bucket_work_items(plan: Plan, start: int, stop: int) -> tuple[Bucket, ...]:
 def max_bucket_items(
     n_pixels2: int,
     n_rows: int,
+    row_channels: int,
     budget_bytes: int = DEFAULT_BATCH_BYTES,
     n_correlations: int = 4,
 ) -> int:
     """Items per batched kernel call so their scratch working set stays
     under ``budget_bytes`` (always >= 1).
 
-    An item's working set is its ``(n_pixels2, n_rows)`` phasor and step
-    at ``COMPLEX_DTYPE``, plus four ``(n_pixels2, K)`` ``ACCUM_DTYPE``
-    buffers of ``K = n_correlations`` columns: the gridder's accumulator,
-    the degridder's corrected pixels and the two stations' A-term fields.
-    ``n_rows`` is the kernels' rows per item: ``n_times`` on an evenly
-    spaced channel ladder, ``n_times * n_channels`` on any other.
+    An item's working set is its ``(n_pixels2, n_rows)`` phasor at
+    ``COMPLEX_DTYPE``, a channel step of the same size when its rows hold
+    more than one channel (``row_channels > 1``; both kernels build the
+    step only then), plus four ``(n_pixels2, K)`` ``ACCUM_DTYPE`` buffers
+    of ``K = n_correlations`` columns: the gridder's accumulator, the
+    degridder's corrected pixels and the two stations' A-term fields.
+    ``n_rows`` and ``row_channels`` are the kernels' rows per item and
+    channels per row: ``n_times`` rows of ``n_channels`` on an evenly
+    spaced channel ladder, ``n_times * n_channels`` rows of one on any
+    other.
     """
-    phasors = 2 * n_pixels2 * n_rows * np.dtype(COMPLEX_DTYPE).itemsize
+    n_phasors = 2 if row_channels > 1 else 1
+    phasors = n_phasors * n_pixels2 * n_rows * np.dtype(COMPLEX_DTYPE).itemsize
     pixels = 4 * n_pixels2 * n_correlations * np.dtype(ACCUM_DTYPE).itemsize
     return max(int(budget_bytes // max(phasors + pixels, 1)), 1)
 
@@ -608,14 +616,15 @@ def grid_work_group(
         arena = thread_arena()
     out = np.empty((stop - start, n, n, a, a), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
-        n_rows = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
-        cap = max_bucket_items(lmn.shape[0], n_rows, batch_bytes, a * a)
+        row_channels = bucket.n_channels if ds is not None else 1
+        n_rows = bucket.n_times * bucket.n_channels // row_channels
+        cap = max_bucket_items(lmn.shape[0], n_rows, row_channels, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             vis = gather_visibilities(plan, indices, visibilities, arena)
             first, step = _coordinates(plan, indices, uvw_m, bucket.n_channels, ds, arena)
             a_p, a_q = gather_aterm_table(plan, indices, tables.aterms, arena)
             out[indices - start] = gridder_bucket(
-                vis.reshape(len(indices), n_rows, -1, a * a), first, step,
+                vis.reshape(len(indices), n_rows, row_channels, a * a), first, step,
                 lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
             )
     return out
@@ -648,8 +657,9 @@ def degrid_work_group(
     if arena is None:
         arena = thread_arena()
     for bucket in bucket_work_items(plan, start, stop):
-        n_rows = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
-        cap = max_bucket_items(lmn.shape[0], n_rows, batch_bytes, a * a)
+        row_channels = bucket.n_channels if ds is not None else 1
+        n_rows = bucket.n_times * bucket.n_channels // row_channels
+        cap = max_bucket_items(lmn.shape[0], n_rows, row_channels, batch_bytes, a * a)
         for indices in iter_bucket_chunks(bucket, cap):
             images = arena.take(
                 "gather.subgrids", (len(indices), n, n, a, a), subgrid_images.dtype
@@ -658,7 +668,7 @@ def degrid_work_group(
             first, step = _coordinates(plan, indices, uvw_m, bucket.n_channels, ds, arena)
             a_p, a_q = gather_aterm_table(plan, indices, tables.aterms, arena)
             block = degridder_bucket(
-                images, first, step, bucket.n_channels if ds is not None else 1,
+                images, first, step, row_channels,
                 lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena, factors=factors,
             )
             scatter_visibilities(

@@ -103,6 +103,50 @@ def test_model_captures_source_flux(result):
     assert result.n_cycles == len(result.history)
 
 
+@pytest.mark.parametrize(
+    ("kind", "options"),
+    [
+        ("wstack", {"n_w_planes": 3}),
+        ("facets", {"n_facets": 2}),
+        ("wstack_facets", {"n_facets": 2, "n_w_planes": 2}),
+    ],
+    ids=["wstack", "facets", "wstack_facets"],
+)
+def test_converges_on_every_processor_kind(harness, kind, options):
+    """Wide-field self-cal: every FT processor kind recovers the gains."""
+    context, corrupted, true_gains = harness
+    res = self_calibrate(
+        context, corrupted, N_STATIONS, kind=kind, true_gains=true_gains, **options
+    )
+    assert res.converged
+    assert gain_amplitude_error(res.gains, true_gains) < 0.01
+
+
+def test_passes_per_cycle(harness, counting_gridder):
+    """One PSF grid, then per cycle one grid per round and one after the
+    solve, and one degrid per round whose CLEAN found components: the
+    bootstrap cycle runs one round, the second cycle two."""
+    context, corrupted, _ = harness
+    idg = counting_gridder(context.idg)
+    res = self_calibrate(
+        replace(context, idg=idg), corrupted, N_STATIONS,
+        config=SelfCalConfig(n_cycles=2, n_major_per_cycle=2, gain_tolerance=0.0),
+    )
+    assert res.n_cycles == 2
+    assert (idg.grid_calls, idg.degrid_calls) == (1 + (1 + 1) + (2 + 1), 1 + 2)
+
+
+def test_benchmark_tracer_sees_clean_and_stefcal(harness, benchmark_tracing):
+    """The benchmark tracer patches ``hogbom_clean`` on the imaging cycle's
+    module, where self-cal's rounds CLEAN, and ``stefcal`` on this one."""
+    context, corrupted, _ = harness
+    config = SelfCalConfig(n_cycles=2, n_major_per_cycle=1, gain_tolerance=0.0)
+    with benchmark_tracing.instrument(benchmark_tracing.Tracer()) as tracer:
+        self_calibrate(context, corrupted, N_STATIONS, config=config)
+    names = [s.name for s in tracer.spans]
+    assert (names.count("clean"), names.count("stefcal")) == (2, 2)
+
+
 def test_empty_model_raises(harness):
     context, corrupted, _ = harness
     config = SelfCalConfig(threshold_factor=1e9, n_cycles=1)

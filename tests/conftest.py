@@ -8,6 +8,7 @@ must treat them as read-only.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 # Runtime shape contracts (repro.analysis.contracts) are decoration-time
 # gated; enable them before any repro module is imported so every kernel
@@ -105,11 +106,12 @@ def small_plan(small_idg, small_obs, small_baselines):
 
 
 class _CountingGridder:
-    """A gridder facade that counts its ``grid`` passes."""
+    """A gridder facade that counts its ``grid`` and ``degrid`` passes."""
 
     def __init__(self, idg):
         self._idg = idg
         self.grid_calls = 0
+        self.degrid_calls = 0
 
     def __getattr__(self, name):
         return getattr(self._idg, name)
@@ -118,9 +120,25 @@ class _CountingGridder:
         self.grid_calls += 1
         return self._idg.grid(*args, **kwargs)
 
+    def degrid(self, *args, **kwargs):
+        self.degrid_calls += 1
+        return self._idg.degrid(*args, **kwargs)
+
 
 @pytest.fixture
 def counting_gridder():
-    """Wrap a gridder so a test can count its grid passes; as the serial
-    engine of an FTProcessor it sees every grid the processor runs."""
+    """Wrap a gridder so a test can count its grid and degrid passes; as
+    the serial engine of an FTProcessor it sees every pass the processor
+    runs."""
     return _CountingGridder
+
+
+@pytest.fixture
+def benchmark_tracing(monkeypatch):
+    """The benchmark suite's ``tracing`` module (``benchmarks/suite``), whose
+    ``instrument`` patches the library's layers by name."""
+    suite = Path(__file__).resolve().parents[1] / "benchmarks" / "suite"
+    monkeypatch.syspath_prepend(str(suite))
+    import tracing
+
+    return tracing

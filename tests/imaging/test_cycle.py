@@ -102,6 +102,55 @@ def test_run_rejects_bad_arguments_before_gridding(
     assert idg.grid_calls == 0
 
 
+@pytest.mark.parametrize(
+    ("n_major", "options", "rounds", "predicted"),
+    [
+        (1, {}, 1, 1),
+        (3, {"minor_iterations": 100}, 3, 3),
+        (3, {"threshold_factor": 40.0}, 1, 0),  # the first CLEAN finds nothing
+    ],
+    ids=["one-round", "three-rounds", "empty-round"],
+)
+def test_run_grids_two_passes_more_than_it_predicts(
+    small_idg, small_obs, small_baselines, single_source_vis, counting_gridder,
+    n_major, options, rounds, predicted,
+):
+    """PSF and dirty image, then one predict and one residual image per
+    round whose CLEAN found components: ``2 + k`` grids and ``k`` degrids.
+    A round that finds nothing ends the run on its own image."""
+    idg = counting_gridder(small_idg)
+    cycle = ImagingCycle(idg, small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
+    result = cycle.run(single_source_vis, n_major=n_major, **options)
+    k = sum(len(c.components) > 0 for c in result.cycles)
+    assert (len(result.cycles), k) == (rounds, predicted)
+    assert (idg.grid_calls, idg.degrid_calls) == (2 + k, k)
+    assert len(result.residual_rms_history) == rounds
+
+
+def test_an_empty_round_keeps_its_image_as_the_residual(cycle, single_source_vis):
+    """A run whose later round CLEANs nothing returns that round's image and
+    repeats its rms, as imaging the unchanged residual again would."""
+    rng = np.random.default_rng(0)
+    noise = 0.05 * (rng.standard_normal(single_source_vis.shape)
+                    + 1j * rng.standard_normal(single_source_vis.shape))
+    noisy = single_source_vis + noise.astype(np.complex64)
+    result = cycle.run(noisy, n_major=12, threshold_factor=5.0, minor_iterations=500)
+    assert len(result.cycles[-1].components) == 0
+    assert all(len(c.components) for c in result.cycles[:-1])
+    final = cycle.make_dirty_image(noisy - cycle.predict(result.model_image))
+    assert np.array_equal(result.residual_image, final)
+    assert result.residual_rms_history[-1] == result.residual_rms_history[-2]
+
+
+def test_benchmark_tracer_sees_every_clean(cycle, single_source_vis, benchmark_tracing):
+    """The benchmark tracer patches ``hogbom_clean`` by name on this module,
+    so each round's CLEAN records one ``clean`` span."""
+    with benchmark_tracing.instrument(benchmark_tracing.Tracer()) as tracer:
+        result = cycle.run(single_source_vis, n_major=3, minor_iterations=100)
+    names = [s.name for s in tracer.spans]
+    assert names.count("clean") == len(result.cycles) == 3
+
+
 def test_restored_product(cycle, single_source_vis, snapped_source, small_gridspec):
     """MajorCycleResult.restored: peak reads the flux, beam is sane."""
     result = cycle.run(single_source_vis, n_major=3, minor_iterations=150,

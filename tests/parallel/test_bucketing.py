@@ -74,26 +74,40 @@ def test_iter_bucket_chunks_partitions_in_order(small_plan):
 
 
 def test_max_bucket_items_respects_budget():
-    # per item: complex64 phasor + step, 576 x T x 2 x 8 B, plus four
-    # (576, 4) complex128 pixel buffers, 576 x 4 x 4 x 16 B = 147456 B;
-    # T = 16: 147456 + 147456 = 294912 B per item
-    assert max_bucket_items(576, 16, budget_bytes=2**20) == 3
-    assert max_bucket_items(576, 16, budget_bytes=1) == 1  # floor of 1
-    assert max_bucket_items(0, 0, budget_bytes=2**20) >= 1
+    # per item, T rows of C = 4 channels: a complex64 phasor and a step,
+    # 2 x 576 x T x 8 B, plus four (576, 4) complex128 pixel buffers,
+    # 4 x 576 x 4 x 16 B = 147456 B; T = 16: 147456 + 147456 = 294912 B
+    assert max_bucket_items(576, 16, 4, budget_bytes=2**20) == 3
+    assert max_bucket_items(576, 16, 4, budget_bytes=1) == 1  # floor of 1
+    assert max_bucket_items(0, 0, 1, budget_bytes=2**20) >= 1
     # the default 2 MiB budget at the benchmark's bucket shapes (N = 24)
     assert DEFAULT_BATCH_BYTES == 2**21
     for n_times, items in ((96, 2), (32, 4), (16, 7), (8, 9)):
-        assert max_bucket_items(576, n_times) == items
+        assert max_bucket_items(576, n_times, 4) == items
 
 
 def test_max_bucket_items_counts_the_correlation_columns():
     # one correlation: the four (576, K) complex128 buffers shrink from
     # 147456 B to 36864 B per item, so more items fit the same 2 MiB
     for n_times, items in ((96, 2), (32, 6), (16, 11), (8, 18)):
-        assert max_bucket_items(576, n_times, n_correlations=1) == items
-        assert max_bucket_items(576, n_times, n_correlations=4) == max_bucket_items(
-            576, n_times
+        assert max_bucket_items(576, n_times, 4, n_correlations=1) == items
+        assert max_bucket_items(576, n_times, 4, n_correlations=4) == max_bucket_items(
+            576, n_times, 4
         )
+
+
+@pytest.mark.parametrize(("n_correlations", "stepped", "one_channel"), [(4, 4, 7), (1, 6, 11)])
+def test_max_bucket_items_counts_the_step_only_for_rows_of_several_channels(
+    n_correlations, stepped, one_channel
+):
+    """Both kernels build the channel step only for rows of more than one
+    channel.  32 one-channel rows per item (T * C = 32 on an uneven ladder)
+    cost a 576 x 32 x 8 B = 147456 B phasor and no step, so at N = 24 the
+    2 MiB budget fits 7 items with four correlations (147456 + 147456 B
+    each) and 11 with one (147456 + 36864 B), where 32 rows of several
+    channels fit 4 and 6."""
+    assert max_bucket_items(576, 32, 2, n_correlations=n_correlations) == stepped
+    assert max_bucket_items(576, 32, 1, n_correlations=n_correlations) == one_channel
 
 
 def test_gather_aterm_fields_rejects_a_field_of_other_correlations(small_plan):

@@ -9,8 +9,6 @@ relies on — plus the fail-fast error attribution, ``out=`` validation and
 keyword-only arguments every executor shares.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.parallel.executor import ParallelIDG
@@ -253,18 +251,14 @@ def test_grid_accumulates_into_the_given_grid(executor, small_idg, small_plan,
 
 def test_benchmark_tracer_wraps_threads_grid_once(small_idg, small_plan,
                                                   small_obs, single_source_vis,
-                                                  monkeypatch):
+                                                  benchmark_tracing):
     """The benchmark suite's tracer wraps ``grid``/``degrid`` on ``IDG``,
     ``ParallelIDG``, ``StreamingIDG`` and ``ProcessShardedIDG``.  Because
     ``ParallelIDG`` inherits them from ``StreamingIDG`` instead of defining
     its own, a traced threads grid records exactly one ``executor`` span."""
-    suite = Path(__file__).resolve().parents[2] / "benchmarks" / "suite"
-    monkeypatch.syspath_prepend(str(suite))
-    from tracing import Tracer, instrument
-
     assert "grid" not in vars(ParallelIDG)
     assert "degrid" not in vars(ParallelIDG)
     engine = ParallelIDG(small_idg, n_workers=2)
-    with instrument(Tracer()) as tracer:
+    with benchmark_tracing.instrument(benchmark_tracing.Tracer()) as tracer:
         engine.grid(small_plan, small_obs.uvw_m, single_source_vis)
     assert [s.name for s in tracer.spans].count("executor") == 1
